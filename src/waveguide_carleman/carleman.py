@@ -19,7 +19,8 @@ convention documented in :mod:`waveguide_carleman.weights`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -87,8 +88,6 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
-        from pathlib import Path
-
         Path(path).write_text(self.to_text())
 
 
@@ -119,22 +118,29 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
     (sg)^3 z^2, each integrated against exp(-2 s eta)."""
     if ws.params.regime != "bounded":
         raise ValueError("the weighted norm uses the bounded-regime weight")
-    grid = z.grid
     s_val = ws.params.s if s is None else s
-    decay = ws.decay(s_val)
-    sg = s_val * ws.g
+    return _I1_terms(z.grid, _I1_densities(z), ws.decay(s_val), s_val * ws.g)
 
-    lap = laplacian(z).values
-    zt = time_derivative(z).values
+
+#: Power of s*g multiplying each summand of :func:`weighted_norm_I1`.
+_I1_POWERS = {"laplacian": -1, "time": -1, "gradient": 1, "zero_order": 3}
+
+
+def _I1_densities(z: ScalarField) -> dict[str, np.ndarray]:
+    """The s-independent integrands of :func:`weighted_norm_I1`."""
     g1, g2 = gradient(z)
-    grad_sq = g1.values**2 + g2.values**2
-
-    terms = {
-        "laplacian": _weighted_Q_integral(grid, lap**2, decay, sg, -1),
-        "time": _weighted_Q_integral(grid, zt**2, decay, sg, -1),
-        "gradient": _weighted_Q_integral(grid, grad_sq, decay, sg, 1),
-        "zero_order": _weighted_Q_integral(grid, z.values**2, decay, sg, 3),
+    return {
+        "laplacian": laplacian(z).values ** 2,
+        "time": time_derivative(z).values ** 2,
+        "gradient": g1.values**2 + g2.values**2,
+        "zero_order": z.values**2,
     }
+
+
+def _I1_terms(grid: SpaceTimeGrid, densities: dict[str, np.ndarray], decay: np.ndarray,
+              sg: np.ndarray) -> dict[str, float]:
+    terms = {name: _weighted_Q_integral(grid, density, decay, sg, _I1_POWERS[name])
+             for name, density in densities.items()}
     terms["total"] = sum(terms.values())
     return terms
 
@@ -142,6 +148,23 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
 # ---------------------------------------------------------------------------
 # Anchored prefix-integral inequalities
 # ---------------------------------------------------------------------------
+
+
+def _prefix_sweep(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
+                  s_list: list) -> list[dict]:
+    """One row per s: the weighted mass of the squared anchored prefix
+    integral of F (``lhs``) and of F^2 itself (``rhs``)."""
+    G = prefix_integral_x1(F).values ** 2
+    F2 = F.values**2
+    sweep = []
+    for s in s_list:
+        decay = ws.decay(s)
+        sweep.append(
+            {"s": s, "lambda": ws.params.lam,
+             "lhs": integrate_values(grid, G * decay, "Q"),
+             "rhs": integrate_values(grid, F2 * decay, "Q")}
+        )
+    return sweep
 
 
 def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
@@ -153,18 +176,9 @@ def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
         raise ValueError("bounded-regime weight required")
     s_list = list(s_values) if s_values is not None else [1.0, 2.0, 4.0, 8.0, 16.0]
 
-    G = prefix_integral_x1(F).values ** 2
-    F2 = F.values**2
-
-    sweep = []
-    for s in s_list:
-        decay = ws.decay(s)
-        lhs = integrate_values(grid, G * decay, "Q")
-        rhs = integrate_values(grid, F2 * decay, "Q")
-        sweep.append(
-            {"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs": rhs,
-             "empirical_C": _ratio(lhs, rhs)}
-        )
+    sweep = _prefix_sweep(F, ws, grid, s_list)
+    for row in sweep:
+        row["empirical_C"] = _ratio(row["lhs"], row["rhs"])
 
     ratios = [row["empirical_C"] for row in sweep]
     base = ratios[0]
@@ -190,19 +204,10 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
         raise ValueError("open-regime weight required")
     s_list = list(s_values) if s_values is not None else [4.0, 8.0, 16.0, 32.0, 64.0]
 
-    G = prefix_integral_x1(F).values ** 2
-    F2 = F.values**2
-
-    sweep = []
-    for s in s_list:
-        decay = ws.decay(s)
-        lhs = integrate_values(grid, G * decay, "Q")
-        rhs = integrate_values(grid, F2 * decay, "Q")
-        ratio = _ratio(lhs, rhs)
-        sweep.append(
-            {"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs": rhs,
-             "ratio": ratio, "ratio_times_s2": ratio * s * s}
-        )
+    sweep = _prefix_sweep(F, ws, grid, s_list)
+    for row in sweep:
+        row["ratio"] = _ratio(row["lhs"], row["rhs"])
+        row["ratio_times_s2"] = row["ratio"] * row["s"] * row["s"]
 
     positive = [(row["s"], row["ratio"]) for row in sweep if row["ratio"] > 0.0]
     if len(positive) >= 2:
@@ -241,18 +246,12 @@ def r_monotonicity_audit(ws: WeightSystem, grid: SpaceTimeGrid,
     ia = grid.alpha_index
     eta = ws.weight.values[k]  # (n1+2, n2+2)
 
-    worst = -np.inf
-    n1 = eta.shape[0]
-    idx = np.arange(n1)
-    for j in range(eta.shape[1]):
-        col = eta[:, j]
-        diff = col[:, None] - col[None, :]  # eta(x1) - eta(xi)
-        right = (idx[:, None] >= ia) & (idx[None, :] >= ia) & (idx[None, :] <= idx[:, None])
-        left = (idx[:, None] <= ia) & (idx[None, :] <= ia) & (idx[None, :] >= idx[:, None])
-        mask = right | left
-        r = np.exp(-2.0 * s * diff[mask])
-        worst = max(worst, float(r.max()))
-    return worst
+    idx = np.arange(eta.shape[0])
+    right = (idx[:, None] >= ia) & (idx[None, :] >= ia) & (idx[None, :] <= idx[:, None])
+    left = (idx[:, None] <= ia) & (idx[None, :] <= ia) & (idx[None, :] >= idx[:, None])
+    mask = right | left
+    diff = eta[:, None, :] - eta[None, :, :]  # eta(x1) - eta(xi), per x2 column
+    return float(np.exp(-2.0 * s * diff[mask]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +299,8 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
     Ew = ScalarField(grid, E * w.values, FULL)
     M_lit = (time_derivative(Ew).values - laplacian(Ew).values) * Einv
 
-    phi_t = ws.weight_time_derivative()
-    phi_x1, phi_x2 = ws.weight_gradient()
-    phi_lap = ws.weight_laplacian()
-    grad_phi_sq = phi_x1**2 + phi_x2**2
+    coeffs = _weight_coefficients(ws)
+    phi_t, phi_x1, phi_x2, phi_lap, grad_phi_sq = coeffs
 
     wt = time_derivative(w).values
     wlap = laplacian(w).values
@@ -318,8 +315,7 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
         - (s_val**2 * grad_phi_sq + s_val * phi_lap) * w.values
     )
 
-    M1 = -wlap - s_val**2 * grad_phi_sq * w.values - s_val * phi_t * w.values
-    M2 = wt + 2.0 * s_val * grad_dot + s_val * phi_lap * w.values
+    M1, M2 = _split_parts(w, coeffs, s_val)
 
     residual = M_lit - (M1 + M2)
 
@@ -390,26 +386,24 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     obs = grid.domain.obs_segment
     dnu_z = normal_derivative(z, obs).values
     wall_j = -1 if obs == "x2_max" else 0
+    densities = _I1_densities(z)
+    Pz_sq = Pz.values**2
 
     sweep = []
     for lam in lam_list:
         if lam == ws.params.lam:
             ws_lam = ws
         else:
-            from dataclasses import replace
-
             ws_lam = WeightSystem(replace(ws.params, lam=lam), grid,
                                   psi1_profile=ws.psi1_profile,
                                   psi2_profile=ws.psi2_profile)
         for s in s_list:
-            terms = weighted_norm_I1(z, ws_lam, s=s)
-            lhs = terms["total"]
-
             decay = ws_lam.decay(s)
-            rhs_q = integrate_values(grid, decay * Pz.values**2, "Q")
+            sg = s * ws_lam.g
+            lhs = _I1_terms(z.grid, densities, decay, sg)["total"]
+            rhs_q = integrate_values(grid, decay * Pz_sq, "Q")
 
             wall_decay = decay[:, :, wall_j]
-            sg = s * ws_lam.g
             flux = np.zeros_like(dnu_z)
             flux[1:-1] = wall_decay[1:-1] * sg[1:-1, None] * dnu_z[1:-1] ** 2
             rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
@@ -477,6 +471,7 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     g1, g2 = gradient(u)
     grad_sq = g1.values**2 + g2.values**2
     phi = ws.weight.values
+    coeffs = _weight_coefficients(ws)
 
     s_list = list(s_values) if s_values is not None else [4.0, 8.0, 16.0, 32.0]
     sweep = []
@@ -493,9 +488,9 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
         lhs_grad = s * lam * integrate_values(grid, grad_term, "Q")
 
         wbar = ScalarField(grid, half * u.values, FULL)
-        parts = _split_parts(wbar, ws, s)
-        lhs_m1 = integrate_values(grid, parts[0] ** 2, "Q")
-        lhs_m2 = integrate_values(grid, parts[1] ** 2, "Q")
+        m1, m2 = _split_parts(wbar, coeffs, s)
+        lhs_m1 = integrate_values(grid, m1**2, "Q")
+        lhs_m2 = integrate_values(grid, m2**2, "Q")
         lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
 
         flux = np.zeros_like(dnu_u)
@@ -539,23 +534,30 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     )
 
 
-def _split_parts(wbar: ScalarField, ws: WeightSystem, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """M1 and M2 applied to an already-conjugated field, with the weighted
-    coefficients taken from the closed forms."""
+def _weight_coefficients(ws: WeightSystem) -> tuple[np.ndarray, ...]:
+    """(phi_t, phi_x1, phi_x2, Lap phi, |grad phi|^2) from the closed
+    forms.  None of them depends on s."""
     phi_t = ws.weight_time_derivative()
     phi_x1, phi_x2 = ws.weight_gradient()
     phi_lap = ws.weight_laplacian()
-    grad_phi_sq = phi_x1**2 + phi_x2**2
+    return phi_t, phi_x1, phi_x2, phi_lap, phi_x1**2 + phi_x2**2
 
-    w1, w2 = gradient(wbar)
+
+def _split_parts(w: ScalarField, coeffs: tuple[np.ndarray, ...],
+                 s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary part M1 and the transport part M2 of the conjugated
+    operator applied to ``w``, with the weight coefficients from
+    :func:`_weight_coefficients`."""
+    phi_t, phi_x1, phi_x2, phi_lap, grad_phi_sq = coeffs
+    w1, w2 = gradient(w)
     m1 = (
-        -laplacian(wbar).values
-        - s**2 * grad_phi_sq * wbar.values
-        - s * phi_t * wbar.values
+        -laplacian(w).values
+        - s**2 * grad_phi_sq * w.values
+        - s * phi_t * w.values
     )
     m2 = (
-        time_derivative(wbar).values
+        time_derivative(w).values
         + 2.0 * s * (phi_x1 * w1.values + phi_x2 * w2.values)
-        + s * phi_lap * wbar.values
+        + s * phi_lap * w.values
     )
     return m1, m2

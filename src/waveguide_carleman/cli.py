@@ -38,8 +38,13 @@ class ConfigError(Exception):
     """Invalid or missing configuration; the message names the key."""
 
 
-def _floats(text: str) -> list[float]:
-    return [float(p) for p in text.replace(";", ",").split(",") if p.strip()]
+def float_list(text: str) -> list[float]:
+    """Parse a non-empty comma-separated list of numbers (config values and
+    command-line flags alike); raises ValueError otherwise."""
+    values = [float(p) for p in text.replace(";", ",").split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"empty list: {text!r}")
+    return values
 
 
 # (section, key) -> (default value, parser, description).  A None default
@@ -65,14 +70,14 @@ _SPEC: dict[str, dict[str, tuple]] = {
         "s": (4.0, float, "headline large parameter"),
         "delta": (0.5, float, "cross-section profile offset"),
         "c1": (0.5, float, "axial profile floor"),
-        "s_sweep": ([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], _floats, "s values swept by checks"),
+        "s_sweep": ([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], float_list, "s values swept by checks"),
     },
     "open": {
         "n1": (127, int, "axial nodes for open-regime checks"),
         "n2": (7, int, "cross-section nodes for open-regime checks"),
         "nt": (32, int, "time steps for open-regime checks"),
         "lambda": (1.1, float, "weight sharpness for open-regime checks"),
-        "s_sweep": ([4.0, 8.0, 16.0, 32.0, 64.0], _floats, "s sweep for the open inequality"),
+        "s_sweep": ([4.0, 8.0, 16.0, 32.0, 64.0], float_list, "s sweep for the open inequality"),
     },
     "lemmas": {
         "seed": (1234, int, "seed for the random smooth test fields"),
@@ -83,15 +88,13 @@ _SPEC: dict[str, dict[str, tuple]] = {
         "q_amplitude": (0.4, float, "amplitude of the potential preset"),
     },
     "carleman": {
-        "s_sweep": ([2.0, 4.0, 8.0, 16.0, 32.0], _floats, "s sweep for the bounded estimate"),
+        "s_sweep": ([2.0, 4.0, 8.0, 16.0, 32.0], float_list, "s sweep for the bounded estimate"),
         "bump_amplitude": (1.0, float, "amplitude of the boundary-vanishing test bump"),
         "theta": (0.1, float, "perturbation size for the pipeline field"),
-        "conj_lambda": (0.25, float, "weight sharpness for the conjugated-operator check"),
-        "conj_s": (0.5, float, "large parameter for the conjugated-operator check"),
     },
     "stability": {
-        "theta_list": ([0.1, 0.05, 0.025], _floats, "perturbation sizes"),
-        "eps_list": ([0.25, 0.5], _floats, "time-window margins"),
+        "theta_list": ([0.1, 0.05, 0.025], float_list, "perturbation sizes"),
+        "eps_list": ([0.25, 0.5], float_list, "time-window margins"),
         "q_amplitude": (0.4, float, "amplitude of the potential preset"),
         "f_bump": (0.5, float, "amplitude of the axial factor's cosine bump"),
     },
@@ -137,7 +140,14 @@ class ScenarioConfig:
             for key, _ in raw.items(section):
                 if key not in _SPEC[section]:
                     raise ConfigError(f"unknown config key: {section}.{key}")
-        return cls(values)
+
+        cfg = cls(values)
+        for sections, build in (("[grid]/[domain]", cfg.grid), ("[open]", cfg.open_grid)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"invalid {sections} values: {exc}") from exc
+        return cfg
 
     def domain(self, truncated: bool = False) -> WaveguideDomain:
         d = self["domain"]
@@ -357,11 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="path to the config file")
         p.add_argument("--out", type=str, default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override lemmas.seed")
-        p.add_argument("--sweep-s", type=str, default=None,
-                       help="comma-separated s values overriding weights.s_sweep")
-        p.add_argument("--eps", type=str, default=None,
-                       help="comma-separated window margins overriding stability.eps_list")
+        if name == "verify-lemmas":
+            p.add_argument("--seed", type=int, default=None, help="override lemmas.seed")
+            p.add_argument("--sweep-s", type=float_list, default=None,
+                           help="comma-separated s values overriding weights.s_sweep")
+        if name == "stability":
+            p.add_argument("--eps", type=float_list, default=None,
+                           help="comma-separated window margins overriding stability.eps_list")
     return parser
 
 
@@ -377,19 +389,16 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_reference(out)
 
-    sweep = _floats(args.sweep_s) if args.sweep_s else None
-    epss = _floats(args.eps) if args.eps else None
-
     if args.command == "forward":
         return cmd_forward(cfg, out)
     if args.command == "check-weights":
         return cmd_check_weights(cfg, out)
     if args.command == "verify-lemmas":
-        return cmd_verify_lemmas(cfg, out, seed=args.seed, s_sweep=sweep)
+        return cmd_verify_lemmas(cfg, out, seed=args.seed, s_sweep=args.sweep_s)
     if args.command == "verify-carleman":
         return cmd_verify_carleman(cfg, out)
     if args.command == "stability":
-        return cmd_stability(cfg, out, eps_list=epss)
+        return cmd_stability(cfg, out, eps_list=args.eps)
     print(f"unknown command: {args.command}", file=sys.stderr)  # pragma: no cover
     return 2
 

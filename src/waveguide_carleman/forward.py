@@ -22,14 +22,13 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .grid import (
-    BOUNDARY_TRACE,
     FULL,
-    SECTION_TRACE,
-    SPATIAL_SLICE,
     ScalarField,
     SpaceTimeGrid,
     gradient,
+    integrate_values,
     normal_derivative,
+    second_derivative,
 )
 
 
@@ -63,9 +62,6 @@ class PotentialSpec:
     def potential_values(self) -> np.ndarray:
         """Full (nt+1, n1+2, n2+2) samples of q*f."""
         return self.q[:, None, :] * self.f[None, :, None]
-
-    def q_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.q.copy(), SECTION_TRACE)
 
 
 @dataclass
@@ -133,7 +129,7 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
     def dbdt0(b):
         return (-3.0 * b[0] + 4.0 * b[1] - b[2]) / (2.0 * dt)
 
-    lap_u0 = _slice_laplacian(data.u0, g.dx1, g.dx2)
+    lap_u0 = second_derivative(data.u0, g.dx1, 0) + second_derivative(data.u0, g.dx2, 1)
     v0 = pot.q[0][None, :] * pot.f[:, None] * data.u0
 
     res = []
@@ -143,18 +139,6 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
         res.append(dbdt0(data.b_left) - lap_u0[0, :] + v0[0, :])
         res.append(dbdt0(data.b_right) - lap_u0[-1, :] + v0[-1, :])
     return float(max(np.max(np.abs(r)) for r in res))
-
-
-def _slice_laplacian(u: np.ndarray, dx1: float, dx2: float) -> np.ndarray:
-    out = np.empty_like(u)
-    out[1:-1, :] = (u[:-2, :] - 2.0 * u[1:-1, :] + u[2:, :]) / dx1**2
-    out[0, :] = (2.0 * u[0, :] - 5.0 * u[1, :] + 4.0 * u[2, :] - u[3, :]) / dx1**2
-    out[-1, :] = (2.0 * u[-1, :] - 5.0 * u[-2, :] + 4.0 * u[-3, :] - u[-4, :]) / dx1**2
-    tmp = np.empty_like(u)
-    tmp[:, 1:-1] = (u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]) / dx2**2
-    tmp[:, 0] = (2.0 * u[:, 0] - 5.0 * u[:, 1] + 4.0 * u[:, 2] - u[:, 3]) / dx2**2
-    tmp[:, -1] = (2.0 * u[:, -1] - 5.0 * u[:, -2] + 4.0 * u[:, -3] - u[:, -4]) / dx2**2
-    return out + tmp
 
 
 # ---------------------------------------------------------------------------
@@ -361,67 +345,6 @@ def decaying_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec,
     )
 
 
-def save_potential(pot: PotentialSpec, basepath) -> None:
-    """Persist a potential: q as a cross-section trace, f broadcast to a
-    spatial slice, both in the grid module's field format."""
-    from .grid import save_field
-
-    g = pot.grid
-    save_field(ScalarField(g, pot.q.copy(), SECTION_TRACE), str(basepath) + "_q")
-    f_slice = np.repeat(pot.f[:, None], g.n2 + 2, axis=1)
-    save_field(ScalarField(g, f_slice, SPATIAL_SLICE), str(basepath) + "_f")
-
-
-def load_potential(basepath) -> PotentialSpec:
-    from .grid import load_field
-
-    q = load_field(str(basepath) + "_q")
-    f = load_field(str(basepath) + "_f")
-    return PotentialSpec(q.grid, q.values, f.values[:, 0])
-
-
-def save_boundary_data(data: BoundaryData, basepath) -> None:
-    """Persist boundary data as trace/slice fields in the grid format."""
-    from .grid import save_field
-
-    g = data.grid
-    save_field(ScalarField(g, data.u0.copy(), SPATIAL_SLICE), str(basepath) + "_u0")
-    save_field(ScalarField(g, data.b_bottom.copy(), BOUNDARY_TRACE, "x2_min"),
-               str(basepath) + "_b_bottom")
-    save_field(ScalarField(g, data.b_top.copy(), BOUNDARY_TRACE, "x2_max"),
-               str(basepath) + "_b_top")
-    if g.domain.truncated:
-        save_field(ScalarField(g, data.b_left.copy(), BOUNDARY_TRACE, "x1_min"),
-                   str(basepath) + "_b_left")
-        save_field(ScalarField(g, data.b_right.copy(), BOUNDARY_TRACE, "x1_max"),
-                   str(basepath) + "_b_right")
-    else:
-        save_field(ScalarField(g, data.k_minus.copy(), BOUNDARY_TRACE, "x1_min"),
-                   str(basepath) + "_k_minus")
-        save_field(ScalarField(g, data.k_plus.copy(), BOUNDARY_TRACE, "x1_max"),
-                   str(basepath) + "_k_plus")
-
-
-def load_boundary_data(basepath) -> BoundaryData:
-    from .grid import load_field
-
-    u0 = load_field(str(basepath) + "_u0")
-    g = u0.grid
-    b_bottom = load_field(str(basepath) + "_b_bottom").values
-    b_top = load_field(str(basepath) + "_b_top").values
-    if g.domain.truncated:
-        return BoundaryData(
-            g, u0.values, b_bottom, b_top,
-            b_left=load_field(str(basepath) + "_b_left").values,
-            b_right=load_field(str(basepath) + "_b_right").values,
-        )
-    return BoundaryData(
-        g, u0.values, b_bottom, b_top,
-        k_minus=load_field(str(basepath) + "_k_minus").values,
-        k_plus=load_field(str(basepath) + "_k_plus").values,
-    )
-
-
 @dataclass
 class ManufacturedPair:
     """Two solves sharing one data set but carrying different potentials."""
@@ -436,11 +359,9 @@ class ManufacturedPair:
 
 
 def manufacture_pair(grid: SpaceTimeGrid, q: np.ndarray, q_tilde: np.ndarray,
-                     f: np.ndarray, preset: str = "positive") -> ManufacturedPair:
+                     f: np.ndarray) -> ManufacturedPair:
     """Solve the two systems (q, f) and (q_tilde, f) with one shared,
     compatible, positive data set."""
-    if preset != "positive":
-        raise ValueError(f"unknown data preset {preset!r}")
     pot = PotentialSpec(grid, q, f)
     pot_tilde = PotentialSpec(grid, q_tilde, f)
     data = positive_preset_data(grid, pot)
@@ -521,8 +442,6 @@ class SeparableOracle:
         return solve_heat(self.grid, self.potential(), self.data())
 
     def relative_l2_error(self) -> float:
-        from .grid import integrate_values
-
         exact = self.field().values
         approx = self.solve().values
         err = integrate_values(self.grid, (approx - exact) ** 2, "Q")

@@ -71,11 +71,6 @@ class WaveguideDomain:
         """Boundary tag of the observed lateral wall."""
         return "x2_max" if self.obs_side == "top" else "x2_min"
 
-    @property
-    def hidden_segment(self) -> str:
-        """Boundary tag of the unobserved lateral wall."""
-        return "x2_min" if self.obs_side == "top" else "x2_max"
-
 
 class SpaceTimeGrid:
     """Uniform tensor-product grid on (0, T) x (-L, L) x (0, h).
@@ -131,13 +126,6 @@ class SpaceTimeGrid:
         tt, xx1, xx2 = self.mesh()
         values = np.broadcast_to(fn(tt, xx1, xx2), self.shape).astype(float).copy()
         return ScalarField(self, values, FULL)
-
-    def sample_spatial(self, fn) -> "ScalarField":
-        """Sample ``fn(x1, x2)`` on the spatial grid."""
-        values = np.broadcast_to(
-            fn(self.x1[:, None], self.x2[None, :]), (self.n1 + 2, self.n2 + 2)
-        ).astype(float).copy()
-        return ScalarField(self, values, SPATIAL_SLICE)
 
     def sample_section(self, fn) -> "ScalarField":
         """Sample ``fn(t, x2)`` over time and the cross-section."""
@@ -202,9 +190,6 @@ class ScalarField:
         self.kind = kind
         self.segment = segment
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.kind, self.segment)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"ScalarField(kind={self.kind!r}, shape={self.values.shape})"
 
@@ -230,7 +215,7 @@ def _expected_shape(grid: SpaceTimeGrid, kind: str, segment: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _second_derivative(values: np.ndarray, d: float, axis: int) -> np.ndarray:
+def second_derivative(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     """Second derivative along ``axis``: 3-point centered stencil inside,
     4-point one-sided stencil (also second order) at the two ends."""
     v = np.moveaxis(values, axis, 0)
@@ -254,7 +239,7 @@ def laplacian(f: ScalarField) -> ScalarField:
     """Five-point Laplacian of a full field."""
     _require_full(f, "laplacian")
     g = f.grid
-    out = _second_derivative(f.values, g.dx1, 1) + _second_derivative(f.values, g.dx2, 2)
+    out = second_derivative(f.values, g.dx1, 1) + second_derivative(f.values, g.dx2, 2)
     return ScalarField(g, out, FULL)
 
 
@@ -276,15 +261,11 @@ def normal_derivative(f: ScalarField, segment: str) -> ScalarField:
     if segment not in SEGMENTS:
         raise ValueError(f"unknown boundary segment {segment!r}")
     g = f.grid
-    v = f.values
-    if segment == "x2_max":
-        tr = (3.0 * v[:, :, -1] - 4.0 * v[:, :, -2] + v[:, :, -3]) / (2.0 * g.dx2)
-    elif segment == "x2_min":
-        tr = (3.0 * v[:, :, 0] - 4.0 * v[:, :, 1] + v[:, :, 2]) / (2.0 * g.dx2)
-    elif segment == "x1_max":
-        tr = (3.0 * v[:, -1, :] - 4.0 * v[:, -2, :] + v[:, -3, :]) / (2.0 * g.dx1)
-    else:  # x1_min
-        tr = (3.0 * v[:, 0, :] - 4.0 * v[:, 1, :] + v[:, 2, :]) / (2.0 * g.dx1)
+    axis, d = (2, g.dx2) if segment in LATERAL_SEGMENTS else (1, g.dx1)
+    v = np.moveaxis(f.values, axis, 0)
+    if segment.endswith("_max"):
+        v = v[::-1]
+    tr = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * d)
     return ScalarField(g, tr, BOUNDARY_TRACE, segment)
 
 

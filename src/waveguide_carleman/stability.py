@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import ManufacturedPair, manufacture_pair, measurement
+from .forward import ManufacturedPair, PotentialSpec, manufacture_pair, measurement, solve_heat
 from .grid import (
     SECTION_TRACE,
     ScalarField,
     SpaceTimeGrid,
     integrate_values,
+    second_derivative,
 )
 
 
@@ -57,15 +58,6 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _second_derivative_1d(v: np.ndarray, d: float, axis: int) -> np.ndarray:
-    v = np.moveaxis(v, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / d**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / d**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / d**2
-    return np.moveaxis(out, 0, axis)
-
-
 def mixed_sobolev_norm(trace: ScalarField) -> float:
     """Squared H1-in-time / H2-in-cross-section norm of a (t, x2) trace:
     the time integral of ||v||^2 + ||v_x2||^2 + ||v_x2x2||^2 for the trace
@@ -78,7 +70,7 @@ def mixed_sobolev_norm(trace: ScalarField) -> float:
 
     def h2_density(a: np.ndarray) -> np.ndarray:
         a2 = np.gradient(a, g.dx2, axis=1, edge_order=2)
-        a22 = _second_derivative_1d(a, g.dx2, 1)
+        a22 = second_derivative(a, g.dx2, 1)
         return a**2 + a2**2 + a22**2
 
     density = h2_density(v) + h2_density(vt)
@@ -175,8 +167,6 @@ def perturbation_sweep(grid: SpaceTimeGrid, q: np.ndarray, dq: np.ndarray,
             pair = manufacture_pair(grid, q, q_tilde, f)
             base = pair
         else:
-            from .forward import PotentialSpec, solve_heat
-
             pot_tilde = PotentialSpec(grid, q_tilde, f)
             u_tilde = solve_heat(grid, pot_tilde, base.data)
             pair = ManufacturedPair(

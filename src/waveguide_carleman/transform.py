@@ -111,35 +111,6 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
 CORE_MARGIN = 0.1
 
 
-def save_bundle(bundle: TransformBundle, directory) -> None:
-    """Persist every member field of a bundle, one file pair per field."""
-    from pathlib import Path
-
-    from .grid import save_field
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in ("v", "w", "z", "fu", "A1", "A2", "a_coef", "B1", "B2", "b_coef"):
-        save_field(getattr(bundle, name), directory / name)
-
-
-def load_bundle(directory) -> TransformBundle:
-    """Read back a persisted bundle; the denominator floor is recomputed."""
-    from pathlib import Path
-
-    from .grid import load_field
-
-    directory = Path(directory)
-    fields = {
-        name: load_field(directory / name)
-        for name in ("v", "w", "z", "fu", "A1", "A2", "a_coef", "B1", "B2", "b_coef")
-    }
-    grid = fields["v"].grid
-    return TransformBundle(
-        grid=grid, c1_floor=float(np.min(fields["fu"].values)), **fields
-    )
-
-
 def core_mask(grid: SpaceTimeGrid, margin: float = CORE_MARGIN) -> np.ndarray:
     """Boolean mask of the evaluation core for residual norms.
 

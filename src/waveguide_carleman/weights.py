@@ -229,11 +229,11 @@ class WeightSystem:
         self.exp_lam_psi = np.exp(params.lam * psi)
         if params.regime == "bounded":
             self.weight_cap = float(np.exp(2.0 * params.lam * self.psi_sup))
-            spatial = self.weight_cap - self.exp_lam_psi
+            self.spatial_weight = self.weight_cap - self.exp_lam_psi
         else:
             self.weight_cap = float("nan")
-            spatial = self.exp_lam_psi
-        values = self.g[:, None, None] * spatial[None, :, :]
+            self.spatial_weight = self.exp_lam_psi
+        values = self.g[:, None, None] * self.spatial_weight[None, :, :]
         self.weight = ScalarField(grid, values, FULL)
 
     # -- decayed weights ----------------------------------------------------
@@ -258,11 +258,7 @@ class WeightSystem:
     def weight_time_derivative(self) -> np.ndarray:
         """d(weight)/dt from the closed form, endpoint rows 0."""
         gp = singular_time_profile_derivative(self.grid)
-        if self.params.regime == "bounded":
-            spatial = self.weight_cap - self.exp_lam_psi
-        else:
-            spatial = self.exp_lam_psi
-        return gp[:, None, None] * spatial[None, :, :]
+        return gp[:, None, None] * self.spatial_weight[None, :, :]
 
     def weight_gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Spatial gradient of the weight from the closed form."""
@@ -291,70 +287,6 @@ def assemble_weight(params: WeightParams, grid: SpaceTimeGrid,
     """Build a :class:`WeightSystem`; the profile arguments are test hooks
     that substitute degenerate profiles for the constructed ones."""
     return WeightSystem(params, grid, psi1_profile=psi1_profile, psi2_profile=psi2_profile)
-
-
-def save_weight_system(ws: WeightSystem, basepath) -> None:
-    """Persist a weight system: a params document plus the weight and the
-    spatial profile in the grid module's field format."""
-    from pathlib import Path
-
-    from .grid import save_field
-
-    base = Path(basepath)
-    d = ws.grid.domain
-    lines = [
-        "format: waveguide-weights-v1",
-        f"regime: {ws.params.regime}",
-        f"lambda: {ws.params.lam!r}",
-        f"s: {ws.params.s!r}",
-        f"delta: {ws.params.delta!r}",
-        f"c1: {ws.params.c1!r}",
-        f"L: {d.L!r}",
-        f"h: {d.h!r}",
-        f"T: {d.T!r}",
-        f"alpha: {d.alpha!r}",
-        f"obs_side: {d.obs_side}",
-        f"truncated: {int(d.truncated)}",
-        f"n1: {ws.grid.n1}",
-        f"n2: {ws.grid.n2}",
-        f"nt: {ws.grid.nt}",
-    ]
-    base.with_suffix(base.suffix + ".params").write_text("\n".join(lines) + "\n")
-    save_field(ws.weight, str(base) + "_weight")
-    save_field(ws.psi, str(base) + "_psi")
-
-
-def load_weight_system(basepath) -> WeightSystem:
-    """Rebuild a weight system from its params document.  Construction is
-    deterministic, so the reassembled fields reproduce the stored ones."""
-    from pathlib import Path
-
-    import numpy as np
-
-    from .grid import WaveguideDomain, build_grid, load_field
-
-    base = Path(basepath)
-    meta: dict[str, str] = {}
-    for line in base.with_suffix(base.suffix + ".params").read_text().splitlines():
-        key, _, value = line.partition(":")
-        meta[key.strip()] = value.strip()
-    if meta.get("format") != "waveguide-weights-v1":
-        raise ValueError(f"unsupported weights format {meta.get('format')!r}")
-    domain = WaveguideDomain(
-        L=float(meta["L"]), h=float(meta["h"]), T=float(meta["T"]),
-        alpha=float(meta["alpha"]), obs_side=meta["obs_side"],
-        truncated=bool(int(meta["truncated"])),
-    )
-    grid = build_grid(domain, int(meta["n1"]), int(meta["n2"]), int(meta["nt"]))
-    params = WeightParams(
-        lam=float(meta["lambda"]), s=float(meta["s"]), regime=meta["regime"],
-        delta=float(meta["delta"]), c1=float(meta["c1"]),
-    )
-    ws = WeightSystem(params, grid)
-    stored = load_field(str(base) + "_weight")
-    if not np.array_equal(stored.values, ws.weight.values):
-        raise ValueError("stored weight field does not match the reassembled system")
-    return ws
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,18 @@ class TestCarlemanBounded:
         with pytest.raises(ValueError, match="vanish"):
             carleman_check_bounded(z, z, ws, grid)
 
+    def test_sweep_lhs_is_the_weighted_norm(self, grid, ws):
+        # the checker integrates its s-independent densities once; every
+        # row must still equal a fresh weighted_norm_I1 call bit for bit
+        bump = SpaceTimeBump(grid)
+        z = bump.field()
+        rep = carleman_check_bounded(z, bump.heat_residual(), ws, grid,
+                                     s_values=[1.0, 3.0, 9.0], lam_values=[1.0, 1.5])
+        assert len(rep.sweep) == 6
+        for row in rep.sweep:
+            ws_lam = assemble_weight(WeightParams(lam=row["lambda"], s=1.0), grid)
+            assert row["lhs"] == weighted_norm_I1(z, ws_lam, s=row["s"])["total"]
+
 
 class TestCarlemanOpen:
     def test_bump_finite_over_sweep(self, open_domain):

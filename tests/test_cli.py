@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -62,6 +63,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid.n1"):
             ScenarioConfig.parse(p)
 
+    @pytest.mark.parametrize("section, text", [
+        ("[grid]", "[grid]\nn1: 2\n"),
+        ("[domain]", "[domain]\nalpha: 3.0\n"),
+        ("[open]", "[open]\nnt: 3\n"),
+    ])
+    def test_out_of_range_value_names_section(self, tmp_path, capsys, section, text):
+        p = tmp_path / "bad.cfg"
+        p.write_text("[scenario]\nname: x\n\n" + text)
+        with pytest.raises(ConfigError, match=re.escape(section)):
+            ScenarioConfig.parse(p)
+        assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert section in capsys.readouterr().err
+
     def test_defaults_fill_in(self, cfg_path):
         cfg = ScenarioConfig.parse(cfg_path)
         assert cfg["domain"]["L"] == 1.0
@@ -123,6 +137,21 @@ class TestCommands:
         assert code == 0
         text = (out / "lemma_bounded_00.txt").read_text()
         assert "\n1.0," in text and "\n2.0," in text and "\n4.0," not in text
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify-lemmas", "--sweep-s", "abc"], "--sweep-s"),
+        (["verify-lemmas", "--sweep-s", ","], "--sweep-s"),
+        (["stability", "--eps", "x"], "--eps"),
+        (["stability", "--eps", ""], "--eps"),
+        (["forward", "--eps", "0.25"], "--eps"),
+        (["check-weights", "--seed", "3"], "--seed"),
+    ])
+    def test_malformed_or_foreign_flag_exits_2(self, cfg_path, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_stability_reports_and_table(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from waveguide_carleman import build_grid, manufacture_pair, measurement, solve_heat
+from waveguide_carleman import WaveguideDomain, build_grid, manufacture_pair, measurement, solve_heat
 from waveguide_carleman.forward import (
     BoundaryData,
     PotentialSpec,
     SeparableOracle,
     compatibility_residual,
+    decaying_preset_data,
     positive_preset_data,
 )
-from waveguide_carleman.grid import fit_convergence_order
+from waveguide_carleman.grid import fit_convergence_order, integrate_values
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
 
@@ -182,3 +183,33 @@ class TestMeasurement:
         )
         tol = 10.0 * max(g.dx1, g.dx2) ** 2
         assert np.max(np.abs(m - analytic)) <= tol
+
+
+class TestDecayingPreset:
+    def test_requires_truncated_grid(self, grid):
+        pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
+        with pytest.raises(ValueError, match="truncated"):
+            decaying_preset_data(grid, pot)
+
+    def test_cap_mass_is_negligible_for_wide_truncation(self):
+        # radius chosen so the spreading kernel's tail stays under 1e-8
+        d = WaveguideDomain(L=10.0, h=1.0, T=1.0, truncated=True)
+        g = build_grid(d, 48, 12, 16)
+        pot = PotentialSpec(g, np.zeros((g.nt + 1, g.n2 + 2)), np.ones(g.n1 + 2))
+        data = decaying_preset_data(g, pot)
+        u = solve_heat(g, pot, data)
+        caps = np.abs(u.values[:, [0, -1], :])
+        assert np.max(caps) <= 1e-8 * np.max(np.abs(u.values))
+        assert integrate_values(g, u.values**2, "Q") > 0.0
+
+    def test_compatibility_residual_is_pure_stencil_error(self, open_domain):
+        # walls are identically zero and the caps trace an exact solution,
+        # so the residual shrinks under refinement (the cap trace starts
+        # on a fast kernel time scale, hence the moderate constants)
+        errs = []
+        for n in (32, 64):
+            gg = build_grid(open_domain, n, n, 2 * n)
+            pp = PotentialSpec(gg, q_preset(gg), np.ones(gg.n1 + 2))
+            errs.append(compatibility_residual(decaying_preset_data(gg, pp), pp))
+        assert errs[1] < 0.5 * errs[0]
+        assert errs[1] < 0.2

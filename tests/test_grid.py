@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveguide_carleman import (
     BOUNDARY_TRACE,
@@ -21,6 +23,7 @@ from waveguide_carleman.grid import (
     fit_convergence_order,
     integrate_values,
     line_integral,
+    second_derivative,
 )
 
 
@@ -115,6 +118,35 @@ class TestCalculus:
         np.testing.assert_allclose(lap.values, 4.0, rtol=0, atol=2e-11)
         zero = grid.sample(lambda t, x1, x2: 0.0 * t * x1 * x2)
         assert np.max(np.abs(laplacian(zero).values)) == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        x0=st.floats(-5.0, 5.0),
+        d=st.floats(0.01, 1.0),
+        n=st.integers(4, 12),
+        axis=st.integers(0, 2),
+    )
+    def test_second_derivative_exact_on_cubics(self, coeffs, x0, d, n, axis):
+        # both the centered and the one-sided stencil are exact on cubics,
+        # so the only error left is round-off of values of size `scale`;
+        # below the smallest normal float that round-off is absolute
+        a, b, c, e = coeffs
+        shape = [1, 1, 1]
+        shape[axis] = n
+        x = (x0 + d * np.arange(n)).reshape(shape)
+        other = [2, 3, 2]
+        other[axis] = 1
+        weights = np.arange(1.0, 1.0 + np.prod(other)).reshape(other)
+        values = weights * (a + b * x + c * x**2 + e * x**3)
+        exact = np.moveaxis(weights * (2.0 * c + 6.0 * e * x), axis, 0)
+        got = np.moveaxis(second_derivative(values, d, axis), axis, 0)
+        xm = float(np.max(np.abs(x)))
+        scale = weights.max() * (abs(a) + abs(b) * xm + abs(c) * xm**2 + abs(e) * xm**3)
+        fp = np.finfo(float)
+        tol = 64.0 * fp.eps * (scale / d**2 + np.max(np.abs(exact))) + fp.tiny
+        for nodes in (slice(1, -1), 0, -1):  # interior, then both one-sided ends
+            np.testing.assert_allclose(got[nodes], exact[nodes], rtol=0, atol=tol)
 
     def test_laplacian_eigenfunction_order(self, domain):
         errs, hs = [], []
