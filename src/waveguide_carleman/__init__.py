@@ -16,7 +16,6 @@ from .grid import (
     laplacian,
     time_derivative,
     normal_derivative,
-    integrate,
     prefix_integral_x1,
     save_field,
     load_field,
@@ -40,7 +39,6 @@ __all__ = [
     "laplacian",
     "time_derivative",
     "normal_derivative",
-    "integrate",
     "prefix_integral_x1",
     "save_field",
     "load_field",

@@ -14,7 +14,8 @@ a concrete grid and reports the measured ratio:
   returning per-s empirical constants and an operational threshold s0.
 
 All weighted integrands vanish at the two endpoint time levels by the
-convention documented in :mod:`waveguide_carleman.weights`.
+convention documented in :mod:`waveguide_carleman.weights`: the decayed
+weights are exactly zero there, so plain products keep it.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def _ratio(lhs: float, rhs: float) -> float:
 def _weighted_Q_integral(grid: SpaceTimeGrid, core: np.ndarray, decay: np.ndarray,
                          sg: np.ndarray, power: int) -> float:
     """Integral over Q of decay * (s*g)^power * core, assembled on the
-    interior time levels only (the endpoint levels carry weight zero)."""
+    interior time levels only (the endpoint levels carry weight zero, and
+    a negative power of s*g = 0 there would give 0 * inf = nan)."""
     vals = np.zeros(grid.shape)
     factor = sg[1:-1] ** power if power != 0 else np.ones(grid.nt - 1)
     vals[1:-1] = decay[1:-1] * factor[:, None, None] * core[1:-1]
@@ -403,9 +405,7 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
             lhs = _I1_terms(z.grid, densities, decay, sg)["total"]
             rhs_q = integrate_values(grid, decay * Pz_sq, "Q")
 
-            wall_decay = decay[:, :, wall_j]
-            flux = np.zeros_like(dnu_z)
-            flux[1:-1] = wall_decay[1:-1] * sg[1:-1, None] * dnu_z[1:-1] ** 2
+            flux = decay[:, :, wall_j] * sg[:, None] * dnu_z**2
             rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
 
             sweep.append(
@@ -479,13 +479,8 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
         decay = ws.decay(s)
         half = ws.half_decay(s)
 
-        zero_term = np.zeros(grid.shape)
-        zero_term[1:-1] = decay[1:-1] * phi[1:-1] ** 3 * u.values[1:-1] ** 2
-        lhs_zero = s**3 * lam**4 * integrate_values(grid, zero_term, "Q")
-
-        grad_term = np.zeros(grid.shape)
-        grad_term[1:-1] = decay[1:-1] * phi[1:-1] * grad_sq[1:-1]
-        lhs_grad = s * lam * integrate_values(grid, grad_term, "Q")
+        lhs_zero = s**3 * lam**4 * integrate_values(grid, decay * phi**3 * u.values**2, "Q")
+        lhs_grad = s * lam * integrate_values(grid, decay * phi * grad_sq, "Q")
 
         wbar = ScalarField(grid, half * u.values, FULL)
         m1, m2 = _split_parts(wbar, coeffs, s)
@@ -493,18 +488,9 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
         lhs_m2 = integrate_values(grid, m2**2, "Q")
         lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
 
-        flux = np.zeros_like(dnu_u)
-        flux[1:-1] = (
-            decay[1:-1, :, wall_j]
-            * phi[1:-1, :, wall_j]
-            * dnu_u[1:-1] ** 2
-            * dnu_psi[None, :]
-        )
+        flux = decay[:, :, wall_j] * phi[:, :, wall_j] * dnu_u**2 * dnu_psi[None, :]
         rhs_b = s * lam * integrate_values(grid, flux, "boundary", segment=obs)
-
-        source = np.zeros(grid.shape)
-        source[1:-1] = decay[1:-1] * Hu.values[1:-1] ** 2
-        rhs_q = integrate_values(grid, source, "Q")
+        rhs_q = integrate_values(grid, decay * Hu.values**2, "Q")
 
         sweep.append(
             {

@@ -38,6 +38,11 @@ class ConfigError(Exception):
     """Invalid or missing configuration; the message names the key."""
 
 
+def _at_least_one(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{n} is below 1")
+
+
 def float_list(text: str) -> list[float]:
     """Parse a non-empty comma-separated list of numbers (config values and
     command-line flags alike); raises ValueError otherwise."""
@@ -142,11 +147,20 @@ class ScenarioConfig:
                     raise ConfigError(f"unknown config key: {section}.{key}")
 
         cfg = cls(values)
-        for sections, build in (("[grid]/[domain]", cfg.grid), ("[open]", cfg.open_grid)):
+        st = cfg["stability"]
+        for label, build in (
+            ("[grid]/[domain] values", cfg.grid),
+            ("[open] values", cfg.open_grid),
+            ("[weights] values", lambda: cfg.weight_params("bounded")),
+            ("[open] lambda", lambda: cfg.weight_params("open")),
+            ("[stability] theta_list", lambda: stab.check_sweep(cfg.grid(), st["theta_list"], [])),
+            ("[stability] eps_list", lambda: stab.check_sweep(cfg.grid(), [], st["eps_list"])),
+            ("[lemmas] draws", lambda: _at_least_one(cfg["lemmas"]["draws"])),
+        ):
             try:
                 build()
             except ValueError as exc:
-                raise ConfigError(f"invalid {sections} values: {exc}") from exc
+                raise ConfigError(f"invalid {label}: {exc}") from exc
         return cfg
 
     def domain(self, truncated: bool = False) -> WaveguideDomain:
@@ -378,12 +392,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         cfg = ScenarioConfig.parse(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if getattr(args, "eps", None) is not None:
+        try:
+            stab.check_sweep(cfg.grid(), [], args.eps)
+        except ValueError as exc:
+            parser.error(f"argument --eps: {exc}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -397,10 +417,7 @@ def main(argv=None) -> int:
         return cmd_verify_lemmas(cfg, out, seed=args.seed, s_sweep=args.sweep_s)
     if args.command == "verify-carleman":
         return cmd_verify_carleman(cfg, out)
-    if args.command == "stability":
-        return cmd_stability(cfg, out, eps_list=args.eps)
-    print(f"unknown command: {args.command}", file=sys.stderr)  # pragma: no cover
-    return 2
+    return cmd_stability(cfg, out, eps_list=args.eps)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -105,14 +105,6 @@ class SpaceTimeGrid:
     def shape(self) -> tuple[int, int, int]:
         return (self.nt + 1, self.n1 + 2, self.n2 + 2)
 
-    @property
-    def dirichlet_segments(self) -> tuple[str, ...]:
-        return SEGMENTS if self.domain.truncated else LATERAL_SEGMENTS
-
-    @property
-    def neumann_segments(self) -> tuple[str, ...]:
-        return () if self.domain.truncated else CAP_SEGMENTS
-
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable (t, x1, x2) coordinate arrays for a full field."""
         return (
@@ -126,13 +118,6 @@ class SpaceTimeGrid:
         tt, xx1, xx2 = self.mesh()
         values = np.broadcast_to(fn(tt, xx1, xx2), self.shape).astype(float).copy()
         return ScalarField(self, values, FULL)
-
-    def sample_section(self, fn) -> "ScalarField":
-        """Sample ``fn(t, x2)`` over time and the cross-section."""
-        values = np.broadcast_to(
-            fn(self.t[:, None], self.x2[None, :]), (self.nt + 1, self.n2 + 2)
-        ).astype(float).copy()
-        return ScalarField(self, values, SECTION_TRACE)
 
     def trapezoid_weights(self, axis: str) -> np.ndarray:
         """One-dimensional trapezoid weights along ``'t'``, ``'x1'`` or ``'x2'``."""
@@ -303,26 +288,6 @@ def integrate_values(grid: SpaceTimeGrid, values: np.ndarray, region: str,
     if region == "omega":
         return float(np.einsum("ij,i,j->", values, w1, w2))
     raise ValueError(f"unknown region {region!r}")
-
-
-def integrate(f: ScalarField, region: str | None = None) -> float:
-    """Integrate a field over its natural region (or an explicit one)."""
-    default = {
-        FULL: "Q",
-        SPATIAL_SLICE: "omega",
-        BOUNDARY_TRACE: "boundary",
-        SECTION_TRACE: "section_time",
-    }[f.kind]
-    region = region or default
-    if region != default:
-        raise ValueError(f"region {region!r} incompatible with field kind {f.kind!r}")
-    return integrate_values(f.grid, f.values, region, f.segment)
-
-
-def line_integral(values: np.ndarray, spacing: float) -> float:
-    """Trapezoidal integral of uniformly sampled 1-D data."""
-    values = np.asarray(values, dtype=float)
-    return float(np.trapezoid(values, dx=spacing))
 
 
 def prefix_integral_x1(f: ScalarField) -> ScalarField:

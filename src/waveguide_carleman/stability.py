@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import ManufacturedPair, PotentialSpec, manufacture_pair, measurement, solve_heat
+from .forward import PotentialSpec, measurement, positive_preset_data, solve_heat
 from .grid import (
     SECTION_TRACE,
     ScalarField,
@@ -147,6 +147,15 @@ def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
     )
 
 
+def check_sweep(grid: SpaceTimeGrid, theta_list, eps_list) -> None:
+    """Raise ValueError unless every theta is positive and every eps
+    leaves a time window on the grid."""
+    if any(t <= 0 for t in theta_list):
+        raise ValueError(f"theta values must be positive, got {list(theta_list)}")
+    for e in eps_list:
+        _window_indices(grid, e)
+
+
 def perturbation_sweep(grid: SpaceTimeGrid, q: np.ndarray, dq: np.ndarray,
                        f: np.ndarray, theta_list, eps_list) -> list[StabilityReport]:
     """Stability reports over a grid of perturbation sizes and window
@@ -154,30 +163,16 @@ def perturbation_sweep(grid: SpaceTimeGrid, q: np.ndarray, dq: np.ndarray,
     one extra solve."""
     thetas = [float(t) for t in theta_list]
     epss = [float(e) for e in eps_list]
-    if any(t <= 0 for t in thetas):
-        raise ValueError("theta values must be positive")
-    for e in epss:
-        _window_indices(grid, e)  # validate early
-
+    check_sweep(grid, thetas, epss)
+    pot = PotentialSpec(grid, q, f)
+    data = positive_preset_data(grid, pot)
+    u = solve_heat(grid, pot, data)
     reports: list[StabilityReport] = []
-    base: ManufacturedPair | None = None
     for theta in thetas:
         q_tilde = np.asarray(q, dtype=float) + theta * np.asarray(dq, dtype=float)
-        if base is None:
-            pair = manufacture_pair(grid, q, q_tilde, f)
-            base = pair
-        else:
-            pot_tilde = PotentialSpec(grid, q_tilde, f)
-            u_tilde = solve_heat(grid, pot_tilde, base.data)
-            pair = ManufacturedPair(
-                u=base.u, u_tilde=u_tilde, data=base.data, pot=base.pot,
-                pot_tilde=pot_tilde, compat_residual=base.compat_residual,
-                compat_residual_tilde=base.compat_residual_tilde,
-            )
+        u_tilde = solve_heat(grid, PotentialSpec(grid, q_tilde, f), data)
         for eps in epss:
-            rep = assemble_stability(
-                pair.u, pair.u_tilde, q, q_tilde, grid, eps, theta=theta
-            )
+            rep = assemble_stability(u, u_tilde, q, q_tilde, grid, eps, theta=theta)
             if not np.isfinite(rep.empirical_C_eps):
                 rep.notes.append("non-finite empirical constant")
             reports.append(rep)

@@ -140,6 +140,18 @@ def _core_norms(grid: SpaceTimeGrid, diff: np.ndarray, mask: np.ndarray) -> tupl
     return sup, l2
 
 
+def _w_operator(bundle: TransformBundle, f: ScalarField) -> np.ndarray:
+    """f_t - Lap(f) + A . grad(f) + a f with the bundle's coefficients."""
+    d1, d2 = gradient(f)
+    return (
+        time_derivative(f).values
+        - laplacian(f).values
+        + bundle.A1.values * d1.values
+        + bundle.A2.values * d2.values
+        + bundle.a_coef.values * f.values
+    )
+
+
 def z_residual(bundle: TransformBundle,
                margin: float = CORE_MARGIN) -> tuple[ScalarField, float]:
     """Residual of the differentiated equation and its L2 norm.
@@ -149,15 +161,7 @@ def z_residual(bundle: TransformBundle,
     """
     g = bundle.grid
     z, w = bundle.z, bundle.w
-    dz1, dz2 = gradient(z)
-    lhs = (
-        time_derivative(z).values
-        - laplacian(z).values
-        + bundle.A1.values * dz1.values
-        + bundle.A2.values * dz2.values
-        + bundle.a_coef.values * z.values
-        + bundle.B1.values * z.values
-    )
+    lhs = _w_operator(bundle, z) + bundle.B1.values * z.values
     rhs = bundle.B2.values * gradient(w)[1].values + bundle.b_coef.values * w.values
     res = lhs - rhs
     _, norm = _core_norms(g, res, core_mask(g, margin))
@@ -199,15 +203,7 @@ def rhs_identity_check(bundle: TransformBundle, pot: PotentialSpec,
     deviation from the known mismatch (max and L2 over the core).
     """
     g = bundle.grid
-    w = bundle.w
-    dw1, dw2 = gradient(w)
-    Pw = (
-        time_derivative(w).values
-        - laplacian(w).values
-        + bundle.A1.values * dw1.values
-        + bundle.A2.values * dw2.values
-        + bundle.a_coef.values * w.values
-    )
+    Pw = _w_operator(bundle, bundle.w)
     target = (pot_tilde.q - pot.q)[:, None, :]
     mask = core_mask(g, margin)
 

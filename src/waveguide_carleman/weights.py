@@ -59,7 +59,8 @@ class WeightParams:
 
     def __post_init__(self) -> None:
         if self.lam <= 0 or self.s <= 0 or self.delta <= 0 or self.c1 <= 0:
-            raise ValueError("lam, s, delta and c1 must all be positive")
+            raise ValueError(f"lam, s, delta and c1 must all be positive, got lam={self.lam}, "
+                             f"s={self.s}, delta={self.delta}, c1={self.c1}")
         if self.regime not in ("bounded", "open"):
             raise ValueError(f"regime must be 'bounded' or 'open', got {self.regime!r}")
 
@@ -281,6 +282,12 @@ class WeightSystem:
             return self.dpsi_dx2[:, -1].copy()
         return -self.dpsi_dx2[:, 0].copy()
 
+    def hidden_normal_psi(self) -> np.ndarray:
+        """Outward normal derivative of psi on the unobserved wall, per x1."""
+        if self.grid.domain.obs_side == "top":
+            return -self.dpsi_dx2[:, 0]
+        return self.dpsi_dx2[:, -1]
+
 
 def assemble_weight(params: WeightParams, grid: SpaceTimeGrid,
                     psi1_profile=None, psi2_profile=None) -> WeightSystem:
@@ -344,11 +351,7 @@ def check_assumption_bounded(ws: WeightSystem) -> AssumptionReport:
     # caps and the unobserved lateral wall.
     cap_lo = -ws.dpsi_dx1[0, :]
     cap_hi = ws.dpsi_dx1[-1, :]
-    if grid.domain.obs_side == "top":
-        hidden = -ws.dpsi_dx2[:, 0]
-    else:
-        hidden = ws.dpsi_dx2[:, -1]
-    worst = float(max(cap_lo.max(), cap_hi.max(), hidden.max()))
+    worst = float(max(cap_lo.max(), cap_hi.max(), ws.hidden_normal_psi().max()))
     b3 = AssumptionBullet("normal_nonpositive_off_obs", worst <= 0.0, worst)
 
     # Axial slope: positive strictly left of the anchor, negative strictly
@@ -388,11 +391,7 @@ def check_assumption_open(ws: WeightSystem, grid: SpaceTimeGrid) -> AssumptionRe
 
     b2 = AssumptionBullet("gradient_lower_bound", ws.C0_margin > 0.0, ws.C0_margin)
 
-    if grid.domain.obs_side == "top":
-        hidden = -ws.dpsi_dx2[:, 0]
-    else:
-        hidden = ws.dpsi_dx2[:, -1]
-    worst = float(hidden.max())
+    worst = float(ws.hidden_normal_psi().max())
     b3 = AssumptionBullet("normal_nonpositive_off_obs", worst <= 0.0, worst)
 
     kappa = float(np.min(ws.dpsi_dx1))

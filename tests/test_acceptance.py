@@ -252,17 +252,23 @@ def test_criterion_10_determinism(tmp_path):
         "[scenario]\nname: determinism\n\n[grid]\nn1: 12\nn2: 12\nnt: 24\n\n"
         "[open]\nn1: 63\nn2: 7\nnt: 16\n\n[lemmas]\nseed: 3\ndraws: 2\n"
     )
-    outs = []
+    outs, codes = [], []
     for run in ("a", "b"):
         out = tmp_path / run
-        cli_main(["verify-lemmas", "--config", str(cfg), "--out", str(out)])
-        cli_main(["stability", "--config", str(cfg), "--out", str(out), "--eps", "0.25"])
-        cli_main(["forward", "--config", str(cfg), "--out", str(out)])
+        codes.append({
+            "verify-lemmas": cli_main(["verify-lemmas", "--config", str(cfg), "--out", str(out)]),
+            "stability": cli_main(["stability", "--config", str(cfg), "--out", str(out),
+                                   "--eps", "0.25"]),
+            "forward": cli_main(["forward", "--config", str(cfg), "--out", str(out)]),
+        })
         outs.append(out)
+    assert codes[0] == codes[1], f"exit codes differ between identical runs: {codes}"
+    assert codes[0]["forward"] == 0 and codes[0]["stability"] == 0, codes[0]
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         a = (outs[0] / name).read_bytes()
         b = (outs[1] / name).read_bytes()
         assert a == b, f"output {name} differs between identical runs"
-    print(f"[PASS] criterion 10: {len(names)} output files byte-identical across reruns")
+    print(f"[PASS] criterion 10: {len(names)} output files byte-identical across reruns, "
+          f"exit codes {codes[0]} on both runs")

@@ -76,6 +76,22 @@ class TestConfigParsing:
         assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert section in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("check-weights", "[weights]\nlambda: -1\n", "[weights]"),
+        ("verify-lemmas", "[open]\nlambda: 0\n", "[open] lambda"),
+        ("stability", "[stability]\ntheta_list: 0.1,-0.1\n", "[stability] theta_list"),
+        ("stability", "[stability]\neps_list: 0.25,5\n", "[stability] eps_list"),
+        ("verify-lemmas", "[lemmas]\ndraws: 0\n", "[lemmas] draws"),
+    ])
+    def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
+        p = tmp_path / "bad.cfg"
+        p.write_text("[scenario]\nname: x\n\n" + text)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            ScenarioConfig.parse(p)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_defaults_fill_in(self, cfg_path):
         cfg = ScenarioConfig.parse(cfg_path)
         assert cfg["domain"]["L"] == 1.0
@@ -145,6 +161,7 @@ class TestCommands:
         (["stability", "--eps", ""], "--eps"),
         (["forward", "--eps", "0.25"], "--eps"),
         (["check-weights", "--seed", "3"], "--seed"),
+        (["stability", "--eps", "5"], "--eps"),  # outside (0, T/2) on the T = 2 grid
     ])
     def test_malformed_or_foreign_flag_exits_2(self, cfg_path, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from waveguide_carleman import WaveguideDomain, build_grid, manufacture_pair, measurement, solve_heat
 from waveguide_carleman.forward import (
@@ -40,7 +42,6 @@ class TestPotentialAndData:
         assert V.shape == grid.shape
         k, i, j = 3, 4, 5
         assert V[k, i, j] == pytest.approx(q[k, j] * f[i])
-        assert pot.c_min == pytest.approx(0.5)
 
     def test_axial_factor_must_be_positive(self, grid):
         f = np.ones(grid.n1 + 2)
@@ -69,7 +70,7 @@ class TestPotentialAndData:
         # residual is identically zero
         pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
         data = positive_preset_data(grid, pot)
-        assert data.is_positive()
+        assert min(np.min(data.u0), np.min(data.b_bottom), np.min(data.b_top)) > 0.0
         assert compatibility_residual(data, pot) == 0.0
 
 
@@ -135,13 +136,90 @@ class TestSolveHeat:
         assert np.min(u.values) > 0.0
 
 
+def second_difference(n, d, doubled_ends=False):
+    """Sparse 1-D -d^2/dx^2 on n unknowns; ``doubled_ends`` couples each
+    end row twice to its one neighbour (ghost-value Neumann rows)."""
+    main = np.full(n, 2.0)
+    upper = np.full(n - 1, -1.0)
+    lower = np.full(n - 1, -1.0)
+    if doubled_ends:
+        upper[0] = lower[-1] = -2.0
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr") / d**2
+
+
+def reference_solve(grid, pot, data):
+    """Crank-Nicolson with -Lap_h assembled as a sparse Kronecker sum and
+    every step solved by spsolve: an independent route to solve_heat."""
+    truncated = grid.domain.truncated
+    rows = slice(1, -1) if truncated else slice(None)
+    P = grid.n1 if truncated else grid.n1 + 2
+    A = sp.kronsum(second_difference(grid.n2, grid.dx2),
+                   second_difference(P, grid.dx1, doubled_ends=not truncated), format="csc")
+    eye = sp.identity(P * grid.n2, format="csc")
+    V = pot.potential_values()[:, rows, 1:-1].reshape(grid.nt + 1, -1)
+
+    def known(k):
+        # data terms of -Lap_h moved to the right-hand side at level k
+        c = np.zeros((P, grid.n2))
+        c[:, 0] += data.b_bottom[k][rows] / grid.dx2**2
+        c[:, -1] += data.b_top[k][rows] / grid.dx2**2
+        if truncated:
+            c[0] += data.b_left[k][1:-1] / grid.dx1**2
+            c[-1] += data.b_right[k][1:-1] / grid.dx1**2
+        else:
+            c[0] += 2.0 * data.k_minus[k][1:-1] / grid.dx1
+            c[-1] += 2.0 * data.k_plus[k][1:-1] / grid.dx1
+        return c.ravel()
+
+    u = np.empty(grid.shape)
+    u[0] = data.u0
+    for k in range(grid.nt):
+        x = u[k][rows, 1:-1].ravel()
+        lhs = eye / grid.dt + 0.5 * (A + sp.diags(V[k + 1]))
+        rhs = (eye / grid.dt - 0.5 * (A + sp.diags(V[k]))) @ x + 0.5 * (known(k) + known(k + 1))
+        u[k + 1, :, 0] = data.b_bottom[k + 1]
+        u[k + 1, :, -1] = data.b_top[k + 1]
+        if truncated:
+            u[k + 1, 0] = data.b_left[k + 1]
+            u[k + 1, -1] = data.b_right[k + 1]
+        u[k + 1][rows, 1:-1] = spsolve(lhs.tocsc(), rhs).reshape(P, grid.n2)
+    return u
+
+
+class TestAgainstSparseReference:
+    @pytest.mark.parametrize("truncated, n1, n2", [
+        (False, 9, 7),    # bounded, nonzero Neumann cap data
+        (True, 9, 7),     # truncated, all Dirichlet
+        (False, 4, 11),   # bounded and tall: n2 > n1 + 2 puts the band transposed
+    ])
+    def test_matches_kronecker_sum_stepper(self, truncated, n1, n2, rng):
+        d = WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated)
+        g = build_grid(d, n1, n2, 10)
+        pot = PotentialSpec(g, rng.uniform(-0.5, 1.0, (g.nt + 1, g.n2 + 2)),
+                            rng.uniform(0.2, 2.0, g.n1 + 2))
+        cap = (g.nt + 1, g.n2 + 2)
+        caps = ({"b_left": rng.standard_normal(cap), "b_right": rng.standard_normal(cap)}
+                if truncated else
+                {"k_minus": rng.standard_normal(cap), "k_plus": rng.standard_normal(cap)})
+        wall = (g.nt + 1, g.n1 + 2)
+        data = BoundaryData(g, rng.standard_normal((g.n1 + 2, g.n2 + 2)),
+                            rng.standard_normal(wall), rng.standard_normal(wall), **caps)
+        # u0 carries the level-0 Dirichlet traces, as consistent data does
+        data.u0[:, 0], data.u0[:, -1] = data.b_bottom[0], data.b_top[0]
+        if truncated:
+            data.u0[0], data.u0[-1] = data.b_left[0], data.b_right[0]
+        got = solve_heat(g, pot, data).values
+        ref = reference_solve(g, pot, data)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestManufacturePair:
     def test_identical_potentials_give_identical_solves(self, grid):
         q = q_preset(grid)
         pair = manufacture_pair(grid, q, q.copy(), axial_factor(grid))
         np.testing.assert_array_equal(pair.u.values, pair.u_tilde.values)
-        assert pair.compat_residual == 0.0
-        assert pair.compat_residual_tilde == 0.0
+        assert compatibility_residual(pair.data, pair.pot) == 0.0
+        assert compatibility_residual(pair.data, pair.pot_tilde) == 0.0
 
     def test_first_order_response_in_theta(self, domain):
         grid = build_grid(domain, 16, 16, 32)

@@ -10,7 +10,6 @@ from waveguide_carleman import (
     WaveguideDomain,
     build_grid,
     gradient,
-    integrate,
     laplacian,
     load_field,
     normal_derivative,
@@ -19,10 +18,8 @@ from waveguide_carleman import (
     time_derivative,
 )
 from waveguide_carleman.grid import (
-    SECTION_TRACE,
     fit_convergence_order,
     integrate_values,
-    line_integral,
     second_derivative,
 )
 
@@ -59,12 +56,6 @@ class TestDomainAndGrid:
             build_grid(WaveguideDomain(L=1.0, h=1.0, T=1.0), 3, 8, 8)
         with pytest.raises(ValueError):
             build_grid(WaveguideDomain(L=1.0, h=1.0, T=1.0), 8, 8, 2)
-
-    def test_boundary_tags(self, grid, open_grid):
-        assert set(grid.dirichlet_segments) == {"x2_min", "x2_max"}
-        assert set(grid.neumann_segments) == {"x1_min", "x1_max"}
-        assert set(open_grid.dirichlet_segments) == {"x1_min", "x1_max", "x2_min", "x2_max"}
-        assert open_grid.neumann_segments == ()
 
 
 class TestScalarField:
@@ -207,18 +198,19 @@ class TestQuadrature:
     def test_volume_of_Q(self, grid):
         one = grid.sample(lambda t, x1, x2: 1.0 + 0 * t * x1 * x2)
         # 2L * h * T = 2 * 1 * 2
-        assert integrate(one) == pytest.approx(4.0, abs=1e-12)
+        assert integrate_values(grid, one.values, "Q") == pytest.approx(4.0, abs=1e-12)
 
     def test_odd_integrand_vanishes(self, grid):
         f = grid.sample(lambda t, x1, x2: x1 + 0 * t * x2)
-        assert integrate(f) == pytest.approx(0.0, abs=1e-13)
+        assert integrate_values(grid, f.values, "Q") == pytest.approx(0.0, abs=1e-13)
 
     def test_cross_section_profile_convergence(self, domain):
         errs, hs = [], []
         for n in (8, 16, 32):
             g = build_grid(domain, 4, n, 4)
-            vals = np.sin(np.pi * g.x2 / domain.h)
-            errs.append(abs(line_integral(vals, g.dx2) - 2.0 * domain.h / np.pi))
+            vals = np.broadcast_to(np.sin(np.pi * g.x2 / domain.h), (g.nt + 1, g.n2 + 2))
+            exact = domain.T * 2.0 * domain.h / np.pi
+            errs.append(abs(integrate_values(g, vals, "section_time") - exact))
             hs.append(g.dx2)
         assert fit_convergence_order(hs, errs) >= 1.9
 
@@ -233,11 +225,57 @@ class TestQuadrature:
         assert integrate_values(grid, nonneg, "Q") >= 0.0
 
     def test_region_kind_compatibility(self, grid):
-        sec = ScalarField(grid, np.ones((grid.nt + 1, grid.n2 + 2)), SECTION_TRACE)
+        sec = np.ones((grid.nt + 1, grid.n2 + 2))
         # time x cross-section measure: T * h
-        assert integrate(sec) == pytest.approx(2.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            integrate(sec, region="Q")
+        assert integrate_values(grid, sec, "section_time") == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(ValueError, match="segment"):
+            integrate_values(grid, sec, "boundary")
+        with pytest.raises(ValueError, match="region"):
+            integrate_values(grid, sec, "nowhere")
+
+    # Each region's (axes, segment); axes name the variables of its values.
+    REGIONS = (
+        ("Q", ("t", "x1", "x2"), None),
+        ("boundary", ("t", "x1"), "x2_min"),
+        ("boundary", ("t", "x1"), "x2_max"),
+        ("boundary", ("t", "x2"), "x1_min"),
+        ("boundary", ("t", "x2"), "x1_max"),
+        ("section_time", ("t", "x2"), None),
+        ("omega", ("x1", "x2"), None),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        which=st.integers(0, len(REGIONS) - 1),
+        sizes=st.tuples(st.integers(4, 12), st.integers(4, 12), st.integers(4, 12)),
+        extents=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+        coeffs=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=8, max_size=8),
+    )
+    def test_exact_on_multilinear_fields(self, which, sizes, extents, coeffs):
+        # the tensor trapezoid rule integrates every product of affine
+        # factors exactly, so only round-off of the summands is left
+        region, axes, segment = self.REGIONS[which]
+        L, h, T = extents
+        g = build_grid(WaveguideDomain(L=L, h=h, T=T), *sizes)
+        nodes = {"t": g.t, "x1": g.x1, "x2": g.x2}
+        exact_moments = {"t": (T, T**2 / 2.0), "x1": (2.0 * L, 0.0), "x2": (h, h**2 / 2.0)}
+        values = np.zeros([nodes[a].size for a in axes])
+        exact = scale = 0.0
+        for k, c in enumerate(coeffs[: 2 ** len(axes)]):
+            powers = [(k >> bit) & 1 for bit in range(len(axes))]
+            term = np.ones_like(values)
+            moment = size = 1.0
+            for ax_i, (a, pw) in enumerate(zip(axes, powers)):
+                shape = [1] * len(axes)
+                shape[ax_i] = -1
+                term = term * nodes[a].reshape(shape) ** pw
+                moment *= exact_moments[a][pw]
+                size *= exact_moments[a][0] * max(1.0, float(np.max(np.abs(nodes[a])))) ** pw
+            values += c * term
+            exact += c * moment
+            scale += abs(c) * size
+        got = integrate_values(g, values, region, segment)
+        assert abs(got - exact) <= 1e-12 * scale + 1e-300
 
 
 class TestPrefixIntegral:
@@ -251,6 +289,29 @@ class TestPrefixIntegral:
         f = ScalarField(grid, rng.standard_normal(grid.shape), FULL)
         out = prefix_integral_x1(f)
         assert np.max(np.abs(out.values[:, grid.alpha_index, :])) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n1=st.integers(4, 24),
+        L=st.floats(0.25, 4.0),
+        alpha_frac=st.floats(-0.9, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_on_fields_linear_in_x1(self, n1, L, alpha_frac, seed):
+        # f = a + b*x1 with (t, x2)-dependent a, b: the trapezoid prefix
+        # integral from the snapped anchor is exact up to round-off, and
+        # the anchor column is exactly zero
+        g = build_grid(WaveguideDomain(L=L, h=1.0, T=1.0, alpha=alpha_frac * L), n1, 5, 4)
+        r = np.random.default_rng(seed)
+        a = r.uniform(-10.0, 10.0, (g.nt + 1, 1, g.n2 + 2))
+        b = r.uniform(-10.0, 10.0, (g.nt + 1, 1, g.n2 + 2))
+        x1 = g.x1[None, :, None]
+        xa = g.alpha_snapped
+        out = prefix_integral_x1(ScalarField(g, a + b * x1, FULL)).values
+        exact = a * (x1 - xa) + b * (x1**2 - xa**2) / 2.0
+        assert np.max(np.abs(out[:, g.alpha_index, :])) == 0.0
+        tol = 64.0 * (n1 + 2) * np.finfo(float).eps * 10.0 * (2.0 * L + L**2)
+        np.testing.assert_allclose(out, exact, rtol=0, atol=tol)
 
 
 class TestPersistence:

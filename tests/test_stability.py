@@ -37,7 +37,7 @@ class TestMixedSobolevNorm:
         errs, hs = [], []
         for n in (16, 32, 64):
             g = build_grid(domain, 4, n, n)
-            tr = g.sample_section(lambda t, x2: t * np.sin(np.pi * x2 / h))
+            tr = ScalarField(g, np.outer(g.t, np.sin(np.pi * g.x2 / h)), SECTION_TRACE)
             errs.append(abs(mixed_sobolev_norm(tr) - expected))
             hs.append(g.dx2)
         assert fit_convergence_order(hs, errs) >= 1.9
