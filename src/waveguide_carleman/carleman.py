@@ -104,14 +104,13 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def _weighted_Q_integral(grid: SpaceTimeGrid, core: np.ndarray, decay: np.ndarray,
-                         sg: np.ndarray, power: int) -> float:
-    """Integral over Q of decay * (s*g)^power * core, assembled on the
-    interior time levels only (the endpoint levels carry weight zero, and
-    a negative power of s*g = 0 there would give 0 * inf = nan)."""
-    vals = np.zeros(grid.shape)
-    factor = sg[1:-1] ** power if power != 0 else np.ones(grid.nt - 1)
-    vals[1:-1] = decay[1:-1] * factor[:, None, None] * core[1:-1]
-    return integrate_values(grid, vals, "Q")
+                         sg: np.ndarray | None = None, power: int = 0) -> float:
+    """Integral over Q of decay * (s*g)^power * core, with the power of
+    s*g folded into the time weights.  Only interior time levels are summed
+    (the endpoint levels carry weight zero, and a negative power of
+    s*g = 0 there would give 0 * inf = nan)."""
+    wt = grid.wt[1:-1] if power == 0 else grid.wt[1:-1] * sg[1:-1] ** power
+    return float(wt @ ((decay[1:-1] * core[1:-1]) @ grid.w2 @ grid.w1))
 
 
 def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -> dict[str, float]:
@@ -163,8 +162,8 @@ def _prefix_sweep(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
         decay = ws.decay(s)
         sweep.append(
             {"s": s, "lambda": ws.params.lam,
-             "lhs": integrate_values(grid, G * decay, "Q"),
-             "rhs": integrate_values(grid, F2 * decay, "Q")}
+             "lhs": _weighted_Q_integral(grid, G, decay),
+             "rhs": _weighted_Q_integral(grid, F2, decay)}
         )
     return sweep
 
@@ -335,19 +334,20 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
 # ---------------------------------------------------------------------------
 
 
-def _boundary_trace_tolerance(grid: SpaceTimeGrid) -> float:
-    return 10.0 * max(grid.dx1, grid.dx2) ** 2
-
-
-def _max_on_boundary(values: np.ndarray) -> float:
-    return float(
-        max(
-            np.max(np.abs(values[:, 0, :])),
-            np.max(np.abs(values[:, -1, :])),
-            np.max(np.abs(values[:, :, 0])),
-            np.max(np.abs(values[:, :, -1])),
+def _boundary_trace_max(f: ScalarField, tol: float | None, name: str) -> float:
+    """Largest |f| on the space boundary.  Raises ValueError above ``tol``
+    (default 10 * max(dx1, dx2)^2): both Carleman estimates need a field
+    that vanishes there."""
+    g = f.grid
+    tol = tol if tol is not None else 10.0 * max(g.dx1, g.dx2) ** 2
+    v = f.values
+    trace_max = max(float(np.max(np.abs(face)))
+                    for face in (v[:, 0, :], v[:, -1, :], v[:, :, 0], v[:, :, -1]))
+    if trace_max > tol:
+        raise ValueError(
+            f"{name} does not vanish on the space boundary: max trace {trace_max} > tol {tol}"
         )
-    )
+    return trace_max
 
 
 def _find_s0(sweep: list[dict], key: str) -> float | None:
@@ -376,17 +376,12 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     """
     if ws.params.regime != "bounded":
         raise ValueError("bounded-regime weight required")
-    tol = boundary_tol if boundary_tol is not None else _boundary_trace_tolerance(grid)
-    trace_max = _max_on_boundary(z.values)
-    if trace_max > tol:
-        raise ValueError(
-            f"z does not vanish on the space boundary: max trace {trace_max} > tol {tol}"
-        )
+    trace_max = _boundary_trace_max(z, boundary_tol, "z")
 
     s_list = list(s_values) if s_values is not None else [2.0, 4.0, 8.0, 16.0, 32.0]
     lam_list = list(lam_values) if lam_values is not None else [ws.params.lam]
     obs = grid.domain.obs_segment
-    dnu_z = normal_derivative(z, obs).values
+    dnu_z_sq = normal_derivative(z, obs).values ** 2
     wall_j = -1 if obs == "x2_max" else 0
     densities = _I1_densities(z)
     Pz_sq = Pz.values**2
@@ -403,9 +398,9 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
             decay = ws_lam.decay(s)
             sg = s * ws_lam.g
             lhs = _I1_terms(z.grid, densities, decay, sg)["total"]
-            rhs_q = integrate_values(grid, decay * Pz_sq, "Q")
+            rhs_q = _weighted_Q_integral(grid, Pz_sq, decay)
 
-            flux = decay[:, :, wall_j] * sg[:, None] * dnu_z**2
+            flux = decay[:, :, wall_j] * sg[:, None] * dnu_z_sq
             rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
 
             sweep.append(
@@ -451,12 +446,7 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     """
     if ws.params.regime != "open":
         raise ValueError("open-regime weight required")
-    tol = boundary_tol if boundary_tol is not None else _boundary_trace_tolerance(grid)
-    trace_max = _max_on_boundary(u.values)
-    if trace_max > tol:
-        raise ValueError(
-            f"u does not vanish on the truncated boundary: max trace {trace_max} > tol {tol}"
-        )
+    trace_max = _boundary_trace_max(u, boundary_tol, "u")
 
     lam = ws.params.lam
     obs = grid.domain.obs_segment
@@ -467,30 +457,30 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
             "outward normal slope of psi is negative on the observation wall; "
             "the weight construction guarantees the opposite sign"
         )
-    dnu_u = normal_derivative(u, obs).values
-    g1, g2 = gradient(u)
-    grad_sq = g1.values**2 + g2.values**2
+    # The s-independent densities, built once for the whole sweep.
     phi = ws.weight.values
+    zero_density = phi**3 * u.values**2
+    grad_density = phi * sum(d.values**2 for d in gradient(u))
+    source_density = Hu.values**2
+    flux_density = phi[:, :, wall_j] * normal_derivative(u, obs).values ** 2 * dnu_psi[None, :]
     coeffs = _weight_coefficients(ws)
 
     s_list = list(s_values) if s_values is not None else [4.0, 8.0, 16.0, 32.0]
     sweep = []
     for s in s_list:
         decay = ws.decay(s)
-        half = ws.half_decay(s)
+        lhs_zero = s**3 * lam**4 * _weighted_Q_integral(grid, zero_density, decay)
+        lhs_grad = s * lam * _weighted_Q_integral(grid, grad_density, decay)
 
-        lhs_zero = s**3 * lam**4 * integrate_values(grid, decay * phi**3 * u.values**2, "Q")
-        lhs_grad = s * lam * integrate_values(grid, decay * phi * grad_sq, "Q")
-
-        wbar = ScalarField(grid, half * u.values, FULL)
+        wbar = ScalarField(grid, ws.half_decay(s) * u.values, FULL)
         m1, m2 = _split_parts(wbar, coeffs, s)
         lhs_m1 = integrate_values(grid, m1**2, "Q")
         lhs_m2 = integrate_values(grid, m2**2, "Q")
         lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
 
-        flux = decay[:, :, wall_j] * phi[:, :, wall_j] * dnu_u**2 * dnu_psi[None, :]
+        flux = decay[:, :, wall_j] * flux_density
         rhs_b = s * lam * integrate_values(grid, flux, "boundary", segment=obs)
-        rhs_q = integrate_values(grid, decay * Hu.values**2, "Q")
+        rhs_q = _weighted_Q_integral(grid, source_density, decay)
 
         sweep.append(
             {

@@ -38,9 +38,14 @@ class ConfigError(Exception):
     """Invalid or missing configuration; the message names the key."""
 
 
-def _at_least_one(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"{n} is below 1")
+def _at_least(n: int, floor: int) -> None:
+    if n < floor:
+        raise ValueError(f"{n} is below {floor}")
+
+
+def _all_positive(values: list[float]) -> None:
+    if not all(0.0 < v < float("inf") for v in values):
+        raise ValueError(f"s values must be positive and finite, got {values}")
 
 
 def float_list(text: str) -> list[float]:
@@ -155,7 +160,11 @@ class ScenarioConfig:
             ("[open] lambda", lambda: cfg.weight_params("open")),
             ("[stability] theta_list", lambda: stab.check_sweep(cfg.grid(), st["theta_list"], [])),
             ("[stability] eps_list", lambda: stab.check_sweep(cfg.grid(), [], st["eps_list"])),
-            ("[lemmas] draws", lambda: _at_least_one(cfg["lemmas"]["draws"])),
+            ("[lemmas] draws", lambda: _at_least(cfg["lemmas"]["draws"], 1)),
+            ("[lemmas] seed", lambda: _at_least(cfg["lemmas"]["seed"], 0)),
+            ("[weights] s_sweep", lambda: _all_positive(cfg["weights"]["s_sweep"])),
+            ("[open] s_sweep", lambda: _all_positive(cfg["open"]["s_sweep"])),
+            ("[carleman] s_sweep", lambda: _all_positive(cfg["carleman"]["s_sweep"])),
         ):
             try:
                 build()
@@ -399,11 +408,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "eps", None) is not None:
-        try:
-            stab.check_sweep(cfg.grid(), [], args.eps)
-        except ValueError as exc:
-            parser.error(f"argument --eps: {exc}")
+    for flag, check in (("eps", lambda v: stab.check_sweep(cfg.grid(), [], v)),
+                        ("sweep_s", _all_positive), ("seed", lambda v: _at_least(v, 0))):
+        if getattr(args, flag, None) is not None:
+            try:
+                check(getattr(args, flag))
+            except ValueError as exc:
+                parser.error(f"argument --{flag.replace('_', '-')}: {exc}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

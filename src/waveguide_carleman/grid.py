@@ -35,7 +35,6 @@ _KINDS = (FULL, SPATIAL_SLICE, BOUNDARY_TRACE, SECTION_TRACE)
 # the end caps.
 SEGMENTS = ("x1_min", "x1_max", "x2_min", "x2_max")
 LATERAL_SEGMENTS = ("x2_min", "x2_max")
-CAP_SEGMENTS = ("x1_min", "x1_max")
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,13 @@ class WaveguideDomain:
         return "x2_max" if self.obs_side == "top" else "x2_min"
 
 
+def trapezoid(n: int, d: float) -> np.ndarray:
+    """Trapezoid weights of ``n`` equispaced nodes ``d`` apart."""
+    w = np.full(n, d)
+    w[0] = w[-1] = 0.5 * d
+    return w
+
+
 class SpaceTimeGrid:
     """Uniform tensor-product grid on (0, T) x (-L, L) x (0, h).
 
@@ -95,6 +101,10 @@ class SpaceTimeGrid:
         self.dx1 = 2.0 * domain.L / (self.n1 + 1)
         self.dx2 = domain.h / (self.n2 + 1)
         self.dt = domain.T / self.nt
+        # Trapezoid weights along t, x1 and x2, shared by every quadrature.
+        self.wt = trapezoid(self.nt + 1, self.dt)
+        self.w1 = trapezoid(self.n1 + 2, self.dx1)
+        self.w2 = trapezoid(self.n2 + 2, self.dx2)
 
         # Snap the anchor to the nearest axial node.
         self.alpha_index = int(np.argmin(np.abs(self.x1 - domain.alpha)))
@@ -118,17 +128,6 @@ class SpaceTimeGrid:
         tt, xx1, xx2 = self.mesh()
         values = np.broadcast_to(fn(tt, xx1, xx2), self.shape).astype(float).copy()
         return ScalarField(self, values, FULL)
-
-    def trapezoid_weights(self, axis: str) -> np.ndarray:
-        """One-dimensional trapezoid weights along ``'t'``, ``'x1'`` or ``'x2'``."""
-        n, d = {
-            "t": (self.nt + 1, self.dt),
-            "x1": (self.n1 + 2, self.dx1),
-            "x2": (self.n2 + 2, self.dx2),
-        }[axis]
-        w = np.full(n, d)
-        w[0] = w[-1] = 0.5 * d
-        return w
 
     def __repr__(self) -> str:  # pragma: no cover
         d = self.domain
@@ -269,25 +268,21 @@ def integrate_values(grid: SpaceTimeGrid, values: np.ndarray, region: str,
     """Trapezoidal integral of raw values over a named region.
 
     Regions: ``Q`` (full space-time box), ``boundary`` (one boundary
-    segment crossed with time), ``section_time`` ((0,T) x cross-section)
-    and ``omega`` (the spatial box at one instant).
+    segment crossed with time) and ``section_time`` ((0,T) x
+    cross-section).  Each contracts one axis at a time with the grid's
+    trapezoid weights, so no full-size temporary is formed.
     """
-    wt = grid.trapezoid_weights("t")
-    w1 = grid.trapezoid_weights("x1")
-    w2 = grid.trapezoid_weights("x2")
     if region == "Q":
-        return float(np.einsum("tij,t,i,j->", values, wt, w1, w2))
+        return float(grid.wt @ (values @ grid.w2 @ grid.w1))
     if region == "boundary":
-        if segment in LATERAL_SEGMENTS:
-            return float(np.einsum("ti,t,i->", values, wt, w1))
-        if segment in CAP_SEGMENTS:
-            return float(np.einsum("tj,t,j->", values, wt, w2))
-        raise ValueError(f"boundary integral needs a segment, got {segment!r}")
-    if region == "section_time":
-        return float(np.einsum("tj,t,j->", values, wt, w2))
-    if region == "omega":
-        return float(np.einsum("ij,i,j->", values, w1, w2))
-    raise ValueError(f"unknown region {region!r}")
+        if segment not in SEGMENTS:
+            raise ValueError(f"boundary integral needs a segment, got {segment!r}")
+        w = grid.w1 if segment in LATERAL_SEGMENTS else grid.w2
+    elif region == "section_time":
+        w = grid.w2
+    else:
+        raise ValueError(f"unknown region {region!r}")
+    return float(grid.wt @ values @ w)
 
 
 def prefix_integral_x1(f: ScalarField) -> ScalarField:

@@ -25,6 +25,7 @@ from .grid import (
     SpaceTimeGrid,
     integrate_values,
     second_derivative,
+    trapezoid,
 )
 
 
@@ -88,22 +89,14 @@ def _window_indices(grid: SpaceTimeGrid, eps: float) -> tuple[int, int]:
     return ia, ib
 
 
-def _windowed_section_integral(grid: SpaceTimeGrid, values: np.ndarray,
-                               ia: int, ib: int) -> float:
-    """Trapezoid integral of (t, x2) values over the node-aligned window."""
-    wt = np.full(ib - ia + 1, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
-    w2 = grid.trapezoid_weights("x2")
-    return float(np.einsum("tj,t,j->", values[ia : ib + 1], wt, w2))
-
-
 def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
                        q_tilde: np.ndarray, grid: SpaceTimeGrid, eps: float,
                        theta: float = float("nan")) -> StabilityReport:
     """All three norms of the stability estimate for one solution pair."""
     ia, ib = _window_indices(grid, eps)
     dq = np.asarray(q_tilde, dtype=float) - np.asarray(q, dtype=float)
-    lhs = _windowed_section_integral(grid, dq**2, ia, ib)
+    # Trapezoid rule over the node-aligned window (eps, T - eps) x section.
+    lhs = float(trapezoid(ib - ia + 1, grid.dt) @ dq[ia : ib + 1] ** 2 @ grid.w2)
 
     meas_diff = measurement(u_tilde, grid).values - measurement(u, grid).values
     rhs_boundary = integrate_values(
@@ -131,9 +124,7 @@ def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
         # Mass of both solutions in the outermost axial cell layers: a
         # proxy for what the truncation removed, kept out of C_eps.
         shell = u.values[:, [0, 1, -2, -1], :] ** 2 + u_tilde.values[:, [0, 1, -2, -1], :] ** 2
-        wt = grid.trapezoid_weights("t")
-        w2 = grid.trapezoid_weights("x2")
-        budget = float(np.einsum("tij,t,j->", shell, wt, w2) * grid.dx1)
+        budget = integrate_values(grid, shell.sum(axis=1), "section_time") * grid.dx1
 
     return StabilityReport(
         eps=eps,

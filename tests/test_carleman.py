@@ -12,9 +12,26 @@ from waveguide_carleman.carleman import (
     r_monotonicity_audit,
     weighted_norm_I1,
 )
-from waveguide_carleman.grid import FULL, ScalarField, gradient, laplacian, time_derivative
+from waveguide_carleman.grid import (
+    FULL,
+    ScalarField,
+    gradient,
+    laplacian,
+    normal_derivative,
+    time_derivative,
+)
 from waveguide_carleman.synth import SpaceTimeBump, random_smooth_field
 from waveguide_carleman.weights import SectionWeightProfile
+
+
+def _trap(n, d):
+    w = np.full(n, d)
+    w[0] = w[-1] = 0.5 * d
+    return w
+
+
+def _full_grid_weights(g):
+    return _trap(g.nt + 1, g.dt), _trap(g.n1 + 2, g.dx1), _trap(g.n2 + 2, g.dx2)
 
 
 @pytest.fixture
@@ -47,9 +64,7 @@ class TestWeightedNorm:
         decay = ws.decay()
         sg = ws.params.s * ws.g
 
-        wt = g.trapezoid_weights("t")
-        w1 = g.trapezoid_weights("x1")
-        w2 = g.trapezoid_weights("x2")
+        wt, w1, w2 = g.wt, g.w1, g.w2
         hand = {"laplacian": 0.0, "time": 0.0, "gradient": 0.0, "zero_order": 0.0}
         for k in range(1, g.nt):
             for i in range(g.n1 + 2):
@@ -70,16 +85,16 @@ class TestWeightedNorm:
         num = np.einsum(
             "tij,t,i,j->",
             ws.decay(2.0) * z.values**2 * (ws.g**3)[:, None, None],
-            grid.trapezoid_weights("t"),
-            grid.trapezoid_weights("x1"),
-            grid.trapezoid_weights("x2"),
+            grid.wt,
+            grid.w1,
+            grid.w2,
         )
         den = np.einsum(
             "tij,t,i,j->",
             ws.decay(1.0) * z.values**2 * (ws.g**3)[:, None, None],
-            grid.trapezoid_weights("t"),
-            grid.trapezoid_weights("x1"),
-            grid.trapezoid_weights("x2"),
+            grid.wt,
+            grid.w1,
+            grid.w2,
         )
         assert t2 / t1 == pytest.approx(8.0 * num / den, rel=1e-12)
 
@@ -240,6 +255,30 @@ class TestCarlemanOpen:
                                   s_values=[4, 8, 16, 32])
         assert rep.verdict["all_finite"]
         assert all(row["rhs_boundary"] > 0.0 for row in rep.sweep)
+
+    @pytest.mark.parametrize("s", [2.0, 8.0])
+    def test_rows_match_full_grid_einsum(self, open_grid, open_ws, s):
+        # each decay-weighted row against the full-size integrand contracted
+        # by one 4-operand einsum with its own trapezoid weights
+        bump = SpaceTimeBump(open_grid)
+        u, Hu = bump.field(), bump.heat_residual()
+        row = carleman_check_open(u, Hu, open_ws, open_grid, s_values=[s]).sweep[0]
+        wt, w1, w2 = _full_grid_weights(open_grid)
+        lam, phi, decay = open_ws.params.lam, open_ws.weight.values, open_ws.decay(s)
+        g1, g2 = gradient(u)
+        dnu_u = normal_derivative(u, "x2_max").values
+        flux = decay[:, :, -1] * phi[:, :, -1] * dnu_u**2 * open_ws.dpsi_dx2[None, :, -1]
+        expected = {
+            "lhs_zero_order": s**3 * lam**4 * np.einsum(
+                "tij,t,i,j->", decay * phi**3 * u.values**2, wt, w1, w2),
+            "lhs_gradient": s * lam * np.einsum(
+                "tij,t,i,j->", decay * phi * (g1.values**2 + g2.values**2), wt, w1, w2),
+            "rhs_source": np.einsum("tij,t,i,j->", decay * Hu.values**2, wt, w1, w2),
+            "rhs_boundary": s * lam * np.einsum("ti,t,i->", flux, wt, w1),
+        }
+        for key, value in expected.items():
+            assert value > 0.0, key
+            assert row[key] == pytest.approx(value, rel=1e-12), key
 
     def test_normal_slope_sign_audit(self, open_grid):
         # a profile sloping away from the observed wall must be refused

@@ -1,3 +1,4 @@
+import os
 import re
 import shutil
 import subprocess
@@ -28,6 +29,7 @@ draws: 2
 """
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 SUBCOMMANDS = ("forward", "check-weights", "verify-lemmas", "verify-carleman", "stability")
 
 
@@ -82,6 +84,11 @@ class TestConfigParsing:
         ("stability", "[stability]\ntheta_list: 0.1,-0.1\n", "[stability] theta_list"),
         ("stability", "[stability]\neps_list: 0.25,5\n", "[stability] eps_list"),
         ("verify-lemmas", "[lemmas]\ndraws: 0\n", "[lemmas] draws"),
+        ("verify-lemmas", "[weights]\ns_sweep: -1,2\n", "[weights] s_sweep"),
+        ("verify-lemmas", "[open]\ns_sweep: 4,0\n", "[open] s_sweep"),
+        ("verify-carleman", "[carleman]\ns_sweep: -2,2\n", "[carleman] s_sweep"),
+        ("verify-lemmas", "[lemmas]\nseed: -1\n", "[lemmas] seed"),
+        ("verify-carleman", "[carleman]\ns_sweep: 2,inf\n", "[carleman] s_sweep"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"
@@ -162,6 +169,8 @@ class TestCommands:
         (["forward", "--eps", "0.25"], "--eps"),
         (["check-weights", "--seed", "3"], "--seed"),
         (["stability", "--eps", "5"], "--eps"),  # outside (0, T/2) on the T = 2 grid
+        (["verify-lemmas", "--sweep-s=-1,2"], "--sweep-s"),
+        (["verify-lemmas", "--seed", "-3"], "--seed"),
     ])
     def test_malformed_or_foreign_flag_exits_2(self, cfg_path, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -186,6 +195,34 @@ class TestCommands:
         for name in ("carleman_bounded_bump.txt", "carleman_bounded_pipeline.txt",
                      "carleman_open_bump.txt"):
             assert (out / name).exists()
+
+
+class TestThreadIndependence:
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        # the quadrature contracts through BLAS; its result must not change
+        # with the thread count (criterion-10 config)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(
+            "[scenario]\nname: determinism\n\n[grid]\nn1: 12\nn2: 12\nnt: 24\n\n"
+            "[open]\nn1: 63\nn2: 7\nnt: 16\n\n[lemmas]\nseed: 3\ndraws: 2\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            for command in ("verify-carleman", "stability"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "waveguide_carleman", command, "--config", str(cfg),
+                     "--out", str(out)], capture_output=True, text=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "carleman_open_bump.txt" in names and "stability_sweep.csv" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestEntryPoint:

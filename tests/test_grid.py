@@ -241,7 +241,6 @@ class TestQuadrature:
         ("boundary", ("t", "x2"), "x1_min"),
         ("boundary", ("t", "x2"), "x1_max"),
         ("section_time", ("t", "x2"), None),
-        ("omega", ("x1", "x2"), None),
     )
 
     @settings(max_examples=60, deadline=None)

@@ -96,6 +96,38 @@ class TestAssembleStability:
         assert rep.truncation_budget >= 0.0
 
 
+def _trap(n, d):
+    w = np.full(n, d)
+    w[0] = w[-1] = 0.5 * d
+    return w
+
+
+class TestAgainstFullGridEinsum:
+    @pytest.mark.parametrize("eps", [0.25, 0.5])
+    def test_windowed_lhs(self, run_grid, pair, eps):
+        q, qt = pair.pot.q, pair.pot_tilde.q
+        rep = assemble_stability(pair.u, pair.u_tilde, q, qt, run_grid, eps=eps)
+        g = run_grid
+        ia = int(round(eps / g.dt))
+        ib = g.nt - ia
+        expected = np.einsum("tj,t,j->", (qt - q)[ia : ib + 1] ** 2,
+                             _trap(ib - ia + 1, g.dt), _trap(g.n2 + 2, g.dx2))
+        assert expected > 0.0
+        assert rep.lhs == pytest.approx(expected, rel=1e-12)
+
+    def test_truncation_budget(self, open_domain):
+        g = build_grid(open_domain, 12, 12, 16)
+        q = q_preset(g)
+        pr = manufacture_pair(g, q, q + 0.1 * dq_preset(g), axial_factor(g))
+        rep = assemble_stability(pr.u, pr.u_tilde, q, pr.pot_tilde.q, g, eps=0.25)
+        cols = [0, 1, -2, -1]
+        shell = pr.u.values[:, cols, :] ** 2 + pr.u_tilde.values[:, cols, :] ** 2
+        expected = g.dx1 * np.einsum("tij,t,j->", shell, _trap(g.nt + 1, g.dt),
+                                     _trap(g.n2 + 2, g.dx2))
+        assert expected > 0.0
+        assert rep.truncation_budget == pytest.approx(expected, rel=1e-12)
+
+
 class TestPerturbationSweep:
     def test_single_point(self, run_grid):
         reports = perturbation_sweep(
