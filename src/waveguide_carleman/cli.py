@@ -38,8 +38,8 @@ class ConfigError(Exception):
     """Invalid or missing configuration; the message names the key."""
 
 
-def _at_least(n: int, floor: int) -> None:
-    if n < floor:
+def _at_least(n: float, floor: int) -> None:
+    if not n >= floor:
         raise ValueError(f"{n} is below {floor}")
 
 
@@ -162,6 +162,8 @@ class ScenarioConfig:
             ("[stability] eps_list", lambda: stab.check_sweep(cfg.grid(), [], st["eps_list"])),
             ("[lemmas] draws", lambda: _at_least(cfg["lemmas"]["draws"], 1)),
             ("[lemmas] seed", lambda: _at_least(cfg["lemmas"]["seed"], 0)),
+            ("[forward] q_amplitude", lambda: _at_least(cfg["forward"]["q_amplitude"], 0)),
+            ("[stability] q_amplitude", lambda: _at_least(st["q_amplitude"], 0)),
             ("[weights] s_sweep", lambda: _all_positive(cfg["weights"]["s_sweep"])),
             ("[open] s_sweep", lambda: _all_positive(cfg["open"]["s_sweep"])),
             ("[carleman] s_sweep", lambda: _all_positive(cfg["carleman"]["s_sweep"])),
@@ -227,7 +229,7 @@ def cmd_forward(cfg: ScenarioConfig, out: Path) -> int:
         oracle = fwd.SeparableOracle(grid)
         u = oracle.solve()
         save_field(u, out / "u")
-        err_fine = oracle.relative_l2_error()
+        err_fine = oracle.relative_l2_error(u)
         coarse = build_grid(grid.domain, max(grid.n1 // 2, 4), max(grid.n2 // 2, 4),
                             max(grid.nt // 2, 4))
         err_coarse = fwd.SeparableOracle(coarse).relative_l2_error()

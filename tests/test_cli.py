@@ -89,6 +89,8 @@ class TestConfigParsing:
         ("verify-carleman", "[carleman]\ns_sweep: -2,2\n", "[carleman] s_sweep"),
         ("verify-lemmas", "[lemmas]\nseed: -1\n", "[lemmas] seed"),
         ("verify-carleman", "[carleman]\ns_sweep: 2,inf\n", "[carleman] s_sweep"),
+        ("forward", "[forward]\npreset: positive\nq_amplitude: -100\n", "[forward] q_amplitude"),
+        ("stability", "[stability]\nq_amplitude: -0.5\n", "[stability] q_amplitude"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"
@@ -233,6 +235,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "forward" in proc.stdout and "stability" in proc.stdout
+
+    def test_package_import_loads_no_scipy(self):
+        # scipy is most of the package's import time and no module needs it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, waveguide_carleman; print(sorted(sys.modules))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "'waveguide_carleman.forward'" in proc.stdout
+        assert "'scipy'" not in proc.stdout
 
     def test_console_script_help(self):
         # Checks the [project.scripts] declaration itself, so a wrong module,

@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from waveguide_carleman import WaveguideDomain, build_grid, manufacture_pair, measurement, solve_heat
+from waveguide_carleman import WaveguideDomain, build_grid, forward, manufacture_pair, measurement, solve_heat
 from waveguide_carleman.forward import (
     BoundaryData,
     PotentialSpec,
     SeparableOracle,
+    SolverBreakdownError,
     compatibility_residual,
     decaying_preset_data,
     positive_preset_data,
@@ -135,6 +142,47 @@ class TestSolveHeat:
         u = solve_heat(grid, pot, positive_preset_data(grid, pot))
         assert np.min(u.values) > 0.0
 
+    def test_indefinite_step_matrix_rejected(self, domain):
+        # conjugate gradients need a positive definite step matrix; with
+        # this potential they would stop at a field far from the exact step
+        grid = build_grid(domain, 32, 32, 64)
+        pot = PotentialSpec(grid, q_preset(grid, -100.0), axial_factor(grid))
+        with pytest.raises(ValueError, match=r"time step 0\.03125 with min V -224\."):
+            solve_heat(grid, pot, positive_preset_data(grid, pot))
+
+    def test_iteration_cap_names_the_step(self, grid, monkeypatch):
+        monkeypatch.setattr(forward, "CG_MAX_ITERATIONS", 0)
+        pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
+        with pytest.raises(SolverBreakdownError, match="step 1: no convergence in 0 iterations"):
+            solve_heat(grid, pot, positive_preset_data(grid, pot))
+
+
+class TestPreconditioner:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        truncated=st.booleans(),
+        n1=st.integers(4, 12),
+        n2=st.integers(4, 12),
+        c=st.floats(0.1, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inverts_constant_coefficient_step(self, truncated, n1, n2, c, seed):
+        # c + (-Lap_h)/2, applied through the stepper's own operator at zero
+        # data and zero potential, maps the transform solve of r back to r:
+        # this checks the DCT-I/DST-I extensions and eigenvalues directly
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated), n1, n2, 4)
+        rows = slice(1, -1) if truncated else slice(None)
+        r = np.random.default_rng(seed).standard_normal((n1 if truncated else n1 + 2, n2))
+        u = np.zeros((n1 + 2, n2 + 2))
+        u[rows, 1:-1] = forward._separable_inverse(g)(r, c)
+        wall, cap = np.zeros((g.nt + 1, n1 + 2)), np.zeros((g.nt + 1, n2 + 2))
+        caps = {"b_left": cap, "b_right": cap} if truncated else {"k_minus": cap, "k_plus": cap}
+        data = BoundaryData(g, u, wall, wall, **caps)
+        got = c * u[rows, 1:-1] + 0.5 * forward._apply_operator(g, u, np.zeros_like(u), data, 0)
+        norm = c + 2.0 / g.dx1**2 + 2.0 / g.dx2**2
+        tol = 64.0 * np.finfo(float).eps * norm * np.max(np.abs(u))
+        np.testing.assert_allclose(got, r, rtol=0, atol=tol)
+
 
 def second_difference(n, d, doubled_ends=False):
     """Sparse 1-D -d^2/dx^2 on n unknowns; ``doubled_ends`` couples each
@@ -190,7 +238,7 @@ class TestAgainstSparseReference:
     @pytest.mark.parametrize("truncated, n1, n2", [
         (False, 9, 7),    # bounded, nonzero Neumann cap data
         (True, 9, 7),     # truncated, all Dirichlet
-        (False, 4, 11),   # bounded and tall: n2 > n1 + 2 puts the band transposed
+        (False, 4, 11),   # bounded and tall: n2 > n1 + 2
     ])
     def test_matches_kronecker_sum_stepper(self, truncated, n1, n2, rng):
         d = WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated)
@@ -291,3 +339,32 @@ class TestDecayingPreset:
             errs.append(compatibility_residual(decaying_preset_data(gg, pp), pp))
         assert errs[1] < 0.5 * errs[0]
         assert errs[1] < 0.2
+
+
+class TestThreadIndependence:
+    def test_large_step_does_not_depend_on_blas_threads(self, tmp_path):
+        # 162 x 128 = 20,736 unknowns per step: at this length a BLAS dot
+        # product gives different bits at 1 and at 2 threads, so any BLAS
+        # inner product inside the iteration would show here
+        script = (
+            "import sys\n"
+            "from waveguide_carleman import WaveguideDomain, build_grid, solve_heat\n"
+            "from waveguide_carleman.forward import PotentialSpec, positive_preset_data\n"
+            "from waveguide_carleman.synth import axial_factor, q_preset\n"
+            "g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), 160, 128, 4)\n"
+            "pot = PotentialSpec(g, q_preset(g), axial_factor(g))\n"
+            "u = solve_heat(g, pot, positive_preset_data(g, pot))\n"
+            "open(sys.argv[1], 'wb').write(u.values.tobytes())\n"
+        )
+        paths = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"u{threads}.bin"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            paths.append(path)
+        first = paths[0].read_bytes()
+        assert len(first) == 5 * 162 * 130 * 8
+        assert first == paths[1].read_bytes()
