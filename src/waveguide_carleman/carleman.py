@@ -20,7 +20,7 @@ weights are exactly zero there, so plain products keep it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,6 @@ class InequalityReport:
     empirical_C: float
     sweep: list[dict] = field(default_factory=list)
     verdict: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
         lines = [
@@ -78,8 +77,6 @@ class InequalityReport:
         lines.append(f"empirical_C: {self.empirical_C!r}")
         for key in sorted(self.verdict):
             lines.append(f"verdict.{key}: {self.verdict[key]!r}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
         if self.sweep:
             cols = list(self.sweep[0].keys())
             lines.append("sweep:")
@@ -90,6 +87,29 @@ class InequalityReport:
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_text())
+
+
+def _require_regime(ws: WeightSystem, regime: str) -> None:
+    if ws.params.regime != regime:
+        raise ValueError(f"{regime}-regime weight required, got {ws.params.regime!r}")
+
+
+def _sweep_report(name: str, ws: WeightSystem, sweep: list[dict], ratio_key: str,
+                  rhs_keys: dict[str, str], verdict: dict) -> InequalityReport:
+    """The report of one s sweep, headed by the row at ``ws.params.s`` (the
+    first row when that s was not swept); ``rhs_keys`` maps each rhs term
+    to its sweep column."""
+    head = next((row for row in sweep if row["s"] == ws.params.s), sweep[0])
+    return InequalityReport(
+        name=name,
+        lam=ws.params.lam,
+        s=head["s"],
+        lhs=head["lhs"],
+        rhs_terms={term: head[col] for term, col in rhs_keys.items()},
+        empirical_C=head[ratio_key],
+        sweep=sweep,
+        verdict=verdict,
+    )
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -117,8 +137,7 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
     """The four weighted summands controlled by the bounded-regime
     estimate: (sg)^-1 (Lap z)^2, (sg)^-1 (z_t)^2, sg |grad z|^2 and
     (sg)^3 z^2, each integrated against exp(-2 s eta)."""
-    if ws.params.regime != "bounded":
-        raise ValueError("the weighted norm uses the bounded-regime weight")
+    _require_regime(ws, "bounded")
     s_val = ws.params.s if s is None else s
     return _I1_terms(z.grid, _I1_densities(z), ws.decay(s_val), s_val * ws.g)
 
@@ -169,43 +188,28 @@ def _prefix_sweep(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
 
 
 def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
-                        s_values=None) -> InequalityReport:
+                        s_values) -> InequalityReport:
     """Compare the weighted mass of the anchored prefix integral of F with
     the weighted mass of F itself, sweeping s.  The constant is expected
     to stay bounded across the sweep (s-uniform)."""
-    if ws.params.regime != "bounded":
-        raise ValueError("bounded-regime weight required")
-    s_list = list(s_values) if s_values is not None else [1.0, 2.0, 4.0, 8.0, 16.0]
-
-    sweep = _prefix_sweep(F, ws, grid, s_list)
+    _require_regime(ws, "bounded")
+    sweep = _prefix_sweep(F, ws, grid, s_values)
     for row in sweep:
         row["empirical_C"] = _ratio(row["lhs"], row["rhs"])
 
     ratios = [row["empirical_C"] for row in sweep]
-    base = ratios[0]
-    s_uniform = all(r <= 2.0 * base + 1e-15 for r in ratios)
-    head = next((row for row in sweep if row["s"] == ws.params.s), sweep[0])
-    return InequalityReport(
-        name="prefix_integral_bounded",
-        lam=ws.params.lam,
-        s=head["s"],
-        lhs=head["lhs"],
-        rhs_terms={"quadrature": head["rhs"]},
-        empirical_C=head["empirical_C"],
-        sweep=sweep,
-        verdict={"s_uniform": s_uniform, "max_over_sweep": max(ratios)},
-    )
+    s_uniform = all(r <= 2.0 * ratios[0] + 1e-15 for r in ratios)
+    return _sweep_report("prefix_integral_bounded", ws, sweep, "empirical_C",
+                         {"quadrature": "rhs"},
+                         {"s_uniform": s_uniform, "max_over_sweep": max(ratios)})
 
 
 def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
-                     s_values=None) -> InequalityReport:
+                     s_values) -> InequalityReport:
     """Open-regime counterpart: the ratio is expected to decay like 1/s^2,
     measured as the slope of log(ratio) against log(s)."""
-    if ws.params.regime != "open":
-        raise ValueError("open-regime weight required")
-    s_list = list(s_values) if s_values is not None else [4.0, 8.0, 16.0, 32.0, 64.0]
-
-    sweep = _prefix_sweep(F, ws, grid, s_list)
+    _require_regime(ws, "open")
+    sweep = _prefix_sweep(F, ws, grid, s_values)
     for row in sweep:
         row["ratio"] = _ratio(row["lhs"], row["rhs"])
         row["ratio_times_s2"] = row["ratio"] * row["s"] * row["s"]
@@ -216,22 +220,11 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
         slope = float(np.polyfit(np.log(ss), np.log(rr), 1)[0])
     else:
         slope = float("nan")
-    kappa = float(np.min(ws.dpsi_dx1))
-    head = sweep[0]
-    return InequalityReport(
-        name="prefix_integral_open",
-        lam=ws.params.lam,
-        s=head["s"],
-        lhs=head["lhs"],
-        rhs_terms={"quadrature": head["rhs"]},
-        empirical_C=head["ratio"],
-        sweep=sweep,
-        verdict={
-            "fitted_slope": slope,
-            "slope_in_band": bool(-2.5 <= slope <= -1.5),
-            "kappa": kappa,
-        },
-    )
+    return _sweep_report("prefix_integral_open", ws, sweep, "ratio", {"quadrature": "rhs"}, {
+        "fitted_slope": slope,
+        "slope_in_band": bool(-2.5 <= slope <= -1.5),
+        "kappa": float(np.min(ws.dpsi_dx1)),
+    })
 
 
 def r_monotonicity_audit(ws: WeightSystem, grid: SpaceTimeGrid,
@@ -282,8 +275,7 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
     stored placeholder weight (zero); their rows are convention-dominated
     and comparisons should restrict to interior times.
     """
-    if ws.params.regime != "open":
-        raise ValueError("the conjugated operator uses the open-regime weight")
+    _require_regime(ws, "open")
     grid = w.grid
     s_val = ws.params.s if s is None else s
     phi = ws.weight.values
@@ -362,8 +354,20 @@ def _find_s0(sweep: list[dict], key: str) -> float | None:
     return None
 
 
+#: Sweep columns of the two right-hand-side terms of both Carleman estimates.
+_CARLEMAN_RHS = {"source": "rhs_source", "boundary": "rhs_boundary"}
+
+
+def _carleman_verdict(sweep: list[dict], trace_max: float) -> dict:
+    return {
+        "s0": _find_s0(sweep, "empirical_C"),
+        "all_finite": bool(np.all(np.isfinite([row["empirical_C"] for row in sweep]))),
+        "boundary_trace_max": trace_max,
+    }
+
+
 def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
-                           grid: SpaceTimeGrid, s_values=None, lam_values=None,
+                           grid: SpaceTimeGrid, s_values,
                            boundary_tol: float | None = None) -> InequalityReport:
     """Empirical constant of the bounded-regime estimate for a field z
     vanishing on the whole space boundary.
@@ -371,15 +375,11 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     ``Pz`` is supplied by the caller (closed form for manufactured test
     fields, the differentiated-equation right-hand side for pipeline
     fields).  The right-hand side combines the weighted mass of Pz with
-    the observation-wall flux term.  The sweep covers every (s, lambda)
-    combination; the stabilization threshold s0 is found per lambda.
+    the observation-wall flux term.
     """
-    if ws.params.regime != "bounded":
-        raise ValueError("bounded-regime weight required")
+    _require_regime(ws, "bounded")
     trace_max = _boundary_trace_max(z, boundary_tol, "z")
 
-    s_list = list(s_values) if s_values is not None else [2.0, 4.0, 8.0, 16.0, 32.0]
-    lam_list = list(lam_values) if lam_values is not None else [ws.params.lam]
     obs = grid.domain.obs_segment
     dnu_z_sq = normal_derivative(z, obs).values ** 2
     wall_j = -1 if obs == "x2_max" else 0
@@ -387,54 +387,25 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     Pz_sq = Pz.values**2
 
     sweep = []
-    for lam in lam_list:
-        if lam == ws.params.lam:
-            ws_lam = ws
-        else:
-            ws_lam = WeightSystem(replace(ws.params, lam=lam), grid,
-                                  psi1_profile=ws.psi1_profile,
-                                  psi2_profile=ws.psi2_profile)
-        for s in s_list:
-            decay = ws_lam.decay(s)
-            sg = s * ws_lam.g
-            lhs = _I1_terms(z.grid, densities, decay, sg)["total"]
-            rhs_q = _weighted_Q_integral(grid, Pz_sq, decay)
+    for s in s_values:
+        decay = ws.decay(s)
+        sg = s * ws.g
+        lhs = _I1_terms(z.grid, densities, decay, sg)["total"]
+        rhs_q = _weighted_Q_integral(grid, Pz_sq, decay)
 
-            flux = decay[:, :, wall_j] * sg[:, None] * dnu_z_sq
-            rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
+        flux = decay[:, :, wall_j] * sg[:, None] * dnu_z_sq
+        rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
 
-            sweep.append(
-                {"s": s, "lambda": lam, "lhs": lhs, "rhs_source": rhs_q,
-                 "rhs_boundary": rhs_b, "empirical_C": _ratio(lhs, rhs_q + rhs_b)}
-            )
-
-    s0_per_lam = {
-        lam: _find_s0([row for row in sweep if row["lambda"] == lam], "empirical_C")
-        for lam in lam_list
-    }
-    cs = [row["empirical_C"] for row in sweep]
-    head_lam = ws.params.lam if ws.params.lam in lam_list else lam_list[0]
-    head_rows = [row for row in sweep if row["lambda"] == head_lam]
-    head = next((row for row in head_rows if row["s"] == ws.params.s), head_rows[0])
-    return InequalityReport(
-        name="carleman_bounded",
-        lam=head_lam,
-        s=head["s"],
-        lhs=head["lhs"],
-        rhs_terms={"source": head["rhs_source"], "boundary": head["rhs_boundary"]},
-        empirical_C=head["empirical_C"],
-        sweep=sweep,
-        verdict={
-            "s0": s0_per_lam[head_lam],
-            "s0_per_lambda": s0_per_lam,
-            "all_finite": bool(np.all(np.isfinite(cs))),
-            "boundary_trace_max": trace_max,
-        },
-    )
+        sweep.append(
+            {"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs_source": rhs_q,
+             "rhs_boundary": rhs_b, "empirical_C": _ratio(lhs, rhs_q + rhs_b)}
+        )
+    return _sweep_report("carleman_bounded", ws, sweep, "empirical_C", _CARLEMAN_RHS,
+                         _carleman_verdict(sweep, trace_max))
 
 
 def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
-                        grid: SpaceTimeGrid, s_values=None,
+                        grid: SpaceTimeGrid, s_values,
                         boundary_tol: float | None = None) -> InequalityReport:
     """Empirical constant of the open-regime estimate on the truncated
     domain, for u vanishing on the whole truncated boundary.
@@ -444,8 +415,7 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     is the observation-wall flux term weighted by the outward normal
     slope of psi, plus the weighted mass of Hu.
     """
-    if ws.params.regime != "open":
-        raise ValueError("open-regime weight required")
+    _require_regime(ws, "open")
     trace_max = _boundary_trace_max(u, boundary_tol, "u")
 
     lam = ws.params.lam
@@ -465,9 +435,8 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     flux_density = phi[:, :, wall_j] * normal_derivative(u, obs).values ** 2 * dnu_psi[None, :]
     coeffs = _weight_coefficients(ws)
 
-    s_list = list(s_values) if s_values is not None else [4.0, 8.0, 16.0, 32.0]
     sweep = []
-    for s in s_list:
+    for s in s_values:
         decay = ws.decay(s)
         lhs_zero = s**3 * lam**4 * _weighted_Q_integral(grid, zero_density, decay)
         lhs_grad = s * lam * _weighted_Q_integral(grid, grad_density, decay)
@@ -491,23 +460,8 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
             }
         )
 
-    s0 = _find_s0(sweep, "empirical_C")
-    cs = [row["empirical_C"] for row in sweep]
-    head = next((row for row in sweep if row["s"] == ws.params.s), sweep[0])
-    return InequalityReport(
-        name="carleman_open",
-        lam=lam,
-        s=head["s"],
-        lhs=head["lhs"],
-        rhs_terms={"source": head["rhs_source"], "boundary": head["rhs_boundary"]},
-        empirical_C=head["empirical_C"],
-        sweep=sweep,
-        verdict={
-            "s0": s0,
-            "all_finite": bool(np.all(np.isfinite(cs))),
-            "boundary_trace_max": trace_max,
-        },
-    )
+    return _sweep_report("carleman_open", ws, sweep, "empirical_C", _CARLEMAN_RHS,
+                         _carleman_verdict(sweep, trace_max))
 
 
 def _weight_coefficients(ws: WeightSystem) -> tuple[np.ndarray, ...]:

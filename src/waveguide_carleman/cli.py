@@ -318,18 +318,22 @@ def cmd_verify_lemmas(cfg: ScenarioConfig, out: Path, seed: int | None = None,
 
 
 def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
-    ok = True
+    verdicts = []
+
+    def report(rep: carl.InequalityReport, stem: str) -> None:
+        rep.write(out / f"{stem}.txt")
+        name, case = stem.rsplit("_", 1)
+        v = rep.verdict
+        print(f"{name} {case}: s0 {v['s0']!r} finite {v['all_finite']}")
+        verdicts.append(v["all_finite"] and v["s0"] is not None)
+
     grid = cfg.grid()
     ws = wts.assemble_weight(cfg.weight_params("bounded"), grid)
     sweep = cfg["carleman"]["s_sweep"]
 
     bump = synth.SpaceTimeBump(grid, amplitude=cfg["carleman"]["bump_amplitude"])
-    rep_bump = carl.carleman_check_bounded(bump.field(), bump.heat_residual(), ws, grid,
-                                           s_values=sweep)
-    rep_bump.write(out / "carleman_bounded_bump.txt")
-    print(f"carleman_bounded bump: s0 {rep_bump.verdict['s0']!r} "
-          f"finite {rep_bump.verdict['all_finite']}")
-    ok = ok and rep_bump.verdict["all_finite"] and rep_bump.verdict["s0"] is not None
+    report(carl.carleman_check_bounded(bump.field(), bump.heat_residual(), ws, grid,
+                                       s_values=sweep), "carleman_bounded_bump")
 
     theta = cfg["carleman"]["theta"]
     q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
@@ -341,23 +345,17 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
         bundle.B2.values * gradient(bundle.w)[1].values + bundle.b_coef.values * bundle.w.values,
         FULL,
     )
-    rep_z = carl.carleman_check_bounded(bundle.z, Pz, ws, grid, s_values=sweep)
-    rep_z.write(out / "carleman_bounded_pipeline.txt")
-    print(f"carleman_bounded pipeline: s0 {rep_z.verdict['s0']!r} "
-          f"finite {rep_z.verdict['all_finite']}")
-    ok = ok and rep_z.verdict["all_finite"] and rep_z.verdict["s0"] is not None
+    report(carl.carleman_check_bounded(bundle.z, Pz, ws, grid, s_values=sweep),
+           "carleman_bounded_pipeline")
 
     ogrid = cfg.open_grid()
     wso = wts.assemble_weight(cfg.weight_params("open"), ogrid)
     obump = synth.SpaceTimeBump(ogrid, amplitude=cfg["carleman"]["bump_amplitude"])
-    rep_o = carl.carleman_check_open(obump.field(), obump.heat_residual(), wso, ogrid,
-                                     s_values=cfg["open"]["s_sweep"][:-1])
-    rep_o.write(out / "carleman_open_bump.txt")
-    print(f"carleman_open bump: s0 {rep_o.verdict['s0']!r} "
-          f"finite {rep_o.verdict['all_finite']}")
-    ok = ok and rep_o.verdict["all_finite"]
+    report(carl.carleman_check_open(obump.field(), obump.heat_residual(), wso, ogrid,
+                                    s_values=cfg["open"]["s_sweep"][:-1]),
+           "carleman_open_bump")
 
-    return 0 if ok else 1
+    return 0 if all(verdicts) else 1
 
 
 def cmd_stability(cfg: ScenarioConfig, out: Path,

@@ -33,6 +33,7 @@ from .grid import (
     gradient,
     integrate_values,
     normal_derivative,
+    one_sided_derivative,
     second_derivative,
 )
 
@@ -108,21 +109,15 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
     wall nodes.  The time derivative uses the one-sided second-order
     stencil on the first three data levels."""
     g = data.grid
-    dt = g.dt
-
-    def dbdt0(b):
-        return (-3.0 * b[0] + 4.0 * b[1] - b[2]) / (2.0 * dt)
-
     lap_u0 = second_derivative(data.u0, g.dx1, 0) + second_derivative(data.u0, g.dx2, 1)
     v0 = pot.q[0][None, :] * pot.f[:, None] * data.u0
 
-    res = []
-    res.append(dbdt0(data.b_bottom) - lap_u0[:, 0] + v0[:, 0])
-    res.append(dbdt0(data.b_top) - lap_u0[:, -1] + v0[:, -1])
+    walls = [(data.b_bottom, (slice(None), 0)), (data.b_top, (slice(None), -1))]
     if g.domain.truncated:
-        res.append(dbdt0(data.b_left) - lap_u0[0, :] + v0[0, :])
-        res.append(dbdt0(data.b_right) - lap_u0[-1, :] + v0[-1, :])
-    return float(max(np.max(np.abs(r)) for r in res))
+        walls += [(data.b_left, 0), (data.b_right, -1)]
+    # the forward time derivative is the negated one-sided stencil at t = 0
+    return float(max(np.max(np.abs(-one_sided_derivative(b, g.dt) - lap_u0[w] + v0[w]))
+                     for b, w in walls))
 
 
 # ---------------------------------------------------------------------------

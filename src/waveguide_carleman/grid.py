@@ -249,8 +249,13 @@ def normal_derivative(f: ScalarField, segment: str) -> ScalarField:
     v = np.moveaxis(f.values, axis, 0)
     if segment.endswith("_max"):
         v = v[::-1]
-    tr = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * d)
-    return ScalarField(g, tr, BOUNDARY_TRACE, segment)
+    return ScalarField(g, one_sided_derivative(v, d), BOUNDARY_TRACE, segment)
+
+
+def one_sided_derivative(v: np.ndarray, d: float) -> np.ndarray:
+    """Second-order one-sided derivative at ``v[0]`` along the first axis,
+    taken in the direction pointing away from ``v[1]`` and ``v[2]``."""
+    return (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * d)
 
 
 def _require_full(f: ScalarField, op: str) -> None:

@@ -229,10 +229,9 @@ class WeightSystem:
         self.g = singular_time_profile(grid)
         self.exp_lam_psi = np.exp(params.lam * psi)
         if params.regime == "bounded":
-            self.weight_cap = float(np.exp(2.0 * params.lam * self.psi_sup))
-            self.spatial_weight = self.weight_cap - self.exp_lam_psi
+            weight_cap = float(np.exp(2.0 * params.lam * self.psi_sup))
+            self.spatial_weight = weight_cap - self.exp_lam_psi
         else:
-            self.weight_cap = float("nan")
             self.spatial_weight = self.exp_lam_psi
         values = self.g[:, None, None] * self.spatial_weight[None, :, :]
         self.weight = ScalarField(grid, values, FULL)

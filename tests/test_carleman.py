@@ -107,7 +107,7 @@ class TestWeightedNorm:
 class TestLemmaBounded:
     def test_zero_field(self, grid, ws):
         F = ScalarField(grid, np.zeros(grid.shape), FULL)
-        rep = lemma_bounded_check(F, ws, grid)
+        rep = lemma_bounded_check(F, ws, grid, s_values=[1, 2, 4, 8, 16])
         assert rep.empirical_C == 0.0
 
     def test_constant_field_crude_bound(self, grid, ws):
@@ -128,7 +128,7 @@ class TestLemmaBounded:
         vals = np.zeros(grid.shape)
         vals[0] = 1.0  # weight vanishes at the endpoint levels
         F = ScalarField(grid, vals, FULL)
-        rep = lemma_bounded_check(F, ws, grid)
+        rep = lemma_bounded_check(F, ws, grid, s_values=[1, 2, 4, 8, 16])
         assert rep.empirical_C == 0.0
 
     def test_comparison_kernel_bounded_by_one(self, grid):
@@ -140,8 +140,18 @@ class TestLemmaBounded:
 class TestLemmaOpen:
     def test_zero_field(self, open_grid, open_ws):
         F = ScalarField(open_grid, np.zeros(open_grid.shape), FULL)
-        rep = lemma_open_check(F, open_ws, open_grid)
+        rep = lemma_open_check(F, open_ws, open_grid, s_values=[4, 8, 16, 32, 64])
         assert rep.empirical_C == 0.0
+
+    def test_report_is_headed_by_the_row_at_the_weight_s(self, open_grid):
+        # like the other checkers, the head row is the one at ws.params.s
+        ws = assemble_weight(WeightParams(lam=0.5, s=8.0, regime="open"), open_grid)
+        F = random_smooth_field(open_grid, np.random.default_rng(0), anchored_right=True)
+        rep = lemma_open_check(F, ws, open_grid, s_values=[4, 8, 16])
+        head = rep.sweep[1]
+        assert head["s"] == 8
+        assert (rep.s, rep.lhs, rep.empirical_C) == (8, head["lhs"], head["ratio"])
+        assert rep.rhs_terms == {"quadrature": head["rhs"]}
 
     def test_slope_band_on_reference_configuration(self):
         d = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=True)
@@ -156,8 +166,8 @@ class TestLemmaOpen:
 
     def test_regime_guard(self, open_grid, ws):
         F = ScalarField(open_grid, np.zeros(open_grid.shape), FULL)
-        with pytest.raises(ValueError):
-            lemma_open_check(F, ws, open_grid)
+        with pytest.raises(ValueError, match="open-regime"):
+            lemma_open_check(F, ws, open_grid, s_values=[4])
 
 
 class TestConjugatedOperator:
@@ -210,7 +220,7 @@ class TestConjugatedOperator:
 class TestCarlemanBounded:
     def test_zero_field(self, grid, ws):
         z = ScalarField(grid, np.zeros(grid.shape), FULL)
-        rep = carleman_check_bounded(z, z, ws, grid)
+        rep = carleman_check_bounded(z, z, ws, grid, s_values=[2, 4, 8, 16, 32])
         assert rep.empirical_C == 0.0
         assert rep.verdict["all_finite"]
 
@@ -231,19 +241,21 @@ class TestCarlemanBounded:
     def test_rejects_nonvanishing_trace(self, grid, ws):
         z = grid.sample(lambda t, x1, x2: 1.0 + 0 * t * x1 * x2)
         with pytest.raises(ValueError, match="vanish"):
-            carleman_check_bounded(z, z, ws, grid)
+            carleman_check_bounded(z, z, ws, grid, s_values=[2, 4, 8, 16, 32])
 
-    def test_sweep_lhs_is_the_weighted_norm(self, grid, ws):
+    def test_sweep_lhs_is_the_weighted_norm(self, grid):
         # the checker integrates its s-independent densities once; every
         # row must still equal a fresh weighted_norm_I1 call bit for bit
         bump = SpaceTimeBump(grid)
         z = bump.field()
-        rep = carleman_check_bounded(z, bump.heat_residual(), ws, grid,
-                                     s_values=[1.0, 3.0, 9.0], lam_values=[1.0, 1.5])
-        assert len(rep.sweep) == 6
-        for row in rep.sweep:
-            ws_lam = assemble_weight(WeightParams(lam=row["lambda"], s=1.0), grid)
-            assert row["lhs"] == weighted_norm_I1(z, ws_lam, s=row["s"])["total"]
+        for lam in (1.0, 1.5):
+            ws_lam = assemble_weight(WeightParams(lam=lam, s=1.0), grid)
+            rep = carleman_check_bounded(z, bump.heat_residual(), ws_lam, grid,
+                                         s_values=[1.0, 3.0, 9.0])
+            assert len(rep.sweep) == 3
+            for row in rep.sweep:
+                assert row["lambda"] == lam
+                assert row["lhs"] == weighted_norm_I1(z, ws_lam, s=row["s"])["total"]
 
 
 class TestCarlemanOpen:
@@ -289,7 +301,8 @@ class TestCarlemanOpen:
         )
         bump = SpaceTimeBump(open_grid, amplitude=0.5)
         with pytest.raises(ValueError, match="normal slope"):
-            carleman_check_open(bump.field(), bump.heat_residual(), ws, open_grid)
+            carleman_check_open(bump.field(), bump.heat_residual(), ws, open_grid,
+                                s_values=[4, 8, 16, 32])
 
 
 class TestReportSerialization:
