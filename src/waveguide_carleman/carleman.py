@@ -227,18 +227,14 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     })
 
 
-def r_monotonicity_audit(ws: WeightSystem, grid: SpaceTimeGrid,
-                         time_index: int | None = None) -> float:
+def r_monotonicity_audit(ws: WeightSystem, grid: SpaceTimeGrid) -> float:
     """Maximum of the comparison kernel r(x1, xi) = exp(-2s (eta(x1) -
     eta(xi))) over the two triangular regions where xi lies between the
     anchor and x1.  The constructed weights keep this at most 1; the value
-    is scale-invariant in t, and one interior time level is scanned."""
-    k = time_index if time_index is not None else (grid.nt // 2)
-    if not (1 <= k <= grid.nt - 1):
-        raise ValueError("time_index must be an interior level")
+    is scale-invariant in t, and the middle time level is scanned."""
     s = ws.params.s
     ia = grid.alpha_index
-    eta = ws.weight.values[k]  # (n1+2, n2+2)
+    eta = ws.weight.values[grid.nt // 2]  # (n1+2, n2+2)
 
     idx = np.arange(eta.shape[0])
     right = (idx[:, None] >= ia) & (idx[None, :] >= ia) & (idx[None, :] <= idx[:, None])
@@ -326,12 +322,12 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
 # ---------------------------------------------------------------------------
 
 
-def _boundary_trace_max(f: ScalarField, tol: float | None, name: str) -> float:
-    """Largest |f| on the space boundary.  Raises ValueError above ``tol``
-    (default 10 * max(dx1, dx2)^2): both Carleman estimates need a field
-    that vanishes there."""
+def _boundary_trace_max(f: ScalarField, name: str) -> float:
+    """Largest |f| on the space boundary.  Raises ValueError above
+    10 * max(dx1, dx2)^2: both Carleman estimates need a field that
+    vanishes there."""
     g = f.grid
-    tol = tol if tol is not None else 10.0 * max(g.dx1, g.dx2) ** 2
+    tol = 10.0 * max(g.dx1, g.dx2) ** 2
     v = f.values
     trace_max = max(float(np.max(np.abs(face)))
                     for face in (v[:, 0, :], v[:, -1, :], v[:, :, 0], v[:, :, -1]))
@@ -367,8 +363,7 @@ def _carleman_verdict(sweep: list[dict], trace_max: float) -> dict:
 
 
 def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
-                           grid: SpaceTimeGrid, s_values,
-                           boundary_tol: float | None = None) -> InequalityReport:
+                           grid: SpaceTimeGrid, s_values) -> InequalityReport:
     """Empirical constant of the bounded-regime estimate for a field z
     vanishing on the whole space boundary.
 
@@ -378,7 +373,7 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     the observation-wall flux term.
     """
     _require_regime(ws, "bounded")
-    trace_max = _boundary_trace_max(z, boundary_tol, "z")
+    trace_max = _boundary_trace_max(z, "z")
 
     obs = grid.domain.obs_segment
     dnu_z_sq = normal_derivative(z, obs).values ** 2
@@ -405,8 +400,7 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
 
 
 def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
-                        grid: SpaceTimeGrid, s_values,
-                        boundary_tol: float | None = None) -> InequalityReport:
+                        grid: SpaceTimeGrid, s_values) -> InequalityReport:
     """Empirical constant of the open-regime estimate on the truncated
     domain, for u vanishing on the whole truncated boundary.
 
@@ -416,7 +410,7 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     slope of psi, plus the weighted mass of Hu.
     """
     _require_regime(ws, "open")
-    trace_max = _boundary_trace_max(u, boundary_tol, "u")
+    trace_max = _boundary_trace_max(u, "u")
 
     lam = ws.params.lam
     obs = grid.domain.obs_segment

@@ -43,9 +43,16 @@ def _at_least(n: float, floor: int) -> None:
         raise ValueError(f"{n} is below {floor}")
 
 
-def _all_positive(values: list[float]) -> None:
+def _all_positive(values: list[float], least: int = 1) -> None:
+    if len(values) < least:
+        raise ValueError(f"needs at least {least} s values, got {values}")
     if not all(0.0 < v < float("inf") for v in values):
         raise ValueError(f"s values must be positive and finite, got {values}")
+
+
+def _one_of(value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
 
 
 def float_list(text: str) -> list[float]:
@@ -162,10 +169,12 @@ class ScenarioConfig:
             ("[stability] eps_list", lambda: stab.check_sweep(cfg.grid(), [], st["eps_list"])),
             ("[lemmas] draws", lambda: _at_least(cfg["lemmas"]["draws"], 1)),
             ("[lemmas] seed", lambda: _at_least(cfg["lemmas"]["seed"], 0)),
+            ("[forward] preset", lambda: _one_of(cfg["forward"]["preset"], ("oracle", "positive"))),
             ("[forward] q_amplitude", lambda: _at_least(cfg["forward"]["q_amplitude"], 0)),
             ("[stability] q_amplitude", lambda: _at_least(st["q_amplitude"], 0)),
             ("[weights] s_sweep", lambda: _all_positive(cfg["weights"]["s_sweep"])),
-            ("[open] s_sweep", lambda: _all_positive(cfg["open"]["s_sweep"])),
+            # verify-carleman sweeps all but the last entry; verify-lemmas fits a slope
+            ("[open] s_sweep", lambda: _all_positive(cfg["open"]["s_sweep"], least=2)),
             ("[carleman] s_sweep", lambda: _all_positive(cfg["carleman"]["s_sweep"])),
         ):
             try:
@@ -224,8 +233,7 @@ def write_reference(out_dir: Path) -> Path:
 
 def cmd_forward(cfg: ScenarioConfig, out: Path) -> int:
     grid = cfg.grid()
-    preset = cfg["forward"]["preset"]
-    if preset == "oracle":
+    if cfg["forward"]["preset"] == "oracle":
         oracle = fwd.SeparableOracle(grid)
         u = oracle.solve()
         save_field(u, out / "u")
@@ -246,26 +254,23 @@ def cmd_forward(cfg: ScenarioConfig, out: Path) -> int:
         (out / "forward_oracle.txt").write_text(report)
         print(report, end="")
         return 0
-    if preset == "positive":
-        q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
-        pot = fwd.PotentialSpec(grid, q, synth.axial_factor(grid))
-        data = fwd.positive_preset_data(grid, pot)
-        u = fwd.solve_heat(grid, pot, data)
-        save_field(u, out / "u")
-        min_u = float(np.min(u.values))
-        report = "\n".join(
-            [
-                "report: forward_positive",
-                f"scenario: {cfg['scenario']['name']}",
-                f"min_u: {min_u!r}",
-                f"compatibility_residual: {fwd.compatibility_residual(data, pot)!r}",
-            ]
-        ) + "\n"
-        (out / "forward_positive.txt").write_text(report)
-        print(report, end="")
-        return 0
-    print(f"unknown forward preset: {preset}", file=sys.stderr)
-    return 2
+    q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
+    pot = fwd.PotentialSpec(grid, q, synth.axial_factor(grid))
+    data = fwd.positive_preset_data(grid, pot)
+    u = fwd.solve_heat(grid, pot, data)
+    save_field(u, out / "u")
+    min_u = float(np.min(u.values))
+    report = "\n".join(
+        [
+            "report: forward_positive",
+            f"scenario: {cfg['scenario']['name']}",
+            f"min_u: {min_u!r}",
+            f"compatibility_residual: {fwd.compatibility_residual(data, pot)!r}",
+        ]
+    ) + "\n"
+    (out / "forward_positive.txt").write_text(report)
+    print(report, end="")
+    return 0
 
 
 def cmd_check_weights(cfg: ScenarioConfig, out: Path) -> int:
@@ -277,7 +282,7 @@ def cmd_check_weights(cfg: ScenarioConfig, out: Path) -> int:
 
     ogrid = cfg.open_grid()
     wso = wts.assemble_weight(cfg.weight_params("open"), ogrid)
-    rep_o = wts.check_assumption_open(wso, ogrid)
+    rep_o = wts.check_assumption_open(wso)
     (out / "assumptions_open.txt").write_text(rep_o.to_text())
     print(rep_o.to_text(), end="")
 

@@ -7,10 +7,12 @@ truncated open-waveguide mode.
 
 Scheme: Crank-Nicolson in time with the potential treated implicitly at
 both levels, five-point Laplacian in space, Neumann caps imposed through
-second-order ghost values, Dirichlet rows eliminated.  One discrete
-operator serves both boundary modes; they differ only in which x1 rows
-are unknown and in the ghost-value cap rows.  Each step's system
-1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate gradients,
+second-order ghost values, Dirichlet rows eliminated.  One five-point
+operator on the unknown block serves both boundary modes and both sides
+of each step; the boundary data enter only through an edge lift of each
+level.  The modes differ in which x1 rows are unknown, in the ghost-value
+cap rows, and in what the data's one cap-trace pair means.  Each step's
+system 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate gradients,
 preconditioned by the same system with V^{k+1} replaced by its mean
 (Concus & Golub 1973).  That constant-coefficient system is solved
 exactly by fast transforms: DCT-I along x1 for the ghost-value caps,
@@ -69,35 +71,28 @@ class PotentialSpec:
 
 @dataclass
 class BoundaryData:
-    """Dirichlet/Neumann data and the initial field for one solve.
+    """Boundary traces and the initial field for one solve.
 
-    ``b_bottom``/``b_top`` are the lateral Dirichlet traces (over t, x1).
-    In bounded mode ``k_minus``/``k_plus`` are the outward Neumann traces
-    on the caps (over t, x2); in truncated mode the caps are Dirichlet and
-    ``b_left``/``b_right`` hold their traces instead.
+    ``b_bottom``/``b_top`` are the lateral Dirichlet traces (over t, x1);
+    ``cap_minus``/``cap_plus`` are the cap traces at x1 = -L and x1 = L
+    (over t, x2).  The grid's mode fixes what the cap pair means: outward
+    Neumann traces in bounded mode, Dirichlet traces in truncated mode.
     """
 
     grid: SpaceTimeGrid
     u0: np.ndarray
     b_bottom: np.ndarray
     b_top: np.ndarray
-    k_minus: np.ndarray | None = None
-    k_plus: np.ndarray | None = None
-    b_left: np.ndarray | None = None
-    b_right: np.ndarray | None = None
+    cap_minus: np.ndarray
+    cap_plus: np.ndarray
 
     def __post_init__(self) -> None:
         g = self.grid
         self.u0 = np.asarray(self.u0, dtype=float)
         if self.u0.shape != (g.n1 + 2, g.n2 + 2):
             raise ValueError("u0 must be sampled on the spatial grid")
-        if g.domain.truncated:
-            mode, kind, caps = "truncated", "Dirichlet", ("b_left", "b_right")
-        else:
-            mode, kind, caps = "bounded", "Neumann", ("k_minus", "k_plus")
-        if getattr(self, caps[0]) is None or getattr(self, caps[1]) is None:
-            raise ValueError(f"{mode} mode needs {kind} cap traces {caps[0]}/{caps[1]}")
-        for name, n in (("b_bottom", g.n1), ("b_top", g.n1), (caps[0], g.n2), (caps[1], g.n2)):
+        for name, n in (("b_bottom", g.n1), ("b_top", g.n1), ("cap_minus", g.n2),
+                        ("cap_plus", g.n2)):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
             if getattr(self, name).shape != (g.nt + 1, n + 2):
                 raise ValueError(f"{name} must have shape {(g.nt + 1, n + 2)}")
@@ -114,7 +109,7 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
 
     walls = [(data.b_bottom, (slice(None), 0)), (data.b_top, (slice(None), -1))]
     if g.domain.truncated:
-        walls += [(data.b_left, 0), (data.b_right, -1)]
+        walls += [(data.cap_minus, 0), (data.cap_plus, -1)]
     # the forward time derivative is the negated one-sided stencil at t = 0
     return float(max(np.max(np.abs(-one_sided_derivative(b, g.dt) - lap_u0[w] + v0[w]))
                      for b, w in walls))
@@ -128,11 +123,17 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
 def solve_heat(grid: SpaceTimeGrid, pot: PotentialSpec, data: BoundaryData) -> ScalarField:
     """March the heat equation over all time levels and return the full field.
 
-    Both boundary modes take the same step.  Level k+1 first receives its
-    Dirichlet values with the unknowns at 0, so the known data enter the
-    right-hand side as -op(u[k+1]) / 2, the same operator that acts on
-    level k; the step system is solved by conjugate gradients started
-    from level k."""
+    Both boundary modes take the same step.  On the unknown block the step
+    matrix of level k is A_k = 1/dt + (-Lap_h + V^k)/2 with the known
+    values removed, and the step solves
+
+        A_{k+1} u^{k+1} = 2 u^k / dt - A_k u^k + (l_k + l_{k+1}) / 2,
+
+    where l_k lifts level k's known values onto the edges of the block:
+    the Dirichlet neighbours stored in u[k] (level 0 keeps the edges of
+    u0) over dx^2 and, on bounded caps, the ghost-value Neumann terms
+    2 cap / dx1.  Each level's diagonal and lift are built once;
+    conjugate gradients start from level k."""
     if data.grid is not grid or pot.grid is not grid:
         raise ValueError("potential, data and solve must share one grid")
     if grid.dt > grid.domain.T / 4.0 + 1e-14:
@@ -151,41 +152,38 @@ def solve_heat(grid: SpaceTimeGrid, pot: PotentialSpec, data: BoundaryData) -> S
                          f"min V {min_v}; refine the time grid")
     u = np.zeros(grid.shape)
     u[0] = data.u0
-    solve = _pcg_solver(grid)
-    for k in range(grid.nt):
-        nxt = u[k + 1]
-        nxt[:, 0] = data.b_bottom[k + 1]
-        nxt[:, -1] = data.b_top[k + 1]
+    u[1:, :, 0] = data.b_bottom[1:]
+    u[1:, :, -1] = data.b_top[1:]
+    if truncated:
+        u[1:, 0] = data.cap_minus[1:]
+        u[1:, -1] = data.cap_plus[1:]
+
+    def level(k):
+        """(diagonal of A_k, edge lift l_k)."""
+        diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + V[k][rows, 1:-1])
+        lift = np.zeros_like(diag)
+        lift[:, 0] += u[k][rows, 0] / dx2**2
+        lift[:, -1] += u[k][rows, -1] / dx2**2
         if truncated:
-            nxt[0, :] = data.b_left[k + 1]
-            nxt[-1, :] = data.b_right[k + 1]
-        rhs = (u[k][rows, 1:-1] / dt - 0.5 * _apply_operator(grid, u[k], V[k], data, k)
-               - 0.5 * _apply_operator(grid, nxt, V[k + 1], data, k + 1))
-        diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + V[k + 1][rows, 1:-1])
+            lift[0] += u[k][0, 1:-1] / dx1**2
+            lift[-1] += u[k][-1, 1:-1] / dx1**2
+        else:
+            lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
+            lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
+        return diag, lift
+
+    matvec, solve = _pcg_solver(grid)
+    diag, lift = level(0)
+    for k in range(grid.nt):
+        x = u[k][rows, 1:-1]
+        diag_next, lift_next = level(k + 1)
+        rhs = 2.0 * x / dt - matvec(diag, x) + 0.5 * (lift + lift_next)
         try:
-            nxt[rows, 1:-1] = solve(diag, rhs, u[k][rows, 1:-1])
+            u[k + 1][rows, 1:-1] = solve(diag_next, rhs, x)
         except SolverBreakdownError as exc:
             raise SolverBreakdownError(f"step {k + 1}: {exc}") from None
+        diag, lift = diag_next, lift_next
     return ScalarField(grid, u, FULL)
-
-
-def _apply_operator(grid, u, Vk, data, k):
-    """(-Lap + V) u on the unknown block (interior x2; interior x1 when
-    truncated, all x1 when bounded), reading the Dirichlet values stored
-    in ``u``.  Bounded cap rows see the outward Neumann data of level k
-    through second-order ghost values."""
-    dx1, dx2 = grid.dx1, grid.dx2
-    truncated = grid.domain.truncated
-    rows = slice(1, -1) if truncated else slice(None)
-    core = u[rows, 1:-1]
-    x1part = np.empty_like(core)
-    x1part[slice(None) if truncated else slice(1, -1)] = (
-        2.0 * u[1:-1, 1:-1] - u[:-2, 1:-1] - u[2:, 1:-1]) / dx1**2
-    if not truncated:
-        x1part[0] = (2.0 * core[0] - 2.0 * core[1]) / dx1**2 - 2.0 * data.k_minus[k][1:-1] / dx1
-        x1part[-1] = (2.0 * core[-1] - 2.0 * core[-2]) / dx1**2 - 2.0 * data.k_plus[k][1:-1] / dx1
-    x2part = (2.0 * core - u[rows, :-2] - u[rows, 2:]) / dx2**2
-    return x1part + x2part + Vk[rows, 1:-1] * core
 
 
 def _spectrum(n, d, neumann):
@@ -220,9 +218,8 @@ def _last_axis_transform(n, lines, neumann):
 
 def _separable_inverse(grid):
     """inverse(r, c) = (c + (-Lap_h) / 2)^-1 r on the unknown block, with
-    -Lap_h the operator of ``_apply_operator`` at zero data and zero
-    potential: DCT-I along x1 (ghost-value caps) or DST-I (truncated),
-    DST-I along x2."""
+    -Lap_h the five-point operator of ``_pcg_solver``'s matvec: DCT-I
+    along x1 (ghost-value caps) or DST-I (truncated), DST-I along x2."""
     truncated = grid.domain.truncated
     P, Q = (grid.n1 if truncated else grid.n1 + 2), grid.n2
     lam1, m1 = _spectrum(P, grid.dx1, not truncated)
@@ -247,12 +244,13 @@ CG_MAX_ITERATIONS = 200
 
 
 def _pcg_solver(grid):
-    """solve(diag, rhs, x0) for the five-point step system on the unknown
-    block: the system matrix is ``diag`` plus the fixed couplings of
-    -Lap_h / 2.  Conjugate gradients start from x0 and are preconditioned
-    by the same matrix with ``diag`` replaced by its mean, which
-    ``_separable_inverse`` solves exactly.  With the ghost-value caps the
-    matrix is not symmetric, but D A is for D = diag(1/2, 1, ..., 1, 1/2)
+    """(matvec, solve) for the five-point step system on the unknown block.
+    matvec(diag, p) applies ``diag`` plus the fixed couplings of -Lap_h / 2
+    to p, and solve(diag, rhs, x0) solves that system.  Conjugate
+    gradients start from x0 and are preconditioned by the same matrix
+    with ``diag`` replaced by its mean, which ``_separable_inverse``
+    solves exactly.  With the ghost-value caps the matrix is not
+    symmetric, but D A is for D = diag(1/2, 1, ..., 1, 1/2)
     along x1, so the iteration runs in the D inner product (D = I when
     truncated).  Inner products are sums of products, not BLAS dots, so
     the result does not depend on the thread count."""
@@ -301,7 +299,7 @@ def _pcg_solver(grid):
             p = z + (rz / rz_old) * p
         return x
 
-    return solve
+    return matvec, solve
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +323,13 @@ def positive_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec) -> BoundaryDat
     b_bottom = np.exp(-t * (pot.q[0, 0] * pot.f)[None, :])
     b_top = np.exp(-t * (pot.q[0, -1] * pot.f)[None, :])
     if g.domain.truncated:
-        b_left = np.exp(-t * (pot.q[0, :] * pot.f[0])[None, :])
-        b_right = np.exp(-t * (pot.q[0, :] * pot.f[-1])[None, :])
-        return BoundaryData(g, u0, b_bottom, b_top, b_left=b_left, b_right=b_right)
-    zeros = np.zeros((g.nt + 1, g.n2 + 2))
-    return BoundaryData(g, u0, b_bottom, b_top, k_minus=zeros, k_plus=zeros.copy())
+        caps = [np.exp(-t * (pot.q[0, :] * pot.f[i])[None, :]) for i in (0, -1)]
+    else:
+        caps = [np.zeros((g.nt + 1, g.n2 + 2)) for _ in range(2)]
+    return BoundaryData(g, u0, b_bottom, b_top, *caps)
 
 
-def decaying_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec,
-                         t0: float = 0.05) -> BoundaryData:
+def decaying_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec) -> BoundaryData:
     """Truncated-mode data decaying in x1, for open-waveguide scenarios.
 
     Built from the exact zero-potential solution
@@ -341,16 +337,16 @@ def decaying_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec,
         u_ref(t, x) = sqrt(t0/(t+t0)) exp(-x1^2/(4(t+t0)))
                       sin(pi x2/h) exp(-(pi/h)^2 t),
 
-    so the lateral traces vanish, the cap traces decay like the spreading
-    kernel, and the t=0 consistency condition holds exactly whenever the
-    potential vanishes at t=0.  Choose the truncation radius so the
+    with t0 = 0.05, so the lateral traces vanish, the cap traces decay like
+    the spreading kernel, and the t=0 consistency condition holds exactly
+    whenever the potential vanishes at t=0.  Choose the truncation radius so the
     kernel mass beyond it (Gaussian tail of variance 2(T+t0)) meets the
     experiment's error budget; the stability reports carry the measured
     cap-layer mass as a separate line.
     """
     if not grid.domain.truncated:
         raise ValueError("the decaying preset is for truncated grids")
-    h = grid.domain.h
+    h, t0 = grid.domain.h, 0.05
 
     def u_ref(t, x1, x2):
         spread = t + t0
@@ -363,11 +359,8 @@ def decaying_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec,
 
     u0 = u_ref(0.0, grid.x1[:, None], grid.x2[None, :])
     walls = np.zeros((grid.nt + 1, grid.n1 + 2))
-    cap_l = u_ref(grid.t[:, None], grid.x1[0], grid.x2[None, :])
-    cap_r = u_ref(grid.t[:, None], grid.x1[-1], grid.x2[None, :])
-    return BoundaryData(
-        grid, u0, walls, walls.copy(), b_left=cap_l, b_right=cap_r
-    )
+    caps = [u_ref(grid.t[:, None], grid.x1[i], grid.x2[None, :]) for i in (0, -1)]
+    return BoundaryData(grid, u0, walls, walls.copy(), *caps)
 
 
 @dataclass
@@ -418,13 +411,15 @@ class SeparableOracle:
     with mu = (pi/(2L))^2 + (pi/h)^2 and Q the primitive of q.  It has
     homogeneous Dirichlet traces on the lateral walls and homogeneous
     Neumann traces on the caps, so the matching data set is exact.
+    The potential is q(t) = q0 + q1 sin(pi t / T).
     """
 
-    def __init__(self, grid: SpaceTimeGrid, q0: float = 0.3, q1: float = 0.2):
+    q0 = 0.3
+    q1 = 0.2
+
+    def __init__(self, grid: SpaceTimeGrid):
         d = grid.domain
         self.grid = grid
-        self.q0 = q0
-        self.q1 = q1
         self.mu = (np.pi / (2.0 * d.L)) ** 2 + (np.pi / d.h) ** 2
 
     def q_of_t(self, t):
@@ -453,11 +448,9 @@ class SeparableOracle:
     def data(self) -> BoundaryData:
         g = self.grid
         u0 = np.asarray(self.exact(0.0, g.x1[:, None], g.x2[None, :]))
-        zeros_wall = np.zeros((g.nt + 1, g.n1 + 2))
-        zeros_cap = np.zeros((g.nt + 1, g.n2 + 2))
-        return BoundaryData(
-            g, u0, zeros_wall, zeros_wall.copy(), k_minus=zeros_cap, k_plus=zeros_cap.copy()
-        )
+        walls = [np.zeros((g.nt + 1, g.n1 + 2)) for _ in range(2)]
+        caps = [np.zeros((g.nt + 1, g.n2 + 2)) for _ in range(2)]
+        return BoundaryData(g, u0, *walls, *caps)
 
     def solve(self) -> ScalarField:
         return solve_heat(self.grid, self.potential(), self.data())

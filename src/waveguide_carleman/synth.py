@@ -103,8 +103,9 @@ class SpaceTimeBump:
 
 
 def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator,
-                        modes: int = 3, anchored_right: bool = False) -> ScalarField:
-    """Truncated sine series with seeded, mode-damped coefficients.
+                        anchored_right: bool = False) -> ScalarField:
+    """Truncated sine series with seeded, mode-damped coefficients: three
+    modes along each of t, x1 and x2.
 
     With ``anchored_right`` the axial factor uses sine modes on the
     sub-interval from the anchor column to the right cap and vanishes to
@@ -114,6 +115,7 @@ def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator,
     g = grid
     T, L, h = g.domain.T, g.domain.L, g.domain.h
     t, x1, x2 = g.t, g.x1, g.x2
+    modes = 3
 
     if anchored_right:
         a = g.alpha_snapped

@@ -106,12 +106,12 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
     )
 
 
-#: Default width of the boundary collar excluded from check norms, as a
-#: fraction of each domain extent.
+#: Width of the boundary collar excluded from check norms, as a fraction
+#: of each domain extent.
 CORE_MARGIN = 0.1
 
 
-def core_mask(grid: SpaceTimeGrid, margin: float = CORE_MARGIN) -> np.ndarray:
+def core_mask(grid: SpaceTimeGrid) -> np.ndarray:
     """Boolean mask of the evaluation core for residual norms.
 
     Stencil errors are second order pointwise, but where one-sided edge
@@ -122,9 +122,7 @@ def core_mask(grid: SpaceTimeGrid, margin: float = CORE_MARGIN) -> np.ndarray:
     space-time boundary; being resolution-independent, the core is a
     fixed-domain norm and converges at the full interior order.
     """
-    if not (0.0 <= margin < 0.5):
-        raise ValueError("margin must lie in [0, 0.5)")
-    d = grid.domain
+    d, margin = grid.domain, CORE_MARGIN
     mask = np.zeros(grid.shape, dtype=bool)
     tm = (grid.t >= margin * d.T) & (grid.t <= (1.0 - margin) * d.T)
     m1 = np.abs(grid.x1) <= d.L * (1.0 - 2.0 * margin)
@@ -152,8 +150,7 @@ def _w_operator(bundle: TransformBundle, f: ScalarField) -> np.ndarray:
     )
 
 
-def z_residual(bundle: TransformBundle,
-               margin: float = CORE_MARGIN) -> tuple[ScalarField, float]:
+def z_residual(bundle: TransformBundle) -> tuple[ScalarField, float]:
     """Residual of the differentiated equation and its L2 norm.
 
     The residual field is evaluated with the grid stencils at every node;
@@ -164,18 +161,17 @@ def z_residual(bundle: TransformBundle,
     lhs = _w_operator(bundle, z) + bundle.B1.values * z.values
     rhs = bundle.B2.values * gradient(w)[1].values + bundle.b_coef.values * w.values
     res = lhs - rhs
-    _, norm = _core_norms(g, res, core_mask(g, margin))
+    _, norm = _core_norms(g, res, core_mask(g))
     return ScalarField(g, res, FULL), norm
 
 
-def ftc_representation_check(bundle: TransformBundle,
-                             margin: float = CORE_MARGIN) -> dict[str, float]:
+def ftc_representation_check(bundle: TransformBundle) -> dict[str, float]:
     """Rebuild w and its cross-section derivative from z by anchored
     prefix integration; report max and L2 reconstruction errors over the
     evaluation core."""
     g = bundle.grid
     ia = g.alpha_index
-    mask = core_mask(g, margin)
+    mask = core_mask(g)
 
     w_rec = prefix_integral_x1(bundle.z).values + bundle.w.values[:, ia : ia + 1, :]
     err_w, err_w_l2 = _core_norms(g, w_rec - bundle.w.values, mask)
@@ -194,8 +190,7 @@ def ftc_representation_check(bundle: TransformBundle,
 
 
 def rhs_identity_check(bundle: TransformBundle, pot: PotentialSpec,
-                       pot_tilde: PotentialSpec,
-                       margin: float = CORE_MARGIN) -> dict[str, float]:
+                       pot_tilde: PotentialSpec) -> dict[str, float]:
     """Apply the w-operator and compare with the potential mismatch.
 
     P w := w_t - Lap(w) + A . grad(w) + a w should be independent of x1
@@ -205,7 +200,7 @@ def rhs_identity_check(bundle: TransformBundle, pot: PotentialSpec,
     g = bundle.grid
     Pw = _w_operator(bundle, bundle.w)
     target = (pot_tilde.q - pot.q)[:, None, :]
-    mask = core_mask(g, margin)
+    mask = core_mask(g)
 
     mismatch, mismatch_l2 = _core_norms(g, Pw - target, mask)
 

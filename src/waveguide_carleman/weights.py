@@ -372,7 +372,7 @@ def check_assumption_bounded(ws: WeightSystem) -> AssumptionReport:
     return AssumptionReport("bounded", [b1, b2, b3, b4, b5], extras)
 
 
-def check_assumption_open(ws: WeightSystem, grid: SpaceTimeGrid) -> AssumptionReport:
+def check_assumption_open(ws: WeightSystem) -> AssumptionReport:
     """Evaluate the open-regime conditions on psi = exp(x1)*psi2(x2),
     restricted to the truncated axial interval [-R, R].
 
@@ -383,6 +383,7 @@ def check_assumption_open(ws: WeightSystem, grid: SpaceTimeGrid) -> AssumptionRe
     """
     if ws.params.regime != "open":
         raise ValueError("open-regime checker called on a bounded-regime system")
+    grid = ws.grid
     R = grid.domain.L
 
     min_psi = float(np.min(ws.psi_values))

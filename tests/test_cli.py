@@ -91,6 +91,8 @@ class TestConfigParsing:
         ("verify-carleman", "[carleman]\ns_sweep: 2,inf\n", "[carleman] s_sweep"),
         ("forward", "[forward]\npreset: positive\nq_amplitude: -100\n", "[forward] q_amplitude"),
         ("stability", "[stability]\nq_amplitude: -0.5\n", "[stability] q_amplitude"),
+        ("verify-carleman", "[open]\ns_sweep: 4\n", "[open] s_sweep"),
+        ("forward", "[forward]\npreset: soup\n", "[forward] preset"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"

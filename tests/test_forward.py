@@ -31,8 +31,8 @@ def constant_data(grid, value=1.0):
         np.full((grid.n1 + 2, grid.n2 + 2), value),
         np.full(shape_wall, value),
         np.full(shape_wall, value),
-        k_minus=np.zeros(shape_cap),
-        k_plus=np.zeros(shape_cap),
+        np.zeros(shape_cap),
+        np.zeros(shape_cap),
     )
 
 
@@ -57,20 +57,15 @@ class TestPotentialAndData:
             PotentialSpec(grid, np.zeros((grid.nt + 1, grid.n2 + 2)), f)
 
     def test_mode_specific_data_validation(self, grid, open_grid):
-        with pytest.raises(ValueError, match="Neumann"):
-            BoundaryData(
-                grid,
-                np.ones((grid.n1 + 2, grid.n2 + 2)),
-                np.ones((grid.nt + 1, grid.n1 + 2)),
-                np.ones((grid.nt + 1, grid.n1 + 2)),
-            )
-        with pytest.raises(ValueError, match="Dirichlet"):
-            BoundaryData(
-                open_grid,
-                np.ones((open_grid.n1 + 2, open_grid.n2 + 2)),
-                np.ones((open_grid.nt + 1, open_grid.n1 + 2)),
-                np.ones((open_grid.nt + 1, open_grid.n1 + 2)),
-            )
+        # both modes take one required cap pair; a cap trace missing its
+        # last time level is named in the error
+        for g in (grid, open_grid):
+            wall = np.ones((g.nt + 1, g.n1 + 2))
+            for bad in ("cap_minus", "cap_plus"):
+                caps = {"cap_minus": np.ones((g.nt + 1, g.n2 + 2)),
+                        "cap_plus": np.ones((g.nt + 1, g.n2 + 2)), bad: np.ones((g.nt, g.n2 + 2))}
+                with pytest.raises(ValueError, match=f"{bad} must have shape"):
+                    BoundaryData(g, np.ones((g.n1 + 2, g.n2 + 2)), wall, wall, **caps)
 
     def test_positive_preset_is_exactly_compatible(self, grid):
         # the preset potential vanishes at t=0, so the wall consistency
@@ -95,8 +90,8 @@ class TestSolveHeat:
             np.ones((grid.n1 + 2, grid.n2 + 2)),
             np.ones((grid.nt + 1, grid.n1 + 2)),
             np.ones((grid.nt + 1, grid.n1 + 2)),
-            b_left=np.ones((grid.nt + 1, grid.n2 + 2)),
-            b_right=np.ones((grid.nt + 1, grid.n2 + 2)),
+            np.ones((grid.nt + 1, grid.n2 + 2)),
+            np.ones((grid.nt + 1, grid.n2 + 2)),
         )
         u = solve_heat(grid, zero_potential(grid), data)
         assert np.max(np.abs(u.values - 1.0)) <= 1e-12
@@ -119,16 +114,16 @@ class TestSolveHeat:
             d1.u0 + 0.2,
             d1.b_bottom + bump[None, :],
             d1.b_top.copy(),
-            k_minus=d1.k_minus + 0.1,
-            k_plus=d1.k_plus.copy(),
+            d1.cap_minus + 0.1,
+            d1.cap_plus.copy(),
         )
         d_sum = BoundaryData(
             grid,
             d1.u0 + d2.u0,
             d1.b_bottom + d2.b_bottom,
             d1.b_top + d2.b_top,
-            k_minus=d1.k_minus + d2.k_minus,
-            k_plus=d1.k_plus + d2.k_plus,
+            d1.cap_minus + d2.cap_minus,
+            d1.cap_plus + d2.cap_plus,
         )
         u1 = solve_heat(grid, pot, d1).values
         u2 = solve_heat(grid, pot, d2).values
@@ -167,20 +162,16 @@ class TestPreconditioner:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_inverts_constant_coefficient_step(self, truncated, n1, n2, c, seed):
-        # c + (-Lap_h)/2, applied through the stepper's own operator at zero
-        # data and zero potential, maps the transform solve of r back to r:
-        # this checks the DCT-I/DST-I extensions and eigenvalues directly
+        # c + (-Lap_h)/2, applied through the solver's own matvec with its
+        # diagonal c + 1/dx1^2 + 1/dx2^2, maps the transform solve of r back
+        # to r: this checks the DCT-I/DST-I extensions and eigenvalues directly
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated), n1, n2, 4)
-        rows = slice(1, -1) if truncated else slice(None)
         r = np.random.default_rng(seed).standard_normal((n1 if truncated else n1 + 2, n2))
-        u = np.zeros((n1 + 2, n2 + 2))
-        u[rows, 1:-1] = forward._separable_inverse(g)(r, c)
-        wall, cap = np.zeros((g.nt + 1, n1 + 2)), np.zeros((g.nt + 1, n2 + 2))
-        caps = {"b_left": cap, "b_right": cap} if truncated else {"k_minus": cap, "k_plus": cap}
-        data = BoundaryData(g, u, wall, wall, **caps)
-        got = c * u[rows, 1:-1] + 0.5 * forward._apply_operator(g, u, np.zeros_like(u), data, 0)
+        x = forward._separable_inverse(g)(r, c)
+        matvec, _ = forward._pcg_solver(g)
+        got = matvec(np.full(r.shape, c + 1.0 / g.dx1**2 + 1.0 / g.dx2**2), x)
         norm = c + 2.0 / g.dx1**2 + 2.0 / g.dx2**2
-        tol = 64.0 * np.finfo(float).eps * norm * np.max(np.abs(u))
+        tol = 64.0 * np.finfo(float).eps * norm * np.max(np.abs(x))
         np.testing.assert_allclose(got, r, rtol=0, atol=tol)
 
 
@@ -212,11 +203,11 @@ def reference_solve(grid, pot, data):
         c[:, 0] += data.b_bottom[k][rows] / grid.dx2**2
         c[:, -1] += data.b_top[k][rows] / grid.dx2**2
         if truncated:
-            c[0] += data.b_left[k][1:-1] / grid.dx1**2
-            c[-1] += data.b_right[k][1:-1] / grid.dx1**2
+            c[0] += data.cap_minus[k][1:-1] / grid.dx1**2
+            c[-1] += data.cap_plus[k][1:-1] / grid.dx1**2
         else:
-            c[0] += 2.0 * data.k_minus[k][1:-1] / grid.dx1
-            c[-1] += 2.0 * data.k_plus[k][1:-1] / grid.dx1
+            c[0] += 2.0 * data.cap_minus[k][1:-1] / grid.dx1
+            c[-1] += 2.0 * data.cap_plus[k][1:-1] / grid.dx1
         return c.ravel()
 
     u = np.empty(grid.shape)
@@ -228,8 +219,8 @@ def reference_solve(grid, pot, data):
         u[k + 1, :, 0] = data.b_bottom[k + 1]
         u[k + 1, :, -1] = data.b_top[k + 1]
         if truncated:
-            u[k + 1, 0] = data.b_left[k + 1]
-            u[k + 1, -1] = data.b_right[k + 1]
+            u[k + 1, 0] = data.cap_minus[k + 1]
+            u[k + 1, -1] = data.cap_plus[k + 1]
         u[k + 1][rows, 1:-1] = spsolve(lhs.tocsc(), rhs).reshape(P, grid.n2)
     return u
 
@@ -246,16 +237,15 @@ class TestAgainstSparseReference:
         pot = PotentialSpec(g, rng.uniform(-0.5, 1.0, (g.nt + 1, g.n2 + 2)),
                             rng.uniform(0.2, 2.0, g.n1 + 2))
         cap = (g.nt + 1, g.n2 + 2)
-        caps = ({"b_left": rng.standard_normal(cap), "b_right": rng.standard_normal(cap)}
-                if truncated else
-                {"k_minus": rng.standard_normal(cap), "k_plus": rng.standard_normal(cap)})
+        cap_minus, cap_plus = rng.standard_normal(cap), rng.standard_normal(cap)
         wall = (g.nt + 1, g.n1 + 2)
         data = BoundaryData(g, rng.standard_normal((g.n1 + 2, g.n2 + 2)),
-                            rng.standard_normal(wall), rng.standard_normal(wall), **caps)
+                            rng.standard_normal(wall), rng.standard_normal(wall),
+                            cap_minus=cap_minus, cap_plus=cap_plus)
         # u0 carries the level-0 Dirichlet traces, as consistent data does
         data.u0[:, 0], data.u0[:, -1] = data.b_bottom[0], data.b_top[0]
         if truncated:
-            data.u0[0], data.u0[-1] = data.b_left[0], data.b_right[0]
+            data.u0[0], data.u0[-1] = data.cap_minus[0], data.cap_plus[0]
         got = solve_heat(g, pot, data).values
         ref = reference_solve(g, pot, data)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -192,7 +192,7 @@ class TestAssumptionBounded:
 class TestAssumptionOpen:
     def test_kappa_formula(self, open_grid):
         ws = assemble_weight(WeightParams(lam=1.0, s=1.0, regime="open"), open_grid)
-        rep = check_assumption_open(ws, open_grid)
+        rep = check_assumption_open(ws)
         assert rep.extras["kappa"] == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
         assert rep.all_passed
 
@@ -207,7 +207,7 @@ class TestAssumptionOpen:
             d = WaveguideDomain(L=R, h=1.0, T=2.0, truncated=True)
             g = build_grid(d, 15, 7, 8)
             ws = assemble_weight(WeightParams(lam=0.05, regime="open"), g)
-            rep = check_assumption_open(ws, g)
+            rep = check_assumption_open(ws)
             by_name = {b.name: b for b in rep.bullets}
             margins.append(by_name["superlinear_growth"].margin)
             assert "unbounded_strip_flags" in rep.extras
@@ -216,6 +216,6 @@ class TestAssumptionOpen:
 
     def test_report_text_has_bullets(self, open_grid):
         ws = assemble_weight(WeightParams(regime="open"), open_grid)
-        text = check_assumption_open(ws, open_grid).to_text()
+        text = check_assumption_open(ws).to_text()
         assert "bullet.psi_positive" in text
         assert "kappa" in text
