@@ -21,7 +21,6 @@ weights are exactly zero there, so plain products keep it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .grid import (
     laplacian,
     normal_derivative,
     prefix_integral_x1,
+    report_text,
     time_derivative,
 )
 from .weights import WeightSystem
@@ -66,32 +66,28 @@ class InequalityReport:
     verdict: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [
-            f"report: {self.name}",
-            f"lambda: {self.lam!r}",
-            f"s: {self.s!r}",
-            f"lhs: {self.lhs!r}",
-        ]
-        for key in sorted(self.rhs_terms):
-            lines.append(f"rhs.{key}: {self.rhs_terms[key]!r}")
-        lines.append(f"empirical_C: {self.empirical_C!r}")
-        for key in sorted(self.verdict):
-            lines.append(f"verdict.{key}: {self.verdict[key]!r}")
-        if self.sweep:
-            cols = list(self.sweep[0].keys())
-            lines.append("sweep:")
-            lines.append(",".join(cols))
-            for row in self.sweep:
-                lines.append(",".join(repr(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
+        entries = {"report": self.name, "lambda": self.lam, "s": self.s, "lhs": self.lhs}
+        entries.update((f"rhs.{key}", self.rhs_terms[key]) for key in sorted(self.rhs_terms))
+        entries["empirical_C"] = self.empirical_C
+        entries.update((f"verdict.{key}", self.verdict[key]) for key in sorted(self.verdict))
+        text = report_text(entries)
+        return text + "sweep:\n" + report_text({}, self.sweep) if self.sweep else text
 
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_text())
+    @property
+    def passed(self) -> bool:
+        """Every boolean verdict holds, and ``s0``, where reported, is not None."""
+        v = self.verdict
+        return (all(x for x in v.values() if isinstance(x, bool))
+                and ("s0" not in v or v["s0"] is not None))
 
 
-def _require_regime(ws: WeightSystem, regime: str) -> None:
+def _require_regime(ws: WeightSystem, regime: str, grid: SpaceTimeGrid,
+                    *fields: ScalarField) -> None:
+    """Raise ValueError unless ``ws`` has the regime and shares ``grid`` with every field."""
     if ws.params.regime != regime:
         raise ValueError(f"{regime}-regime weight required, got {ws.params.regime!r}")
+    if ws.grid is not grid or any(f.grid is not grid for f in fields):
+        raise ValueError("every field and the weight system must share the checker's grid")
 
 
 def _sweep_report(name: str, ws: WeightSystem, sweep: list[dict], ratio_key: str,
@@ -137,7 +133,7 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
     """The four weighted summands controlled by the bounded-regime
     estimate: (sg)^-1 (Lap z)^2, (sg)^-1 (z_t)^2, sg |grad z|^2 and
     (sg)^3 z^2, each integrated against exp(-2 s eta)."""
-    _require_regime(ws, "bounded")
+    _require_regime(ws, "bounded", z.grid)
     s_val = ws.params.s if s is None else s
     return _I1_terms(z.grid, _I1_densities(z), ws.decay(s_val), s_val * ws.g)
 
@@ -192,7 +188,7 @@ def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     """Compare the weighted mass of the anchored prefix integral of F with
     the weighted mass of F itself, sweeping s.  The constant is expected
     to stay bounded across the sweep (s-uniform)."""
-    _require_regime(ws, "bounded")
+    _require_regime(ws, "bounded", grid, F)
     sweep = _prefix_sweep(F, ws, grid, s_values)
     for row in sweep:
         row["empirical_C"] = _ratio(row["lhs"], row["rhs"])
@@ -208,7 +204,7 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
                      s_values) -> InequalityReport:
     """Open-regime counterpart: the ratio is expected to decay like 1/s^2,
     measured as the slope of log(ratio) against log(s)."""
-    _require_regime(ws, "open")
+    _require_regime(ws, "open", grid, F)
     sweep = _prefix_sweep(F, ws, grid, s_values)
     for row in sweep:
         row["ratio"] = _ratio(row["lhs"], row["rhs"])
@@ -271,8 +267,8 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
     stored placeholder weight (zero); their rows are convention-dominated
     and comparisons should restrict to interior times.
     """
-    _require_regime(ws, "open")
     grid = w.grid
+    _require_regime(ws, "open", grid)
     s_val = ws.params.s if s is None else s
     phi = ws.weight.values
 
@@ -372,7 +368,7 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     fields).  The right-hand side combines the weighted mass of Pz with
     the observation-wall flux term.
     """
-    _require_regime(ws, "bounded")
+    _require_regime(ws, "bounded", grid, z, Pz)
     trace_max = _boundary_trace_max(z, "z")
 
     obs = grid.domain.obs_segment
@@ -409,7 +405,7 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     is the observation-wall flux term weighted by the outward normal
     slope of psi, plus the weighted mass of Hu.
     """
-    _require_regime(ws, "open")
+    _require_regime(ws, "open", grid, u, Hu)
     trace_max = _boundary_trace_max(u, "u")
 
     lam = ws.params.lam
@@ -435,7 +431,7 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
         lhs_zero = s**3 * lam**4 * _weighted_Q_integral(grid, zero_density, decay)
         lhs_grad = s * lam * _weighted_Q_integral(grid, grad_density, decay)
 
-        wbar = ScalarField(grid, ws.half_decay(s) * u.values, FULL)
+        wbar = ScalarField(grid, ws.decay(s / 2) * u.values, FULL)
         m1, m2 = _split_parts(wbar, coeffs, s)
         lhs_m1 = integrate_values(grid, m1**2, "Q")
         lhs_m2 = integrate_values(grid, m2**2, "Q")

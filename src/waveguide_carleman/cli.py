@@ -31,7 +31,7 @@ from . import stability as stab
 from . import synth
 from . import transform as trans
 from . import weights as wts
-from .grid import FULL, ScalarField, WaveguideDomain, build_grid, fit_convergence_order, gradient, save_field
+from .grid import WaveguideDomain, build_grid, fit_convergence_order, report_text, save_field
 
 
 class ConfigError(Exception):
@@ -231,106 +231,79 @@ def write_reference(out_dir: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _emit(path: Path, text: str, line: str | None = None) -> None:
+    """Write one report file, then print the report or its summary line."""
+    path.write_text(text)
+    print(text if line is None else line + "\n", end="")
+
+
 def cmd_forward(cfg: ScenarioConfig, out: Path) -> int:
     grid = cfg.grid()
-    if cfg["forward"]["preset"] == "oracle":
+    preset = cfg["forward"]["preset"]
+    if preset == "oracle":
         oracle = fwd.SeparableOracle(grid)
         u = oracle.solve()
-        save_field(u, out / "u")
         err_fine = oracle.relative_l2_error(u)
         coarse = build_grid(grid.domain, max(grid.n1 // 2, 4), max(grid.n2 // 2, 4),
                             max(grid.nt // 2, 4))
         err_coarse = fwd.SeparableOracle(coarse).relative_l2_error()
-        order = fit_convergence_order([coarse.dx1, grid.dx1], [err_coarse, err_fine])
-        report = "\n".join(
-            [
-                "report: forward_oracle",
-                f"scenario: {cfg['scenario']['name']}",
-                f"relative_l2_error: {err_fine!r}",
-                f"relative_l2_error_coarse: {err_coarse!r}",
-                f"fitted_order: {order!r}",
-            ]
-        ) + "\n"
-        (out / "forward_oracle.txt").write_text(report)
-        print(report, end="")
-        return 0
-    q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
-    pot = fwd.PotentialSpec(grid, q, synth.axial_factor(grid))
-    data = fwd.positive_preset_data(grid, pot)
-    u = fwd.solve_heat(grid, pot, data)
+        measured = {
+            "relative_l2_error": err_fine,
+            "relative_l2_error_coarse": err_coarse,
+            "fitted_order": fit_convergence_order([coarse.dx1, grid.dx1], [err_coarse, err_fine]),
+        }
+    else:
+        q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
+        pot = fwd.PotentialSpec(grid, q, synth.axial_factor(grid))
+        data = fwd.positive_preset_data(grid, pot)
+        u = fwd.solve_heat(grid, pot, data)
+        measured = {"min_u": float(np.min(u.values)),
+                    "compatibility_residual": fwd.compatibility_residual(data, pot)}
     save_field(u, out / "u")
-    min_u = float(np.min(u.values))
-    report = "\n".join(
-        [
-            "report: forward_positive",
-            f"scenario: {cfg['scenario']['name']}",
-            f"min_u: {min_u!r}",
-            f"compatibility_residual: {fwd.compatibility_residual(data, pot)!r}",
-        ]
-    ) + "\n"
-    (out / "forward_positive.txt").write_text(report)
-    print(report, end="")
+    _emit(out / f"forward_{preset}.txt", report_text(
+        {"report": f"forward_{preset}", "scenario": cfg["scenario"]["name"], **measured}))
     return 0
 
 
 def cmd_check_weights(cfg: ScenarioConfig, out: Path) -> int:
-    grid = cfg.grid()
-    ws = wts.assemble_weight(cfg.weight_params("bounded"), grid)
-    rep_b = wts.check_assumption_bounded(ws)
-    (out / "assumptions_bounded.txt").write_text(rep_b.to_text())
-    print(rep_b.to_text(), end="")
-
-    ogrid = cfg.open_grid()
-    wso = wts.assemble_weight(cfg.weight_params("open"), ogrid)
-    rep_o = wts.check_assumption_open(wso)
-    (out / "assumptions_open.txt").write_text(rep_o.to_text())
-    print(rep_o.to_text(), end="")
-
-    return 0 if (rep_b.all_passed and rep_o.all_passed) else 1
+    passed = []
+    for regime, grid, check in (("bounded", cfg.grid(), wts.check_assumption_bounded),
+                                ("open", cfg.open_grid(), wts.check_assumption_open)):
+        rep = check(wts.assemble_weight(cfg.weight_params(regime), grid))
+        _emit(out / f"assumptions_{regime}.txt", rep.to_text())
+        passed.append(rep.all_passed)
+    return 0 if all(passed) else 1
 
 
 def cmd_verify_lemmas(cfg: ScenarioConfig, out: Path, seed: int | None = None,
                       s_sweep: list[float] | None = None) -> int:
     rng_seed = seed if seed is not None else cfg["lemmas"]["seed"]
-    draws = cfg["lemmas"]["draws"]
-    ok = True
-
-    grid = cfg.grid()
-    ws = wts.assemble_weight(cfg.weight_params("bounded"), grid)
-    sweep = s_sweep if s_sweep is not None else cfg["weights"]["s_sweep"]
-    rng = np.random.default_rng(rng_seed)
-    for k in range(draws):
-        F = synth.random_smooth_field(grid, rng)
-        rep = carl.lemma_bounded_check(F, ws, grid, s_values=sweep)
-        rep.write(out / f"lemma_bounded_{k:02d}.txt")
-        print(f"lemma_bounded draw {k}: max C {rep.verdict['max_over_sweep']!r} "
-              f"s_uniform {rep.verdict['s_uniform']}")
-        ok = ok and rep.verdict["s_uniform"]
-
-    ogrid = cfg.open_grid()
-    wso = wts.assemble_weight(cfg.weight_params("open"), ogrid)
-    osweep = cfg["open"]["s_sweep"]
-    orng = np.random.default_rng(rng_seed)
-    for k in range(draws):
-        F = synth.random_smooth_field(ogrid, orng, anchored_right=True)
-        rep = carl.lemma_open_check(F, wso, ogrid, s_values=osweep)
-        rep.write(out / f"lemma_open_{k:02d}.txt")
-        print(f"lemma_open draw {k}: slope {rep.verdict['fitted_slope']!r} "
-              f"in_band {rep.verdict['slope_in_band']}")
-        ok = ok and rep.verdict["slope_in_band"]
-
-    return 0 if ok else 1
+    passed = []
+    for regime, grid, sweep, check, summary in (
+        ("bounded", cfg.grid(), s_sweep if s_sweep is not None else cfg["weights"]["s_sweep"],
+         carl.lemma_bounded_check, "max C {max_over_sweep!r} s_uniform {s_uniform}"),
+        ("open", cfg.open_grid(), cfg["open"]["s_sweep"],
+         carl.lemma_open_check, "slope {fitted_slope!r} in_band {slope_in_band}"),
+    ):
+        ws = wts.assemble_weight(cfg.weight_params(regime), grid)
+        rng = np.random.default_rng(rng_seed)
+        for k in range(cfg["lemmas"]["draws"]):
+            F = synth.random_smooth_field(grid, rng, anchored_right=regime == "open")
+            rep = check(F, ws, grid, s_values=sweep)
+            _emit(out / f"lemma_{regime}_{k:02d}.txt", rep.to_text(),
+                  f"lemma_{regime} draw {k}: " + summary.format(**rep.verdict))
+            passed.append(rep.passed)
+    return 0 if all(passed) else 1
 
 
 def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
-    verdicts = []
+    passed = []
 
     def report(rep: carl.InequalityReport, stem: str) -> None:
-        rep.write(out / f"{stem}.txt")
         name, case = stem.rsplit("_", 1)
-        v = rep.verdict
-        print(f"{name} {case}: s0 {v['s0']!r} finite {v['all_finite']}")
-        verdicts.append(v["all_finite"] and v["s0"] is not None)
+        _emit(out / f"{stem}.txt", rep.to_text(),
+              f"{name} {case}: s0 {rep.verdict['s0']!r} finite {rep.verdict['all_finite']}")
+        passed.append(rep.passed)
 
     grid = cfg.grid()
     ws = wts.assemble_weight(cfg.weight_params("bounded"), grid)
@@ -345,13 +318,8 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
     pair = fwd.manufacture_pair(grid, q, q + theta * synth.dq_preset(grid),
                                 synth.axial_factor(grid))
     bundle = trans.build_bundle(pair.u, pair.u_tilde, pair.pot)
-    Pz = ScalarField(
-        grid,
-        bundle.B2.values * gradient(bundle.w)[1].values + bundle.b_coef.values * bundle.w.values,
-        FULL,
-    )
-    report(carl.carleman_check_bounded(bundle.z, Pz, ws, grid, s_values=sweep),
-           "carleman_bounded_pipeline")
+    report(carl.carleman_check_bounded(bundle.z, trans.z_source(bundle), ws, grid,
+                                       s_values=sweep), "carleman_bounded_pipeline")
 
     ogrid = cfg.open_grid()
     wso = wts.assemble_weight(cfg.weight_params("open"), ogrid)
@@ -360,7 +328,7 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
                                     s_values=cfg["open"]["s_sweep"][:-1]),
            "carleman_open_bump")
 
-    return 0 if all(verdicts) else 1
+    return 0 if all(passed) else 1
 
 
 def cmd_stability(cfg: ScenarioConfig, out: Path,
@@ -374,8 +342,7 @@ def cmd_stability(cfg: ScenarioConfig, out: Path,
     reports = stab.perturbation_sweep(grid, q, dq, f, st["theta_list"], epss)
     for i, rep in enumerate(reports):
         (out / f"stability_{i:02d}.txt").write_text(rep.to_text())
-    (out / "stability_sweep.csv").write_text(stab.sweep_table(reports))
-    print(stab.sweep_table(reports), end="")
+    _emit(out / "stability_sweep.csv", stab.sweep_table(reports))
     return 0
 
 

@@ -314,37 +314,52 @@ def fit_convergence_order(spacings, errors) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Field persistence: one metadata document + one raw little-endian values file
+# Text reports; field persistence as one report + one raw little-endian file
 # ---------------------------------------------------------------------------
 
 _FORMAT = "waveguide-field-v1"
 _CREATOR = "waveguide-carleman"
 
 
+def report_text(entries: dict, rows=()) -> str:
+    """The one text format of every report and field metadata file: a
+    ``key: value`` line per entry (a ``str`` as it is, any other value by
+    ``repr``), then the columns and the rows of the dicts in ``rows``,
+    comma-separated, each cell by ``repr``."""
+    lines = [f"{key}: {value if isinstance(value, str) else repr(value)}"
+             for key, value in entries.items()]
+    if rows:
+        cols = list(rows[0])
+        lines.append(",".join(cols))
+        lines += [",".join(repr(row[c]) for c in cols) for row in rows]
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def save_field(f: ScalarField, basepath: str | Path) -> tuple[Path, Path]:
-    """Write ``basepath.meta`` (text key:value) and ``basepath.f64``
-    (little-endian float64, row-major in (time, x1, x2) order)."""
+    """Write ``basepath.meta`` (a :func:`report_text` document) and
+    ``basepath.f64`` (little-endian float64, row-major in (time, x1, x2)
+    order)."""
     base = Path(basepath)
     d = f.grid.domain
-    lines = [
-        f"format: {_FORMAT}",
-        f"creator: {_CREATOR}",
-        f"kind: {f.kind}",
-        f"segment: {f.segment or '-'}",
-        f"L: {d.L!r}",
-        f"h: {d.h!r}",
-        f"T: {d.T!r}",
-        f"alpha: {d.alpha!r}",
-        f"obs_side: {d.obs_side}",
-        f"truncated: {int(d.truncated)}",
-        f"n1: {f.grid.n1}",
-        f"n2: {f.grid.n2}",
-        f"nt: {f.grid.nt}",
-        f"shape: {','.join(str(s) for s in f.values.shape)}",
-    ]
+    meta = {
+        "format": _FORMAT,
+        "creator": _CREATOR,
+        "kind": f.kind,
+        "segment": f.segment or "-",
+        "L": d.L,
+        "h": d.h,
+        "T": d.T,
+        "alpha": d.alpha,
+        "obs_side": d.obs_side,
+        "truncated": int(d.truncated),
+        "n1": f.grid.n1,
+        "n2": f.grid.n2,
+        "nt": f.grid.nt,
+        "shape": ",".join(str(s) for s in f.values.shape),
+    }
     meta_path = base.with_suffix(base.suffix + ".meta")
     data_path = base.with_suffix(base.suffix + ".f64")
-    meta_path.write_text("\n".join(lines) + "\n")
+    meta_path.write_text(report_text(meta))
     data_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
     return meta_path, data_path
 

@@ -14,7 +14,7 @@ holds exactly, not just up to quadrature error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .grid import (
     ScalarField,
     SpaceTimeGrid,
     integrate_values,
+    report_text,
     second_derivative,
     trapezoid,
 )
@@ -39,24 +40,18 @@ class StabilityReport:
     empirical_C_eps: float
     r_bound: float
     truncation_budget: float | None = None
-    notes: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
-        lines = [
-            "report: stability",
-            f"eps: {self.eps!r}",
-            f"theta: {self.theta!r}",
-            f"lhs: {self.lhs!r}",
-            f"rhs.boundary: {self.rhs_boundary!r}",
-            f"rhs.trace: {self.rhs_trace!r}",
-            f"empirical_C_eps: {self.empirical_C_eps!r}",
-            f"r_bound: {self.r_bound!r}",
-        ]
+        entries = {
+            "report": "stability", "eps": self.eps, "theta": self.theta, "lhs": self.lhs,
+            "rhs.boundary": self.rhs_boundary, "rhs.trace": self.rhs_trace,
+            "empirical_C_eps": self.empirical_C_eps, "r_bound": self.r_bound,
+        }
         if self.truncation_budget is not None:
-            lines.append(f"truncation_budget: {self.truncation_budget!r}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
+            entries["truncation_budget"] = self.truncation_budget
+        if not np.isfinite(self.empirical_C_eps):
+            entries["note"] = "non-finite empirical constant"
+        return report_text(entries)
 
 
 def mixed_sobolev_norm(trace: ScalarField) -> float:
@@ -162,20 +157,14 @@ def perturbation_sweep(grid: SpaceTimeGrid, q: np.ndarray, dq: np.ndarray,
     for theta in thetas:
         q_tilde = np.asarray(q, dtype=float) + theta * np.asarray(dq, dtype=float)
         u_tilde = solve_heat(grid, PotentialSpec(grid, q_tilde, f), data)
-        for eps in epss:
-            rep = assemble_stability(u, u_tilde, q, q_tilde, grid, eps, theta=theta)
-            if not np.isfinite(rep.empirical_C_eps):
-                rep.notes.append("non-finite empirical constant")
-            reports.append(rep)
+        reports += [assemble_stability(u, u_tilde, q, q_tilde, grid, eps, theta=theta)
+                    for eps in epss]
     return reports
 
 
 def sweep_table(reports: list[StabilityReport]) -> str:
     """Comma-separated summary of a perturbation sweep."""
-    lines = ["theta,eps,lhs,rhs_boundary,rhs_trace,empirical_C_eps"]
-    for r in reports:
-        lines.append(
-            f"{r.theta!r},{r.eps!r},{r.lhs!r},{r.rhs_boundary!r},"
-            f"{r.rhs_trace!r},{r.empirical_C_eps!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return report_text({}, [
+        {"theta": r.theta, "eps": r.eps, "lhs": r.lhs, "rhs_boundary": r.rhs_boundary,
+         "rhs_trace": r.rhs_trace, "empirical_C_eps": r.empirical_C_eps} for r in reports
+    ])

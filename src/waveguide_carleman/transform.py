@@ -150,6 +150,14 @@ def _w_operator(bundle: TransformBundle, f: ScalarField) -> np.ndarray:
     )
 
 
+def z_source(bundle: TransformBundle) -> ScalarField:
+    """Source term B2 w_x2 + b w of the differentiated equation."""
+    w = bundle.w
+    return ScalarField(bundle.grid,
+                       bundle.B2.values * gradient(w)[1].values + bundle.b_coef.values * w.values,
+                       FULL)
+
+
 def z_residual(bundle: TransformBundle) -> tuple[ScalarField, float]:
     """Residual of the differentiated equation and its L2 norm.
 
@@ -157,10 +165,8 @@ def z_residual(bundle: TransformBundle) -> tuple[ScalarField, float]:
     the reported norm integrates over the :func:`core_mask` region.
     """
     g = bundle.grid
-    z, w = bundle.z, bundle.w
-    lhs = _w_operator(bundle, z) + bundle.B1.values * z.values
-    rhs = bundle.B2.values * gradient(w)[1].values + bundle.b_coef.values * w.values
-    res = lhs - rhs
+    z = bundle.z
+    res = _w_operator(bundle, z) + bundle.B1.values * z.values - z_source(bundle).values
     _, norm = _core_norms(g, res, core_mask(g))
     return ScalarField(g, res, FULL), norm
 

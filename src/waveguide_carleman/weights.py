@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FULL, SPATIAL_SLICE, ScalarField, SpaceTimeGrid
+from .grid import FULL, SPATIAL_SLICE, ScalarField, SpaceTimeGrid, report_text
 
 #: Decayed weight values below this threshold are clamped to exactly zero,
 #: giving deterministic underflow behaviour in quadratures.
@@ -241,13 +241,7 @@ class WeightSystem:
     def decay(self, s: float | None = None) -> np.ndarray:
         """exp(-2*s*weight) with endpoint time rows exactly 0 and values
         below the underflow clamp set to 0."""
-        return self._decay(2.0 * (self.params.s if s is None else s))
-
-    def half_decay(self, s: float | None = None) -> np.ndarray:
-        """exp(-s*weight) with the same endpoint and clamping conventions."""
-        return self._decay(self.params.s if s is None else s)
-
-    def _decay(self, factor: float) -> np.ndarray:
+        factor = 2.0 * (self.params.s if s is None else s)
         out = np.zeros(self.grid.shape)
         out[1:-1] = np.exp(-factor * self.weight.values[1:-1])
         out[out < UNDERFLOW_CLAMP] = 0.0
@@ -319,15 +313,12 @@ class AssumptionReport:
         return all(b.passed for b in self.bullets)
 
     def to_text(self) -> str:
-        lines = [f"regime: {self.regime}", f"all_passed: {str(self.all_passed).lower()}"]
+        entries = {"regime": self.regime, "all_passed": str(self.all_passed).lower()}
         for b in self.bullets:
-            lines.append(
-                f"bullet.{b.name}: {'pass' if b.passed else 'FAIL'} "
-                f"margin={b.margin!r}{' ' + b.detail if b.detail else ''}"
-            )
-        for key in sorted(self.extras):
-            lines.append(f"{key}: {self.extras[key]!r}")
-        return "\n".join(lines) + "\n"
+            entries[f"bullet.{b.name}"] = (f"{'pass' if b.passed else 'FAIL'} "
+                                           f"margin={b.margin!r}{' ' + b.detail if b.detail else ''}")
+        entries.update((key, repr(self.extras[key])) for key in sorted(self.extras))
+        return report_text(entries)
 
 
 def check_assumption_bounded(ws: WeightSystem) -> AssumptionReport:

@@ -1,8 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid
 from waveguide_carleman.carleman import (
+    InequalityReport,
     WeightOverflowError,
     carleman_check_bounded,
     carleman_check_open,
@@ -306,14 +311,72 @@ class TestCarlemanOpen:
 
 
 class TestReportSerialization:
-    def test_text_round_trip_structure(self, grid, ws, rng, tmp_path):
+    def test_text_round_trip_structure(self, grid, ws, rng):
         F = random_smooth_field(grid, rng)
         rep = lemma_bounded_check(F, ws, grid, s_values=[1, 2])
-        path = tmp_path / "report.txt"
-        rep.write(path)
-        text = path.read_text()
+        text = rep.to_text()
         assert "report: prefix_integral_bounded" in text
-        assert "sweep:" in text
+        assert "sweep:\ns,lambda,lhs,rhs,empirical_C\n" in text
         assert "empirical_C" in text
         # deterministic serialization
         assert text == rep.to_text()
+
+
+def _load_bench_gate():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("bench_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPassRule:
+    """``InequalityReport.passed`` and the benchmark gate's
+    ``verdict_failed`` state one rule; a change to either fails here."""
+
+    @pytest.mark.parametrize("verdict, expected", [
+        ({"s_uniform": True, "max_over_sweep": 0.2}, True),
+        ({"fitted_slope": -2.0, "slope_in_band": True, "kappa": 0.5}, True),
+        ({"s0": 4.0, "all_finite": True, "boundary_trace_max": 0.0}, True),
+        ({"s_uniform": False, "max_over_sweep": 3.0}, False),
+        ({"fitted_slope": -1.4, "slope_in_band": False, "kappa": 0.5}, False),
+        ({"s0": None, "all_finite": True, "boundary_trace_max": 0.0}, False),
+        ({"s0": 4.0, "all_finite": False, "boundary_trace_max": 0.0}, False),
+    ])
+    def test_passed_matches_bench_gate(self, verdict, expected):
+        gate = _load_bench_gate()
+        rep = InequalityReport(name="r", lam=1.0, s=1.0, lhs=1.0, rhs_terms={},
+                               empirical_C=1.0, verdict=verdict)
+        assert rep.passed is expected
+        assert rep.passed == (not gate.verdict_failed(rep))
+
+
+class TestGridAgreement:
+    """A field, ``grid`` and ``ws.grid`` on grids of one shape but different
+    domains used to give a silent pass; every checker now rejects it."""
+
+    @staticmethod
+    def _checks(regime):
+        if regime == "bounded":
+            return [
+                lambda F, Pz, ws, g: lemma_bounded_check(F, ws, g, s_values=[1, 2]),
+                lambda F, Pz, ws, g: carleman_check_bounded(F, Pz, ws, g, s_values=[2, 4]),
+            ]
+        return [
+            lambda F, Pz, ws, g: lemma_open_check(F, ws, g, s_values=[4, 8]),
+            lambda F, Pz, ws, g: carleman_check_open(F, Pz, ws, g, s_values=[4, 8]),
+        ]
+
+    @pytest.mark.parametrize("regime", ["bounded", "open"])
+    @pytest.mark.parametrize("stray", ["field", "grid", "weight"])
+    def test_mismatched_grid_rejected(self, regime, stray):
+        near, far = (build_grid(WaveguideDomain(L=L, h=1.0, T=2.0, truncated=regime == "open"),
+                                15, 15, 16) for L in (1.0, 3.0))
+        grids = {"field": near, "grid": near, "weight": near}
+        grids[stray] = far
+        bump = SpaceTimeBump(grids["field"])
+        ws = assemble_weight(WeightParams(lam=1.0, s=4.0, regime=regime), grids["weight"])
+        for check in self._checks(regime):
+            with pytest.raises(ValueError, match="share"):
+                check(bump.field(), bump.heat_residual(), ws, grids["grid"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from waveguide_carleman import (
 from waveguide_carleman.grid import (
     fit_convergence_order,
     integrate_values,
+    report_text,
     second_derivative,
 )
 
@@ -311,6 +314,37 @@ class TestPrefixIntegral:
         assert np.max(np.abs(out[:, g.alpha_index, :])) == 0.0
         tol = 64.0 * (n1 + 2) * np.finfo(float).eps * 10.0 * (2.0 * L + L**2)
         np.testing.assert_allclose(out, exact, rtol=0, atol=tol)
+
+
+def _same_float(text: str, value: float) -> bool:
+    back = float(text)
+    if math.isnan(value):
+        return math.isnan(back)
+    return back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+
+
+class TestReportText:
+    @given(
+        st.dictionaries(
+            st.text("abcxyz_.019", min_size=1, max_size=8),
+            st.one_of(st.floats(), st.text(st.characters(exclude_characters="\n"))),
+        ),
+        st.lists(st.tuples(st.floats(), st.floats()), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trips_floats_and_keeps_strings(self, entries, cells):
+        rows = [{"a": x, "b.c": y} for x, y in cells]
+        lines = report_text(entries, rows).split("\n")
+        assert lines.pop() == ""
+        for (key, value), line in zip(entries.items(), lines):
+            read_key, sep, text = line.partition(": ")
+            assert (read_key, sep) == (key, ": ")
+            assert (text == value) if isinstance(value, str) else _same_float(text, value)
+        table = lines[len(entries):]
+        assert table[:1] == (["a,b.c"] if rows else [])
+        for row, line in zip(rows, table[1:], strict=True):
+            x, y = line.split(",")
+            assert _same_float(x, row["a"]) and _same_float(y, row["b.c"])
 
 
 class TestPersistence:

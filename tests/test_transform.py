@@ -4,13 +4,14 @@ import sympy as sp
 
 from waveguide_carleman import build_bundle, build_grid, manufacture_pair
 from waveguide_carleman.forward import PotentialSpec
-from waveguide_carleman.grid import fit_convergence_order
+from waveguide_carleman.grid import fit_convergence_order, gradient
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 from waveguide_carleman.transform import (
     core_mask,
     ftc_representation_check,
     rhs_identity_check,
     z_residual,
+    z_source,
 )
 
 
@@ -109,6 +110,14 @@ class TestPipelineIdentities:
         assert norm == 0.0
         rep = rhs_identity_check(b, pair.pot, pair.pot_tilde)
         assert rep["mismatch_vs_target"] == 0.0
+
+    def test_z_source_matches_hand_written_source(self, grid):
+        # the benchmark builds B2 w_x2 + b w by hand; both must agree bit for bit
+        pair = _pair(grid)
+        b = build_bundle(pair.u, pair.u_tilde, pair.pot)
+        by_hand = b.B2.values * gradient(b.w)[1].values + b.b_coef.values * b.w.values
+        np.testing.assert_array_equal(z_source(b).values, by_hand)
+        assert np.max(np.abs(by_hand)) > 0.0
 
     def test_initial_level_of_z_is_exactly_zero(self, grid):
         pair = _pair(grid)
