@@ -46,8 +46,8 @@ def _at_least(n: float, floor: int) -> None:
 def _all_positive(values: list[float], least: int = 1) -> None:
     if len(values) < least:
         raise ValueError(f"needs at least {least} s values, got {values}")
-    if not all(0.0 < v < float("inf") for v in values):
-        raise ValueError(f"s values must be positive and finite, got {values}")
+    if not all(v > 0.0 for v in values):
+        raise ValueError(f"s values must be positive, got {values}")
 
 
 def _one_of(value: str, choices: tuple[str, ...]) -> None:
@@ -55,10 +55,19 @@ def _one_of(value: str, choices: tuple[str, ...]) -> None:
         raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
 
 
+def finite_float(text: str) -> float:
+    """Parse one finite number; raises ValueError otherwise (``inf`` and
+    ``nan`` included)."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value
+
+
 def float_list(text: str) -> list[float]:
-    """Parse a non-empty comma-separated list of numbers (config values and
-    command-line flags alike); raises ValueError otherwise."""
-    values = [float(p) for p in text.replace(";", ",").split(",") if p.strip()]
+    """Parse a non-empty comma-separated list of finite numbers (config
+    values and command-line flags alike); raises ValueError otherwise."""
+    values = [finite_float(p) for p in text.replace(";", ",").split(",") if p.strip()]
     if not values:
         raise ValueError(f"empty list: {text!r}")
     return values
@@ -71,10 +80,10 @@ _SPEC: dict[str, dict[str, tuple]] = {
         "name": (None, str, "label written into every report (required)"),
     },
     "domain": {
-        "L": (1.0, float, "axial half-length (truncation radius in open mode)"),
-        "h": (1.0, float, "cross-section height"),
-        "T": (2.0, float, "final time"),
-        "alpha": (0.0, float, "anchor abscissa in (-L, L)"),
+        "L": (1.0, finite_float, "axial half-length (truncation radius in open mode)"),
+        "h": (1.0, finite_float, "cross-section height"),
+        "T": (2.0, finite_float, "final time"),
+        "alpha": (0.0, finite_float, "anchor abscissa in (-L, L)"),
         "obs_side": ("top", str, "observed lateral wall: top or bottom"),
     },
     "grid": {
@@ -83,17 +92,17 @@ _SPEC: dict[str, dict[str, tuple]] = {
         "nt": (64, int, "time step count"),
     },
     "weights": {
-        "lambda": (1.0, float, "weight sharpness"),
-        "s": (4.0, float, "headline large parameter"),
-        "delta": (0.5, float, "cross-section profile offset"),
-        "c1": (0.5, float, "axial profile floor"),
+        "lambda": (1.0, finite_float, "weight sharpness"),
+        "s": (4.0, finite_float, "headline large parameter"),
+        "delta": (0.5, finite_float, "cross-section profile offset"),
+        "c1": (0.5, finite_float, "axial profile floor"),
         "s_sweep": ([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], float_list, "s values swept by checks"),
     },
     "open": {
         "n1": (127, int, "axial nodes for open-regime checks"),
         "n2": (7, int, "cross-section nodes for open-regime checks"),
         "nt": (32, int, "time steps for open-regime checks"),
-        "lambda": (1.1, float, "weight sharpness for open-regime checks"),
+        "lambda": (1.1, finite_float, "weight sharpness for open-regime checks"),
         "s_sweep": ([4.0, 8.0, 16.0, 32.0, 64.0], float_list, "s sweep for the open inequality"),
     },
     "lemmas": {
@@ -102,18 +111,18 @@ _SPEC: dict[str, dict[str, tuple]] = {
     },
     "forward": {
         "preset": ("oracle", str, "oracle (closed-form yardstick) or positive"),
-        "q_amplitude": (0.4, float, "amplitude of the potential preset"),
+        "q_amplitude": (0.4, finite_float, "amplitude of the potential preset"),
     },
     "carleman": {
         "s_sweep": ([2.0, 4.0, 8.0, 16.0, 32.0], float_list, "s sweep for the bounded estimate"),
-        "bump_amplitude": (1.0, float, "amplitude of the boundary-vanishing test bump"),
-        "theta": (0.1, float, "perturbation size for the pipeline field"),
+        "bump_amplitude": (1.0, finite_float, "amplitude of the boundary-vanishing test bump"),
+        "theta": (0.1, finite_float, "perturbation size for the pipeline field"),
     },
     "stability": {
         "theta_list": ([0.1, 0.05, 0.025], float_list, "perturbation sizes"),
         "eps_list": ([0.25, 0.5], float_list, "time-window margins"),
-        "q_amplitude": (0.4, float, "amplitude of the potential preset"),
-        "f_bump": (0.5, float, "amplitude of the axial factor's cosine bump"),
+        "q_amplitude": (0.4, finite_float, "amplitude of the potential preset"),
+        "f_bump": (0.5, finite_float, "amplitude of the axial factor's cosine bump"),
     },
 }
 
@@ -145,7 +154,7 @@ class ScenarioConfig:
                     try:
                         values[section][key] = parser(text)
                     except (TypeError, ValueError) as exc:
-                        raise ConfigError(f"invalid value for {section}.{key}: {text!r}") from exc
+                        raise ConfigError(f"invalid value for [{section}] {key}: {text!r}") from exc
                 elif default is None:
                     raise ConfigError(f"missing config key: {section}.{key}")
                 else:
@@ -172,6 +181,7 @@ class ScenarioConfig:
             ("[forward] preset", lambda: _one_of(cfg["forward"]["preset"], ("oracle", "positive"))),
             ("[forward] q_amplitude", lambda: _at_least(cfg["forward"]["q_amplitude"], 0)),
             ("[stability] q_amplitude", lambda: _at_least(st["q_amplitude"], 0)),
+            ("[stability] f_bump", lambda: synth.axial_factor(cfg.grid(), st["f_bump"])),
             ("[weights] s_sweep", lambda: _all_positive(cfg["weights"]["s_sweep"])),
             # verify-carleman sweeps all but the last entry; verify-lemmas fits a slope
             ("[open] s_sweep", lambda: _all_positive(cfg["open"]["s_sweep"], least=2)),

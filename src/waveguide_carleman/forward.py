@@ -14,12 +14,13 @@ level.  The modes differ in which x1 rows are unknown, in the ghost-value
 cap rows, and in what the data's one cap-trace pair means.  Each step's
 system 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate gradients,
 preconditioned by the same system with V^{k+1} replaced by its mean
-(Concus & Golub 1973).  That constant-coefficient system is solved
-exactly by fast transforms: DCT-I along x1 for the ghost-value caps,
-DST-I along each Dirichlet axis, both built on ``numpy.fft``.  A step
-matrix that is not positive definite is rejected before marching.  The
-scheme is unconditionally stable and second order in space and time; the
-separable closed-form oracle below is the convergence yardstick.
+(Concus & Golub 1973), which the transforms that diagonalise it solve
+exactly (Swarztrauber 1977): DCT-I along x1 for the ghost-value caps and
+DST-I along each Dirichlet axis, as dense matrix products, not
+``numpy.fft`` (faster on square grids, slower on long, thin truncated
+ones).  Non-finite samples and a step matrix that is not positive
+definite are rejected before marching.  The scheme is unconditionally
+stable and second order; the closed-form oracle below is its yardstick.
 """
 
 from __future__ import annotations
@@ -55,12 +56,8 @@ class PotentialSpec:
 
     def __post_init__(self) -> None:
         g = self.grid
-        self.q = np.asarray(self.q, dtype=float)
-        self.f = np.asarray(self.f, dtype=float)
-        if self.q.shape != (g.nt + 1, g.n2 + 2):
-            raise ValueError(f"q samples must have shape {(g.nt + 1, g.n2 + 2)}")
-        if self.f.shape != (g.n1 + 2,):
-            raise ValueError(f"f samples must have shape {(g.n1 + 2,)}")
+        _store_samples(self, "q", (g.nt + 1, g.n2 + 2))
+        _store_samples(self, "f", (g.n1 + 2,))
         if np.min(self.f) <= 0.0:
             raise ValueError(f"axial factor must be positive, min f = {np.min(self.f)}")
 
@@ -88,14 +85,21 @@ class BoundaryData:
 
     def __post_init__(self) -> None:
         g = self.grid
-        self.u0 = np.asarray(self.u0, dtype=float)
-        if self.u0.shape != (g.n1 + 2, g.n2 + 2):
-            raise ValueError("u0 must be sampled on the spatial grid")
+        _store_samples(self, "u0", (g.n1 + 2, g.n2 + 2))
         for name, n in (("b_bottom", g.n1), ("b_top", g.n1), ("cap_minus", g.n2),
                         ("cap_plus", g.n2)):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-            if getattr(self, name).shape != (g.nt + 1, n + 2):
-                raise ValueError(f"{name} must have shape {(g.nt + 1, n + 2)}")
+            _store_samples(self, name, (g.nt + 1, n + 2))
+
+
+def _store_samples(owner, name, shape):
+    """Store ``owner.name`` as a float array of ``shape`` with finite entries
+    (a NaN would stop CG before its first iteration); else ValueError."""
+    a = np.asarray(getattr(owner, name), dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} samples must be finite")
+    setattr(owner, name, a)
 
 
 def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
@@ -196,43 +200,38 @@ def _spectrum(n, d, neumann):
     return (2.0 - 2.0 * np.cos(2.0 * np.pi * j / m)) / d**2, m
 
 
-def _last_axis_transform(n, lines, neumann):
-    """Unnormalised DCT-I (``neumann``) or DST-I along the last axis of a
-    (lines, n) array, read off numpy's rfft of the even or odd extension.
-    The extension buffer is built once here.  Applying the transform twice
-    multiplies by the extension length m of ``_spectrum``."""
+def _transform_matrix(n, neumann):
+    """Unnormalised DCT-I (``neumann``, end columns halved) or DST-I on n
+    points as a dense (n, n) matrix M: the transform of x along axis 0 is
+    M @ x.  j k is reduced modulo the extension length m of ``_spectrum``
+    before scaling, so every angle lies in [0, 2 pi); M @ M = m I."""
     m = _spectrum(n, 1.0, neumann)[1]
-    ext = np.zeros((lines, m))
-
-    def transform(x):
-        if neumann:
-            ext[:, :n] = x
-            ext[:, n:] = x[:, -2:0:-1]
-            return np.fft.rfft(ext).real
-        ext[:, 1:n + 1] = x
-        np.negative(x[:, ::-1], out=ext[:, n + 2:])
-        return np.fft.rfft(ext).imag[:, 1:n + 1]
-
-    return transform
+    j = np.arange(n) + (0 if neumann else 1)
+    angle = 2.0 * np.pi * (np.outer(j, j) % m) / m
+    if not neumann:
+        return 2.0 * np.sin(angle)
+    M = 2.0 * np.cos(angle)
+    M[:, [0, -1]] *= 0.5
+    return M
 
 
 def _separable_inverse(grid):
     """inverse(r, c) = (c + (-Lap_h) / 2)^-1 r on the unknown block, with
     -Lap_h the five-point operator of ``_pcg_solver``'s matvec: DCT-I
-    along x1 (ghost-value caps) or DST-I (truncated), DST-I along x2."""
+    along x1 (ghost-value caps) or DST-I (truncated), DST-I along x2, as
+    dense products costing 4 P Q (P + Q) flops on P x Q unknowns.  That
+    beats FFTs on square grids but not on long, thin truncated ones (at
+    511 x 15 the solve takes about twice as long)."""
     truncated = grid.domain.truncated
     P, Q = (grid.n1 if truncated else grid.n1 + 2), grid.n2
     lam1, m1 = _spectrum(P, grid.dx1, not truncated)
     lam2, m2 = _spectrum(Q, grid.dx2, False)
-    along_x1 = _last_axis_transform(P, Q, not truncated)
-    along_x2 = _last_axis_transform(Q, P, False)
+    M1 = _transform_matrix(P, not truncated)
+    M2 = _transform_matrix(Q, False)
     half = 0.5 * m1 * m2 * (lam1[:, None] + lam2[None, :])
 
-    def transform(x):
-        return along_x2(along_x1(x.T).T)
-
     def inverse(r, c):
-        return transform(transform(r) / (m1 * m2 * c + half))
+        return M1 @ ((M1 @ r @ M2) / (m1 * m2 * c + half)) @ M2
 
     return inverse
 

@@ -62,7 +62,7 @@ class TestConfigParsing:
     def test_invalid_value_named(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[scenario]\nname: x\n\n[grid]\nn1: soup\n")
-        with pytest.raises(ConfigError, match="grid.n1"):
+        with pytest.raises(ConfigError, match=re.escape("[grid] n1")):
             ScenarioConfig.parse(p)
 
     @pytest.mark.parametrize("section, text", [
@@ -93,6 +93,12 @@ class TestConfigParsing:
         ("stability", "[stability]\nq_amplitude: -0.5\n", "[stability] q_amplitude"),
         ("verify-carleman", "[open]\ns_sweep: 4\n", "[open] s_sweep"),
         ("forward", "[forward]\npreset: soup\n", "[forward] preset"),
+        ("forward", "[domain]\nT: inf\n", "[domain] T"),
+        ("forward", "[forward]\nq_amplitude: inf\n", "[forward] q_amplitude"),
+        ("stability", "[stability]\ntheta_list: nan\n", "[stability] theta_list"),
+        ("verify-carleman", "[carleman]\ntheta: nan\n", "[carleman] theta"),
+        ("check-weights", "[weights]\ndelta: nan\n", "[weights] delta"),
+        ("stability", "[stability]\nf_bump: 1.5\n", "[stability] f_bump"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"

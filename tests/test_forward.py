@@ -67,6 +67,25 @@ class TestPotentialAndData:
                 with pytest.raises(ValueError, match=f"{bad} must have shape"):
                     BoundaryData(g, np.ones((g.n1 + 2, g.n2 + 2)), wall, wall, **caps)
 
+    def test_non_finite_samples_are_named(self, domain):
+        # a NaN used to pass silently: in bounded cap data it stopped CG
+        # before its first iteration (level 5 came out equal to level 4),
+        # and in q it was reported as an indefinite step matrix
+        grid = build_grid(domain, 16, 16, 32)
+        pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
+        data = positive_preset_data(grid, pot)
+        names = ("u0", "b_bottom", "b_top", "cap_minus", "cap_plus")
+        for name, bad in zip(names, (np.nan, np.inf, -np.inf, np.nan, np.nan)):
+            arrays = {n: getattr(data, n).copy() for n in names}
+            arrays[name][5, 3] = bad
+            with pytest.raises(ValueError, match=f"{name} samples must be finite"):
+                BoundaryData(grid, **arrays)
+        for name, bad in (("q", np.nan), ("f", np.inf)):
+            arrays = {"q": pot.q.copy(), "f": pot.f.copy()}
+            arrays[name][5] = bad
+            with pytest.raises(ValueError, match=f"{name} samples must be finite"):
+                PotentialSpec(grid, **arrays)
+
     def test_positive_preset_is_exactly_compatible(self, grid):
         # the preset potential vanishes at t=0, so the wall consistency
         # residual is identically zero
@@ -173,6 +192,35 @@ class TestPreconditioner:
         norm = c + 2.0 / g.dx1**2 + 2.0 / g.dx2**2
         tol = 64.0 * np.finfo(float).eps * norm * np.max(np.abs(x))
         np.testing.assert_allclose(got, r, rtol=0, atol=tol)
+
+
+def rfft_transform(x, neumann):
+    """Unnormalised DCT-I (``neumann``) or DST-I along axis 0 of x, read off
+    numpy's rfft of the even or odd extension: the reference route for the
+    solver's dense transform matrices (the DST-I comes out negated)."""
+    n = x.shape[0]
+    if neumann:
+        return np.fft.rfft(np.concatenate([x, x[-2:0:-1]]), axis=0).real
+    zero = np.zeros((1,) + x.shape[1:])
+    ext = np.concatenate([zero, x, zero, -x[::-1]])
+    return np.fft.rfft(ext, axis=0).imag[1:n + 1]
+
+
+class TestTransformMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(neumann=st.booleans(), n=st.integers(2, 257), seed=st.integers(0, 2**32 - 1))
+    def test_matches_fft_extension_and_squares_to_m(self, neumann, n, seed):
+        # tolerances fixed from n eps: a length-n sum errs by at most about
+        # n eps times the sum of its absolute terms, here |M_kj x_j| <= 2|x_j|
+        # for M @ x and |M_ij M_jk| <= 4 for M @ M
+        eps = np.finfo(float).eps
+        M = forward._transform_matrix(n, neumann)
+        m = forward._spectrum(n, 1.0, neumann)[1]
+        x = np.random.default_rng(seed).standard_normal((n, 3))
+        sign = 1.0 if neumann else -1.0
+        tol = 4.0 * n * eps * np.sum(np.abs(x), axis=0)
+        assert np.all(np.abs(M @ x - sign * rfft_transform(x, neumann)) <= tol)
+        np.testing.assert_allclose(M @ M, m * np.eye(n), rtol=0, atol=4.0 * n * n * eps)
 
 
 def second_difference(n, d, doubled_ends=False):
@@ -332,16 +380,21 @@ class TestDecayingPreset:
 
 
 class TestThreadIndependence:
-    def test_large_step_does_not_depend_on_blas_threads(self, tmp_path):
-        # 162 x 128 = 20,736 unknowns per step: at this length a BLAS dot
-        # product gives different bits at 1 and at 2 threads, so any BLAS
-        # inner product inside the iteration would show here
+    # The preconditioner applies its transforms as GEMMs (M1 @ r @ M2).
+    # OpenBLAS splits a GEMM over output rows and columns, never over the
+    # summed index, so each entry is summed in one order at any thread
+    # count.  A BLAS dot product is split over its length; any BLAS inner
+    # product inside the iteration would show in these solves.
+
+    def solve_bytes(self, tmp_path, truncated, n1, n2):
+        """Bytes of a 4-step positive-preset solve at 1 and at 2 threads."""
         script = (
             "import sys\n"
             "from waveguide_carleman import WaveguideDomain, build_grid, solve_heat\n"
             "from waveguide_carleman.forward import PotentialSpec, positive_preset_data\n"
             "from waveguide_carleman.synth import axial_factor, q_preset\n"
-            "g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), 160, 128, 4)\n"
+            f"d = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated={truncated})\n"
+            f"g = build_grid(d, {n1}, {n2}, 4)\n"
             "pot = PotentialSpec(g, q_preset(g), axial_factor(g))\n"
             "u = solve_heat(g, pot, positive_preset_data(g, pot))\n"
             "open(sys.argv[1], 'wb').write(u.values.tobytes())\n"
@@ -355,6 +408,17 @@ class TestThreadIndependence:
                                   capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             paths.append(path)
-        first = paths[0].read_bytes()
+        return paths[0].read_bytes(), paths[1].read_bytes()
+
+    def test_large_step_does_not_depend_on_blas_threads(self, tmp_path):
+        # 162 x 128 = 20,736 unknowns per step: at this length a BLAS dot
+        # product gives different bits at 1 and at 2 threads
+        first, second = self.solve_bytes(tmp_path, False, 160, 128)
         assert len(first) == 5 * 162 * 130 * 8
-        assert first == paths[1].read_bytes()
+        assert first == second
+
+    def test_truncated_step_does_not_depend_on_blas_threads(self, tmp_path):
+        # DST-I along both axes, with the long axis in the left-hand GEMM
+        first, second = self.solve_bytes(tmp_path, True, 256, 96)
+        assert len(first) == 5 * 258 * 98 * 8
+        assert first == second
