@@ -176,6 +176,9 @@ class ScenarioConfig:
             ("[open] lambda", lambda: cfg.weight_params("open")),
             ("[stability] theta_list", lambda: stab.check_sweep(cfg.grid(), st["theta_list"], [])),
             ("[stability] eps_list", lambda: stab.check_sweep(cfg.grid(), [], st["eps_list"])),
+            # theta 0 makes u and u~ coincide, so the pipeline field z vanishes
+            ("[carleman] theta",
+             lambda: stab.check_sweep(cfg.grid(), [cfg["carleman"]["theta"]], [])),
             ("[lemmas] draws", lambda: _at_least(cfg["lemmas"]["draws"], 1)),
             ("[lemmas] seed", lambda: _at_least(cfg["lemmas"]["seed"], 0)),
             ("[forward] preset", lambda: _one_of(cfg["forward"]["preset"], ("oracle", "positive"))),
@@ -266,7 +269,7 @@ def cmd_forward(cfg: ScenarioConfig, out: Path) -> int:
         q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
         pot = fwd.PotentialSpec(grid, q, synth.axial_factor(grid))
         data = fwd.positive_preset_data(grid, pot)
-        u = fwd.solve_heat(grid, pot, data)
+        [u] = fwd.solve_heat(grid, [pot], data)
         measured = {"min_u": float(np.min(u.values)),
                     "compatibility_residual": fwd.compatibility_residual(data, pot)}
     save_field(u, out / "u")

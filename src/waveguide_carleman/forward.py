@@ -12,30 +12,36 @@ operator on the unknown block serves both boundary modes and both sides
 of each step; the boundary data enter only through an edge lift of each
 level.  The modes differ in which x1 rows are unknown, in the ghost-value
 cap rows, and in what the data's one cap-trace pair means.  Each step's
-system 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate gradients,
+system A = 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate gradients,
 preconditioned by the same system with V^{k+1} replaced by its mean
 (Concus & Golub 1973), which the transforms that diagonalise it solve
 exactly (Swarztrauber 1977): DCT-I along x1 for the ghost-value caps and
 DST-I along each Dirichlet axis, as dense matrix products, not
 ``numpy.fft`` (faster on square grids, slower on long, thin truncated
-ones).  Non-finite samples and a step matrix that is not positive
-definite are rejected before marching.  The scheme is unconditionally
-stable and second order; the closed-form oracle below is its yardstick.
+ones).  Because that solve is exact, A z = r + E z for the preconditioned
+residual z, with E the potential's excess over its mean on the diagonal,
+so the iteration applies no stencil; the five-point operator runs once
+per step.  Solves that share a grid and a data set and differ only in the
+potential march as one stack, each member with its own iteration, and a
+member's field does not depend on the stack.  Non-finite samples and a
+step matrix that is not positive definite are rejected before marching.
+The scheme is unconditionally stable and second order; the closed-form
+oracle below is its yardstick.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
+    BOUNDARY_TRACE,
     FULL,
     ScalarField,
     SpaceTimeGrid,
-    gradient,
     integrate_values,
-    normal_derivative,
     one_sided_derivative,
     second_derivative,
 )
@@ -43,7 +49,7 @@ from .grid import (
 
 class SolverBreakdownError(RuntimeError):
     """A time step's iterative solve did not converge within the
-    iteration cap; the message names the step."""
+    iteration cap; the message names the member and the step."""
 
 
 @dataclass
@@ -124,21 +130,31 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_heat(grid: SpaceTimeGrid, pot: PotentialSpec, data: BoundaryData) -> ScalarField:
-    """March the heat equation over all time levels and return the full field.
+def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
+               data: BoundaryData) -> list[ScalarField]:
+    """March the heat equation for each potential in ``pots`` over all time
+    levels, with the one data set ``data``; return one full field per
+    potential, in order.
 
-    Both boundary modes take the same step.  On the unknown block the step
-    matrix of level k is A_k = 1/dt + (-Lap_h + V^k)/2 with the known
-    values removed, and the step solves
+    The potentials march together as one (B, P, Q) stack on the unknown
+    block.  Both boundary modes take the same step: the step matrix of
+    level k is A_k = 1/dt + (-Lap_h + V^k)/2 with the known values removed,
+    and each member's step solves
 
         A_{k+1} u^{k+1} = 2 u^k / dt - A_k u^k + (l_k + l_{k+1}) / 2,
 
     where l_k lifts level k's known values onto the edges of the block:
     the Dirichlet neighbours stored in u[k] (level 0 keeps the edges of
     u0) over dx^2 and, on bounded caps, the ghost-value Neumann terms
-    2 cap / dx1.  Each level's diagonal and lift are built once;
-    conjugate gradients start from level k."""
-    if data.grid is not grid or pot.grid is not grid:
+    2 cap / dx1.  The lift is shared by every member, and each level's
+    diagonal is built from q[k] and f.  The five-point operator runs once
+    per step, on A_k u^k; the warm start's residual takes
+    A_{k+1} u^k = A_k u^k + (diag_{k+1} - diag_k) u^k.  Each member's
+    field is the same, bit for bit, whatever the stack's size."""
+    pots = list(pots)
+    if not pots:
+        raise ValueError("solve_heat needs at least one potential")
+    if data.grid is not grid or any(pot.grid is not grid for pot in pots):
         raise ValueError("potential, data and solve must share one grid")
     if grid.dt > grid.domain.T / 4.0 + 1e-14:
         raise ValueError(f"time step {grid.dt} exceeds T/4; refine the time grid")
@@ -146,31 +162,37 @@ def solve_heat(grid: SpaceTimeGrid, pot: PotentialSpec, data: BoundaryData) -> S
     dt, dx1, dx2 = grid.dt, grid.dx1, grid.dx2
     truncated = grid.domain.truncated
     rows = slice(1, -1) if truncated else slice(None)
-    V = pot.potential_values()
-    min_v = float(np.min(V[1:, rows, 1:-1]))
     # smallest eigenvalue of -Lap_h: the lowest mode along each axis
     lam_min = (_spectrum(grid.n1 if truncated else grid.n1 + 2, dx1, not truncated)[0][0]
                + _spectrum(grid.n2, dx2, False)[0][0])
-    if not 1.0 / dt + 0.5 * (lam_min + min_v) > 0.0:
-        raise ValueError(f"step matrix is not positive definite: time step {dt} with "
-                         f"min V {min_v}; refine the time grid")
-    u = np.zeros(grid.shape)
-    u[0] = data.u0
-    u[1:, :, 0] = data.b_bottom[1:]
-    u[1:, :, -1] = data.b_top[1:]
+    for b, pot in enumerate(pots):
+        # min of q f over the marched levels: f > 0, so the smallest q
+        # meets the largest f when it is negative and the smallest otherwise
+        q_min, f_rows = float(np.min(pot.q[1:, 1:-1])), pot.f[rows]
+        min_v = q_min * float(np.max(f_rows) if q_min < 0.0 else np.min(f_rows))
+        if not 1.0 / dt + 0.5 * (lam_min + min_v) > 0.0:
+            raise ValueError(f"step matrix of member {b} is not positive definite: time step "
+                             f"{dt} with min V {min_v}; refine the time grid")
+    q = np.stack([pot.q[:, None, 1:-1] for pot in pots])  # (B, nt+1, 1, Q)
+    f = np.stack([pot.f[rows, None] for pot in pots])  # (B, P, 1)
+    u = np.zeros((len(pots),) + grid.shape)
+    u[:, 0] = data.u0
+    u[:, 1:, :, 0] = data.b_bottom[1:]
+    u[:, 1:, :, -1] = data.b_top[1:]
     if truncated:
-        u[1:, 0] = data.cap_minus[1:]
-        u[1:, -1] = data.cap_plus[1:]
+        u[:, 1:, 0] = data.cap_minus[1:]
+        u[:, 1:, -1] = data.cap_plus[1:]
 
     def level(k):
-        """(diagonal of A_k, edge lift l_k)."""
-        diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + V[k][rows, 1:-1])
-        lift = np.zeros_like(diag)
-        lift[:, 0] += u[k][rows, 0] / dx2**2
-        lift[:, -1] += u[k][rows, -1] / dx2**2
+        """(diagonal of A_k for each member, edge lift l_k)."""
+        diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + q[:, k] * f)
+        edges = u[0, k]
+        lift = np.zeros(diag.shape[1:])
+        lift[:, 0] += edges[rows, 0] / dx2**2
+        lift[:, -1] += edges[rows, -1] / dx2**2
         if truncated:
-            lift[0] += u[k][0, 1:-1] / dx1**2
-            lift[-1] += u[k][-1, 1:-1] / dx1**2
+            lift[0] += edges[0, 1:-1] / dx1**2
+            lift[-1] += edges[-1, 1:-1] / dx1**2
         else:
             lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
             lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
@@ -179,15 +201,14 @@ def solve_heat(grid: SpaceTimeGrid, pot: PotentialSpec, data: BoundaryData) -> S
     matvec, solve = _pcg_solver(grid)
     diag, lift = level(0)
     for k in range(grid.nt):
-        x = u[k][rows, 1:-1]
+        x = u[:, k, rows, 1:-1]
         diag_next, lift_next = level(k + 1)
-        rhs = 2.0 * x / dt - matvec(diag, x) + 0.5 * (lift + lift_next)
-        try:
-            u[k + 1][rows, 1:-1] = solve(diag_next, rhs, x)
-        except SolverBreakdownError as exc:
-            raise SolverBreakdownError(f"step {k + 1}: {exc}") from None
+        ax = matvec(diag, x)
+        rhs = 2.0 * x / dt - ax + 0.5 * (lift + lift_next)
+        residual = rhs - (ax + (diag_next - diag) * x)
+        u[:, k + 1, rows, 1:-1] = solve(diag_next, rhs, x, residual, k + 1)
         diag, lift = diag_next, lift_next
-    return ScalarField(grid, u, FULL)
+    return [ScalarField(grid, field, FULL) for field in u]
 
 
 def _spectrum(n, d, neumann):
@@ -221,7 +242,10 @@ def _separable_inverse(grid):
     along x1 (ghost-value caps) or DST-I (truncated), DST-I along x2, as
     dense products costing 4 P Q (P + Q) flops on P x Q unknowns.  That
     beats FFTs on square grids but not on long, thin truncated ones (at
-    511 x 15 the solve takes about twice as long)."""
+    511 x 15 the solve takes about twice as long).  r may be one (P, Q)
+    block with a scalar c, or a (B, P, Q) stack with one c per member;
+    numpy's matmul then makes one GEMM per member, of the same shape at
+    any B."""
     truncated = grid.domain.truncated
     P, Q = (grid.n1 if truncated else grid.n1 + 2), grid.n2
     lam1, m1 = _spectrum(P, grid.dx1, not truncated)
@@ -231,7 +255,8 @@ def _separable_inverse(grid):
     half = 0.5 * m1 * m2 * (lam1[:, None] + lam2[None, :])
 
     def inverse(r, c):
-        return M1 @ ((M1 @ r @ M2) / (m1 * m2 * c + half)) @ M2
+        scale = m1 * m2 * np.asarray(c)[..., None, None] + half
+        return M1 @ ((M1 @ r @ M2) / scale) @ M2
 
     return inverse
 
@@ -243,60 +268,78 @@ CG_MAX_ITERATIONS = 200
 
 
 def _pcg_solver(grid):
-    """(matvec, solve) for the five-point step system on the unknown block.
-    matvec(diag, p) applies ``diag`` plus the fixed couplings of -Lap_h / 2
-    to p, and solve(diag, rhs, x0) solves that system.  Conjugate
-    gradients start from x0 and are preconditioned by the same matrix
-    with ``diag`` replaced by its mean, which ``_separable_inverse``
-    solves exactly.  With the ghost-value caps the matrix is not
-    symmetric, but D A is for D = diag(1/2, 1, ..., 1, 1/2)
-    along x1, so the iteration runs in the D inner product (D = I when
-    truncated).  Inner products are sums of products, not BLAS dots, so
-    the result does not depend on the thread count."""
+    """(matvec, solve) for the five-point step system on the unknown block,
+    on (B, P, Q) stacks of members.  matvec(diag, p) applies ``diag`` plus
+    the fixed couplings of -Lap_h / 2 to p (a single (P, Q) block works
+    too).  solve(diag, rhs, x0, r0, step) solves each member's system by
+    conjugate gradients from x0, whose residual r0 it overwrites,
+    preconditioned by the same matrix with ``diag`` replaced by its mean,
+    which ``_separable_inverse`` solves exactly.  With E = diag - mean(diag)
+    the preconditioned residual z therefore has A z = r + E z, so the
+    iteration updates q = A p as r + E z + beta q and applies no stencil.
+    With the ghost-value caps the matrix is not symmetric, but D A is for
+    D = diag(1/2, 1, ..., 1, 1/2) along x1, so the iteration runs in the
+    D inner product (D = I when truncated).  Each member keeps its own
+    shift, step lengths and stopping test, and leaves the stack once it
+    converges.  Inner products are per-member sums of products, not BLAS
+    dots, so a member's result depends neither on the thread count nor on
+    the other members."""
     truncated = grid.domain.truncated
     inverse = _separable_inverse(grid)
     c1, c2 = 0.5 / grid.dx1**2, 0.5 / grid.dx2**2
-    weight = np.ones((grid.n1 if truncated else grid.n1 + 2, 1))
+    weight = np.ones(grid.n1 if truncated else grid.n1 + 2)
     if not truncated:
         weight[[0, -1]] = 0.5
 
     def matvec(diag, p):
         out = diag * p
-        out[:, 1:] -= c2 * p[:, :-1]
-        out[:, :-1] -= c2 * p[:, 1:]
-        out[1:] -= c1 * p[:-1]
-        out[:-1] -= c1 * p[1:]
+        out[..., 1:] -= c2 * p[..., :-1]
+        out[..., :-1] -= c2 * p[..., 1:]
+        out[..., 1:, :] -= c1 * p[..., :-1, :]
+        out[..., :-1, :] -= c1 * p[..., 1:, :]
         if not truncated:  # cap rows couple doubly to their one axial neighbour
-            out[0] -= c1 * p[1]
-            out[-1] -= c1 * p[-2]
+            out[..., 0, :] -= c1 * p[..., 1, :]
+            out[..., -1, :] -= c1 * p[..., -2, :]
         return out
 
     def inner(a, b):
-        return float(np.sum(weight * a * b))
+        return np.einsum("bij,bij,i->b", a, b, weight)
 
-    def solve(diag, rhs, x0):
-        stop = CG_TOLERANCE**2 * inner(rhs, rhs)
-        shift = float(np.mean(diag)) - 2.0 * (c1 + c2)
-        x = x0.copy()
-        r = rhs - matvec(diag, x)
+    def solve(diag, rhs, x0, r0, step):
+        result = x0.copy()
+        members = np.arange(len(result))
+        rhs_norm = inner(rhs, rhs)
+        mean = diag.mean(axis=(1, 2))
+        shift = mean - 2.0 * (c1 + c2)
+        excess = diag - mean[:, None, None]
+        x, r = result, r0
         z = inverse(r, shift)
         p = z
+        q = r + excess * z
         rz = inner(r, z)
         iterations = 0
-        while inner(r, r) > stop:
+        while True:
+            rr = inner(r, r)
+            going = rr > CG_TOLERANCE**2 * rhs_norm
+            if not going.all():
+                result[members[~going]] = x[~going]
+                if not going.any():
+                    return result
+                members, x, r, p, q, excess, shift, rz, rr, rhs_norm = (
+                    a[going] for a in (members, x, r, p, q, excess, shift, rz, rr, rhs_norm))
             if iterations == CG_MAX_ITERATIONS:
                 raise SolverBreakdownError(
-                    f"no convergence in {CG_MAX_ITERATIONS} iterations, relative residual "
-                    f"{np.sqrt(inner(r, r) / inner(rhs, rhs)):.3e}")
+                    f"member {members[0]}, step {step}: no convergence in {CG_MAX_ITERATIONS} "
+                    f"iterations, relative residual {np.sqrt(rr[0] / rhs_norm[0]):.3e}")
             iterations += 1
-            q = matvec(diag, p)
-            alpha = rz / inner(p, q)
+            alpha = (rz / inner(p, q))[:, None, None]
             x += alpha * p
             r -= alpha * q
             z = inverse(r, shift)
             rz, rz_old = inner(r, z), rz
-            p = z + (rz / rz_old) * p
-        return x
+            beta = (rz / rz_old)[:, None, None]
+            p = z + beta * p
+            q = r + excess * z + beta * q
 
     return matvec, solve
 
@@ -380,8 +423,7 @@ def manufacture_pair(grid: SpaceTimeGrid, q: np.ndarray, q_tilde: np.ndarray,
     pot = PotentialSpec(grid, q, f)
     pot_tilde = PotentialSpec(grid, q_tilde, f)
     data = positive_preset_data(grid, pot)
-    u = solve_heat(grid, pot, data)
-    u_tilde = solve_heat(grid, pot_tilde, data)
+    u, u_tilde = solve_heat(grid, [pot, pot_tilde], data)
     return ManufacturedPair(
         u=u,
         u_tilde=u_tilde,
@@ -393,9 +435,14 @@ def manufacture_pair(grid: SpaceTimeGrid, q: np.ndarray, q_tilde: np.ndarray,
 
 def measurement(u: ScalarField, grid: SpaceTimeGrid) -> ScalarField:
     """Observed trace: outward normal derivative of the axial derivative,
-    taken on the observed lateral wall."""
-    d1, _ = gradient(u)
-    return normal_derivative(d1, grid.domain.obs_segment)
+    taken on the observed lateral wall.  Only the three wall columns that
+    the one-sided normal stencil reads are differentiated along x1; the
+    values equal ``normal_derivative(gradient(u)[0], segment)``."""
+    segment = grid.domain.obs_segment
+    cols = [-1, -2, -3] if segment == "x2_max" else [0, 1, 2]
+    d1 = np.gradient(u.values[:, :, cols], grid.dx1, axis=1, edge_order=2)
+    return ScalarField(grid, one_sided_derivative(np.moveaxis(d1, 2, 0), grid.dx2),
+                       BOUNDARY_TRACE, segment)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +499,7 @@ class SeparableOracle:
         return BoundaryData(g, u0, *walls, *caps)
 
     def solve(self) -> ScalarField:
-        return solve_heat(self.grid, self.potential(), self.data())
+        return solve_heat(self.grid, [self.potential()], self.data())[0]
 
     def relative_l2_error(self, solved: ScalarField | None = None) -> float:
         """Relative L2(Q) error of ``solved`` (default: a fresh ``solve()``)."""

@@ -138,8 +138,14 @@ class SpaceTimeGrid:
 
 
 def build_grid(domain: WaveguideDomain, n1: int, n2: int, nt: int) -> SpaceTimeGrid:
-    """Build a grid; rejects counts below 4 and validates the snap distance."""
+    """Build a grid; rejects counts below 4, spacings d whose 1/d^2
+    overflows, and validates the snap distance."""
     grid = SpaceTimeGrid(domain, n1, n2, nt)
+    spacings = {"dx1": grid.dx1, "dx2": grid.dx2, "dt": grid.dt}
+    with np.errstate(over="ignore", divide="ignore"):
+        inverse_squares = 1.0 / np.array(list(spacings.values())) ** 2
+    if not np.all(np.isfinite(inverse_squares)):
+        raise ValueError(f"grid spacings {spacings} are too small: 1/d^2 overflows")
     if grid.alpha_snap_distance > 0.5 * grid.dx1 + 1e-12:
         raise ValueError(
             f"alpha snap distance {grid.alpha_snap_distance} exceeds dx1/2={grid.dx1 / 2}"

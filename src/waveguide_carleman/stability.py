@@ -145,21 +145,18 @@ def check_sweep(grid: SpaceTimeGrid, theta_list, eps_list) -> None:
 def perturbation_sweep(grid: SpaceTimeGrid, q: np.ndarray, dq: np.ndarray,
                        f: np.ndarray, theta_list, eps_list) -> list[StabilityReport]:
     """Stability reports over a grid of perturbation sizes and window
-    margins.  The base solve is shared across the sweep; each theta adds
-    one extra solve."""
+    margins.  The base potential and one perturbed potential per theta
+    march as one stacked solve."""
     thetas = [float(t) for t in theta_list]
     epss = [float(e) for e in eps_list]
     check_sweep(grid, thetas, epss)
     pot = PotentialSpec(grid, q, f)
-    data = positive_preset_data(grid, pot)
-    u = solve_heat(grid, pot, data)
-    reports: list[StabilityReport] = []
-    for theta in thetas:
-        q_tilde = np.asarray(q, dtype=float) + theta * np.asarray(dq, dtype=float)
-        u_tilde = solve_heat(grid, PotentialSpec(grid, q_tilde, f), data)
-        reports += [assemble_stability(u, u_tilde, q, q_tilde, grid, eps, theta=theta)
-                    for eps in epss]
-    return reports
+    q_tildes = [np.asarray(q, dtype=float) + theta * np.asarray(dq, dtype=float)
+                for theta in thetas]
+    u, *u_tildes = solve_heat(grid, [pot] + [PotentialSpec(grid, qt, f) for qt in q_tildes],
+                              positive_preset_data(grid, pot))
+    return [assemble_stability(u, u_tilde, q, q_tilde, grid, eps, theta=theta)
+            for theta, q_tilde, u_tilde in zip(thetas, q_tildes, u_tildes) for eps in epss]
 
 
 def sweep_table(reports: list[StabilityReport]) -> str:

@@ -238,7 +238,7 @@ def test_criterion_09_positivity():
     f = axial_factor(g)
     pot = PotentialSpec(g, q_preset(g, 0.4), f)
     data = positive_preset_data(g, pot)
-    u_tilde = solve_heat(g, pot, data)
+    [u_tilde] = solve_heat(g, [pot], data)
     min_u = float(np.min(u_tilde.values))
     min_fu = float(np.min(f[None, :, None] * u_tilde.values))
     assert min_u > 0.0, f"solution minimum {min_u} not positive"

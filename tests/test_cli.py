@@ -99,6 +99,8 @@ class TestConfigParsing:
         ("verify-carleman", "[carleman]\ntheta: nan\n", "[carleman] theta"),
         ("check-weights", "[weights]\ndelta: nan\n", "[weights] delta"),
         ("stability", "[stability]\nf_bump: 1.5\n", "[stability] f_bump"),
+        ("verify-carleman", "[carleman]\ntheta: 0\n", "[carleman] theta"),
+        ("verify-carleman", "[domain]\nh: 1e-300\n", "[grid]/[domain] values"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"

@@ -19,7 +19,8 @@ from waveguide_carleman.forward import (
     decaying_preset_data,
     positive_preset_data,
 )
-from waveguide_carleman.grid import fit_convergence_order, integrate_values
+from waveguide_carleman.grid import (FULL, ScalarField, fit_convergence_order, gradient,
+                                     integrate_values, normal_derivative)
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
 
@@ -99,7 +100,7 @@ class TestSolveHeat:
     def test_constant_preservation(self, domain):
         # zero potential and constant data keep the exact constant state
         grid = build_grid(domain, 8, 8, 512)
-        u = solve_heat(grid, zero_potential(grid), constant_data(grid, 3.0))
+        [u] = solve_heat(grid, [zero_potential(grid)], constant_data(grid, 3.0))
         assert np.max(np.abs(u.values - 3.0)) <= 1e-12 * 3.0
 
     def test_constant_preservation_truncated(self, open_domain):
@@ -112,7 +113,7 @@ class TestSolveHeat:
             np.ones((grid.nt + 1, grid.n2 + 2)),
             np.ones((grid.nt + 1, grid.n2 + 2)),
         )
-        u = solve_heat(grid, zero_potential(grid), data)
+        [u] = solve_heat(grid, [zero_potential(grid)], data)
         assert np.max(np.abs(u.values - 1.0)) <= 1e-12
 
     def test_oracle_convergence(self, domain):
@@ -144,16 +145,16 @@ class TestSolveHeat:
             d1.cap_minus + d2.cap_minus,
             d1.cap_plus + d2.cap_plus,
         )
-        u1 = solve_heat(grid, pot, d1).values
-        u2 = solve_heat(grid, pot, d2).values
-        u12 = solve_heat(grid, pot, d_sum).values
+        u1 = solve_heat(grid, [pot], d1)[0].values
+        u2 = solve_heat(grid, [pot], d2)[0].values
+        u12 = solve_heat(grid, [pot], d_sum)[0].values
         scale = np.max(np.abs(u12))
         assert np.max(np.abs(u12 - u1 - u2)) <= 1e-11 * scale
 
     def test_positivity_with_positive_preset(self, domain):
         grid = build_grid(domain, 24, 24, 48)
         pot = PotentialSpec(grid, q_preset(grid, 0.4), axial_factor(grid))
-        u = solve_heat(grid, pot, positive_preset_data(grid, pot))
+        [u] = solve_heat(grid, [pot], positive_preset_data(grid, pot))
         assert np.min(u.values) > 0.0
 
     def test_indefinite_step_matrix_rejected(self, domain):
@@ -162,13 +163,90 @@ class TestSolveHeat:
         grid = build_grid(domain, 32, 32, 64)
         pot = PotentialSpec(grid, q_preset(grid, -100.0), axial_factor(grid))
         with pytest.raises(ValueError, match=r"time step 0\.03125 with min V -224\."):
-            solve_heat(grid, pot, positive_preset_data(grid, pot))
+            solve_heat(grid, [pot], positive_preset_data(grid, pot))
+        # in a stack, the message names the indefinite member
+        good = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
+        with pytest.raises(ValueError, match="member 1 is not positive definite"):
+            solve_heat(grid, [good, pot], positive_preset_data(grid, good))
 
     def test_iteration_cap_names_the_step(self, grid, monkeypatch):
         monkeypatch.setattr(forward, "CG_MAX_ITERATIONS", 0)
         pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
-        with pytest.raises(SolverBreakdownError, match="step 1: no convergence in 0 iterations"):
-            solve_heat(grid, pot, positive_preset_data(grid, pot))
+        with pytest.raises(SolverBreakdownError,
+                           match="step 1: no convergence in 0 iterations") as info:
+            solve_heat(grid, [pot], positive_preset_data(grid, pot))
+        assert "member 0, step 1" in str(info.value)
+
+
+def stack_members(grid):
+    """Four potentials on one grid: the preset, a stronger and a negative
+    one, and a random one with its own axial factor."""
+    rng = np.random.default_rng(7)
+    q, f = q_preset(grid, 0.4), axial_factor(grid, 0.5)
+    return [PotentialSpec(grid, q, f), PotentialSpec(grid, q + 0.3 * dq_preset(grid), f),
+            PotentialSpec(grid, -0.5 * q, f),
+            PotentialSpec(grid, rng.uniform(-0.5, 1.0, q.shape), rng.uniform(0.2, 2.0, f.shape))]
+
+
+def step_residuals(grid, pot, data, u):
+    """True relative D-norm residual of every Crank-Nicolson step of the
+    solved bounded field u, with the stencil applied afresh to each level."""
+    matvec, _ = forward._pcg_solver(grid)
+    dt, dx1, dx2 = grid.dt, grid.dx1, grid.dx2
+    weight = np.ones((grid.n1 + 2, 1))
+    weight[[0, -1]] = 0.5
+    V = pot.potential_values()
+
+    def level(k):
+        diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + V[k][:, 1:-1])
+        lift = np.zeros_like(diag)
+        lift[:, 0] += u[k][:, 0] / dx2**2
+        lift[:, -1] += u[k][:, -1] / dx2**2
+        lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
+        lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
+        return diag, lift
+
+    out = []
+    for k in range(grid.nt):
+        (diag, lift), (diag_next, lift_next) = level(k), level(k + 1)
+        x, x_next = u[k][:, 1:-1], u[k + 1][:, 1:-1]
+        rhs = 2.0 * x / dt - matvec(diag, x) + 0.5 * (lift + lift_next)
+        r = rhs - matvec(diag_next, x_next)
+        out.append(np.sqrt(np.sum(weight * r * r) / np.sum(weight * rhs * rhs)))
+    return np.array(out)
+
+
+class TestStackedMarch:
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_member_fields_do_not_depend_on_the_stack(self, truncated):
+        # each member's field is the same, bit for bit, alone and in a
+        # stack of four whose members converge at different iterations
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated), 24, 20, 16)
+        pots = stack_members(g)
+        data = positive_preset_data(g, pots[0])
+        stacked = solve_heat(g, pots, data)
+        assert len(stacked) == 4
+        for pot, field in zip(pots, stacked):
+            [alone] = solve_heat(g, [pot], data)
+            assert field.values.tobytes() == alone.values.tobytes()
+
+    @pytest.mark.parametrize("n, nt", [(32, 64), (64, 128)])
+    def test_every_step_meets_the_tolerance(self, domain, n, nt):
+        # the loop updates A p by recurrence; the stencil re-applied to the
+        # solved levels must still find each step converged
+        g = build_grid(domain, n, n, nt)
+        pots = stack_members(g)[:2]
+        data = positive_preset_data(g, pots[0])
+        for pot, u in zip(pots, solve_heat(g, pots, data)):
+            assert np.max(step_residuals(g, pot, data, u.values)) <= 2.0 * forward.CG_TOLERANCE
+
+    def test_potentials_must_share_the_grid(self, grid, domain):
+        other = build_grid(domain, 8, 8, 16)
+        pots = [zero_potential(grid), zero_potential(other)]
+        with pytest.raises(ValueError, match="share one grid"):
+            solve_heat(grid, pots, constant_data(grid))
+        with pytest.raises(ValueError, match="at least one potential"):
+            solve_heat(grid, [], constant_data(grid))
 
 
 class TestPreconditioner:
@@ -294,7 +372,7 @@ class TestAgainstSparseReference:
         data.u0[:, 0], data.u0[:, -1] = data.b_bottom[0], data.b_top[0]
         if truncated:
             data.u0[0], data.u0[-1] = data.cap_minus[0], data.cap_plus[0]
-        got = solve_heat(g, pot, data).values
+        got = solve_heat(g, [pot], data)[0].values
         ref = reference_solve(g, pot, data)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -332,6 +410,17 @@ class TestMeasurement:
         m = measurement(u, grid)
         np.testing.assert_allclose(m.values, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("obs_side", ["top", "bottom"])
+    def test_equals_the_full_gradient_route(self, obs_side, rng):
+        # only three wall columns are differentiated; the values must be
+        # those of the full two-axis gradient, bit for bit
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, obs_side=obs_side), 20, 16, 8)
+        u = ScalarField(g, rng.standard_normal(g.shape), FULL)
+        m = measurement(u, g)
+        ref = normal_derivative(gradient(u)[0], g.domain.obs_segment)
+        assert (m.kind, m.segment) == (ref.kind, ref.segment)
+        assert m.values.tobytes() == ref.values.tobytes()
+
     def test_oracle_measurement_matches_analytic(self, domain):
         g = build_grid(domain, 32, 32, 64)
         oracle = SeparableOracle(g)
@@ -361,7 +450,7 @@ class TestDecayingPreset:
         g = build_grid(d, 48, 12, 16)
         pot = PotentialSpec(g, np.zeros((g.nt + 1, g.n2 + 2)), np.ones(g.n1 + 2))
         data = decaying_preset_data(g, pot)
-        u = solve_heat(g, pot, data)
+        [u] = solve_heat(g, [pot], data)
         caps = np.abs(u.values[:, [0, -1], :])
         assert np.max(caps) <= 1e-8 * np.max(np.abs(u.values))
         assert integrate_values(g, u.values**2, "Q") > 0.0
@@ -386,8 +475,9 @@ class TestThreadIndependence:
     # count.  A BLAS dot product is split over its length; any BLAS inner
     # product inside the iteration would show in these solves.
 
-    def solve_bytes(self, tmp_path, truncated, n1, n2):
-        """Bytes of a 4-step positive-preset solve at 1 and at 2 threads."""
+    def solve_bytes(self, tmp_path, truncated, n1, n2, members=1):
+        """Bytes of a 4-step positive-preset march of ``members`` potentials
+        (q_preset scaled by 1, 2, ...) at 1 and at 2 threads."""
         script = (
             "import sys\n"
             "from waveguide_carleman import WaveguideDomain, build_grid, solve_heat\n"
@@ -395,9 +485,10 @@ class TestThreadIndependence:
             "from waveguide_carleman.synth import axial_factor, q_preset\n"
             f"d = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated={truncated})\n"
             f"g = build_grid(d, {n1}, {n2}, 4)\n"
-            "pot = PotentialSpec(g, q_preset(g), axial_factor(g))\n"
-            "u = solve_heat(g, pot, positive_preset_data(g, pot))\n"
-            "open(sys.argv[1], 'wb').write(u.values.tobytes())\n"
+            "pots = [PotentialSpec(g, (1 + b) * q_preset(g), axial_factor(g))\n"
+            f"        for b in range({members})]\n"
+            "us = solve_heat(g, pots, positive_preset_data(g, pots[0]))\n"
+            "open(sys.argv[1], 'wb').write(b''.join(u.values.tobytes() for u in us))\n"
         )
         paths = []
         for threads in ("1", "2"):
@@ -421,4 +512,11 @@ class TestThreadIndependence:
         # DST-I along both axes, with the long axis in the left-hand GEMM
         first, second = self.solve_bytes(tmp_path, True, 256, 96)
         assert len(first) == 5 * 258 * 98 * 8
+        assert first == second
+
+    def test_stacked_march_does_not_depend_on_blas_threads(self, tmp_path):
+        # four members in one march: the per-member GEMMs and inner
+        # products must give the same bits at 1 and at 2 threads
+        first, second = self.solve_bytes(tmp_path, False, 160, 128, members=4)
+        assert len(first) == 4 * 5 * 162 * 130 * 8
         assert first == second

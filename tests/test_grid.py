@@ -60,6 +60,12 @@ class TestDomainAndGrid:
         with pytest.raises(ValueError):
             build_grid(WaveguideDomain(L=1.0, h=1.0, T=1.0), 8, 8, 2)
 
+    def test_rejects_spacing_whose_inverse_square_overflows(self):
+        # (pi/h)^2 and 1/dx2^2 overflow downstream; the grid refuses them
+        with pytest.raises(ValueError, match="1/d\\^2 overflows"):
+            build_grid(WaveguideDomain(L=1.0, h=1e-300, T=2.0), 8, 8, 16)
+        build_grid(WaveguideDomain(L=1.0, h=1e-150, T=2.0), 8, 8, 16)
+
 
 class TestScalarField:
     def test_shape_validation(self, grid):
