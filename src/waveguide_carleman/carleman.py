@@ -124,9 +124,11 @@ def _weighted_Q_integral(grid: SpaceTimeGrid, core: np.ndarray, decay: np.ndarra
     """Integral over Q of decay * (s*g)^power * core, with the power of
     s*g folded into the time weights.  Only interior time levels are summed
     (the endpoint levels carry weight zero, and a negative power of
-    s*g = 0 there would give 0 * inf = nan)."""
+    s*g = 0 there would give 0 * inf = nan).  The product and the x2 sum
+    are one contraction, so no full-size product is formed."""
     wt = grid.wt[1:-1] if power == 0 else grid.wt[1:-1] * sg[1:-1] ** power
-    return float(wt @ ((decay[1:-1] * core[1:-1]) @ grid.w2 @ grid.w1))
+    rows = np.einsum("tij,tij,j->ti", decay[1:-1], core[1:-1], grid.w2)
+    return float(wt @ (rows @ grid.w1))
 
 
 def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -> dict[str, float]:

@@ -210,7 +210,11 @@ def second_derivative(values: np.ndarray, d: float, axis: int) -> np.ndarray:
     4-point one-sided stencil (also second order) at the two ends."""
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / d**2
+    inner = out[1:-1]  # (v[:-2] - 2 v[1:-1] + v[2:]) / d^2, written in place
+    np.multiply(v[1:-1], 2.0, out=inner)
+    np.subtract(v[:-2], inner, out=inner)
+    np.add(inner, v[2:], out=inner)
+    np.divide(inner, d**2, out=inner)
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / d**2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / d**2
     return np.moveaxis(out, 0, axis)
@@ -229,7 +233,8 @@ def laplacian(f: ScalarField) -> ScalarField:
     """Five-point Laplacian of a full field."""
     _require_full(f, "laplacian")
     g = f.grid
-    out = second_derivative(f.values, g.dx1, 1) + second_derivative(f.values, g.dx2, 2)
+    out = second_derivative(f.values, g.dx1, 1)
+    out += second_derivative(f.values, g.dx2, 2)
     return ScalarField(g, out, FULL)
 
 
@@ -302,11 +307,13 @@ def prefix_integral_x1(f: ScalarField) -> ScalarField:
     _require_full(f, "prefix_integral_x1")
     g = f.grid
     v = f.values
-    inc = 0.5 * g.dx1 * (v[:, :-1, :] + v[:, 1:, :])
-    cs = np.concatenate(
-        [np.zeros((v.shape[0], 1, v.shape[2])), np.cumsum(inc, axis=1)], axis=1
-    )
-    out = cs - cs[:, g.alpha_index : g.alpha_index + 1, :]
+    out = np.empty(v.shape)
+    out[:, 0, :] = 0.0
+    inc = out[:, 1:, :]  # cumulative trapezoid increments, written in place
+    np.add(v[:, :-1, :], v[:, 1:, :], out=inc)
+    np.multiply(inc, 0.5 * g.dx1, out=inc)
+    np.cumsum(inc, axis=1, out=inc)
+    out -= out[:, g.alpha_index : g.alpha_index + 1, :].copy()
     return ScalarField(g, out, FULL)
 
 

@@ -115,23 +115,19 @@ def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator,
     g = grid
     T, L, h = g.domain.T, g.domain.L, g.domain.h
     t, x1, x2 = g.t, g.x1, g.x2
-    modes = 3
+    k = np.arange(1, 4)  # three modes per axis, indexed k, m, n alike
 
     if anchored_right:
         a = g.alpha_snapped
-        span = L - a
-        xi = np.clip((x1 - a) / span, 0.0, 1.0)
-        ax_modes = [np.where(x1 >= a, np.sin(m * np.pi * xi), 0.0) for m in range(1, modes + 1)]
+        xi = np.clip((x1 - a) / (L - a), 0.0, 1.0)
+        ax_modes = np.where(x1 >= a, np.sin(k[:, None] * np.pi * xi), 0.0)
     else:
-        ax_modes = [np.sin(m * np.pi * (x1 + L) / (2.0 * L)) for m in range(1, modes + 1)]
+        ax_modes = np.sin(k[:, None] * np.pi * (x1 + L) / (2.0 * L))
+    t_modes = np.sin(k[:, None] * np.pi * t / T)
+    x2_modes = np.sin(k[:, None] * np.pi * x2 / h)
 
-    out = np.zeros(g.shape)
-    for k in range(1, modes + 1):
-        tk = np.sin(k * np.pi * t / T)
-        for m in range(1, modes + 1):
-            xm = ax_modes[m - 1]
-            for n in range(1, modes + 1):
-                yn = np.sin(n * np.pi * x2 / h)
-                coef = rng.standard_normal() / (k * m * n)
-                out += coef * tk[:, None, None] * xm[None, :, None] * yn[None, None, :]
+    # the draw order (k, m, n) fixes which seed gives which series
+    coef = rng.standard_normal((3, 3, 3)) / (k[:, None, None] * k[None, :, None] * k)
+    spatial = np.einsum("kmn,mi,nj->kij", coef, ax_modes, x2_modes)
+    out = (t_modes.T @ spatial.reshape(3, -1)).reshape(g.shape)
     return ScalarField(g, out, FULL)

@@ -30,6 +30,7 @@ placeholders are never used as actual weight values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,10 @@ from .grid import FULL, SPATIAL_SLICE, ScalarField, SpaceTimeGrid, report_text
 #: Decayed weight values below this threshold are clamped to exactly zero,
 #: giving deterministic underflow behaviour in quadratures.
 UNDERFLOW_CLAMP = 1e-300
+#: Floor of every decay exponent.  Its exp (about 3.7e-301) is below the
+#: clamp, so a floored node is zeroed as it would be without the floor,
+#: and no ``exp`` takes numpy's slow underflow path.
+EXPONENT_FLOOR = math.log(UNDERFLOW_CLAMP) - 1.0
 
 
 @dataclass(frozen=True)
@@ -240,11 +245,16 @@ class WeightSystem:
 
     def decay(self, s: float | None = None) -> np.ndarray:
         """exp(-2*s*weight) with endpoint time rows exactly 0 and values
-        below the underflow clamp set to 0."""
+        below the underflow clamp set to 0; the exponent is floored at
+        :data:`EXPONENT_FLOOR` first, which changes no output."""
         factor = 2.0 * (self.params.s if s is None else s)
-        out = np.zeros(self.grid.shape)
-        out[1:-1] = np.exp(-factor * self.weight.values[1:-1])
-        out[out < UNDERFLOW_CLAMP] = 0.0
+        out = np.empty(self.grid.shape)
+        out[0] = out[-1] = 0.0
+        inner = out[1:-1]
+        np.multiply(self.weight.values[1:-1], -factor, out=inner)
+        np.maximum(inner, EXPONENT_FLOOR, out=inner)
+        np.exp(inner, out=inner)
+        inner *= inner >= UNDERFLOW_CLAMP
         return out
 
     # -- closed-form derivatives of the weight -------------------------------

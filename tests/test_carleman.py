@@ -55,11 +55,17 @@ class TestWeightedNorm:
         terms = weighted_norm_I1(z, ws)
         assert all(v == 0.0 for v in terms.values())
 
-    def test_matches_hand_quadrature_on_debug_grid(self, domain):
-        # explicit loops over every node reproduce the vectorized terms
+    @pytest.mark.parametrize("s", [1.0, 24.0])
+    @pytest.mark.parametrize("field", ["ones", "smooth"])
+    def test_matches_hand_quadrature_on_debug_grid(self, domain, s, field):
+        # explicit loops over every node reproduce the vectorized terms; at
+        # s = 24 the underflow clamp zeroes 72 of the 108 interior decay nodes
         g = build_grid(domain, 4, 4, 4)
-        ws = assemble_weight(WeightParams(lam=1.0, s=1.0), g)
-        z = ScalarField(g, np.ones(g.shape), FULL)
+        ws = assemble_weight(WeightParams(lam=1.0, s=s), g)
+        if field == "ones":
+            z = ScalarField(g, np.ones(g.shape), FULL)
+        else:
+            z = g.sample(lambda t, x1, x2: 1.0 + t * x1**3 * (1.0 - x2) + np.sin(x2 * t))
         terms = weighted_norm_I1(z, ws)
 
         lap = laplacian(z).values
@@ -78,9 +84,11 @@ class TestWeightedNorm:
                     hand["laplacian"] += wq * lap[k, i, j] ** 2 / sg[k]
                     hand["time"] += wq * zt[k, i, j] ** 2 / sg[k]
                     hand["gradient"] += wq * sg[k] * gsq[k, i, j]
-                    hand["zero_order"] += wq * sg[k] ** 3
+                    hand["zero_order"] += wq * sg[k] ** 3 * z.values[k, i, j] ** 2
+        if s == 24.0:
+            assert np.count_nonzero(decay[1:-1] == 0.0) == 72
         for key, val in hand.items():
-            assert terms[key] == pytest.approx(val, rel=1e-12), key
+            assert terms[key] == pytest.approx(val, rel=1e-12, abs=0.0), key
 
     def test_zero_order_term_scales_with_s_cubed_times_weight_ratio(self, grid, ws, rng):
         z = ScalarField(grid, rng.standard_normal(grid.shape), FULL)

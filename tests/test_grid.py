@@ -322,6 +322,57 @@ class TestPrefixIntegral:
         np.testing.assert_allclose(out, exact, rtol=0, atol=tol)
 
 
+def _second_derivative_reference(values, d, axis):
+    """The stencil of :func:`second_derivative` as one expression per row."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / d**2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / d**2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / d**2
+    return np.moveaxis(out, 0, axis)
+
+
+def _prefix_integral_reference(f):
+    """:func:`prefix_integral_x1` as a cumulative sum of a temporary."""
+    g, v = f.grid, f.values
+    inc = 0.5 * g.dx1 * (v[:, :-1, :] + v[:, 1:, :])
+    cs = np.concatenate([np.zeros((v.shape[0], 1, v.shape[2])), np.cumsum(inc, axis=1)], axis=1)
+    return cs - cs[:, g.alpha_index : g.alpha_index + 1, :]
+
+
+def _assert_kernels_equal_references(f):
+    g = f.grid
+    for axis, d in ((0, g.dt), (1, g.dx1), (2, g.dx2)):
+        got = second_derivative(f.values, d, axis)
+        assert got.tobytes() == _second_derivative_reference(f.values, d, axis).tobytes(), axis
+    lap = (_second_derivative_reference(f.values, g.dx1, 1)
+           + _second_derivative_reference(f.values, g.dx2, 2))
+    assert laplacian(f).values.tobytes() == lap.tobytes()
+    assert prefix_integral_x1(f).values.tobytes() == _prefix_integral_reference(f).tobytes()
+
+
+class TestKernelsAgainstExpressions:
+    """The in-place stencil and prefix kernels give the bytes of the plain
+    expressions they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(4, 20), st.integers(4, 20), st.integers(4, 20)),
+        alpha_frac=st.floats(-0.9, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_on_random_fields(self, sizes, alpha_frac, seed):
+        g = build_grid(WaveguideDomain(L=1.3, h=0.7, T=1.5, alpha=1.3 * alpha_frac), *sizes)
+        r = np.random.default_rng(seed)
+        _assert_kernels_equal_references(ScalarField(g, r.standard_normal(g.shape), FULL))
+
+    @pytest.mark.parametrize("truncated, sizes", [(False, (64, 64, 128)), (True, (255, 31, 64))])
+    def test_bytes_equal_at_bench_scale(self, truncated, sizes):
+        g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=truncated), *sizes)
+        f = g.sample(lambda t, x1, x2: np.sin(3.0 * x1 + t) * np.cos(2.0 * x2) + x1 * x2 * t)
+        _assert_kernels_equal_references(f)
+
+
 def _same_float(text: str, value: float) -> bool:
     back = float(text)
     if math.isnan(value):

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid, make_psi1, make_psi2
 from waveguide_carleman.weights import (
+    UNDERFLOW_CLAMP,
     ConstantAxisProfile,
     SectionWeightProfile,
     check_assumption_bounded,
@@ -156,6 +161,48 @@ class TestWeightInvariants:
         # order is still close to two
         assert fit_convergence_order(hs, errs) >= 1.8
         assert errs[-1] < 1e-3
+
+
+def _decay_reference(ws, s):
+    """exp(-2*s*weight) without the exponent floor, then the clamp."""
+    factor = 2.0 * s
+    out = np.zeros(ws.grid.shape)
+    out[1:-1] = np.exp(-factor * ws.weight.values[1:-1])
+    out[out < UNDERFLOW_CLAMP] = 0.0
+    return out
+
+
+class TestDecayFloor:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        regime=st.sampled_from(["bounded", "open"]),
+        node=st.integers(0, 10**6),
+        offset=st.floats(-1.0, 1.0),
+    )
+    def test_equals_the_unfloored_expression_near_the_clamp(self, regime, node, offset):
+        # s puts the exponent of one interior node within 1 of
+        # log(UNDERFLOW_CLAMP), so nodes on both sides of the floor and of
+        # the clamp take part
+        domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
+        g = build_grid(domain, 15, 15, 16)
+        ws = assemble_weight(WeightParams(lam=1.0, s=1.0, regime=regime), g)
+        interior = ws.weight.values[1:-1].ravel()
+        s = (offset - math.log(UNDERFLOW_CLAMP)) / (2.0 * interior[node % interior.size])
+        exponents = -2.0 * s * interior
+        assert np.any(np.abs(exponents - math.log(UNDERFLOW_CLAMP)) <= 1.0 + 1e-9)
+        got = ws.decay(s)
+        assert got.tobytes() == _decay_reference(ws, s).tobytes()
+        assert not np.any((got > 0.0) & (got < UNDERFLOW_CLAMP))
+
+    @pytest.mark.parametrize("regime, shape, lam", [
+        ("bounded", (64, 64, 128), 1.0),
+        ("open", (255, 31, 64), 1.1),
+    ])
+    def test_equals_the_unfloored_expression_at_bench_scale(self, regime, shape, lam):
+        domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
+        ws = assemble_weight(WeightParams(lam=lam, s=4.0, regime=regime), build_grid(domain, *shape))
+        for s in (1.0, 4.0, 16.0, 32.0, 64.0, 256.0):
+            assert ws.decay(s).tobytes() == _decay_reference(ws, s).tobytes(), s
 
 
 class TestAssumptionBounded:
