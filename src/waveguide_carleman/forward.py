@@ -1,32 +1,31 @@
-"""Forward heat solves on the waveguide.
+"""Forward heat solves on the bounded waveguide.
 
 Solves  u_t - Lap(u) + q(t, x2) f(x1) u = 0  with the mixed boundary
-conditions of the bounded waveguide (Dirichlet data on the two lateral
-walls, Neumann data on the end caps) or all-Dirichlet conditions in the
-truncated open-waveguide mode.
+conditions of the bounded waveguide: Dirichlet data on the two lateral
+walls, Neumann data on the end caps.  Open-waveguide grids are
+rejected, since no pipeline of the package solves on one; the open
+regime is checked on synthetic fields only.
 
 Scheme: Crank-Nicolson in time with the potential treated implicitly at
 both levels, five-point Laplacian in space, Neumann caps imposed through
 second-order ghost values, Dirichlet rows eliminated.  One five-point
-operator on the unknown block serves both boundary modes and both sides
-of each step; the boundary data enter only through an edge lift of each
-level.  The modes differ in which x1 rows are unknown, in the ghost-value
-cap rows, and in what the data's one cap-trace pair means.  Each step's
+operator on the unknown block serves both sides of each step; the
+boundary data enter only through an edge lift of each level.  Each step's
 system A = 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate gradients,
 preconditioned by the same system with V^{k+1} replaced by its mean
 (Concus & Golub 1973), which the transforms that diagonalise it solve
 exactly (Swarztrauber 1977): DCT-I along x1 for the ghost-value caps and
-DST-I along each Dirichlet axis, as dense matrix products, not
-``numpy.fft`` (faster on square grids, slower on long, thin truncated
-ones).  Because that solve is exact, A z = r + E z for the preconditioned
-residual z, with E the potential's excess over its mean on the diagonal,
-so the iteration applies no stencil; the five-point operator runs once
-per step.  Solves that share a grid and a data set and differ only in the
-potential march as one stack, each member with its own iteration, and a
-member's field does not depend on the stack.  Non-finite samples and a
-step matrix that is not positive definite are rejected before marching.
-The scheme is unconditionally stable and second order; the closed-form
-oracle below is its yardstick.
+DST-I along x2 for the Dirichlet walls, as dense matrix products, not
+``numpy.fft`` (faster on the square grids solved here).  Because that
+solve is exact, A z = r + E z for the preconditioned residual z, with E
+the potential's excess over its mean on the diagonal, so the iteration
+applies no stencil; the five-point operator runs once per step.  Solves
+that share a grid and a data set and differ only in the potential march
+as one stack, each member with its own iteration, and a member's field
+does not depend on the stack.  Non-finite samples and a step matrix that
+is not positive definite are rejected before marching.  The scheme is
+unconditionally stable and second order; the closed-form oracle below is
+its yardstick.
 """
 
 from __future__ import annotations
@@ -77,9 +76,8 @@ class BoundaryData:
     """Boundary traces and the initial field for one solve.
 
     ``b_bottom``/``b_top`` are the lateral Dirichlet traces (over t, x1);
-    ``cap_minus``/``cap_plus`` are the cap traces at x1 = -L and x1 = L
-    (over t, x2).  The grid's mode fixes what the cap pair means: outward
-    Neumann traces in bounded mode, Dirichlet traces in truncated mode.
+    ``cap_minus``/``cap_plus`` are the outward Neumann traces on the caps
+    x1 = -L and x1 = L (over t, x2).
     """
 
     grid: SpaceTimeGrid
@@ -109,20 +107,16 @@ def _store_samples(owner, name, shape):
 
 
 def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
-    """Residual of the t=0 consistency condition on the Dirichlet walls:
+    """Residual of the t=0 consistency condition on the lateral Dirichlet walls:
     d/dt b(0, x) - Lap(u0)(x) + q(0, x2) f(x1) u0(x), maximized over the
     wall nodes.  The time derivative uses the one-sided second-order
     stencil on the first three data levels."""
     g = data.grid
     lap_u0 = second_derivative(data.u0, g.dx1, 0) + second_derivative(data.u0, g.dx2, 1)
     v0 = pot.q[0][None, :] * pot.f[:, None] * data.u0
-
-    walls = [(data.b_bottom, (slice(None), 0)), (data.b_top, (slice(None), -1))]
-    if g.domain.truncated:
-        walls += [(data.cap_minus, 0), (data.cap_plus, -1)]
     # the forward time derivative is the negated one-sided stencil at t = 0
-    return float(max(np.max(np.abs(-one_sided_derivative(b, g.dt) - lap_u0[w] + v0[w]))
-                     for b, w in walls))
+    return float(max(np.max(np.abs(-one_sided_derivative(b, g.dt) - lap_u0[:, j] + v0[:, j]))
+                     for b, j in ((data.b_bottom, 0), (data.b_top, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +130,16 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     levels, with the one data set ``data``; return one full field per
     potential, in order.
 
+    The grid must be bounded; an open-waveguide grid raises ValueError.
     The potentials march together as one (B, P, Q) stack on the unknown
-    block.  Both boundary modes take the same step: the step matrix of
-    level k is A_k = 1/dt + (-Lap_h + V^k)/2 with the known values removed,
-    and each member's step solves
+    block.  The step matrix of level k is A_k = 1/dt + (-Lap_h + V^k)/2
+    with the known values removed, and each member's step solves
 
         A_{k+1} u^{k+1} = 2 u^k / dt - A_k u^k + (l_k + l_{k+1}) / 2,
 
     where l_k lifts level k's known values onto the edges of the block:
     the Dirichlet neighbours stored in u[k] (level 0 keeps the edges of
-    u0) over dx^2 and, on bounded caps, the ghost-value Neumann terms
+    u0) over dx2^2 and, on the caps, the ghost-value Neumann terms
     2 cap / dx1.  The lift is shared by every member, and each level's
     diagonal is built from q[k] and f.  The five-point operator runs once
     per step, on A_k u^k; the warm start's residual takes
@@ -156,57 +150,49 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
         raise ValueError("solve_heat needs at least one potential")
     if data.grid is not grid or any(pot.grid is not grid for pot in pots):
         raise ValueError("potential, data and solve must share one grid")
+    if grid.domain.truncated:
+        raise ValueError("solve_heat solves bounded grids only, not truncated ones")
     if grid.dt > grid.domain.T / 4.0 + 1e-14:
         raise ValueError(f"time step {grid.dt} exceeds T/4; refine the time grid")
 
     dt, dx1, dx2 = grid.dt, grid.dx1, grid.dx2
-    truncated = grid.domain.truncated
-    rows = slice(1, -1) if truncated else slice(None)
     # smallest eigenvalue of -Lap_h: the lowest mode along each axis
-    lam_min = (_spectrum(grid.n1 if truncated else grid.n1 + 2, dx1, not truncated)[0][0]
-               + _spectrum(grid.n2, dx2, False)[0][0])
+    lam_min = _spectrum(grid.n1 + 2, dx1, True)[0][0] + _spectrum(grid.n2, dx2, False)[0][0]
     for b, pot in enumerate(pots):
         # min of q f over the marched levels: f > 0, so the smallest q
         # meets the largest f when it is negative and the smallest otherwise
-        q_min, f_rows = float(np.min(pot.q[1:, 1:-1])), pot.f[rows]
-        min_v = q_min * float(np.max(f_rows) if q_min < 0.0 else np.min(f_rows))
+        q_min = float(np.min(pot.q[1:, 1:-1]))
+        min_v = q_min * float(np.max(pot.f) if q_min < 0.0 else np.min(pot.f))
         if not 1.0 / dt + 0.5 * (lam_min + min_v) > 0.0:
             raise ValueError(f"step matrix of member {b} is not positive definite: time step "
                              f"{dt} with min V {min_v}; refine the time grid")
     q = np.stack([pot.q[:, None, 1:-1] for pot in pots])  # (B, nt+1, 1, Q)
-    f = np.stack([pot.f[rows, None] for pot in pots])  # (B, P, 1)
+    f = np.stack([pot.f[:, None] for pot in pots])  # (B, P, 1)
     u = np.zeros((len(pots),) + grid.shape)
     u[:, 0] = data.u0
     u[:, 1:, :, 0] = data.b_bottom[1:]
     u[:, 1:, :, -1] = data.b_top[1:]
-    if truncated:
-        u[:, 1:, 0] = data.cap_minus[1:]
-        u[:, 1:, -1] = data.cap_plus[1:]
 
     def level(k):
         """(diagonal of A_k for each member, edge lift l_k)."""
         diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + q[:, k] * f)
         edges = u[0, k]
         lift = np.zeros(diag.shape[1:])
-        lift[:, 0] += edges[rows, 0] / dx2**2
-        lift[:, -1] += edges[rows, -1] / dx2**2
-        if truncated:
-            lift[0] += edges[0, 1:-1] / dx1**2
-            lift[-1] += edges[-1, 1:-1] / dx1**2
-        else:
-            lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
-            lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
+        lift[:, 0] += edges[:, 0] / dx2**2
+        lift[:, -1] += edges[:, -1] / dx2**2
+        lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
+        lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
         return diag, lift
 
     matvec, solve = _pcg_solver(grid)
     diag, lift = level(0)
     for k in range(grid.nt):
-        x = u[:, k, rows, 1:-1]
+        x = u[:, k, :, 1:-1]
         diag_next, lift_next = level(k + 1)
         ax = matvec(diag, x)
         rhs = 2.0 * x / dt - ax + 0.5 * (lift + lift_next)
         residual = rhs - (ax + (diag_next - diag) * x)
-        u[:, k + 1, rows, 1:-1] = solve(diag_next, rhs, x, residual, k + 1)
+        u[:, k + 1, :, 1:-1] = solve(diag_next, rhs, x, residual, k + 1)
         diag, lift = diag_next, lift_next
     return [ScalarField(grid, field, FULL) for field in u]
 
@@ -239,18 +225,16 @@ def _transform_matrix(n, neumann):
 def _separable_inverse(grid):
     """inverse(r, c) = (c + (-Lap_h) / 2)^-1 r on the unknown block, with
     -Lap_h the five-point operator of ``_pcg_solver``'s matvec: DCT-I
-    along x1 (ghost-value caps) or DST-I (truncated), DST-I along x2, as
-    dense products costing 4 P Q (P + Q) flops on P x Q unknowns.  That
-    beats FFTs on square grids but not on long, thin truncated ones (at
-    511 x 15 the solve takes about twice as long).  r may be one (P, Q)
+    along x1 on the n1 + 2 rows between the ghost-value caps, DST-I along
+    x2, as dense products costing 4 P Q (P + Q) flops on P x Q unknowns,
+    which beats FFTs on the square grids solved here.  r may be one (P, Q)
     block with a scalar c, or a (B, P, Q) stack with one c per member;
     numpy's matmul then makes one GEMM per member, of the same shape at
     any B."""
-    truncated = grid.domain.truncated
-    P, Q = (grid.n1 if truncated else grid.n1 + 2), grid.n2
-    lam1, m1 = _spectrum(P, grid.dx1, not truncated)
+    P, Q = grid.n1 + 2, grid.n2
+    lam1, m1 = _spectrum(P, grid.dx1, True)
     lam2, m2 = _spectrum(Q, grid.dx2, False)
-    M1 = _transform_matrix(P, not truncated)
+    M1 = _transform_matrix(P, True)
     M2 = _transform_matrix(Q, False)
     half = 0.5 * m1 * m2 * (lam1[:, None] + lam2[None, :])
 
@@ -279,17 +263,14 @@ def _pcg_solver(grid):
     iteration updates q = A p as r + E z + beta q and applies no stencil.
     With the ghost-value caps the matrix is not symmetric, but D A is for
     D = diag(1/2, 1, ..., 1, 1/2) along x1, so the iteration runs in the
-    D inner product (D = I when truncated).  Each member keeps its own
-    shift, step lengths and stopping test, and leaves the stack once it
-    converges.  Inner products are per-member sums of products, not BLAS
-    dots, so a member's result depends neither on the thread count nor on
-    the other members."""
-    truncated = grid.domain.truncated
+    D inner product.  Each member keeps its own shift, step lengths and
+    stopping test, and leaves the stack once it converges.  Inner products
+    are per-member sums of products, not BLAS dots, so a member's result
+    depends neither on the thread count nor on the other members."""
     inverse = _separable_inverse(grid)
     c1, c2 = 0.5 / grid.dx1**2, 0.5 / grid.dx2**2
-    weight = np.ones(grid.n1 if truncated else grid.n1 + 2)
-    if not truncated:
-        weight[[0, -1]] = 0.5
+    weight = np.ones(grid.n1 + 2)
+    weight[[0, -1]] = 0.5
 
     def matvec(diag, p):
         out = diag * p
@@ -297,9 +278,9 @@ def _pcg_solver(grid):
         out[..., :-1] -= c2 * p[..., 1:]
         out[..., 1:, :] -= c1 * p[..., :-1, :]
         out[..., :-1, :] -= c1 * p[..., 1:, :]
-        if not truncated:  # cap rows couple doubly to their one axial neighbour
-            out[..., 0, :] -= c1 * p[..., 1, :]
-            out[..., -1, :] -= c1 * p[..., -2, :]
+        # cap rows couple doubly to their one axial neighbour
+        out[..., 0, :] -= c1 * p[..., 1, :]
+        out[..., -1, :] -= c1 * p[..., -2, :]
         return out
 
     def inner(a, b):
@@ -356,53 +337,15 @@ def positive_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec) -> BoundaryDat
     Dirichlet traces are exp(-t * q(0, x2) f(x1)), whose initial time
     derivative is exactly the value the t=0 consistency condition asks
     for.  When q(0, .) = 0 every trace is identically 1.  Cap data are
-    zero Neumann traces (bounded mode) or the same exponential Dirichlet
-    traces (truncated mode)."""
+    zero Neumann traces."""
     g = grid
     u0 = np.ones((g.n1 + 2, g.n2 + 2))
     t = g.t[:, None]
 
     b_bottom = np.exp(-t * (pot.q[0, 0] * pot.f)[None, :])
     b_top = np.exp(-t * (pot.q[0, -1] * pot.f)[None, :])
-    if g.domain.truncated:
-        caps = [np.exp(-t * (pot.q[0, :] * pot.f[i])[None, :]) for i in (0, -1)]
-    else:
-        caps = [np.zeros((g.nt + 1, g.n2 + 2)) for _ in range(2)]
+    caps = [np.zeros((g.nt + 1, g.n2 + 2)) for _ in range(2)]
     return BoundaryData(g, u0, b_bottom, b_top, *caps)
-
-
-def decaying_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec) -> BoundaryData:
-    """Truncated-mode data decaying in x1, for open-waveguide scenarios.
-
-    Built from the exact zero-potential solution
-
-        u_ref(t, x) = sqrt(t0/(t+t0)) exp(-x1^2/(4(t+t0)))
-                      sin(pi x2/h) exp(-(pi/h)^2 t),
-
-    with t0 = 0.05, so the lateral traces vanish, the cap traces decay like
-    the spreading kernel, and the t=0 consistency condition holds exactly
-    whenever the potential vanishes at t=0.  Choose the truncation radius so the
-    kernel mass beyond it (Gaussian tail of variance 2(T+t0)) meets the
-    experiment's error budget; the stability reports carry the measured
-    cap-layer mass as a separate line.
-    """
-    if not grid.domain.truncated:
-        raise ValueError("the decaying preset is for truncated grids")
-    h, t0 = grid.domain.h, 0.05
-
-    def u_ref(t, x1, x2):
-        spread = t + t0
-        return (
-            np.sqrt(t0 / spread)
-            * np.exp(-(x1**2) / (4.0 * spread))
-            * np.sin(np.pi * x2 / h)
-            * np.exp(-((np.pi / h) ** 2) * t)
-        )
-
-    u0 = u_ref(0.0, grid.x1[:, None], grid.x2[None, :])
-    walls = np.zeros((grid.nt + 1, grid.n1 + 2))
-    caps = [u_ref(grid.t[:, None], grid.x1[i], grid.x2[None, :]) for i in (0, -1)]
-    return BoundaryData(grid, u0, walls, walls.copy(), *caps)
 
 
 @dataclass

@@ -39,7 +39,6 @@ class StabilityReport:
     rhs_trace: float
     empirical_C_eps: float
     r_bound: float
-    truncation_budget: float | None = None
 
     def to_text(self) -> str:
         entries = {
@@ -47,8 +46,6 @@ class StabilityReport:
             "rhs.boundary": self.rhs_boundary, "rhs.trace": self.rhs_trace,
             "empirical_C_eps": self.empirical_C_eps, "r_bound": self.r_bound,
         }
-        if self.truncation_budget is not None:
-            entries["truncation_budget"] = self.truncation_budget
         if not np.isfinite(self.empirical_C_eps):
             entries["note"] = "non-finite empirical constant"
         return report_text(entries)
@@ -114,13 +111,6 @@ def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
         )
     )
 
-    budget = None
-    if grid.domain.truncated:
-        # Mass of both solutions in the outermost axial cell layers: a
-        # proxy for what the truncation removed, kept out of C_eps.
-        shell = u.values[:, [0, 1, -2, -1], :] ** 2 + u_tilde.values[:, [0, 1, -2, -1], :] ** 2
-        budget = integrate_values(grid, shell.sum(axis=1), "section_time") * grid.dx1
-
     return StabilityReport(
         eps=eps,
         theta=theta,
@@ -129,7 +119,6 @@ def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
         rhs_trace=rhs_trace,
         empirical_C_eps=empirical,
         r_bound=r_bound,
-        truncation_budget=budget,
     )
 
 

@@ -16,11 +16,9 @@ from waveguide_carleman.forward import (
     SeparableOracle,
     SolverBreakdownError,
     compatibility_residual,
-    decaying_preset_data,
     positive_preset_data,
 )
-from waveguide_carleman.grid import (FULL, ScalarField, fit_convergence_order, gradient,
-                                     integrate_values, normal_derivative)
+from waveguide_carleman.grid import FULL, ScalarField, fit_convergence_order, gradient, normal_derivative
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
 
@@ -95,6 +93,18 @@ class TestPotentialAndData:
         assert min(np.min(data.u0), np.min(data.b_bottom), np.min(data.b_top)) > 0.0
         assert compatibility_residual(data, pot) == 0.0
 
+    def test_oracle_compatibility_residual_is_pure_stencil_error(self, domain):
+        # the oracle's walls trace an exact solution, so the residual is
+        # the second-order stencils' error alone: positive, and falling at
+        # least 4x per refinement
+        errs = []
+        for n in (8, 16, 32, 64):
+            g = build_grid(domain, n, n, 2 * n)
+            oracle = SeparableOracle(g)
+            errs.append(compatibility_residual(oracle.data(), oracle.potential()))
+        assert errs[-1] > 0.0
+        assert all(coarse >= 4.0 * fine for coarse, fine in zip(errs, errs[1:]))
+
 
 class TestSolveHeat:
     def test_constant_preservation(self, domain):
@@ -103,18 +113,11 @@ class TestSolveHeat:
         [u] = solve_heat(grid, [zero_potential(grid)], constant_data(grid, 3.0))
         assert np.max(np.abs(u.values - 3.0)) <= 1e-12 * 3.0
 
-    def test_constant_preservation_truncated(self, open_domain):
-        grid = build_grid(open_domain, 8, 8, 16)
-        data = BoundaryData(
-            grid,
-            np.ones((grid.n1 + 2, grid.n2 + 2)),
-            np.ones((grid.nt + 1, grid.n1 + 2)),
-            np.ones((grid.nt + 1, grid.n1 + 2)),
-            np.ones((grid.nt + 1, grid.n2 + 2)),
-            np.ones((grid.nt + 1, grid.n2 + 2)),
-        )
-        [u] = solve_heat(grid, [zero_potential(grid)], data)
-        assert np.max(np.abs(u.values - 1.0)) <= 1e-12
+    def test_truncated_grid_rejected(self, open_grid):
+        # the solver marches bounded grids only; the open regime is checked
+        # on synthetic fields, never on a solved one
+        with pytest.raises(ValueError, match="bounded grids only"):
+            solve_heat(open_grid, [zero_potential(open_grid)], constant_data(open_grid))
 
     def test_oracle_convergence(self, domain):
         errs, hs = [], []
@@ -217,11 +220,10 @@ def step_residuals(grid, pot, data, u):
 
 
 class TestStackedMarch:
-    @pytest.mark.parametrize("truncated", [False, True])
-    def test_member_fields_do_not_depend_on_the_stack(self, truncated):
+    def test_member_fields_do_not_depend_on_the_stack(self):
         # each member's field is the same, bit for bit, alone and in a
         # stack of four whose members converge at different iterations
-        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated), 24, 20, 16)
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), 24, 20, 16)
         pots = stack_members(g)
         data = positive_preset_data(g, pots[0])
         stacked = solve_heat(g, pots, data)
@@ -252,18 +254,17 @@ class TestStackedMarch:
 class TestPreconditioner:
     @settings(max_examples=60, deadline=None)
     @given(
-        truncated=st.booleans(),
         n1=st.integers(4, 12),
         n2=st.integers(4, 12),
         c=st.floats(0.1, 100.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_inverts_constant_coefficient_step(self, truncated, n1, n2, c, seed):
+    def test_inverts_constant_coefficient_step(self, n1, n2, c, seed):
         # c + (-Lap_h)/2, applied through the solver's own matvec with its
         # diagonal c + 1/dx1^2 + 1/dx2^2, maps the transform solve of r back
         # to r: this checks the DCT-I/DST-I extensions and eigenvalues directly
-        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated), n1, n2, 4)
-        r = np.random.default_rng(seed).standard_normal((n1 if truncated else n1 + 2, n2))
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), n1, n2, 4)
+        r = np.random.default_rng(seed).standard_normal((n1 + 2, n2))
         x = forward._separable_inverse(g)(r, c)
         matvec, _ = forward._pcg_solver(g)
         got = matvec(np.full(r.shape, c + 1.0 / g.dx1**2 + 1.0 / g.dx2**2), x)
@@ -315,50 +316,40 @@ def second_difference(n, d, doubled_ends=False):
 def reference_solve(grid, pot, data):
     """Crank-Nicolson with -Lap_h assembled as a sparse Kronecker sum and
     every step solved by spsolve: an independent route to solve_heat."""
-    truncated = grid.domain.truncated
-    rows = slice(1, -1) if truncated else slice(None)
-    P = grid.n1 if truncated else grid.n1 + 2
+    P = grid.n1 + 2
     A = sp.kronsum(second_difference(grid.n2, grid.dx2),
-                   second_difference(P, grid.dx1, doubled_ends=not truncated), format="csc")
+                   second_difference(P, grid.dx1, doubled_ends=True), format="csc")
     eye = sp.identity(P * grid.n2, format="csc")
-    V = pot.potential_values()[:, rows, 1:-1].reshape(grid.nt + 1, -1)
+    V = pot.potential_values()[:, :, 1:-1].reshape(grid.nt + 1, -1)
 
     def known(k):
         # data terms of -Lap_h moved to the right-hand side at level k
         c = np.zeros((P, grid.n2))
-        c[:, 0] += data.b_bottom[k][rows] / grid.dx2**2
-        c[:, -1] += data.b_top[k][rows] / grid.dx2**2
-        if truncated:
-            c[0] += data.cap_minus[k][1:-1] / grid.dx1**2
-            c[-1] += data.cap_plus[k][1:-1] / grid.dx1**2
-        else:
-            c[0] += 2.0 * data.cap_minus[k][1:-1] / grid.dx1
-            c[-1] += 2.0 * data.cap_plus[k][1:-1] / grid.dx1
+        c[:, 0] += data.b_bottom[k] / grid.dx2**2
+        c[:, -1] += data.b_top[k] / grid.dx2**2
+        c[0] += 2.0 * data.cap_minus[k][1:-1] / grid.dx1
+        c[-1] += 2.0 * data.cap_plus[k][1:-1] / grid.dx1
         return c.ravel()
 
     u = np.empty(grid.shape)
     u[0] = data.u0
     for k in range(grid.nt):
-        x = u[k][rows, 1:-1].ravel()
+        x = u[k][:, 1:-1].ravel()
         lhs = eye / grid.dt + 0.5 * (A + sp.diags(V[k + 1]))
         rhs = (eye / grid.dt - 0.5 * (A + sp.diags(V[k]))) @ x + 0.5 * (known(k) + known(k + 1))
         u[k + 1, :, 0] = data.b_bottom[k + 1]
         u[k + 1, :, -1] = data.b_top[k + 1]
-        if truncated:
-            u[k + 1, 0] = data.cap_minus[k + 1]
-            u[k + 1, -1] = data.cap_plus[k + 1]
-        u[k + 1][rows, 1:-1] = spsolve(lhs.tocsc(), rhs).reshape(P, grid.n2)
+        u[k + 1][:, 1:-1] = spsolve(lhs.tocsc(), rhs).reshape(P, grid.n2)
     return u
 
 
 class TestAgainstSparseReference:
-    @pytest.mark.parametrize("truncated, n1, n2", [
-        (False, 9, 7),    # bounded, nonzero Neumann cap data
-        (True, 9, 7),     # truncated, all Dirichlet
-        (False, 4, 11),   # bounded and tall: n2 > n1 + 2
+    @pytest.mark.parametrize("n1, n2", [
+        (9, 7),    # nonzero Neumann cap data
+        (4, 11),   # tall: n2 > n1 + 2
     ])
-    def test_matches_kronecker_sum_stepper(self, truncated, n1, n2, rng):
-        d = WaveguideDomain(L=1.0, h=1.3, T=2.0, truncated=truncated)
+    def test_matches_kronecker_sum_stepper(self, n1, n2, rng):
+        d = WaveguideDomain(L=1.0, h=1.3, T=2.0)
         g = build_grid(d, n1, n2, 10)
         pot = PotentialSpec(g, rng.uniform(-0.5, 1.0, (g.nt + 1, g.n2 + 2)),
                             rng.uniform(0.2, 2.0, g.n1 + 2))
@@ -370,8 +361,6 @@ class TestAgainstSparseReference:
                             cap_minus=cap_minus, cap_plus=cap_plus)
         # u0 carries the level-0 Dirichlet traces, as consistent data does
         data.u0[:, 0], data.u0[:, -1] = data.b_bottom[0], data.b_top[0]
-        if truncated:
-            data.u0[0], data.u0[-1] = data.cap_minus[0], data.cap_plus[0]
         got = solve_heat(g, [pot], data)[0].values
         ref = reference_solve(g, pot, data)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -438,36 +427,6 @@ class TestMeasurement:
         assert np.max(np.abs(m - analytic)) <= tol
 
 
-class TestDecayingPreset:
-    def test_requires_truncated_grid(self, grid):
-        pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
-        with pytest.raises(ValueError, match="truncated"):
-            decaying_preset_data(grid, pot)
-
-    def test_cap_mass_is_negligible_for_wide_truncation(self):
-        # radius chosen so the spreading kernel's tail stays under 1e-8
-        d = WaveguideDomain(L=10.0, h=1.0, T=1.0, truncated=True)
-        g = build_grid(d, 48, 12, 16)
-        pot = PotentialSpec(g, np.zeros((g.nt + 1, g.n2 + 2)), np.ones(g.n1 + 2))
-        data = decaying_preset_data(g, pot)
-        [u] = solve_heat(g, [pot], data)
-        caps = np.abs(u.values[:, [0, -1], :])
-        assert np.max(caps) <= 1e-8 * np.max(np.abs(u.values))
-        assert integrate_values(g, u.values**2, "Q") > 0.0
-
-    def test_compatibility_residual_is_pure_stencil_error(self, open_domain):
-        # walls are identically zero and the caps trace an exact solution,
-        # so the residual shrinks under refinement (the cap trace starts
-        # on a fast kernel time scale, hence the moderate constants)
-        errs = []
-        for n in (32, 64):
-            gg = build_grid(open_domain, n, n, 2 * n)
-            pp = PotentialSpec(gg, q_preset(gg), np.ones(gg.n1 + 2))
-            errs.append(compatibility_residual(decaying_preset_data(gg, pp), pp))
-        assert errs[1] < 0.5 * errs[0]
-        assert errs[1] < 0.2
-
-
 class TestThreadIndependence:
     # The preconditioner applies its transforms as GEMMs (M1 @ r @ M2).
     # OpenBLAS splits a GEMM over output rows and columns, never over the
@@ -475,7 +434,7 @@ class TestThreadIndependence:
     # count.  A BLAS dot product is split over its length; any BLAS inner
     # product inside the iteration would show in these solves.
 
-    def solve_bytes(self, tmp_path, truncated, n1, n2, members=1):
+    def solve_bytes(self, tmp_path, n1, n2, members=1):
         """Bytes of a 4-step positive-preset march of ``members`` potentials
         (q_preset scaled by 1, 2, ...) at 1 and at 2 threads."""
         script = (
@@ -483,7 +442,7 @@ class TestThreadIndependence:
             "from waveguide_carleman import WaveguideDomain, build_grid, solve_heat\n"
             "from waveguide_carleman.forward import PotentialSpec, positive_preset_data\n"
             "from waveguide_carleman.synth import axial_factor, q_preset\n"
-            f"d = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated={truncated})\n"
+            "d = WaveguideDomain(L=1.0, h=1.0, T=2.0)\n"
             f"g = build_grid(d, {n1}, {n2}, 4)\n"
             "pots = [PotentialSpec(g, (1 + b) * q_preset(g), axial_factor(g))\n"
             f"        for b in range({members})]\n"
@@ -504,19 +463,13 @@ class TestThreadIndependence:
     def test_large_step_does_not_depend_on_blas_threads(self, tmp_path):
         # 162 x 128 = 20,736 unknowns per step: at this length a BLAS dot
         # product gives different bits at 1 and at 2 threads
-        first, second = self.solve_bytes(tmp_path, False, 160, 128)
+        first, second = self.solve_bytes(tmp_path, 160, 128)
         assert len(first) == 5 * 162 * 130 * 8
-        assert first == second
-
-    def test_truncated_step_does_not_depend_on_blas_threads(self, tmp_path):
-        # DST-I along both axes, with the long axis in the left-hand GEMM
-        first, second = self.solve_bytes(tmp_path, True, 256, 96)
-        assert len(first) == 5 * 258 * 98 * 8
         assert first == second
 
     def test_stacked_march_does_not_depend_on_blas_threads(self, tmp_path):
         # four members in one march: the per-member GEMMs and inner
         # products must give the same bits at 1 and at 2 threads
-        first, second = self.solve_bytes(tmp_path, False, 160, 128, members=4)
+        first, second = self.solve_bytes(tmp_path, 160, 128, members=4)
         assert len(first) == 4 * 5 * 162 * 130 * 8
         assert first == second

@@ -87,14 +87,6 @@ class TestAssembleStability:
         lhss = [r.lhs for r in reps]
         assert all(a >= b for a, b in zip(lhss, lhss[1:]))
 
-    def test_truncation_budget_reported_in_open_mode(self, open_domain):
-        g = build_grid(open_domain, 12, 12, 16)
-        q = q_preset(g)
-        pr = manufacture_pair(g, q, q + 0.1 * dq_preset(g), axial_factor(g))
-        rep = assemble_stability(pr.u, pr.u_tilde, q, pr.pot_tilde.q, g, eps=0.25)
-        assert rep.truncation_budget is not None
-        assert rep.truncation_budget >= 0.0
-
 
 def _trap(n, d):
     w = np.full(n, d)
@@ -114,18 +106,6 @@ class TestAgainstFullGridEinsum:
                              _trap(ib - ia + 1, g.dt), _trap(g.n2 + 2, g.dx2))
         assert expected > 0.0
         assert rep.lhs == pytest.approx(expected, rel=1e-12)
-
-    def test_truncation_budget(self, open_domain):
-        g = build_grid(open_domain, 12, 12, 16)
-        q = q_preset(g)
-        pr = manufacture_pair(g, q, q + 0.1 * dq_preset(g), axial_factor(g))
-        rep = assemble_stability(pr.u, pr.u_tilde, q, pr.pot_tilde.q, g, eps=0.25)
-        cols = [0, 1, -2, -1]
-        shell = pr.u.values[:, cols, :] ** 2 + pr.u_tilde.values[:, cols, :] ** 2
-        expected = g.dx1 * np.einsum("tij,t,j->", shell, _trap(g.nt + 1, g.dt),
-                                     _trap(g.n2 + 2, g.dx2))
-        assert expected > 0.0
-        assert rep.truncation_budget == pytest.approx(expected, rel=1e-12)
 
 
 class TestPerturbationSweep:
