@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from waveguide_carleman import WaveguideDomain, build_grid, forward, manufacture_pair, measurement, solve_heat
+from waveguide_carleman import (WaveguideDomain, build_grid, forward, manufacture_pair, measurement,
+                                perturbation_sweep, solve_heat)
 from waveguide_carleman.forward import (
     BoundaryData,
     PotentialSpec,
@@ -118,6 +119,19 @@ class TestSolveHeat:
         # on synthetic fields, never on a solved one
         with pytest.raises(ValueError, match="bounded grids only"):
             solve_heat(open_grid, [zero_potential(open_grid)], constant_data(open_grid))
+
+    @pytest.mark.parametrize("entry", ["oracle", "manufacture_pair", "perturbation_sweep"])
+    def test_truncated_grid_rejected_by_every_solving_entry_point(self, open_grid, entry):
+        # the public routes to a solve carry no check of their own: each
+        # reaches solve_heat's guard
+        q, dq, f = q_preset(open_grid), dq_preset(open_grid), axial_factor(open_grid)
+        calls = {
+            "oracle": lambda: SeparableOracle(open_grid).solve(),
+            "manufacture_pair": lambda: manufacture_pair(open_grid, q, q + 0.1 * dq, f),
+            "perturbation_sweep": lambda: perturbation_sweep(open_grid, q, dq, f, [0.1], [0.25]),
+        }
+        with pytest.raises(ValueError, match="bounded grids only"):
+            calls[entry]()
 
     def test_oracle_convergence(self, domain):
         errs, hs = [], []
@@ -347,6 +361,8 @@ class TestAgainstSparseReference:
     @pytest.mark.parametrize("n1, n2", [
         (9, 7),    # nonzero Neumann cap data
         (4, 11),   # tall: n2 > n1 + 2
+        (7, 9),    # square transform blocks: n1 + 2 == n2
+        (12, 4),   # wide: n1 + 2 > 3 n2
     ])
     def test_matches_kronecker_sum_stepper(self, n1, n2, rng):
         d = WaveguideDomain(L=1.0, h=1.3, T=2.0)
@@ -465,6 +481,13 @@ class TestThreadIndependence:
         # product gives different bits at 1 and at 2 threads
         first, second = self.solve_bytes(tmp_path, 160, 128)
         assert len(first) == 5 * 162 * 130 * 8
+        assert first == second
+
+    def test_wide_section_step_does_not_depend_on_blas_threads(self, tmp_path):
+        # 96 x 256 = 24,576 unknowns per step, with the long axis in the
+        # right-hand GEMM instead of the left-hand one
+        first, second = self.solve_bytes(tmp_path, 94, 256)
+        assert len(first) == 5 * 96 * 258 * 8
         assert first == second
 
     def test_stacked_march_does_not_depend_on_blas_threads(self, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from waveguide_carleman import WaveguideDomain, assemble_stability, build_grid, manufacture_pair, perturbation_sweep
-from waveguide_carleman.grid import SECTION_TRACE, ScalarField, fit_convergence_order
+from waveguide_carleman.grid import (SECTION_TRACE, ScalarField, fit_convergence_order, gradient,
+                                     normal_derivative)
 from waveguide_carleman.stability import mixed_sobolev_norm, sweep_table
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
@@ -106,6 +107,28 @@ class TestAgainstFullGridEinsum:
                              _trap(ib - ia + 1, g.dt), _trap(g.n2 + 2, g.dx2))
         assert expected > 0.0
         assert rep.lhs == pytest.approx(expected, rel=1e-12)
+
+    def test_boundary_term(self, run_grid, pair):
+        # the observed trace taken from the full-grid gradient, squared and
+        # integrated over the observed wall and (0, T)
+        g = run_grid
+        rep = assemble_stability(pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, g, eps=0.25)
+        seg = g.domain.obs_segment
+        diff = (normal_derivative(gradient(pair.u_tilde)[0], seg).values
+                - normal_derivative(gradient(pair.u)[0], seg).values)
+        expected = np.einsum("ti,t,i->", diff**2, _trap(g.nt + 1, g.dt), _trap(g.n1 + 2, g.dx1))
+        assert expected > 0.0
+        assert rep.rhs_boundary == pytest.approx(expected, rel=1e-12)
+
+    def test_r_bound(self, run_grid, pair):
+        # the larger of the two potentials' L2 norms over (0, T) x section
+        g = run_grid
+        q, qt = pair.pot.q, pair.pot_tilde.q
+        rep = assemble_stability(pair.u, pair.u_tilde, q, qt, g, eps=0.25)
+        w = (_trap(g.nt + 1, g.dt), _trap(g.n2 + 2, g.dx2))
+        expected = max(np.sqrt(np.einsum("tj,t,j->", p**2, *w)) for p in (q, qt))
+        assert expected > 0.0
+        assert rep.r_bound == pytest.approx(expected, rel=1e-12)
 
 
 class TestPerturbationSweep:
