@@ -28,6 +28,7 @@ from .grid import (
     FULL,
     ScalarField,
     SpaceTimeGrid,
+    derivative,
     gradient,
     integrate_values,
     laplacian,
@@ -124,10 +125,16 @@ def _weighted_Q_integral(grid: SpaceTimeGrid, core: np.ndarray, decay: np.ndarra
     """Integral over Q of decay * (s*g)^power * core, with the power of
     s*g folded into the time weights.  Only interior time levels are summed
     (the endpoint levels carry weight zero, and a negative power of
-    s*g = 0 there would give 0 * inf = nan).  The product and the x2 sum
-    are one contraction, so no full-size product is formed."""
+    s*g = 0 there would give 0 * inf = nan)."""
     wt = grid.wt[1:-1] if power == 0 else grid.wt[1:-1] * sg[1:-1] ** power
-    rows = np.einsum("tij,tij,j->ti", decay[1:-1], core[1:-1], grid.w2)
+    return _Q_contraction(grid, decay[1:-1], core[1:-1], wt)
+
+
+def _Q_contraction(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> float:
+    """Trapezoid integral of a * b over the time levels that ``wt`` weights.
+    The product and the x2 sum are one contraction, so no full-size
+    product is formed."""
+    rows = np.einsum("tij,tij,j->ti", a, b, grid.w2)
     return float(wt @ (rows @ grid.w1))
 
 
@@ -171,17 +178,17 @@ def _I1_terms(grid: SpaceTimeGrid, densities: dict[str, np.ndarray], decay: np.n
 def _prefix_sweep(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
                   s_list: list) -> list[dict]:
     """One row per s: the weighted mass of the squared anchored prefix
-    integral of F (``lhs``) and of F^2 itself (``rhs``)."""
-    G = prefix_integral_x1(F).values ** 2
-    F2 = F.values**2
+    integral of F (``lhs``) and of F^2 itself (``rhs``).  Both are
+    contracted against each row's decay at once; each gives the bytes of
+    its own :func:`_weighted_Q_integral`."""
+    pair = np.empty((2,) + grid.shape)
+    np.square(prefix_integral_x1(F).values, out=pair[0])
+    np.square(F.values, out=pair[1])
     sweep = []
     for s in s_list:
-        decay = ws.decay(s)
-        sweep.append(
-            {"s": s, "lambda": ws.params.lam,
-             "lhs": _weighted_Q_integral(grid, G, decay),
-             "rhs": _weighted_Q_integral(grid, F2, decay)}
-        )
+        rows = np.einsum("tij,ktij,j->kti", ws.decay(s)[1:-1], pair[:, 1:-1], grid.w2)
+        lhs, rhs = (float(grid.wt[1:-1] @ (r @ grid.w1)) for r in rows)
+        sweep.append({"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs": rhs})
     return sweep
 
 
@@ -302,7 +309,7 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
         - (s_val**2 * grad_phi_sq + s_val * phi_lap) * w.values
     )
 
-    M1, M2 = _split_parts(w, coeffs, s_val)
+    M1, M2 = _split_parts(grid, w.values, coeffs, s_val)
 
     residual = M_lit - (M1 + M2)
 
@@ -433,10 +440,11 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
         lhs_zero = s**3 * lam**4 * _weighted_Q_integral(grid, zero_density, decay)
         lhs_grad = s * lam * _weighted_Q_integral(grid, grad_density, decay)
 
-        wbar = ScalarField(grid, ws.decay(s / 2) * u.values, FULL)
-        m1, m2 = _split_parts(wbar, coeffs, s)
-        lhs_m1 = integrate_values(grid, m1**2, "Q")
-        lhs_m2 = integrate_values(grid, m2**2, "Q")
+        wbar = ws.decay(s / 2)
+        wbar *= u.values
+        m1, m2 = _split_parts(grid, wbar, coeffs, s)
+        lhs_m1 = _Q_contraction(grid, m1, m1, grid.wt)
+        lhs_m2 = _Q_contraction(grid, m2, m2, grid.wt)
         lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
 
         flux = decay[:, :, wall_j] * flux_density
@@ -465,21 +473,32 @@ def _weight_coefficients(ws: WeightSystem) -> tuple[np.ndarray, ...]:
     return phi_t, phi_x1, phi_x2, phi_lap, phi_x1**2 + phi_x2**2
 
 
-def _split_parts(w: ScalarField, coeffs: tuple[np.ndarray, ...],
+def _split_parts(grid: SpaceTimeGrid, w: np.ndarray, coeffs: tuple[np.ndarray, ...],
                  s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stationary part M1 and the transport part M2 of the conjugated
-    operator applied to ``w``, with the weight coefficients from
-    :func:`_weight_coefficients`."""
+    """The stationary part M1 = -Lap w - (s^2 |grad phi|^2 + s phi_t) w and
+    the transport part M2 = w_t + 2s grad phi . grad w + s Lap(phi) w of
+    the conjugated operator applied to the values ``w``, with the weight
+    coefficients from :func:`_weight_coefficients`.  Each part is summed
+    in place, term by term in that order."""
     phi_t, phi_x1, phi_x2, phi_lap, grad_phi_sq = coeffs
-    w1, w2 = gradient(w)
-    m1 = (
-        -laplacian(w).values
-        - s**2 * grad_phi_sq * w.values
-        - s * phi_t * w.values
-    )
-    m2 = (
-        time_derivative(w).values
-        + 2.0 * s * (phi_x1 * w1.values + phi_x2 * w2.values)
-        + s * phi_lap * w.values
-    )
+    scratch = np.empty_like(w)
+
+    m1 = derivative(w, grid.dx1, 1, order=2)
+    m1 += derivative(w, grid.dx2, 2, order=2)
+    np.negative(m1, out=m1)
+    for coef, scale in ((grad_phi_sq, s**2), (phi_t, s)):
+        np.multiply(coef, scale, out=scratch)
+        scratch *= w
+        m1 -= scratch
+
+    transport = derivative(w, grid.dx1, 1)
+    transport *= phi_x1
+    np.multiply(derivative(w, grid.dx2, 2), phi_x2, out=scratch)
+    transport += scratch
+    transport *= 2.0 * s
+    m2 = derivative(w, grid.dt, 0)
+    m2 += transport
+    np.multiply(phi_lap, s, out=scratch)
+    scratch *= w
+    m2 += scratch
     return m1, m2

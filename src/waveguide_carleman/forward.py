@@ -40,9 +40,9 @@ from .grid import (
     FULL,
     ScalarField,
     SpaceTimeGrid,
+    derivative,
     integrate_values,
     one_sided_derivative,
-    second_derivative,
 )
 
 
@@ -112,7 +112,7 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
     wall nodes.  The time derivative uses the one-sided second-order
     stencil on the first three data levels."""
     g = data.grid
-    lap_u0 = second_derivative(data.u0, g.dx1, 0) + second_derivative(data.u0, g.dx2, 1)
+    lap_u0 = derivative(data.u0, g.dx1, 0, order=2) + derivative(data.u0, g.dx2, 1, order=2)
     v0 = pot.q[0][None, :] * pot.f[:, None] * data.u0
     # the forward time derivative is the negated one-sided stencil at t = 0
     return float(max(np.max(np.abs(-one_sided_derivative(b, g.dt) - lap_u0[:, j] + v0[:, j]))
@@ -383,7 +383,7 @@ def measurement(u: ScalarField, grid: SpaceTimeGrid) -> ScalarField:
     values equal ``normal_derivative(gradient(u)[0], segment)``."""
     segment = grid.domain.obs_segment
     cols = [-1, -2, -3] if segment == "x2_max" else [0, 1, 2]
-    d1 = np.gradient(u.values[:, :, cols], grid.dx1, axis=1, edge_order=2)
+    d1 = derivative(u.values[:, :, cols], grid.dx1, 1)
     return ScalarField(grid, one_sided_derivative(np.moveaxis(d1, 2, 0), grid.dx2),
                        BOUNDARY_TRACE, segment)
 

@@ -19,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,36 +206,62 @@ def _expected_shape(grid: SpaceTimeGrid, kind: str, segment: str | None):
 # ---------------------------------------------------------------------------
 
 
-def second_derivative(values: np.ndarray, d: float, axis: int) -> np.ndarray:
-    """Second derivative along ``axis``: 3-point centered stencil inside,
-    4-point one-sided stencil (also second order) at the two ends."""
-    v = np.moveaxis(values, axis, 0)
+def derivative(values: np.ndarray, d: float, axis: int, order: int = 1) -> np.ndarray:
+    """First (``order=1``) or second (``order=2``) derivative of node
+    values ``d`` apart along ``axis``, second order everywhere.
+
+    Inside, the centred 3-point stencil runs as one shift of the flattened
+    C-ordered array by the axis's element stride; the nodes that shift
+    also writes on the two end faces are then overwritten by the one-sided
+    stencils: the 3-point one for ``order=1`` and the 4-point one for
+    ``order=2``.  The first derivative has the bytes of
+    ``np.gradient(values, d, axis=axis, edge_order=2)``.  Raises
+    ``ValueError`` when the axis has fewer nodes than the end stencil reads
+    (3 or 4), where the shift would wrap into the neighbouring line.
+    """
+    v = np.ascontiguousarray(values, dtype=float)
+    axis = range(v.ndim)[axis]
+    n = v.shape[axis]
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    if n < order + 2:
+        raise ValueError(f"axis {axis} has {n} nodes; an order-{order} derivative "
+                         f"needs at least {order + 2}")
     out = np.empty_like(v)
-    inner = out[1:-1]  # (v[:-2] - 2 v[1:-1] + v[2:]) / d^2, written in place
-    np.multiply(v[1:-1], 2.0, out=inner)
-    np.subtract(v[:-2], inner, out=inner)
-    np.add(inner, v[2:], out=inner)
-    np.divide(inner, d**2, out=inner)
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / d**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / d**2
-    return np.moveaxis(out, 0, axis)
+    step = math.prod(v.shape[axis + 1:])
+    flat, inner = v.reshape(-1), out.reshape(-1)[step:-step]
+    if order == 1:  # (v[2:] - v[:-2]) / (2 d)
+        np.subtract(flat[2 * step:], flat[:-2 * step], out=inner)
+        np.divide(inner, 2.0 * d, out=inner)
+    else:  # (v[:-2] - 2 v[1:-1] + v[2:]) / d^2
+        np.multiply(flat[step:-step], 2.0, out=inner)
+        np.subtract(flat[:-2 * step], inner, out=inner)
+        np.add(inner, flat[2 * step:], out=inner)
+        np.divide(inner, d**2, out=inner)
+    v, faces = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    if order == 1:
+        faces[0] = (-1.5 / d) * v[0] + (2.0 / d) * v[1] - (0.5 / d) * v[2]
+        faces[-1] = (0.5 / d) * v[-3] - (2.0 / d) * v[-2] + (1.5 / d) * v[-1]
+    else:
+        faces[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / d**2
+        faces[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / d**2
+    return out
 
 
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spatial gradient (d/dx1, d/dx2) of a full field."""
     _require_full(f, "gradient")
     g = f.grid
-    d1 = np.gradient(f.values, g.dx1, axis=1, edge_order=2)
-    d2 = np.gradient(f.values, g.dx2, axis=2, edge_order=2)
-    return ScalarField(g, d1, FULL), ScalarField(g, d2, FULL)
+    return (ScalarField(g, derivative(f.values, g.dx1, 1), FULL),
+            ScalarField(g, derivative(f.values, g.dx2, 2), FULL))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Five-point Laplacian of a full field."""
     _require_full(f, "laplacian")
     g = f.grid
-    out = second_derivative(f.values, g.dx1, 1)
-    out += second_derivative(f.values, g.dx2, 2)
+    out = derivative(f.values, g.dx1, 1, order=2)
+    out += derivative(f.values, g.dx2, 2, order=2)
     return ScalarField(g, out, FULL)
 
 
@@ -242,8 +269,7 @@ def time_derivative(f: ScalarField) -> ScalarField:
     """d/dt of a full field (centered inside, one-sided at t=0 and t=T)."""
     _require_full(f, "time_derivative")
     g = f.grid
-    out = np.gradient(f.values, g.dt, axis=0, edge_order=2)
-    return ScalarField(g, out, FULL)
+    return ScalarField(g, derivative(f.values, g.dt, 0), FULL)
 
 
 def normal_derivative(f: ScalarField, segment: str) -> ScalarField:

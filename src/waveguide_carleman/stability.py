@@ -23,9 +23,9 @@ from .grid import (
     SECTION_TRACE,
     ScalarField,
     SpaceTimeGrid,
+    derivative,
     integrate_values,
     report_text,
-    second_derivative,
     trapezoid,
 )
 
@@ -59,11 +59,11 @@ def mixed_sobolev_norm(trace: ScalarField) -> float:
         raise ValueError("mixed Sobolev norm expects a cross-section trace")
     g = trace.grid
     v = trace.values
-    vt = np.gradient(v, g.dt, axis=0, edge_order=2)
+    vt = derivative(v, g.dt, 0)
 
     def h2_density(a: np.ndarray) -> np.ndarray:
-        a2 = np.gradient(a, g.dx2, axis=1, edge_order=2)
-        a22 = second_derivative(a, g.dx2, 1)
+        a2 = derivative(a, g.dx2, 1)
+        a22 = derivative(a, g.dx2, 1, order=2)
         return a**2 + a2**2 + a22**2
 
     density = h2_density(v) + h2_density(vt)

@@ -37,6 +37,7 @@ from .grid import (
     FULL,
     ScalarField,
     SpaceTimeGrid,
+    derivative,
     gradient,
     integrate_values,
     laplacian,
@@ -83,7 +84,7 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
 
     v = ScalarField(grid, u.values - u_tilde.values, FULL)
     w = ScalarField(grid, v.values / m, FULL)
-    z = gradient(w)[0]
+    z = ScalarField(grid, derivative(w.values, grid.dx1, 1), FULL)
 
     dm1, dm2 = gradient(fu)
     A1 = ScalarField(grid, -2.0 * dm1.values / m, FULL)
@@ -95,9 +96,9 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
 
     ratio1 = ScalarField(grid, dm1.values / m, FULL)
     ratio2 = ScalarField(grid, dm2.values / m, FULL)
-    B1 = ScalarField(grid, -2.0 * gradient(ratio1)[0].values, FULL)
-    B2 = ScalarField(grid, 2.0 * gradient(ratio2)[0].values, FULL)
-    b_coef = ScalarField(grid, -gradient(a_coef)[0].values, FULL)
+    B1 = ScalarField(grid, -2.0 * derivative(ratio1.values, grid.dx1, 1), FULL)
+    B2 = ScalarField(grid, 2.0 * derivative(ratio2.values, grid.dx1, 1), FULL)
+    b_coef = ScalarField(grid, -derivative(a_coef.values, grid.dx1, 1), FULL)
 
     return TransformBundle(
         grid=grid, v=v, w=w, z=z, fu=fu,
@@ -152,9 +153,8 @@ def _w_operator(bundle: TransformBundle, f: ScalarField) -> np.ndarray:
 
 def z_source(bundle: TransformBundle) -> ScalarField:
     """Source term B2 w_x2 + b w of the differentiated equation."""
-    w = bundle.w
-    return ScalarField(bundle.grid,
-                       bundle.B2.values * gradient(w)[1].values + bundle.b_coef.values * w.values,
+    g, w = bundle.grid, bundle.w.values
+    return ScalarField(g, bundle.B2.values * derivative(w, g.dx2, 2) + bundle.b_coef.values * w,
                        FULL)
 
 
@@ -182,10 +182,10 @@ def ftc_representation_check(bundle: TransformBundle) -> dict[str, float]:
     w_rec = prefix_integral_x1(bundle.z).values + bundle.w.values[:, ia : ia + 1, :]
     err_w, err_w_l2 = _core_norms(g, w_rec - bundle.w.values, mask)
 
-    dw2 = gradient(bundle.w)[1]
-    dz2 = gradient(bundle.z)[1]
-    rec2 = prefix_integral_x1(dz2).values + dw2.values[:, ia : ia + 1, :]
-    err_dw2, err_dw2_l2 = _core_norms(g, rec2 - dw2.values, mask)
+    dw2 = derivative(bundle.w.values, g.dx2, 2)
+    dz2 = ScalarField(g, derivative(bundle.z.values, g.dx2, 2), FULL)
+    rec2 = prefix_integral_x1(dz2).values + dw2[:, ia : ia + 1, :]
+    err_dw2, err_dw2_l2 = _core_norms(g, rec2 - dw2, mask)
 
     return {
         "w_error": err_w,

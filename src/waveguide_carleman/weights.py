@@ -166,11 +166,25 @@ def make_psi2(domain, delta: float) -> SectionWeightProfile:
 
 
 def singular_time_profile(grid: SpaceTimeGrid) -> np.ndarray:
-    """Samples of 1/(t*(T-t)) with endpoint placeholders equal to 0."""
-    t = grid.t
-    g = np.zeros_like(t)
-    g[1:-1] = 1.0 / (t[1:-1] * (grid.domain.T - t[1:-1]))
-    return g
+    """Samples of 1/(t*(T-t)) with endpoint placeholders equal to 0.
+
+    The levels up to the middle are evaluated and the rest mirrored, so
+    ``g[k] == g[nt - k]`` holds exactly, as it does for the function;
+    :meth:`WeightSystem.decay` relies on this symmetry.
+    """
+    t = grid.t[1 : grid.nt // 2 + 1]
+    g = np.zeros_like(grid.t)
+    g[1 : grid.nt // 2 + 1] = 1.0 / (t * (grid.domain.T - t))
+    return _mirror_in_time(g)
+
+
+def _mirror_in_time(a: np.ndarray) -> np.ndarray:
+    """Copy levels 1..(nt-1)//2 of ``a`` (nt + 1 time levels on its first
+    axis) onto levels nt-1..nt-(nt-1)//2; returns ``a``."""
+    nt = a.shape[0] - 1
+    m = (nt - 1) // 2
+    a[nt - m : nt] = a[1 : m + 1][::-1]
+    return a
 
 
 def singular_time_profile_derivative(grid: SpaceTimeGrid) -> np.ndarray:
@@ -246,16 +260,21 @@ class WeightSystem:
     def decay(self, s: float | None = None) -> np.ndarray:
         """exp(-2*s*weight) with endpoint time rows exactly 0 and values
         below the underflow clamp set to 0; the exponent is floored at
-        :data:`EXPONENT_FLOOR` first, which changes no output."""
+        :data:`EXPONENT_FLOOR` first, which changes no output.
+
+        The weight is symmetric in time (see :func:`singular_time_profile`),
+        so levels 1..nt//2 are evaluated and copied to their mirror levels.
+        """
         factor = 2.0 * (self.params.s if s is None else s)
+        levels = slice(1, self.grid.nt // 2 + 1)
         out = np.empty(self.grid.shape)
         out[0] = out[-1] = 0.0
-        inner = out[1:-1]
-        np.multiply(self.weight.values[1:-1], -factor, out=inner)
-        np.maximum(inner, EXPONENT_FLOOR, out=inner)
-        np.exp(inner, out=inner)
-        inner *= inner >= UNDERFLOW_CLAMP
-        return out
+        half = out[levels]
+        np.multiply(self.weight.values[levels], -factor, out=half)
+        np.maximum(half, EXPONENT_FLOOR, out=half)
+        np.exp(half, out=half)
+        half *= half >= UNDERFLOW_CLAMP
+        return _mirror_in_time(out)
 
     # -- closed-form derivatives of the weight -------------------------------
 

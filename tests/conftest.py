@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from waveguide_carleman import WaveguideDomain, build_grid
+
+# The CLI and thread-count tests start child interpreters; they import the
+# package from this checkout as the test process does.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

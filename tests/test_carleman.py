@@ -9,6 +9,7 @@ from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, b
 from waveguide_carleman.carleman import (
     InequalityReport,
     WeightOverflowError,
+    _weighted_Q_integral,
     carleman_check_bounded,
     carleman_check_open,
     conjugated_operator,
@@ -23,6 +24,7 @@ from waveguide_carleman.grid import (
     gradient,
     laplacian,
     normal_derivative,
+    prefix_integral_x1,
     time_derivative,
 )
 from waveguide_carleman.synth import SpaceTimeBump, random_smooth_field
@@ -150,6 +152,28 @@ class TestLemmaBounded:
             assert r_monotonicity_audit(ws, grid) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("regime, shape, s_values", [
+    ("bounded", (64, 64, 128), [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
+    ("open", (255, 31, 64), [4.0, 8.0, 16.0, 32.0, 64.0]),
+    ("bounded", (32, 32, 64), [1.0, 2.0, 4.0, 8.0, 16.0]),
+    ("open", (127, 7, 32), [4.0, 8.0, 16.0, 32.0, 64.0]),
+])
+def test_prefix_rows_equal_separate_integrals(regime, shape, s_values):
+    # the lemma checkers contract (prefix^2, F^2) against each decay at
+    # once; each side keeps the bytes of its own weighted integral
+    domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
+    g = build_grid(domain, *shape)
+    ws = assemble_weight(WeightParams(lam=1.1 if regime == "open" else 1.0, s=4.0,
+                                      regime=regime), g)
+    F = random_smooth_field(g, np.random.default_rng(3), anchored_right=regime == "open")
+    check = lemma_open_check if regime == "open" else lemma_bounded_check
+    G = prefix_integral_x1(F).values ** 2
+    for row in check(F, ws, g, s_values).sweep:
+        decay = ws.decay(row["s"])
+        assert row["lhs"] == _weighted_Q_integral(g, G, decay), row["s"]
+        assert row["rhs"] == _weighted_Q_integral(g, F.values**2, decay), row["s"]
+
+
 class TestLemmaOpen:
     def test_zero_field(self, open_grid, open_ws):
         F = ScalarField(open_grid, np.zeros(open_grid.shape), FULL)
@@ -198,6 +222,21 @@ class TestConjugatedOperator:
         np.testing.assert_array_equal(dec.M1.values, -laplacian(w).values)
         np.testing.assert_array_equal(dec.M2.values, time_derivative(w).values)
         np.testing.assert_array_equal(dec.M_literal.values, dec.M_expanded.values)
+
+    @pytest.mark.parametrize("s", [0.5, 3.0])
+    def test_split_parts_equal_the_expressions(self, open_grid, open_ws, s):
+        # the in-place M1/M2 give the bytes of the term-by-term expressions
+        w = SpaceTimeBump(open_grid, amplitude=0.3).field()
+        dec = conjugated_operator(w, open_ws, s=s)
+        phi_t = open_ws.weight_time_derivative()
+        p1, p2 = open_ws.weight_gradient()
+        plap = open_ws.weight_laplacian()
+        w1, w2 = gradient(w)
+        m1 = -laplacian(w).values - s**2 * (p1**2 + p2**2) * w.values - s * phi_t * w.values
+        m2 = (time_derivative(w).values + 2.0 * s * (p1 * w1.values + p2 * w2.values)
+              + s * plap * w.values)
+        assert dec.M1.values.tobytes() == m1.tobytes()
+        assert dec.M2.values.tobytes() == m2.tobytes()
 
     def test_overflow_guard_names_node(self, open_grid, open_ws):
         w = SpaceTimeBump(open_grid, amplitude=0.2).field()
@@ -293,7 +332,11 @@ class TestCarlemanOpen:
         g1, g2 = gradient(u)
         dnu_u = normal_derivative(u, "x2_max").values
         flux = decay[:, :, -1] * phi[:, :, -1] * dnu_u**2 * open_ws.dpsi_dx2[None, :, -1]
+        dec = conjugated_operator(
+            ScalarField(open_grid, open_ws.decay(s / 2) * u.values, FULL), open_ws, s=s)
         expected = {
+            "lhs_M1": np.einsum("tij,t,i,j->", dec.M1.values**2, wt, w1, w2),
+            "lhs_M2": np.einsum("tij,t,i,j->", dec.M2.values**2, wt, w1, w2),
             "lhs_zero_order": s**3 * lam**4 * np.einsum(
                 "tij,t,i,j->", decay * phi**3 * u.values**2, wt, w1, w2),
             "lhs_gradient": s * lam * np.einsum(

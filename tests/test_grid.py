@@ -20,10 +20,10 @@ from waveguide_carleman import (
     time_derivative,
 )
 from waveguide_carleman.grid import (
+    derivative,
     fit_convergence_order,
     integrate_values,
     report_text,
-    second_derivative,
 )
 
 
@@ -140,7 +140,7 @@ class TestCalculus:
         weights = np.arange(1.0, 1.0 + np.prod(other)).reshape(other)
         values = weights * (a + b * x + c * x**2 + e * x**3)
         exact = np.moveaxis(weights * (2.0 * c + 6.0 * e * x), axis, 0)
-        got = np.moveaxis(second_derivative(values, d, axis), axis, 0)
+        got = np.moveaxis(derivative(values, d, axis, order=2), axis, 0)
         xm = float(np.max(np.abs(x)))
         scale = weights.max() * (abs(a) + abs(b) * xm + abs(c) * xm**2 + abs(e) * xm**3)
         fp = np.finfo(float)
@@ -323,7 +323,7 @@ class TestPrefixIntegral:
 
 
 def _second_derivative_reference(values, d, axis):
-    """The stencil of :func:`second_derivative` as one expression per row."""
+    """The order-2 stencil of :func:`derivative` as one expression per row."""
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v)
     out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / d**2
@@ -343,12 +343,48 @@ def _prefix_integral_reference(f):
 def _assert_kernels_equal_references(f):
     g = f.grid
     for axis, d in ((0, g.dt), (1, g.dx1), (2, g.dx2)):
-        got = second_derivative(f.values, d, axis)
+        got = derivative(f.values, d, axis, order=2)
         assert got.tobytes() == _second_derivative_reference(f.values, d, axis).tobytes(), axis
     lap = (_second_derivative_reference(f.values, g.dx1, 1)
            + _second_derivative_reference(f.values, g.dx2, 2))
     assert laplacian(f).values.tobytes() == lap.tobytes()
+    first = [np.gradient(f.values, d, axis=axis, edge_order=2)
+             for axis, d in ((0, g.dt), (1, g.dx1), (2, g.dx2))]
+    assert time_derivative(f).values.tobytes() == first[0].tobytes()
+    assert [d.values.tobytes() for d in gradient(f)] == [d.tobytes() for d in first[1:]]
     assert prefix_integral_x1(f).values.tobytes() == _prefix_integral_reference(f).tobytes()
+
+
+class TestDerivativeKernel:
+    """The flat-shift kernel against the per-axis expressions it replaces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+        axis=st.integers(0, 2),
+        d=st.floats(1e-3, 10.0),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_np_gradient_and_second_difference(self, shape, axis, d, transposed,
+                                                           seed):
+        axis %= len(shape)
+        shape[axis] = max(shape[axis], 4)
+        values = np.random.default_rng(seed).standard_normal(shape[::-1] if transposed else shape)
+        if transposed:  # the same logical shape, in Fortran order
+            values = values.T
+        assert values.shape == tuple(shape)
+        got = derivative(values, d, axis)
+        assert got.tobytes() == np.gradient(values, d, axis=axis, edge_order=2).tobytes()
+        got = derivative(values, d, axis, order=2)
+        assert got.tobytes() == _second_derivative_reference(values, d, axis).tobytes()
+
+    @pytest.mark.parametrize("order, nodes", [(1, 2), (2, 3), (2, 2)])
+    def test_too_short_axis_is_named(self, order, nodes):
+        values = np.ones((5, nodes, 6))
+        with pytest.raises(ValueError, match=f"axis 1 has {nodes} nodes"):
+            derivative(values, 0.1, 1, order=order)
+        assert derivative(values, 0.1, 0, order=order).shape == values.shape
 
 
 class TestKernelsAgainstExpressions:

@@ -4,7 +4,7 @@ import sympy as sp
 
 from waveguide_carleman import build_bundle, build_grid, manufacture_pair
 from waveguide_carleman.forward import PotentialSpec
-from waveguide_carleman.grid import fit_convergence_order, gradient
+from waveguide_carleman.grid import FULL, ScalarField, fit_convergence_order, gradient
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 from waveguide_carleman.transform import (
     core_mask,
@@ -118,6 +118,19 @@ class TestPipelineIdentities:
         by_hand = b.B2.values * gradient(b.w)[1].values + b.b_coef.values * b.w.values
         np.testing.assert_array_equal(z_source(b).values, by_hand)
         assert np.max(np.abs(by_hand)) > 0.0
+
+    def test_axial_derivatives_equal_the_gradient_route(self, grid):
+        # the bundle differentiates along x1 only; each field has the bytes
+        # of the x1 component of the full gradient
+        pair = _pair(grid)
+        b = build_bundle(pair.u, pair.u_tilde, pair.pot)
+        dm1, dm2 = gradient(b.fu)
+        ratio1, ratio2 = (ScalarField(grid, d.values / b.fu.values, FULL)
+                          for d in (dm1, dm2))
+        assert b.z.values.tobytes() == gradient(b.w)[0].values.tobytes()
+        assert b.B1.values.tobytes() == (-2.0 * gradient(ratio1)[0].values).tobytes()
+        assert b.B2.values.tobytes() == (2.0 * gradient(ratio2)[0].values).tobytes()
+        assert b.b_coef.values.tobytes() == (-gradient(b.a_coef)[0].values).tobytes()
 
     def test_initial_level_of_z_is_exactly_zero(self, grid):
         pair = _pair(grid)

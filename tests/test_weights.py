@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid, make_psi1, make_psi2
 from waveguide_carleman.weights import (
+    EXPONENT_FLOOR,
     UNDERFLOW_CLAMP,
     ConstantAxisProfile,
     SectionWeightProfile,
@@ -203,6 +205,47 @@ class TestDecayFloor:
         ws = assemble_weight(WeightParams(lam=lam, s=4.0, regime=regime), build_grid(domain, *shape))
         for s in (1.0, 4.0, 16.0, 32.0, 64.0, 256.0):
             assert ws.decay(s).tobytes() == _decay_reference(ws, s).tobytes(), s
+
+
+def _unmirrored_decay(ws, s):
+    """:meth:`WeightSystem.decay` evaluated on every interior level."""
+    out = np.zeros(ws.grid.shape)
+    inner = np.maximum(ws.weight.values[1:-1] * -(2.0 * s), EXPONENT_FLOOR)
+    out[1:-1] = np.exp(inner)
+    out[out < UNDERFLOW_CLAMP] = 0.0
+    return out
+
+
+class TestTimeMirror:
+    """The time profile and the decayed weight are exactly symmetric about
+    T/2, and mirroring gives the bytes of the full evaluation."""
+
+    @pytest.mark.parametrize("regime, shape", [
+        ("bounded", (64, 64, 128)),
+        ("open", (255, 31, 64)),
+        ("bounded", (32, 32, 64)),
+    ])
+    def test_equals_the_unmirrored_expression(self, regime, shape):
+        domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
+        ws = assemble_weight(WeightParams(s=4.0, regime=regime), build_grid(domain, *shape))
+        for s in range(1, 65):
+            assert ws.decay(s).tobytes() == _unmirrored_decay(ws, s).tobytes(), s
+
+    @pytest.mark.parametrize("T, nt", [(1.7, 50), (1.0, 37)])
+    def test_symmetric_and_close_to_the_exact_profile(self, T, nt):
+        grid = build_grid(WaveguideDomain(L=1.0, h=1.0, T=T), 7, 5, nt)
+        g = singular_time_profile(grid)
+        assert g[0] == g[-1] == 0.0
+        assert np.array_equal(g, g[::-1])
+        for k in range(1, nt):
+            t = Fraction(T) * k / nt  # the exact node
+            exact = 1 / (t * (Fraction(T) - t))
+            assert abs(Fraction(g[k]) - exact) <= Fraction(1e-14) * exact, k
+        ws = assemble_weight(WeightParams(s=2.0), grid)
+        for s in (0.5, 2.0, 30.0):
+            dec = ws.decay(s)
+            for k in range(nt + 1):
+                assert dec[k].tobytes() == dec[nt - k].tobytes(), (s, k)
 
 
 class TestAssumptionBounded:
