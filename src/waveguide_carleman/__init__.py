@@ -5,7 +5,6 @@ weighted inequalities that drive the stability analysis."""
 
 from .grid import (
     FULL,
-    SPATIAL_SLICE,
     BOUNDARY_TRACE,
     SECTION_TRACE,
     WaveguideDomain,
@@ -28,7 +27,6 @@ from .stability import StabilityReport, assemble_stability, perturbation_sweep
 
 __all__ = [
     "FULL",
-    "SPATIAL_SLICE",
     "BOUNDARY_TRACE",
     "SECTION_TRACE",
     "WaveguideDomain",

@@ -13,9 +13,14 @@ a concrete grid and reports the measured ratio:
 * the two full Carleman estimates (bounded and open regime), each
   returning per-s empirical constants and an operational threshold s0.
 
-All weighted integrands vanish at the two endpoint time levels by the
-convention documented in :mod:`waveguide_carleman.weights`: the decayed
-weights are exactly zero there, so plain products keep it.
+Every weighted mass is one kernel, ``_masses``: each checker writes its
+s-independent integrands once into one stack, and each s-row contracts
+the whole stack against that row's decayed weight in one call.  Masses
+against a decayed weight sum the interior time levels only: by the
+convention of :mod:`waveguide_carleman.weights` the decay is exactly
+zero at the two endpoint levels, and a negative power of s*g = 0 there
+would give 0 * inf = nan.  The split parts M1 and M2 are summed over
+every level.
 """
 
 from __future__ import annotations
@@ -120,22 +125,43 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _weighted_Q_integral(grid: SpaceTimeGrid, core: np.ndarray, decay: np.ndarray,
-                         sg: np.ndarray | None = None, power: int = 0) -> float:
-    """Integral over Q of decay * (s*g)^power * core, with the power of
-    s*g folded into the time weights.  Only interior time levels are summed
-    (the endpoint levels carry weight zero, and a negative power of
-    s*g = 0 there would give 0 * inf = nan)."""
-    wt = grid.wt[1:-1] if power == 0 else grid.wt[1:-1] * sg[1:-1] ** power
-    return _Q_contraction(grid, decay[1:-1], core[1:-1], wt)
+def _masses(grid: SpaceTimeGrid, decay: np.ndarray, stack: np.ndarray, wt) -> list[float]:
+    """Trapezoid integral of decay * stack[k] over the time levels that
+    ``wt[k]`` weights, for every member k; ``decay`` is shared by the
+    members or stacked like them.  Products and x2 sums are one contraction
+    (no full-size product), and each member has the bytes of its own call."""
+    rows = np.einsum("...tij,...tij,j->...ti", decay, stack, grid.w2)
+    return [float(w @ (r @ grid.w1)) for w, r in zip(wt, rows)]
 
 
-def _Q_contraction(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> float:
-    """Trapezoid integral of a * b over the time levels that ``wt`` weights.
-    The product and the x2 sum are one contraction, so no full-size
-    product is formed."""
-    rows = np.einsum("tij,tij,j->ti", a, b, grid.w2)
-    return float(wt @ (rows @ grid.w1))
+def _interior_masses(grid: SpaceTimeGrid, decay: np.ndarray, stack: np.ndarray,
+                     sg: np.ndarray | None = None, powers=None) -> list[float]:
+    """:func:`_masses` over the interior time levels, member k times
+    (s*g)^powers[k] (0 when ``powers`` is None) folded into the time weights."""
+    wt = grid.wt[1:-1]
+    wts = [wt if p == 0 else wt * sg[1:-1] ** p for p in powers or [0] * len(stack)]
+    return _masses(grid, decay[1:-1], stack[:, 1:-1], wts)
+
+
+#: Power of s*g multiplying each summand of :func:`weighted_norm_I1`.
+_I1_POWERS = {"laplacian": -1, "time": -1, "gradient": 1, "zero_order": 3}
+
+
+def _square_I1_densities(z: ScalarField, stack: np.ndarray) -> None:
+    """Write the s-independent integrands of :func:`weighted_norm_I1` into
+    ``stack[:4]`` one at a time, so at most two derivatives are live beside it."""
+    g, v = z.grid, z.values
+    np.square(laplacian(z).values, out=stack[0])
+    np.square(derivative(v, g.dt, 0), out=stack[1])
+    _square_gradient(g, v, stack[2])
+    np.square(v, out=stack[3])
+
+
+def _square_gradient(grid: SpaceTimeGrid, v: np.ndarray, out: np.ndarray) -> None:
+    """Write |grad v|^2 into ``out``, one derivative at a time."""
+    np.square(derivative(v, grid.dx1, 1), out=out)
+    d2 = derivative(v, grid.dx2, 2)
+    out += np.square(d2, out=d2)
 
 
 def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -> dict[str, float]:
@@ -144,28 +170,10 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
     (sg)^3 z^2, each integrated against exp(-2 s eta)."""
     _require_regime(ws, "bounded", z.grid)
     s_val = ws.params.s if s is None else s
-    return _I1_terms(z.grid, _I1_densities(z), ws.decay(s_val), s_val * ws.g)
-
-
-#: Power of s*g multiplying each summand of :func:`weighted_norm_I1`.
-_I1_POWERS = {"laplacian": -1, "time": -1, "gradient": 1, "zero_order": 3}
-
-
-def _I1_densities(z: ScalarField) -> dict[str, np.ndarray]:
-    """The s-independent integrands of :func:`weighted_norm_I1`."""
-    g1, g2 = gradient(z)
-    return {
-        "laplacian": laplacian(z).values ** 2,
-        "time": time_derivative(z).values ** 2,
-        "gradient": g1.values**2 + g2.values**2,
-        "zero_order": z.values**2,
-    }
-
-
-def _I1_terms(grid: SpaceTimeGrid, densities: dict[str, np.ndarray], decay: np.ndarray,
-              sg: np.ndarray) -> dict[str, float]:
-    terms = {name: _weighted_Q_integral(grid, density, decay, sg, _I1_POWERS[name])
-             for name, density in densities.items()}
+    stack = np.empty((4,) + z.grid.shape)
+    _square_I1_densities(z, stack)
+    terms = dict(zip(_I1_POWERS, _interior_masses(z.grid, ws.decay(s_val), stack,
+                                                  s_val * ws.g, _I1_POWERS.values())))
     terms["total"] = sum(terms.values())
     return terms
 
@@ -178,16 +186,13 @@ def _I1_terms(grid: SpaceTimeGrid, densities: dict[str, np.ndarray], decay: np.n
 def _prefix_sweep(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
                   s_list: list) -> list[dict]:
     """One row per s: the weighted mass of the squared anchored prefix
-    integral of F (``lhs``) and of F^2 itself (``rhs``).  Both are
-    contracted against each row's decay at once; each gives the bytes of
-    its own :func:`_weighted_Q_integral`."""
+    integral of F (``lhs``) and of F^2 itself (``rhs``)."""
     pair = np.empty((2,) + grid.shape)
     np.square(prefix_integral_x1(F).values, out=pair[0])
     np.square(F.values, out=pair[1])
     sweep = []
     for s in s_list:
-        rows = np.einsum("tij,ktij,j->kti", ws.decay(s)[1:-1], pair[:, 1:-1], grid.w2)
-        lhs, rhs = (float(grid.wt[1:-1] @ (r @ grid.w1)) for r in rows)
+        lhs, rhs = _interior_masses(grid, ws.decay(s), pair)
         sweep.append({"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs": rhs})
     return sweep
 
@@ -383,15 +388,17 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     obs = grid.domain.obs_segment
     dnu_z_sq = normal_derivative(z, obs).values ** 2
     wall_j = -1 if obs == "x2_max" else 0
-    densities = _I1_densities(z)
-    Pz_sq = Pz.values**2
+    # The s-independent integrands: the four of weighted_norm_I1, then Pz^2.
+    stack = np.empty((5,) + grid.shape)
+    _square_I1_densities(z, stack)
+    np.square(Pz.values, out=stack[4])
 
     sweep = []
     for s in s_values:
         decay = ws.decay(s)
         sg = s * ws.g
-        lhs = _I1_terms(z.grid, densities, decay, sg)["total"]
-        rhs_q = _weighted_Q_integral(grid, Pz_sq, decay)
+        *terms, rhs_q = _interior_masses(grid, decay, stack, sg, [*_I1_POWERS.values(), 0])
+        lhs = sum(terms)
 
         flux = decay[:, :, wall_j] * sg[:, None] * dnu_z_sq
         rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
@@ -426,30 +433,33 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
             "outward normal slope of psi is negative on the observation wall; "
             "the weight construction guarantees the opposite sign"
         )
-    # The s-independent densities, built once for the whole sweep.
-    phi = ws.weight.values
-    zero_density = phi**3 * u.values**2
-    grad_density = phi * sum(d.values**2 for d in gradient(u))
-    source_density = Hu.values**2
+    # The s-independent integrands phi^3 u^2, phi |grad u|^2 and Hu^2,
+    # written once, one member at a time.
+    phi, v = ws.weight.values, u.values
+    stack = np.empty((3,) + grid.shape)
+    np.square(v, out=stack[0])
+    stack[0] *= phi**3
+    _square_gradient(grid, v, stack[1])
+    stack[1] *= phi
+    np.square(Hu.values, out=stack[2])
     flux_density = phi[:, :, wall_j] * normal_derivative(u, obs).values ** 2 * dnu_psi[None, :]
     coeffs = _weight_coefficients(ws)
 
     sweep = []
     for s in s_values:
         decay = ws.decay(s)
-        lhs_zero = s**3 * lam**4 * _weighted_Q_integral(grid, zero_density, decay)
-        lhs_grad = s * lam * _weighted_Q_integral(grid, grad_density, decay)
+        zero, grad, rhs_q = _interior_masses(grid, decay, stack)
+        lhs_zero = s**3 * lam**4 * zero
+        lhs_grad = s * lam * grad
 
         wbar = ws.decay(s / 2)
-        wbar *= u.values
+        wbar *= v
         m1, m2 = _split_parts(grid, wbar, coeffs, s)
-        lhs_m1 = _Q_contraction(grid, m1, m1, grid.wt)
-        lhs_m2 = _Q_contraction(grid, m2, m2, grid.wt)
+        lhs_m1, lhs_m2 = (_masses(grid, m, m[None], [grid.wt])[0] for m in (m1, m2))
         lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
 
         flux = decay[:, :, wall_j] * flux_density
         rhs_b = s * lam * integrate_values(grid, flux, "boundary", segment=obs)
-        rhs_q = _weighted_Q_integral(grid, source_density, decay)
 
         sweep.append(
             {

@@ -27,10 +27,9 @@ import numpy as np
 
 # Field kinds.
 FULL = "full-field"
-SPATIAL_SLICE = "spatial-slice"
 BOUNDARY_TRACE = "boundary-trace"
 SECTION_TRACE = "cross-section-trace"
-_KINDS = (FULL, SPATIAL_SLICE, BOUNDARY_TRACE, SECTION_TRACE)
+_KINDS = (FULL, BOUNDARY_TRACE, SECTION_TRACE)
 
 # Boundary segments.  x2_min/x2_max are the lateral walls, x1_min/x1_max
 # the end caps.
@@ -157,10 +156,9 @@ def build_grid(domain: WaveguideDomain, n1: int, n2: int, nt: int) -> SpaceTimeG
 class ScalarField:
     """A sampled real-valued function attached to a grid.
 
-    ``kind`` selects the sampling set: the full space-time grid, a spatial
-    slice, a boundary trace along one segment (with time), or a
-    cross-section trace (time × x2).  Every constructed field is checked
-    to be finite.
+    ``kind`` selects the sampling set: the full space-time grid, a
+    boundary trace along one segment (with time), or a cross-section
+    trace (time × x2).  Every constructed field is checked to be finite.
     """
 
     def __init__(self, grid: SpaceTimeGrid, values: np.ndarray, kind: str,
@@ -188,8 +186,6 @@ class ScalarField:
 def _expected_shape(grid: SpaceTimeGrid, kind: str, segment: str | None):
     if kind == FULL:
         return grid.shape
-    if kind == SPATIAL_SLICE:
-        return (grid.n1 + 2, grid.n2 + 2)
     if kind == SECTION_TRACE:
         return (grid.nt + 1, grid.n2 + 2)
     if kind == BOUNDARY_TRACE:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FULL, SPATIAL_SLICE, ScalarField, SpaceTimeGrid, report_text
+from .grid import FULL, ScalarField, SpaceTimeGrid, report_text
 
 #: Decayed weight values below this threshold are clamped to exactly zero,
 #: giving deterministic underflow behaviour in quadratures.
@@ -131,9 +131,6 @@ class SectionWeightProfile:
 
     def derivative(self, x2):
         return np.full_like(np.asarray(x2, dtype=float), self.slope)
-
-    def second_derivative(self, x2):
-        return np.zeros_like(np.asarray(x2, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -239,9 +236,6 @@ class WeightSystem:
         self.dpsi_dx1 = dpsi_dx1
         self.dpsi_dx2 = dpsi_dx2
         self.lap_psi = lap_psi
-        self.psi1 = ScalarField(grid, np.outer(p1, np.ones_like(p2)), SPATIAL_SLICE)
-        self.psi2 = ScalarField(grid, np.outer(np.ones_like(p1), p2), SPATIAL_SLICE)
-        self.psi = ScalarField(grid, psi, SPATIAL_SLICE)
         self.psi_sup = float(np.max(np.abs(psi)))
         self.C0_margin = float(np.min(np.hypot(dpsi_dx1, dpsi_dx2)))
 
@@ -386,8 +380,8 @@ def check_assumption_bounded(ws: WeightSystem) -> AssumptionReport:
     extras = {
         "psi_sup": ws.psi_sup,
         "alpha": grid.alpha_snapped,
-        "min_psi1": float(np.min(ws.psi1.values)),
-        "min_psi2": float(np.min(ws.psi2.values)),
+        "min_psi1": float(np.min(ws.psi1_profile.value(grid.x1))),
+        "min_psi2": float(np.min(ws.psi2_profile.value(grid.x2))),
     }
     return AssumptionReport("bounded", [b1, b2, b3, b4, b5], extras)
 

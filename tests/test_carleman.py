@@ -1,15 +1,20 @@
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid
 from waveguide_carleman.carleman import (
     InequalityReport,
     WeightOverflowError,
-    _weighted_Q_integral,
+    _masses,
+    _split_parts,
+    _weight_coefficients,
     carleman_check_bounded,
     carleman_check_open,
     conjugated_operator,
@@ -152,6 +157,18 @@ class TestLemmaBounded:
             assert r_monotonicity_audit(ws, grid) <= 1.0 + 1e-12
 
 
+def _alone(g, a, b, wt):
+    """a * b contracted alone: the x2 sum in one einsum, then the x1 and
+    the time weights ``wt``."""
+    rows = np.einsum("tij,tij,j->ti", a, b, g.w2)
+    return float(wt @ (rows @ g.w1))
+
+
+def _interior(g, density, decay, wt=None):
+    """One integrand against ``decay`` over the interior time levels."""
+    return _alone(g, decay[1:-1], density[1:-1], g.wt[1:-1] if wt is None else wt)
+
+
 @pytest.mark.parametrize("regime, shape, s_values", [
     ("bounded", (64, 64, 128), [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
     ("open", (255, 31, 64), [4.0, 8.0, 16.0, 32.0, 64.0]),
@@ -159,19 +176,94 @@ class TestLemmaBounded:
     ("open", (127, 7, 32), [4.0, 8.0, 16.0, 32.0, 64.0]),
 ])
 def test_prefix_rows_equal_separate_integrals(regime, shape, s_values):
-    # the lemma checkers contract (prefix^2, F^2) against each decay at
-    # once; each side keeps the bytes of its own weighted integral
+    # the checkers contract all their integrands against each decay at
+    # once; every decay-weighted column keeps the bytes of its integrand
+    # contracted alone
     domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
     g = build_grid(domain, *shape)
-    ws = assemble_weight(WeightParams(lam=1.1 if regime == "open" else 1.0, s=4.0,
-                                      regime=regime), g)
+    lam = 1.1 if regime == "open" else 1.0
+    ws = assemble_weight(WeightParams(lam=lam, s=4.0, regime=regime), g)
     F = random_smooth_field(g, np.random.default_rng(3), anchored_right=regime == "open")
     check = lemma_open_check if regime == "open" else lemma_bounded_check
     G = prefix_integral_x1(F).values ** 2
     for row in check(F, ws, g, s_values).sweep:
         decay = ws.decay(row["s"])
-        assert row["lhs"] == _weighted_Q_integral(g, G, decay), row["s"]
-        assert row["rhs"] == _weighted_Q_integral(g, F.values**2, decay), row["s"]
+        assert row["lhs"] == _interior(g, G, decay), row["s"]
+        assert row["rhs"] == _interior(g, F.values**2, decay), row["s"]
+
+    bump = SpaceTimeBump(g)
+    u, Hu = bump.field(), bump.heat_residual()
+    g1, g2 = gradient(u)
+    grad_sq = g1.values**2 + g2.values**2
+    if regime == "bounded":
+        densities = [laplacian(u).values ** 2, time_derivative(u).values ** 2, grad_sq,
+                     u.values**2]
+        for row in carleman_check_bounded(u, Hu, ws, g, s_values).sweep:
+            s, decay = row["s"], ws.decay(row["s"])
+            sg = s * ws.g[1:-1]
+            assert row["rhs_source"] == _interior(g, Hu.values**2, decay), s
+            assert row["lhs"] == sum(_interior(g, d, decay, g.wt[1:-1] * sg**p)
+                                     for d, p in zip(densities, (-1, -1, 1, 3))), s
+        return
+    phi, coeffs = ws.weight.values, _weight_coefficients(ws)
+    for row in carleman_check_open(u, Hu, ws, g, s_values).sweep:
+        s, decay = row["s"], ws.decay(row["s"])
+        m1, m2 = _split_parts(g, ws.decay(s / 2) * u.values, coeffs, s)
+        expected = {
+            "lhs_zero_order": s**3 * lam**4 * _interior(g, phi**3 * u.values**2, decay),
+            "lhs_gradient": s * lam * _interior(g, phi * grad_sq, decay),
+            "rhs_source": _interior(g, Hu.values**2, decay),
+            "lhs_M1": _alone(g, m1, m1, g.wt),
+            "lhs_M2": _alone(g, m2, m2, g.wt),
+        }
+        for key, value in expected.items():
+            assert row[key] == value, (s, key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    n=st.tuples(st.integers(4, 12), st.integers(4, 40), st.integers(4, 12)),
+    stacked=st.booleans(),
+    interior=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masses_member_equals_its_own_call(k, n, stacked, interior, seed):
+    # each member of a stacked contraction has the bytes of a call that
+    # contracts that member alone, with a shared or its own decay
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), *n)
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k,) + g.shape)
+    decay = rng.random((k,) + g.shape if stacked else g.shape)
+    wt = rng.random((k, g.nt + 1))
+    if interior:
+        stack, decay, wt = stack[:, 1:-1], decay[..., 1:-1, :, :], wt[:, 1:-1]
+    got = _masses(g, decay, stack, wt)
+    assert len(got) == k
+    for m in range(k):
+        (own,) = _masses(g, decay[m] if stacked else decay, stack[m : m + 1], wt[m : m + 1])
+        assert np.float64(got[m]).tobytes() == np.float64(own).tobytes(), m
+
+
+def test_bounded_check_peak_memory_in_fields():
+    # the five integrands are written one at a time into one stack, so at
+    # most the Laplacian's two derivatives are live beside it (about 7.2
+    # fields over live data); filling it while the gradient pair is live
+    # reads about 9
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), 32, 32, 64)
+    ws = assemble_weight(WeightParams(lam=1.0, s=4.0), g)
+    bump = SpaceTimeBump(g)
+    z, Pz = bump.field(), bump.heat_residual()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        carleman_check_bounded(z, Pz, ws, g, s_values=[2.0, 4.0, 8.0, 16.0, 32.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = (peak - live) / (8 * np.prod(g.shape))
+    assert fields < 8.0, fields
 
 
 class TestLemmaOpen:

@@ -103,7 +103,8 @@ class TestAssembleWeight:
     def test_psi_is_pointwise_product(self, grid):
         ws = assemble_weight(WeightParams(), grid)
         np.testing.assert_array_equal(
-            ws.psi.values, ws.psi1.values * ws.psi2.values
+            ws.psi_values,
+            np.outer(ws.psi1_profile.value(grid.x1), ws.psi2_profile.value(grid.x2)),
         )
 
     def test_open_regime_requires_truncated_grid(self, grid):
