@@ -5,8 +5,6 @@ weighted inequalities that drive the stability analysis."""
 
 from .grid import (
     FULL,
-    BOUNDARY_TRACE,
-    SECTION_TRACE,
     WaveguideDomain,
     SpaceTimeGrid,
     ScalarField,
@@ -27,8 +25,6 @@ from .stability import StabilityReport, assemble_stability, perturbation_sweep
 
 __all__ = [
     "FULL",
-    "BOUNDARY_TRACE",
-    "SECTION_TRACE",
     "WaveguideDomain",
     "SpaceTimeGrid",
     "ScalarField",

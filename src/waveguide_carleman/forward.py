@@ -25,7 +25,8 @@ as one stack, each member with its own iteration, and a member's field
 does not depend on the stack.  Non-finite samples and a step matrix that
 is not positive definite are rejected before marching.  The scheme is
 unconditionally stable and second order; the closed-form oracle below is
-its yardstick.
+its yardstick.  The wall measurement ``measurement(u)`` is a plain
+``(nt+1, n1+2)`` array, read on ``u``'s own grid.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    BOUNDARY_TRACE,
     FULL,
     ScalarField,
     SpaceTimeGrid,
@@ -376,16 +376,16 @@ def manufacture_pair(grid: SpaceTimeGrid, q: np.ndarray, q_tilde: np.ndarray,
     )
 
 
-def measurement(u: ScalarField, grid: SpaceTimeGrid) -> ScalarField:
-    """Observed trace: outward normal derivative of the axial derivative,
-    taken on the observed lateral wall.  Only the three wall columns that
-    the one-sided normal stencil reads are differentiated along x1; the
-    values equal ``normal_derivative(gradient(u)[0], segment)``."""
-    segment = grid.domain.obs_segment
-    cols = [-1, -2, -3] if segment == "x2_max" else [0, 1, 2]
+def measurement(u: ScalarField) -> np.ndarray:
+    """Observed trace, a ``(nt+1, n1+2)`` array: outward normal derivative
+    of the axial derivative, taken on the observed lateral wall of
+    ``u.grid``.  Only the three wall columns that the one-sided normal
+    stencil reads are differentiated along x1; the values equal
+    ``normal_derivative(gradient(u)[0], segment)``."""
+    grid = u.grid
+    cols = [-1, -2, -3] if grid.domain.obs_segment == "x2_max" else [0, 1, 2]
     d1 = derivative(u.values[:, :, cols], grid.dx1, 1)
-    return ScalarField(grid, one_sided_derivative(np.moveaxis(d1, 2, 0), grid.dx2),
-                       BOUNDARY_TRACE, segment)
+    return one_sided_derivative(np.moveaxis(d1, 2, 0), grid.dx2)
 
 
 # ---------------------------------------------------------------------------

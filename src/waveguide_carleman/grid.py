@@ -14,7 +14,9 @@ Conventions:
   ``2L / (n1 + 1)`` and a full axial line has ``n1 + 2`` nodes.
 * The anchor abscissa ``alpha`` is snapped to the nearest axial node so
   that prefix integrals anchored there are exact node-column sums.
-* Field arrays are indexed ``(time, x1, x2)``.
+* Field arrays are indexed ``(time, x1, x2)``.  A :class:`ScalarField`
+  is always a full field, and the only kind :func:`load_field` reads;
+  boundary and cross-section traces are plain ``(time, n)`` arrays.
 """
 
 from __future__ import annotations
@@ -25,11 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Field kinds.
+# The one field kind, written to every field's metadata.
 FULL = "full-field"
-BOUNDARY_TRACE = "boundary-trace"
-SECTION_TRACE = "cross-section-trace"
-_KINDS = (FULL, BOUNDARY_TRACE, SECTION_TRACE)
 
 # Boundary segments.  x2_min/x2_max are the lateral walls, x1_min/x1_max
 # the end caps.
@@ -154,47 +153,26 @@ def build_grid(domain: WaveguideDomain, n1: int, n2: int, nt: int) -> SpaceTimeG
 
 
 class ScalarField:
-    """A sampled real-valued function attached to a grid.
+    """A sampled real-valued function on the full space-time grid.
 
-    ``kind`` selects the sampling set: the full space-time grid, a
-    boundary trace along one segment (with time), or a cross-section
-    trace (time × x2).  Every constructed field is checked to be finite.
+    ``kind`` must be :data:`FULL`.  Every constructed field is checked to
+    have the grid's shape and to be finite.
     """
 
-    def __init__(self, grid: SpaceTimeGrid, values: np.ndarray, kind: str,
-                 segment: str | None = None):
-        if kind not in _KINDS:
+    def __init__(self, grid: SpaceTimeGrid, values: np.ndarray, kind: str):
+        if kind != FULL:
             raise ValueError(f"unknown field kind {kind!r}")
         values = np.asarray(values, dtype=float)
-        expected = _expected_shape(grid, kind, segment)
-        if values.shape != expected:
-            raise ValueError(
-                f"value shape {values.shape} does not match {kind} shape {expected}"
-            )
+        if values.shape != grid.shape:
+            raise ValueError(f"value shape {values.shape} does not match grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
             bad = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(f"non-finite entry in {kind} field at index {tuple(bad)}")
+            raise ValueError(f"non-finite entry in field at index {tuple(bad)}")
         self.grid = grid
         self.values = values
-        self.kind = kind
-        self.segment = segment
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"ScalarField(kind={self.kind!r}, shape={self.values.shape})"
-
-
-def _expected_shape(grid: SpaceTimeGrid, kind: str, segment: str | None):
-    if kind == FULL:
-        return grid.shape
-    if kind == SECTION_TRACE:
-        return (grid.nt + 1, grid.n2 + 2)
-    if kind == BOUNDARY_TRACE:
-        if segment not in SEGMENTS:
-            raise ValueError(f"boundary trace needs a segment from {SEGMENTS}, got {segment!r}")
-        if segment in LATERAL_SEGMENTS:
-            return (grid.nt + 1, grid.n1 + 2)
-        return (grid.nt + 1, grid.n2 + 2)
-    raise ValueError(kind)
+        return f"ScalarField(shape={self.values.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +224,6 @@ def derivative(values: np.ndarray, d: float, axis: int, order: int = 1) -> np.nd
 
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spatial gradient (d/dx1, d/dx2) of a full field."""
-    _require_full(f, "gradient")
     g = f.grid
     return (ScalarField(g, derivative(f.values, g.dx1, 1), FULL),
             ScalarField(g, derivative(f.values, g.dx2, 2), FULL))
@@ -254,7 +231,6 @@ def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Five-point Laplacian of a full field."""
-    _require_full(f, "laplacian")
     g = f.grid
     out = derivative(f.values, g.dx1, 1, order=2)
     out += derivative(f.values, g.dx2, 2, order=2)
@@ -263,18 +239,17 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 def time_derivative(f: ScalarField) -> ScalarField:
     """d/dt of a full field (centered inside, one-sided at t=0 and t=T)."""
-    _require_full(f, "time_derivative")
     g = f.grid
     return ScalarField(g, derivative(f.values, g.dt, 0), FULL)
 
 
-def normal_derivative(f: ScalarField, segment: str) -> ScalarField:
-    """Outward normal derivative on one boundary segment.
+def normal_derivative(f: ScalarField, segment: str) -> np.ndarray:
+    """Outward normal derivative on one boundary segment, as a
+    ``(nt+1, n)`` array over time and the segment's nodes.
 
     One-sided second-order stencil along the outward normal; the sign
     convention is outward, so e.g. on the bottom wall the normal is -e2.
     """
-    _require_full(f, "normal_derivative")
     if segment not in SEGMENTS:
         raise ValueError(f"unknown boundary segment {segment!r}")
     g = f.grid
@@ -282,18 +257,13 @@ def normal_derivative(f: ScalarField, segment: str) -> ScalarField:
     v = np.moveaxis(f.values, axis, 0)
     if segment.endswith("_max"):
         v = v[::-1]
-    return ScalarField(g, one_sided_derivative(v, d), BOUNDARY_TRACE, segment)
+    return one_sided_derivative(v, d)
 
 
 def one_sided_derivative(v: np.ndarray, d: float) -> np.ndarray:
     """Second-order one-sided derivative at ``v[0]`` along the first axis,
     taken in the direction pointing away from ``v[1]`` and ``v[2]``."""
     return (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * d)
-
-
-def _require_full(f: ScalarField, op: str) -> None:
-    if f.kind != FULL:
-        raise ValueError(f"{op} expects a full field, got kind {f.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +296,6 @@ def integrate_values(grid: SpaceTimeGrid, values: np.ndarray, region: str,
 def prefix_integral_x1(f: ScalarField) -> ScalarField:
     """Signed trapezoidal prefix integral along x1, anchored at the
     alpha-column: out(t, x1, x2) = integral from alpha to x1 of f."""
-    _require_full(f, "prefix_integral_x1")
     g = f.grid
     v = f.values
     out = np.empty(v.shape)
@@ -379,8 +348,8 @@ def save_field(f: ScalarField, basepath: str | Path) -> tuple[Path, Path]:
     meta = {
         "format": _FORMAT,
         "creator": _CREATOR,
-        "kind": f.kind,
-        "segment": f.segment or "-",
+        "kind": FULL,
+        "segment": "-",
         "L": d.L,
         "h": d.h,
         "T": d.T,
@@ -400,7 +369,8 @@ def save_field(f: ScalarField, basepath: str | Path) -> tuple[Path, Path]:
 
 
 def load_field(basepath: str | Path) -> ScalarField:
-    """Read back a field written by :func:`save_field`."""
+    """Read back a field written by :func:`save_field`; raises
+    ``ValueError`` for any kind but :data:`FULL`."""
     base = Path(basepath)
     meta_path = base.with_suffix(base.suffix + ".meta")
     data_path = base.with_suffix(base.suffix + ".f64")
@@ -412,6 +382,8 @@ def load_field(basepath: str | Path) -> ScalarField:
         meta[key.strip()] = value.strip()
     if meta.get("format") != _FORMAT:
         raise ValueError(f"unsupported field format {meta.get('format')!r}")
+    if meta.get("kind") != FULL:
+        raise ValueError(f"only full fields can be loaded, got kind {meta.get('kind')!r}")
     domain = WaveguideDomain(
         L=float(meta["L"]),
         h=float(meta["h"]),
@@ -421,7 +393,5 @@ def load_field(basepath: str | Path) -> ScalarField:
         truncated=bool(int(meta["truncated"])),
     )
     grid = build_grid(domain, int(meta["n1"]), int(meta["n2"]), int(meta["nt"]))
-    shape = tuple(int(s) for s in meta["shape"].split(","))
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<f8").reshape(shape)
-    segment = None if meta["segment"] == "-" else meta["segment"]
-    return ScalarField(grid, raw.astype(float), meta["kind"], segment)
+    raw = np.frombuffer(data_path.read_bytes(), dtype="<f8").reshape(grid.shape)
+    return ScalarField(grid, raw.astype(float), FULL)

@@ -5,7 +5,9 @@ over a time window (eps, T - eps) x cross-section; the right side
 combines the squared mismatch of the observed wall measurement
 d/dnu d/dx1 (u~ - u) with the squared mixed Sobolev norm (H1 in time,
 H2 in the cross-section) of the solution mismatch traced on the anchor
-column x1 = alpha.  The reported empirical constant is their ratio.
+column x1 = alpha.  Both traces are plain ``(time, n)`` arrays.  The
+reported empirical constant is their ratio: ``inf`` for a mismatch the
+right side does not see, and 0 when both sides vanish.
 
 Time windows are node-aligned, so shrinking eps never drops below a
 larger window's value on a nonnegative integrand: window monotonicity
@@ -20,7 +22,6 @@ import numpy as np
 
 from .forward import PotentialSpec, measurement, positive_preset_data, solve_heat
 from .grid import (
-    SECTION_TRACE,
     ScalarField,
     SpaceTimeGrid,
     derivative,
@@ -51,14 +52,14 @@ class StabilityReport:
         return report_text(entries)
 
 
-def mixed_sobolev_norm(trace: ScalarField) -> float:
-    """Squared H1-in-time / H2-in-cross-section norm of a (t, x2) trace:
-    the time integral of ||v||^2 + ||v_x2||^2 + ||v_x2x2||^2 for the trace
-    and its time derivative."""
-    if trace.kind != SECTION_TRACE:
-        raise ValueError("mixed Sobolev norm expects a cross-section trace")
-    g = trace.grid
-    v = trace.values
+def mixed_sobolev_norm(g: SpaceTimeGrid, v: np.ndarray) -> float:
+    """Squared H1-in-time / H2-in-cross-section norm of a ``(nt+1, n2+2)``
+    trace ``v`` on ``g``: the time integral of ||v||^2 + ||v_x2||^2 +
+    ||v_x2x2||^2 for the trace and its time derivative.  Raises
+    ``ValueError`` for any other shape."""
+    if np.shape(v) != (g.nt + 1, g.n2 + 2):
+        raise ValueError(f"mixed Sobolev norm expects a (t, x2) trace of shape "
+                         f"{(g.nt + 1, g.n2 + 2)}, got {np.shape(v)}")
     vt = derivative(v, g.dt, 0)
 
     def h2_density(a: np.ndarray) -> np.ndarray:
@@ -84,42 +85,26 @@ def _window_indices(grid: SpaceTimeGrid, eps: float) -> tuple[int, int]:
 def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
                        q_tilde: np.ndarray, grid: SpaceTimeGrid, eps: float,
                        theta: float = float("nan")) -> StabilityReport:
-    """All three norms of the stability estimate for one solution pair."""
+    """All three norms of the stability estimate for one solution pair;
+    ``u`` and ``u_tilde`` must live on ``grid``."""
+    if u.grid is not grid or u_tilde.grid is not grid:
+        raise ValueError("u and u_tilde must share the stability grid")
     ia, ib = _window_indices(grid, eps)
     dq = np.asarray(q_tilde, dtype=float) - np.asarray(q, dtype=float)
     # Trapezoid rule over the node-aligned window (eps, T - eps) x section.
     lhs = float(trapezoid(ib - ia + 1, grid.dt) @ dq[ia : ib + 1] ** 2 @ grid.w2)
 
-    meas_diff = measurement(u_tilde, grid).values - measurement(u, grid).values
-    rhs_boundary = integrate_values(
-        grid, meas_diff**2, "boundary", segment=grid.domain.obs_segment
-    )
-
+    meas_diff = measurement(u_tilde) - measurement(u)
+    rhs_boundary = integrate_values(grid, meas_diff**2, "boundary", grid.domain.obs_segment)
     iav = grid.alpha_index
-    trace = ScalarField(
-        grid, u_tilde.values[:, iav, :] - u.values[:, iav, :], SECTION_TRACE
-    )
-    rhs_trace = mixed_sobolev_norm(trace)
-
+    rhs_trace = mixed_sobolev_norm(grid, u_tilde.values[:, iav, :] - u.values[:, iav, :])
     rhs = rhs_boundary + rhs_trace
-    empirical = 0.0 if rhs == 0.0 else lhs / rhs
-
-    r_bound = float(
-        max(
-            np.sqrt(integrate_values(grid, np.asarray(q, dtype=float) ** 2, "section_time")),
-            np.sqrt(integrate_values(grid, np.asarray(q_tilde, dtype=float) ** 2, "section_time")),
-        )
-    )
-
-    return StabilityReport(
-        eps=eps,
-        theta=theta,
-        lhs=lhs,
-        rhs_boundary=rhs_boundary,
-        rhs_trace=rhs_trace,
-        empirical_C_eps=empirical,
-        r_bound=r_bound,
-    )
+    # An unobserved mismatch (rhs = 0 < lhs) has no finite constant.
+    empirical = lhs / rhs if rhs != 0.0 else (np.inf if lhs > 0.0 else 0.0)
+    r_bound = max(float(np.sqrt(integrate_values(grid, np.asarray(p, dtype=float) ** 2,
+                                                 "section_time"))) for p in (q, q_tilde))
+    return StabilityReport(eps=eps, theta=theta, lhs=lhs, rhs_boundary=rhs_boundary,
+                           rhs_trace=rhs_trace, empirical_C_eps=empirical, r_bound=r_bound)
 
 
 def check_sweep(grid: SpaceTimeGrid, theta_list, eps_list) -> None:

@@ -94,10 +94,8 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
     a_vals = (time_derivative(fu).values - laplacian(fu).values) / m + V
     a_coef = ScalarField(grid, a_vals, FULL)
 
-    ratio1 = ScalarField(grid, dm1.values / m, FULL)
-    ratio2 = ScalarField(grid, dm2.values / m, FULL)
-    B1 = ScalarField(grid, -2.0 * derivative(ratio1.values, grid.dx1, 1), FULL)
-    B2 = ScalarField(grid, 2.0 * derivative(ratio2.values, grid.dx1, 1), FULL)
+    B1 = ScalarField(grid, -2.0 * derivative(dm1.values / m, grid.dx1, 1), FULL)
+    B2 = ScalarField(grid, 2.0 * derivative(dm2.values / m, grid.dx1, 1), FULL)
     b_coef = ScalarField(grid, -derivative(a_coef.values, grid.dx1, 1), FULL)
 
     return TransformBundle(

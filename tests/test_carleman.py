@@ -13,6 +13,7 @@ from waveguide_carleman.carleman import (
     InequalityReport,
     WeightOverflowError,
     _masses,
+    _ratio,
     _split_parts,
     _weight_coefficients,
     carleman_check_bounded,
@@ -150,6 +151,13 @@ class TestLemmaBounded:
         F = ScalarField(grid, vals, FULL)
         rep = lemma_bounded_check(F, ws, grid, s_values=[1, 2, 4, 8, 16])
         assert rep.empirical_C == 0.0
+
+    def test_ratio_rejects_any_positive_lhs_over_zero_rhs(self):
+        # a row mass can underflow far below 1e-14 and still be real
+        for lhs in (1e-60, 1e-13, 1.0):
+            with pytest.raises(ValueError, match="rhs=0"):
+                _ratio(lhs, 0.0)
+        assert _ratio(0.0, 0.0) == 0.0
 
     def test_comparison_kernel_bounded_by_one(self, grid):
         for s in (1.0, 4.0, 16.0):
@@ -422,7 +430,7 @@ class TestCarlemanOpen:
         wt, w1, w2 = _full_grid_weights(open_grid)
         lam, phi, decay = open_ws.params.lam, open_ws.weight.values, open_ws.decay(s)
         g1, g2 = gradient(u)
-        dnu_u = normal_derivative(u, "x2_max").values
+        dnu_u = normal_derivative(u, "x2_max")
         flux = decay[:, :, -1] * phi[:, :, -1] * dnu_u**2 * open_ws.dpsi_dx2[None, :, -1]
         dec = conjugated_operator(
             ScalarField(open_grid, open_ws.decay(s / 2) * u.values, FULL), open_ws, s=s)

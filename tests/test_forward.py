@@ -407,13 +407,14 @@ class TestManufacturePair:
 class TestMeasurement:
     def test_constant_field_measures_zero(self, grid):
         u = grid.sample(lambda t, x1, x2: 2.5 + 0 * t * x1 * x2)
-        m = measurement(u, grid)
-        assert np.max(np.abs(m.values)) == 0.0
+        m = measurement(u)
+        assert np.max(np.abs(m)) == 0.0
 
     def test_bilinear_field_measures_one(self, grid):
         u = grid.sample(lambda t, x1, x2: x1 * x2 + 0 * t)
-        m = measurement(u, grid)
-        np.testing.assert_allclose(m.values, 1.0, atol=1e-12)
+        m = measurement(u)
+        assert m.shape == (grid.nt + 1, grid.n1 + 2)
+        np.testing.assert_allclose(m, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("obs_side", ["top", "bottom"])
     def test_equals_the_full_gradient_route(self, obs_side, rng):
@@ -421,16 +422,29 @@ class TestMeasurement:
         # those of the full two-axis gradient, bit for bit
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, obs_side=obs_side), 20, 16, 8)
         u = ScalarField(g, rng.standard_normal(g.shape), FULL)
-        m = measurement(u, g)
+        m = measurement(u)
         ref = normal_derivative(gradient(u)[0], g.domain.obs_segment)
-        assert (m.kind, m.segment) == (ref.kind, ref.segment)
-        assert m.values.tobytes() == ref.values.tobytes()
+        assert m.tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        obs_side=st.sampled_from(["top", "bottom"]),
+        sizes=st.tuples(st.integers(4, 12), st.integers(4, 12), st.integers(4, 8)),
+        extents=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_full_gradient_route_on_any_grid(self, obs_side, sizes, extents, seed):
+        L, h, T = extents
+        g = build_grid(WaveguideDomain(L=L, h=h, T=T, obs_side=obs_side), *sizes)
+        u = ScalarField(g, np.random.default_rng(seed).standard_normal(g.shape), FULL)
+        ref = normal_derivative(gradient(u)[0], g.domain.obs_segment)
+        assert measurement(u).tobytes() == ref.tobytes()
 
     def test_oracle_measurement_matches_analytic(self, domain):
         g = build_grid(domain, 32, 32, 64)
         oracle = SeparableOracle(g)
         u = oracle.solve()
-        m = measurement(u, g).values
+        m = measurement(u)
         L, h = domain.L, domain.h
         factor = -(np.pi / (2 * L)) * np.sin(np.pi * (g.x1 + L) / (2 * L))
         wall = (np.pi / h) * np.cos(np.pi)  # d/dx2 of sin(pi x2/h) at x2 = h

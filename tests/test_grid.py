@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveguide_carleman import (
-    BOUNDARY_TRACE,
     FULL,
     ScalarField,
     WaveguideDomain,
@@ -80,9 +79,11 @@ class TestScalarField:
         with pytest.raises(ValueError, match="non-finite"):
             ScalarField(grid, bad, FULL)
 
-    def test_boundary_trace_needs_segment(self, grid):
-        with pytest.raises(ValueError):
-            ScalarField(grid, np.zeros((grid.nt + 1, grid.n1 + 2)), BOUNDARY_TRACE)
+    def test_rejects_trace_shapes(self, grid):
+        # traces are plain arrays; a field holds the full (t, x1, x2) grid
+        for shape in ((grid.nt + 1, grid.n1 + 2), (grid.nt + 1, grid.n2 + 2)):
+            with pytest.raises(ValueError, match="shape"):
+                ScalarField(grid, np.zeros(shape), FULL)
 
 
 class TestCalculus:
@@ -177,16 +178,18 @@ class TestNormalDerivative:
         f = grid.sample(lambda t, x1, x2: x2 + 0 * t * x1)
         top = normal_derivative(f, "x2_max")
         bot = normal_derivative(f, "x2_min")
-        np.testing.assert_allclose(top.values, 1.0, atol=5e-13)
-        np.testing.assert_allclose(bot.values, -1.0, atol=5e-13)
+        assert top.shape == bot.shape == (grid.nt + 1, grid.n1 + 2)
+        np.testing.assert_allclose(top, 1.0, atol=5e-13)
+        np.testing.assert_allclose(bot, -1.0, atol=5e-13)
 
     def test_cap_sign_matches_outward_convention(self, grid):
         # outward normal at the left cap points toward negative x1
         f = grid.sample(lambda t, x1, x2: x1 + 0 * t * x2)
         left = normal_derivative(f, "x1_min")
         right = normal_derivative(f, "x1_max")
-        np.testing.assert_allclose(left.values, -1.0, atol=5e-13)
-        np.testing.assert_allclose(right.values, 1.0, atol=5e-13)
+        assert left.shape == right.shape == (grid.nt + 1, grid.n2 + 2)
+        np.testing.assert_allclose(left, -1.0, atol=5e-13)
+        np.testing.assert_allclose(right, 1.0, atol=5e-13)
 
     def test_unknown_segment(self, grid):
         f = grid.sample(lambda t, x1, x2: x1 * x2 * t)
@@ -196,11 +199,45 @@ class TestNormalDerivative:
     def test_cap_trace_matches_gradient_restriction(self, grid):
         f = grid.sample(lambda t, x1, x2: np.sin(x1) * np.cos(x2) * (1 + t))
         g1, _ = gradient(f)
-        right = normal_derivative(f, "x1_max").values
-        left = normal_derivative(f, "x1_min").values
+        right = normal_derivative(f, "x1_max")
+        left = normal_derivative(f, "x1_min")
         tol = 10.0 * grid.dx1**2
         assert np.max(np.abs(right - g1.values[:, -1, :])) <= tol
         assert np.max(np.abs(left + g1.values[:, 0, :])) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(4, 12), st.integers(4, 12), st.integers(4, 8)),
+        extents=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+        coeffs=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=7, max_size=7),
+    )
+    def test_exact_on_quadratics(self, sizes, extents, coeffs):
+        # the one-sided 3-point stencil is exact on quadratics, so on
+        # (1 + p t)(a + b x1 + c x2 + d x1^2 + e x1 x2 + k x2^2) each segment
+        # reads the outward derivative up to round-off of values of size
+        # `scale` divided by the spacing
+        a, b, c, d, e, k, p = coeffs
+        L, h, T = extents
+        g = build_grid(WaveguideDomain(L=L, h=h, T=T), *sizes)
+        tt, x1, x2 = g.mesh()
+        f = g.sample(lambda t, x1, x2: (1.0 + p * t)
+                     * (a + b * x1 + c * x2 + d * x1**2 + e * x1 * x2 + k * x2**2))
+        time = 1.0 + p * tt[:, :, 0]
+        outward = {
+            "x2_max": time * (c + e * x1[:, :, 0] + 2.0 * k * h),
+            "x2_min": -time * (c + e * x1[:, :, 0]),
+            "x1_max": time * (b + 2.0 * d * L + e * x2[:, 0, :]),
+            "x1_min": -time * (b - 2.0 * d * L + e * x2[:, 0, :]),
+        }
+        scale = (1.0 + abs(p) * T) * (abs(a) + (abs(b) + abs(d) * L) * L
+                                      + (abs(c) + abs(k) * h) * h + abs(e) * L * h)
+        fp = np.finfo(float)
+        for segment, exact in outward.items():
+            got = normal_derivative(f, segment)
+            d_normal = g.dx2 if segment.startswith("x2") else g.dx1
+            tol = 64.0 * fp.eps * (scale / d_normal + np.max(np.abs(exact))) + fp.tiny
+            assert got.shape == exact.shape
+            np.testing.assert_allclose(got, exact, rtol=0, atol=tol)
 
 
 class TestQuadrature:
@@ -446,7 +483,7 @@ class TestPersistence:
         save_field(f, tmp_path / "field")
         g = load_field(tmp_path / "field")
         np.testing.assert_array_equal(f.values, g.values)
-        assert g.kind == FULL
+        assert "kind: full-field\nsegment: -\n" in (tmp_path / "field.meta").read_text()
         assert g.grid.n1 == grid.n1 and g.grid.nt == grid.nt
         assert g.grid.domain == grid.domain
 
@@ -456,11 +493,17 @@ class TestPersistence:
         raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(raw, f.values.ravel(order="C"))
 
-    def test_boundary_trace_round_trip(self, grid, tmp_path):
+    def test_load_rejects_a_trace_kind(self, grid, tmp_path):
+        # a file written before traces became plain arrays: the metadata of
+        # a wall trace beside its (t, x1) values
         f = grid.sample(lambda t, x1, x2: x2 + 0 * t * x1)
+        meta_path, data_path = save_field(f, tmp_path / "trace")
         tr = normal_derivative(f, "x2_max")
-        save_field(tr, tmp_path / "trace")
-        back = load_field(tmp_path / "trace")
-        assert back.kind == BOUNDARY_TRACE
-        assert back.segment == "x2_max"
-        np.testing.assert_array_equal(back.values, tr.values)
+        data_path.write_bytes(tr.astype("<f8").tobytes())
+        meta_path.write_text(meta_path.read_text()
+                             .replace("kind: full-field", "kind: boundary-trace")
+                             .replace("segment: -", "segment: x2_max")
+                             .replace("shape: " + ",".join(map(str, grid.shape)),
+                                      "shape: " + ",".join(map(str, tr.shape))))
+        with pytest.raises(ValueError, match="kind"):
+            load_field(tmp_path / "trace")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from waveguide_carleman import WaveguideDomain, assemble_stability, build_grid, manufacture_pair, perturbation_sweep
-from waveguide_carleman.grid import (SECTION_TRACE, ScalarField, fit_convergence_order, gradient,
+from waveguide_carleman.grid import (FULL, ScalarField, fit_convergence_order, gradient,
                                      normal_derivative)
 from waveguide_carleman.stability import mixed_sobolev_norm, sweep_table
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
@@ -21,13 +21,12 @@ def pair(run_grid):
 
 class TestMixedSobolevNorm:
     def test_zero(self, grid):
-        tr = ScalarField(grid, np.zeros((grid.nt + 1, grid.n2 + 2)), SECTION_TRACE)
-        assert mixed_sobolev_norm(tr) == 0.0
+        assert mixed_sobolev_norm(grid, np.zeros((grid.nt + 1, grid.n2 + 2))) == 0.0
 
     def test_constant_trace(self, grid):
         # T * h = 2 with all derivative terms vanishing
-        tr = ScalarField(grid, np.ones((grid.nt + 1, grid.n2 + 2)), SECTION_TRACE)
-        assert mixed_sobolev_norm(tr) == pytest.approx(2.0, rel=1e-12)
+        tr = np.ones((grid.nt + 1, grid.n2 + 2))
+        assert mixed_sobolev_norm(grid, tr) == pytest.approx(2.0, rel=1e-12)
 
     def test_separable_trace_closed_form(self, domain):
         # v = t*sin(pi x2/h): the squared norm integrates to
@@ -38,16 +37,19 @@ class TestMixedSobolevNorm:
         errs, hs = [], []
         for n in (16, 32, 64):
             g = build_grid(domain, 4, n, n)
-            tr = ScalarField(g, np.outer(g.t, np.sin(np.pi * g.x2 / h)), SECTION_TRACE)
-            errs.append(abs(mixed_sobolev_norm(tr) - expected))
+            tr = np.outer(g.t, np.sin(np.pi * g.x2 / h))
+            errs.append(abs(mixed_sobolev_norm(g, tr) - expected))
             hs.append(g.dx2)
         assert fit_convergence_order(hs, errs) >= 1.9
         assert errs[-1] / expected < 1e-3
 
-    def test_kind_guard(self, grid):
-        full = grid.sample(lambda t, x1, x2: t * x1 * x2)
-        with pytest.raises(ValueError):
-            mixed_sobolev_norm(full)
+    def test_shape_guard(self, domain):
+        # a full field or a wall trace is not a (t, x2) section trace
+        grid = build_grid(domain, 11, 15, 16)
+        full = grid.sample(lambda t, x1, x2: t * x1 * x2).values
+        for wrong in (full, full[:, :, -1], full[:, grid.alpha_index, :-1]):
+            with pytest.raises(ValueError, match="shape"):
+                mixed_sobolev_norm(grid, wrong)
 
 
 class TestAssembleStability:
@@ -71,6 +73,25 @@ class TestAssembleStability:
         assert rep.r_bound >= max(
             0.0, np.sqrt(rep.lhs) - 1e-12
         )  # admissible-class radius dominates the mismatch mass
+
+    def test_unobserved_mismatch_has_no_finite_constant(self, run_grid, pair):
+        # u on both sides sees nothing of q~ - q: the right side is 0 while
+        # the left is not, which no finite constant bounds
+        q, qt = pair.pot.q, pair.pot_tilde.q
+        rep = assemble_stability(pair.u, pair.u, q, qt, run_grid, eps=0.25)
+        assert rep.lhs > 0.0 and rep.rhs_boundary == rep.rhs_trace == 0.0
+        assert rep.empirical_C_eps == np.inf
+        assert "note: non-finite empirical constant\n" in rep.to_text()
+
+    def test_solutions_on_another_grid_rejected(self, run_grid, pair):
+        # same shape, different domain: the norms would silently be taken
+        # with the wrong spacings
+        far = build_grid(WaveguideDomain(L=3.0, h=1.0, T=2.0), 24, 24, 48)
+        moved = ScalarField(far, pair.u_tilde.values, FULL)
+        q, qt = pair.pot.q, pair.pot_tilde.q
+        for u, u_tilde, g in ((pair.u, pair.u_tilde, far), (pair.u, moved, run_grid)):
+            with pytest.raises(ValueError, match="share"):
+                assemble_stability(u, u_tilde, q, qt, g, eps=0.25)
 
     def test_window_validation(self, run_grid, pair):
         for bad in (0.0, 1.0, -0.1):
@@ -114,8 +135,8 @@ class TestAgainstFullGridEinsum:
         g = run_grid
         rep = assemble_stability(pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, g, eps=0.25)
         seg = g.domain.obs_segment
-        diff = (normal_derivative(gradient(pair.u_tilde)[0], seg).values
-                - normal_derivative(gradient(pair.u)[0], seg).values)
+        diff = (normal_derivative(gradient(pair.u_tilde)[0], seg)
+                - normal_derivative(gradient(pair.u)[0], seg))
         expected = np.einsum("ti,t,i->", diff**2, _trap(g.nt + 1, g.dt), _trap(g.n1 + 2, g.dx1))
         assert expected > 0.0
         assert rep.rhs_boundary == pytest.approx(expected, rel=1e-12)
