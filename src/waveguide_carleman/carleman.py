@@ -14,17 +14,31 @@ a concrete grid and reports the measured ratio:
   returning per-s empirical constants and an operational threshold s0.
 
 Every weighted mass is one kernel, ``_masses``: each checker writes its
-s-independent integrands once into one stack, and each s-row contracts
-the whole stack against that row's decayed weight in one call.  Masses
-against a decayed weight sum the interior time levels only: by the
-convention of :mod:`waveguide_carleman.weights` the decay is exactly
-zero at the two endpoint levels, and a negative power of s*g = 0 there
-would give 0 * inf = nan.  The split parts M1 and M2 are summed over
-every level.
+s-independent integrands once into one stack.  Masses against a decayed
+weight sum the interior time levels only: by the convention of
+:mod:`waveguide_carleman.weights` the decay is exactly zero at the two
+endpoint levels, and a negative power of s*g = 0 there would give
+0 * inf = nan.  The split parts M1 and M2 are summed over every level.
+
+Each s-row is windowed.  Member k of a row is contracted only on a
+(t, x1) box of its own, and the decay (or, for M1 and M2, the split
+parts) is evaluated only on the union of the boxes.  The boxes come from
+a bound on each (t, x1) cell's mass, built from s-independent arrays
+written once per call: the x2 sums ``w1_i sum_j w2_j stack_k(t, i, j)``
+times exp(max(-2 s g(t) m(i), EXPONENT_FLOOR)), m the x2 minimum of the
+spatial weight; for M1 and M2, the stencils' absolute coefficient sums,
+the squared x2 sums of the weight coefficients and the x2 maximum of
+|u| times exp(-s g m).  A row trims each member's box against its mass on
+its peak-bound level, contracts, and checks that the bound outside the
+box is at most :data:`WINDOW_TOLERANCE` times the positive in-box mass;
+a member that fails is widened, up to the whole plane, which gives the
+bytes of the unwindowed row.  The x2 sums of a box are padded with zeros
+to the whole plane, so the x1 and time sums run in the unwindowed order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +56,29 @@ from .grid import (
     report_text,
     time_derivative,
 )
-from .weights import WeightSystem
+from .weights import EXPONENT_FLOOR, WeightSystem
 
 #: Guard threshold for exp(s*phi); beyond this the literal conjugation
 #: overflows double precision.
 OVERFLOW_GUARD = 700.0
+#: Band of fitted log-log slopes within which the open prefix lemma passes.
+SLOPE_BAND = (-2.5, -1.5)
+#: Largest factor by which a bounded prefix constant may exceed the
+#: sweep's first one and still count as s-uniform.
+S_UNIFORM_FACTOR = 2.0
+#: Largest step-to-step growth of the Carleman constant in the tail that
+#: fixes ``s0``.
+S0_GROWTH = 1.1
+#: Largest bound on the mass a windowed s-row drops outside a member's
+#: box, relative to that member's mass inside it.
+WINDOW_TOLERANCE = 1e-17
+_LOG_TOLERANCE = math.log(WINDOW_TOLERANCE)
+#: About this many nodes per slab of time levels in which the split parts
+#: of a box are evaluated, so that a slab's arrays stay in cache.
+_SLAB_NODES = 2**16
+#: Fields with fewer nodes run every s-row on the whole (t, x1) plane: on
+#: them the bound costs about as much as the contraction it could save.
+_WINDOW_MIN_NODES = 2**18
 
 
 class WeightOverflowError(RuntimeError):
@@ -125,22 +157,195 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _masses(grid: SpaceTimeGrid, decay: np.ndarray, stack: np.ndarray, wt) -> list[float]:
+def _x2_sums(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trapezoid x2 sums of a * b[k] per (t, x1), for every member k of
+    ``b``; ``a`` is shared by the members or stacked like them.  Products
+    and sums are one contraction (no full-size product), and each member
+    has the bytes of its own call."""
+    return np.einsum("...tij,...tij,j->...ti", a, b, grid.w2)
+
+
+def _masses(grid: SpaceTimeGrid, decay: np.ndarray, stack: np.ndarray, wt,
+            box: tuple[int, int, int, int] | None = None) -> list[float]:
     """Trapezoid integral of decay * stack[k] over the time levels that
-    ``wt[k]`` weights, for every member k; ``decay`` is shared by the
-    members or stacked like them.  Products and x2 sums are one contraction
-    (no full-size product), and each member has the bytes of its own call."""
-    rows = np.einsum("...tij,...tij,j->...ti", decay, stack, grid.w2)
+    ``wt[k]`` weights, for every member k, from their :func:`_x2_sums`.
+
+    With ``box = (t0, t1, i0, i1)``, ``decay`` and ``stack`` cover only
+    those levels (of ``wt``'s) and x1 nodes; their x2 sums are padded with
+    zeros to the whole (t, x1) plane, so the x1 and time sums run in the
+    order of the unwindowed call."""
+    rows = _x2_sums(grid, decay, stack)
+    if box is not None:
+        t0, t1, i0, i1 = box
+        plane = np.zeros(rows.shape[:-2] + (len(wt[0]), grid.n1 + 2))
+        plane[..., t0:t1, i0:i1] = rows
+        rows = plane
     return [float(w @ (r @ grid.w1)) for w, r in zip(wt, rows)]
 
 
-def _interior_masses(grid: SpaceTimeGrid, decay: np.ndarray, stack: np.ndarray,
-                     sg: np.ndarray | None = None, powers=None) -> list[float]:
-    """:func:`_masses` over the interior time levels, member k times
-    (s*g)^powers[k] (0 when ``powers`` is None) folded into the time weights."""
-    wt = grid.wt[1:-1]
-    wts = [wt if p == 0 else wt * sg[1:-1] ** p for p in powers or [0] * len(stack)]
-    return _masses(grid, decay[1:-1], stack[:, 1:-1], wts)
+# ---------------------------------------------------------------------------
+# Windowed s-rows
+# ---------------------------------------------------------------------------
+
+
+#: Smallest normal double.  A bound cell that underflows loses at most
+#: this much (in the units of its member's scale), and the dropped-mass
+#: bound adds that much for every cell it covers.
+_TINY = np.finfo(float).tiny
+
+
+def _trim(pt: np.ndarray, pi: np.ndarray, budget: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Per member k, the (t0, t1, i0, i1) box left after dropping from each
+    end of both axes the rows whose summed bound (marginals ``pt[k]`` over
+    t and ``pi[k]`` over x1) stays within an eighth of ``budget[k]``; the
+    whole plane when nothing is left."""
+    cut = budget[:, None] / 8.0
+    ends = []
+    for p in (pt, pi):
+        lo = np.sum(np.cumsum(p, axis=1) <= cut, axis=1)
+        hi = p.shape[1] - np.sum(np.cumsum(p[:, ::-1], axis=1) <= cut, axis=1)
+        ends.append((lo, hi))
+    (t0, t1), (i0, i1) = ends
+    full = (0, pt.shape[1], 0, pi.shape[1])
+    return [(int(a), int(b), int(c), int(d)) if a < b and c < d else full
+            for a, b, c, d in zip(t0, t1, i0, i1)]
+
+
+def _union(boxes) -> tuple[int, int, int, int]:
+    t0, t1, i0, i1 = zip(*boxes)
+    return min(t0), max(t1), min(i0), max(i1)
+
+
+def _dropped(pt: np.ndarray, pi: np.ndarray, box) -> float:
+    """A bound on the mass outside ``box``, in the units of the marginals:
+    every cell outside it lies in a dropped t row or a dropped x1 column,
+    and each of them may have lost :data:`_TINY` to underflow."""
+    t0, t1, i0, i1 = box
+    cells = (len(pt) - t1 + t0) * len(pi) + (len(pi) - i1 + i0) * len(pt)
+    return pt[:t0].sum() + pt[t1:].sum() + pi[:i0].sum() + pi[i1:].sum() + cells * _TINY
+
+
+class _WindowedRows:
+    """The s-rows of one checker, each contracted on one (t, x1) box per
+    member under a checked dropped-mass bound.
+
+    A subclass gives ``_whole(s)``, the unwindowed row; ``_envelope()``,
+    which writes the s-independent arrays of the bound; per row,
+    ``_marginals(s)``: the sums over x1 (K, T) and over t (K, X) of a
+    bound on each member's mass in each (t, x1) cell, in units of
+    exp(top) with log scales ``top`` (K,); and ``_contract(s, boxes)``:
+    each member's mass on its box, with the bytes of :meth:`_whole` when
+    every box is the whole plane.  :meth:`masses` sizes the boxes from
+    each member's mass on its peak-bound level (a lower bound of its row
+    mass), contracts, and checks that each member's bound outside its box
+    is at most :data:`WINDOW_TOLERANCE` times its positive in-box mass.
+    A member that fails is trimmed again against its in-box mass, then
+    widened to the whole plane.  ``boxes`` and ``dropped`` (the logs of
+    the bounds, evaluated in floating point) of the last windowed row are
+    kept for inspection.  Fields of fewer than :data:`_WINDOW_MIN_NODES`
+    nodes are not windowed.
+    """
+
+    def __init__(self, ws: WeightSystem, nodes: int):
+        self.ws = ws
+        self.windowed = nodes >= _WINDOW_MIN_NODES
+        if self.windowed:
+            self._envelope()
+
+    def _core(self, s: float, levels) -> list[float]:
+        """Each member's mass on its level of ``levels``, over every x1."""
+        x1 = self.ws.grid.n1 + 2
+        return self._contract(s, [(t, t + 1, 0, x1) for t in levels])
+
+    def masses(self, s: float) -> list[float]:
+        if not self.windowed:
+            return self._whole(s)
+        pt, pi, top = self._marginals(s)
+        full = (0, pt.shape[1], 0, pi.shape[1])
+
+        def budget(masses):
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.exp(np.log(masses) + _LOG_TOLERANCE - top)
+
+        boxes = _trim(pt, pi, budget(self._core(s, np.argmax(pt, axis=1))))
+        while True:
+            masses = self._contract(s, boxes)
+            with np.errstate(divide="ignore"):
+                dropped = np.log([_dropped(pt[k], pi[k], b) for k, b in enumerate(boxes)]) + top
+                log_m = np.log(masses)
+            failing = [k for k, box in enumerate(boxes) if box != full and not (
+                masses[k] > 0.0 and dropped[k] <= _LOG_TOLERANCE + log_m[k])]
+            if not failing:
+                self.boxes, self.dropped = boxes, dropped
+                return masses
+            wider = _trim(pt, pi, budget(masses))
+            for k in failing:
+                grown = _union([boxes[k], wider[k]])
+                boxes[k] = full if grown == boxes[k] else grown
+
+
+class _DecayRows(_WindowedRows):
+    """Masses of the stacked nonnegative integrands ``stack`` (K members
+    over every level) against exp(-2 s weight) over the interior levels,
+    member k with (s g)^powers[k] (0 when ``powers`` is None) folded into
+    its time weights.
+
+    The bound: exp(-2 s weight) <= exp(max(-2 s g(t) m(i), EXPONENT_FLOOR))
+    on every x2 node, m the x2 minimum of the spatial weight, times the
+    time weight and the s-independent x2 sums ``w1_i sum_j w2_j
+    stack_k(t, i, j)``, written once, each member scaled by its peak."""
+
+    def __init__(self, ws: WeightSystem, stack: np.ndarray, powers=None):
+        self.stack = stack[:, 1:-1]
+        self.powers = list(powers or [0] * len(stack))
+        super().__init__(ws, stack[0].size)
+
+    def _envelope(self) -> None:
+        g = self.ws.grid
+        sums = np.empty(self.stack.shape[:3])
+        for member, out in zip(self.stack, sums):
+            np.matmul(member.reshape(-1, g.n2 + 2), g.w2, out=out.reshape(-1))
+        sums *= g.w1
+        peak = sums.max(axis=(1, 2))
+        peak[peak == 0.0] = 1.0
+        self.sums, self.log_peak = sums / peak[:, None, None], np.log(peak)
+        self.gm = self.ws.g[1:-1, None] * self.ws.min_spatial_weight
+
+    def _wts(self, s: float) -> list[np.ndarray]:
+        wt, sg = self.ws.grid.wt[1:-1], s * self.ws.g[1:-1]
+        return [wt if p == 0 else wt * sg**p for p in self.powers]
+
+    def _whole(self, s: float) -> list[float]:
+        decay = self.ws.decay(s, (slice(1, -1),))
+        return _masses(self.ws.grid, decay, self.stack, self._wts(s))
+
+    def _marginals(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        exponent = np.maximum(self.gm * (-2.0 * s), EXPONENT_FLOOR)
+        e_top = exponent.max()
+        decay = np.exp(exponent - e_top)
+        wts = np.array(self._wts(s))
+        w_top = wts.max(axis=1)
+        wts /= w_top[:, None]
+        return (np.einsum("kti,ti,kt->kt", self.sums, decay, wts),
+                np.einsum("kti,ti,kt->ki", self.sums, decay, wts),
+                self.log_peak + e_top + np.log(w_top))
+
+    def _core(self, s: float, levels) -> list[float]:
+        # a lower bound only, so the members at one level share one contraction
+        g, wts, out = self.ws.grid, np.array(self._wts(s)), np.empty(len(levels))
+        for t in set(levels.tolist()):
+            at = levels == t
+            rows = _x2_sums(g, self.ws.decay(s, (slice(t + 1, t + 2),)), self.stack[at, t : t + 1])
+            out[at] = (rows[:, 0] @ g.w1) * wts[at, t]
+        return list(out)
+
+    def _contract(self, s: float, boxes) -> list[float]:
+        t0, t1, i0, i1 = _union(boxes)
+        decay = self.ws.decay(s, (slice(t0 + 1, t1 + 1), slice(i0, i1)))
+        wts = self._wts(s)
+        return [_masses(self.ws.grid, decay[a - t0 : b - t0, c - i0 : d - i0],
+                        self.stack[k : k + 1, a:b, c:d], wts[k : k + 1], (a, b, c, d))[0]
+                for k, (a, b, c, d) in enumerate(boxes)]
 
 
 #: Power of s*g multiplying each summand of :func:`weighted_norm_I1`.
@@ -172,8 +377,7 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
     s_val = ws.params.s if s is None else s
     stack = np.empty((4,) + z.grid.shape)
     _square_I1_densities(z, stack)
-    terms = dict(zip(_I1_POWERS, _interior_masses(z.grid, ws.decay(s_val), stack,
-                                                  s_val * ws.g, _I1_POWERS.values())))
+    terms = dict(zip(_I1_POWERS, _DecayRows(ws, stack, _I1_POWERS.values()).masses(s_val)))
     terms["total"] = sum(terms.values())
     return terms
 
@@ -183,16 +387,21 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _prefix_sweep(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
-                  s_list: list) -> list[dict]:
-    """One row per s: the weighted mass of the squared anchored prefix
-    integral of F (``lhs``) and of F^2 itself (``rhs``)."""
-    pair = np.empty((2,) + grid.shape)
+def _prefix_rows(F: ScalarField, ws: WeightSystem) -> _DecayRows:
+    """The rows of the squared anchored prefix integral of F and of F^2."""
+    pair = np.empty((2,) + F.grid.shape)
     np.square(prefix_integral_x1(F).values, out=pair[0])
     np.square(F.values, out=pair[1])
+    return _DecayRows(ws, pair)
+
+
+def _prefix_sweep(F: ScalarField, ws: WeightSystem, s_list: list) -> list[dict]:
+    """One row per s: the weighted mass of the squared anchored prefix
+    integral of F (``lhs``) and of F^2 itself (``rhs``)."""
+    rows = _prefix_rows(F, ws)
     sweep = []
     for s in s_list:
-        lhs, rhs = _interior_masses(grid, ws.decay(s), pair)
+        lhs, rhs = rows.masses(s)
         sweep.append({"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs": rhs})
     return sweep
 
@@ -203,12 +412,12 @@ def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     the weighted mass of F itself, sweeping s.  The constant is expected
     to stay bounded across the sweep (s-uniform)."""
     _require_regime(ws, "bounded", grid, F)
-    sweep = _prefix_sweep(F, ws, grid, s_values)
+    sweep = _prefix_sweep(F, ws, s_values)
     for row in sweep:
         row["empirical_C"] = _ratio(row["lhs"], row["rhs"])
 
     ratios = [row["empirical_C"] for row in sweep]
-    s_uniform = all(r <= 2.0 * ratios[0] + 1e-15 for r in ratios)
+    s_uniform = all(r <= S_UNIFORM_FACTOR * ratios[0] + 1e-15 for r in ratios)
     return _sweep_report("prefix_integral_bounded", ws, sweep, "empirical_C",
                          {"quadrature": "rhs"},
                          {"s_uniform": s_uniform, "max_over_sweep": max(ratios)})
@@ -219,7 +428,7 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     """Open-regime counterpart: the ratio is expected to decay like 1/s^2,
     measured as the slope of log(ratio) against log(s)."""
     _require_regime(ws, "open", grid, F)
-    sweep = _prefix_sweep(F, ws, grid, s_values)
+    sweep = _prefix_sweep(F, ws, s_values)
     for row in sweep:
         row["ratio"] = _ratio(row["lhs"], row["rhs"])
         row["ratio_times_s2"] = row["ratio"] * row["s"] * row["s"]
@@ -232,7 +441,7 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
         slope = float("nan")
     return _sweep_report("prefix_integral_open", ws, sweep, "ratio", {"quadrature": "rhs"}, {
         "fitted_slope": slope,
-        "slope_in_band": bool(-2.5 <= slope <= -1.5),
+        "slope_in_band": bool(SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]),
         "kappa": float(np.min(ws.dpsi_dx1)),
     })
 
@@ -349,13 +558,14 @@ def _boundary_trace_max(f: ScalarField, name: str) -> float:
 
 
 def _find_s0(sweep: list[dict], key: str) -> float | None:
-    """Smallest swept s beyond which the constant is non-increasing within
-    10% at every subsequent step; None when no such point exists."""
+    """Smallest swept s beyond which the constant grows by at most a
+    factor :data:`S0_GROWTH` at every subsequent step; None when no such
+    point exists."""
     cs = [row[key] for row in sweep]
     ss = [row["s"] for row in sweep]
     for k0 in range(len(cs)):
         tail = cs[k0:]
-        if all(tail[i + 1] <= 1.1 * tail[i] for i in range(len(tail) - 1)):
+        if all(tail[i + 1] <= S0_GROWTH * tail[i] for i in range(len(tail) - 1)):
             return ss[k0]
     return None
 
@@ -387,20 +597,19 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
 
     obs = grid.domain.obs_segment
     dnu_z_sq = normal_derivative(z, obs) ** 2
-    wall_j = -1 if obs == "x2_max" else 0
+    wall = (slice(None), slice(None), -1 if obs == "x2_max" else 0)
     # The s-independent integrands: the four of weighted_norm_I1, then Pz^2.
     stack = np.empty((5,) + grid.shape)
     _square_I1_densities(z, stack)
     np.square(Pz.values, out=stack[4])
 
+    rows = _DecayRows(ws, stack, [*_I1_POWERS.values(), 0])
     sweep = []
     for s in s_values:
-        decay = ws.decay(s)
-        sg = s * ws.g
-        *terms, rhs_q = _interior_masses(grid, decay, stack, sg, [*_I1_POWERS.values(), 0])
+        *terms, rhs_q = rows.masses(s)
         lhs = sum(terms)
 
-        flux = decay[:, :, wall_j] * sg[:, None] * dnu_z_sq
+        flux = ws.decay(s, wall) * (s * ws.g)[:, None] * dnu_z_sq
         rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
 
         sweep.append(
@@ -443,22 +652,18 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     stack[1] *= phi
     np.square(Hu.values, out=stack[2])
     flux_density = phi[:, :, wall_j] * normal_derivative(u, obs) ** 2 * dnu_psi[None, :]
-    coeffs = _weight_coefficients(ws)
+    rows = _DecayRows(ws, stack)
+    split = _SplitRows(ws, v)
 
     sweep = []
     for s in s_values:
-        decay = ws.decay(s)
-        zero, grad, rhs_q = _interior_masses(grid, decay, stack)
+        zero, grad, rhs_q = rows.masses(s)
         lhs_zero = s**3 * lam**4 * zero
         lhs_grad = s * lam * grad
-
-        wbar = ws.decay(s / 2)
-        wbar *= v
-        m1, m2 = _split_parts(grid, wbar, coeffs, s)
-        lhs_m1, lhs_m2 = (_masses(grid, m, m[None], [grid.wt])[0] for m in (m1, m2))
+        lhs_m1, lhs_m2 = split.masses(s)
         lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
 
-        flux = decay[:, :, wall_j] * flux_density
+        flux = ws.decay(s, (slice(None), slice(None), wall_j)) * flux_density
         rhs_b = s * lam * integrate_values(grid, flux, "boundary", segment=obs)
 
         sweep.append(
@@ -484,12 +689,13 @@ def _weight_coefficients(ws: WeightSystem) -> tuple[np.ndarray, ...]:
 
 
 def _split_parts(grid: SpaceTimeGrid, w: np.ndarray, coeffs: tuple[np.ndarray, ...],
-                 s: float) -> tuple[np.ndarray, np.ndarray]:
+                 s: float, w_t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The stationary part M1 = -Lap w - (s^2 |grad phi|^2 + s phi_t) w and
     the transport part M2 = w_t + 2s grad phi . grad w + s Lap(phi) w of
     the conjugated operator applied to the values ``w``, with the weight
     coefficients from :func:`_weight_coefficients`.  Each part is summed
-    in place, term by term in that order."""
+    in place, term by term in that order.  ``w_t`` is the time derivative
+    of ``w`` when the caller has it (taken on more levels than ``w``)."""
     phi_t, phi_x1, phi_x2, phi_lap, grad_phi_sq = coeffs
     scratch = np.empty_like(w)
 
@@ -506,9 +712,114 @@ def _split_parts(grid: SpaceTimeGrid, w: np.ndarray, coeffs: tuple[np.ndarray, .
     np.multiply(derivative(w, grid.dx2, 2), phi_x2, out=scratch)
     transport += scratch
     transport *= 2.0 * s
-    m2 = derivative(w, grid.dt, 0)
-    m2 += transport
+    m2 = np.add(derivative(w, grid.dt, 0) if w_t is None else w_t, transport, out=transport)
     np.multiply(phi_lap, s, out=scratch)
     scratch *= w
     m2 += scratch
     return m1, m2
+
+
+def _stencil_bound(la: np.ndarray, axis: int, d: float, order: int) -> np.ndarray:
+    """Log of a bound on |derivative(a, d, axis, order)| at every node of
+    a (t, x1) plane, from log bounds ``la`` of |a| there: each stencil's
+    absolute coefficient sum (1/d or 4/d^2 inside, 4/d or 12/d^2 on the
+    faces) times the largest bound among the nodes it reads."""
+    a = np.moveaxis(la, axis, 0)
+    out = np.empty_like(a)
+    np.maximum(a[:-2], a[2:], out=out[1:-1])
+    if order == 2:
+        np.maximum(out[1:-1], a[1:-1], out=out[1:-1])
+    out[1:-1] += math.log(1.0 / d if order == 1 else 4.0 / d**2)
+    face = math.log(4.0 / d if order == 1 else 12.0 / d**2)
+    out[0] = a[: order + 2].max(axis=0) + face
+    out[-1] = a[-order - 2 :].max(axis=0) + face
+    return np.moveaxis(out, 0, axis)
+
+
+def _halo(lo: int, hi: int, n: int, size: int) -> slice:
+    """[lo, hi) widened by one node each way, and to at least ``size``
+    nodes, within [0, n)."""
+    start = max(lo - 1, 0)
+    stop = min(max(hi + 1, start + size), n)
+    return slice(max(min(start, stop - size), 0), stop)
+
+
+class _SplitRows(_WindowedRows):
+    """The masses of M1^2 and M2^2 over every level, for the split parts
+    of the conjugated operator applied to w = exp(-s weight) u.
+
+    Each box's split parts run on the box plus a one-node halo, whose
+    one-sided face values are discarded, so every kept node has the bytes
+    of the unwindowed call.  The bound, per (t, x1): |w| <= A = max_x2 |u|
+    exp(max(-s g(t) m(i), EXPONENT_FLOOR)) on every x2 node, and 0 on the
+    endpoint levels.  A part has four terms, so its squared x2 sum is at
+    most four times the terms' squared x2 sums, each at most four times the
+    largest: a stencil term's is h times its absolute coefficient sum times
+    the largest A its stencil reads, squared; a weight-coefficient term's
+    is the coefficient's squared x2 sum times that bound on the rest,
+    squared."""
+
+    def __init__(self, ws: WeightSystem, u: np.ndarray):
+        self.u = u
+        self.coeffs = _weight_coefficients(ws)
+        super().__init__(ws, u.size)
+
+    def _envelope(self) -> None:
+        g = self.ws.grid
+        with np.errstate(divide="ignore"):
+            self.log_u = np.log(np.abs(self.u).max(axis=2))
+            self.log_q = [np.log(_x2_sums(g, c, c)) for c in self.coeffs]
+            self.log_cell = np.log(g.wt)[:, None] + np.log(g.w1) + math.log(16.0)
+        self.log_h = math.log(g.w2.sum())
+        self.gm = self.ws.g[:, None] * self.ws.min_spatial_weight
+
+    def _whole(self, s: float) -> list[float]:
+        g = self.ws.grid
+        return self._contract(s, [(0, g.nt + 1, 0, g.n1 + 2)] * 2)
+
+    def _marginals(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g = self.ws.grid
+        qt, q1, q2, ql, qg = self.log_q
+        ls, lh = math.log(s), self.log_h
+        a = self.log_u + np.maximum(self.gm * -s, EXPONENT_FLOOR)
+        a[[0, -1]] = -np.inf  # the decay is exactly 0 on the endpoint levels
+        # M1 = -w_x1x1 - w_x2x2 - s^2 |grad phi|^2 w - s phi_t w
+        m1 = np.maximum(lh + 2.0 * _stencil_bound(a, 1, g.dx1, 2), 2.0 * a + np.maximum(
+            np.maximum(qg + 4.0 * ls, qt + 2.0 * ls), lh + 2.0 * math.log(12.0 / g.dx2**2)))
+        # M2 = w_t + 2s phi_x1 w_x1 + 2s phi_x2 w_x2 + s Lap(phi) w
+        m2 = np.maximum(lh + 2.0 * _stencil_bound(a, 0, g.dt, 1),
+                        q1 + 2.0 * (math.log(2.0 * s) + _stencil_bound(a, 1, g.dx1, 1)))
+        np.maximum(m2, 2.0 * a + np.maximum(q2 + 2.0 * math.log(8.0 * s / g.dx2), ql + 2.0 * ls),
+                   out=m2)
+        lb = self.log_cell + np.stack([m1, m2])
+        top = lb.max(axis=(1, 2))
+        top[~np.isfinite(top)] = 0.0
+        cells = np.exp(lb - top[:, None, None])
+        return cells.sum(axis=2), cells.sum(axis=1), top
+
+    def _contract(self, s: float, boxes) -> list[float]:
+        g = self.ws.grid
+        # the time and x1 sums of _masses over the padded planes
+        return [float(g.wt @ (plane @ g.w1)) for plane in self._planes(s, boxes)]
+
+    def _planes(self, s: float, boxes) -> np.ndarray:
+        """The x2 sums of M1^2 and M2^2 on each member's box, 0 elsewhere."""
+        g = self.ws.grid
+        t0, t1, i0, i1 = _union(boxes)
+        box = (_halo(t0, t1, g.nt + 1, 3), _halo(i0, i1, g.n1 + 2, 4))
+        w = self.ws.decay(s / 2, box)
+        w *= self.u[box]
+        w_t = derivative(w, g.dt, 0)
+        h0, c = box[0].start, box[1].start
+        step = max(1, _SLAB_NODES // w[0].size)
+        planes = np.zeros((2, g.nt + 1, g.n1 + 2))
+        for a in range(t0, t1, step):
+            b = min(a + step, t1)
+            rel, slab = slice(a - h0, b - h0), (slice(a, b), box[1])
+            parts = _split_parts(g, w[rel], tuple(cf[slab] for cf in self.coeffs), s, w_t[rel])
+            for m, plane, (b0, b1, c0, c1) in zip(parts, planes, boxes):
+                lo, hi = max(a, b0), min(b, b1)
+                if lo < hi:
+                    kept = m[lo - a : hi - a, c0 - c : c1 - c]
+                    plane[lo:hi, c0:c1] = _x2_sums(g, kept, kept[None])[0]
+        return planes

@@ -5,9 +5,10 @@ over a time window (eps, T - eps) x cross-section; the right side
 combines the squared mismatch of the observed wall measurement
 d/dnu d/dx1 (u~ - u) with the squared mixed Sobolev norm (H1 in time,
 H2 in the cross-section) of the solution mismatch traced on the anchor
-column x1 = alpha.  Both traces are plain ``(time, n)`` arrays.  The
-reported empirical constant is their ratio: ``inf`` for a mismatch the
-right side does not see, and 0 when both sides vanish.
+column x1 = alpha.  The wall trace is a plain ``(time, n)`` array; the
+anchor trace is sliced from each field inside :func:`mixed_sobolev_norm`.
+The reported empirical constant is their ratio: ``inf`` for a mismatch
+the right side does not see, and 0 when both sides vanish.
 
 Time windows are node-aligned, so shrinking eps never drops below a
 larger window's value on a nonnegative integrand: window monotonicity
@@ -52,14 +53,19 @@ class StabilityReport:
         return report_text(entries)
 
 
-def mixed_sobolev_norm(g: SpaceTimeGrid, v: np.ndarray) -> float:
-    """Squared H1-in-time / H2-in-cross-section norm of a ``(nt+1, n2+2)``
-    trace ``v`` on ``g``: the time integral of ||v||^2 + ||v_x2||^2 +
-    ||v_x2x2||^2 for the trace and its time derivative.  Raises
-    ``ValueError`` for any other shape."""
-    if np.shape(v) != (g.nt + 1, g.n2 + 2):
-        raise ValueError(f"mixed Sobolev norm expects a (t, x2) trace of shape "
-                         f"{(g.nt + 1, g.n2 + 2)}, got {np.shape(v)}")
+def mixed_sobolev_norm(u: ScalarField, u_tilde: ScalarField) -> float:
+    """Squared H1-in-time / H2-in-cross-section norm of the mismatch
+    u~ - u traced on the anchor column x1 = alpha: the time integral of
+    ||v||^2 + ||v_x2||^2 + ||v_x2x2||^2 for the trace v and its time
+    derivative.  Each field's anchor column is sliced before differencing,
+    so no trace on another axis can enter.  Raises ``ValueError`` unless
+    both are full fields on one grid."""
+    if not (isinstance(u, ScalarField) and isinstance(u_tilde, ScalarField)):
+        raise ValueError("mixed Sobolev norm expects two full fields, not traces")
+    g = u.grid
+    if u_tilde.grid is not g:
+        raise ValueError("u and u_tilde must share one grid")
+    v = u_tilde.values[:, g.alpha_index, :] - u.values[:, g.alpha_index, :]
     vt = derivative(v, g.dt, 0)
 
     def h2_density(a: np.ndarray) -> np.ndarray:
@@ -96,8 +102,7 @@ def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
 
     meas_diff = measurement(u_tilde) - measurement(u)
     rhs_boundary = integrate_values(grid, meas_diff**2, "boundary", grid.domain.obs_segment)
-    iav = grid.alpha_index
-    rhs_trace = mixed_sobolev_norm(grid, u_tilde.values[:, iav, :] - u.values[:, iav, :])
+    rhs_trace = mixed_sobolev_norm(u, u_tilde)
     rhs = rhs_boundary + rhs_trace
     # An unobserved mismatch (rhs = 0 < lhs) has no finite constant.
     empirical = lhs / rhs if rhs != 0.0 else (np.inf if lhs > 0.0 else 0.0)

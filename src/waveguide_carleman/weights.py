@@ -246,29 +246,48 @@ class WeightSystem:
             self.spatial_weight = weight_cap - self.exp_lam_psi
         else:
             self.spatial_weight = self.exp_lam_psi
+        #: Minimum over x2 of the spatial weight, per x1 node: exp(-2 s g(t)
+        #: min_spatial_weight[i]) bounds the decay on every x2 node of (t, i).
+        self.min_spatial_weight = self.spatial_weight.min(axis=1)
         values = self.g[:, None, None] * self.spatial_weight[None, :, :]
         self.weight = ScalarField(grid, values, FULL)
 
     # -- decayed weights ----------------------------------------------------
 
-    def decay(self, s: float | None = None) -> np.ndarray:
+    def decay(self, s: float | None = None, box: tuple = (slice(None),)) -> np.ndarray:
         """exp(-2*s*weight) with endpoint time rows exactly 0 and values
         below the underflow clamp set to 0; the exponent is floored at
         :data:`EXPONENT_FLOOR` first, which changes no output.
 
-        The weight is symmetric in time (see :func:`singular_time_profile`),
-        so levels 1..nt//2 are evaluated and copied to their mirror levels.
+        ``box`` is a time slice of step 1 followed by indices of the
+        spatial axes; only the box is evaluated, with the bytes of
+        ``decay(s)[box]``.  The weight is symmetric in time (see
+        :func:`singular_time_profile`), so a level of the box above nt/2
+        whose mirror level is in the box is copied from it.
         """
         factor = 2.0 * (self.params.s if s is None else s)
-        levels = slice(1, self.grid.nt // 2 + 1)
-        out = np.empty(self.grid.shape)
-        out[0] = out[-1] = 0.0
-        half = out[levels]
-        np.multiply(self.weight.values[levels], -factor, out=half)
-        np.maximum(half, EXPONENT_FLOOR, out=half)
-        np.exp(half, out=half)
-        half *= half >= UNDERFLOW_CLAMP
-        return _mirror_in_time(out)
+        nt = self.grid.nt
+        a, b, step = box[0].indices(nt + 1)
+        if step != 1:
+            raise ValueError(f"the time slice of a decay box needs step 1, got {step}")
+        weight = self.weight.values[(slice(a, b),) + tuple(box[1:])]
+        out = np.empty(weight.shape)
+        # levels [c, d) mirror the evaluated levels [a, c); [d, b) is evaluated too
+        c = max(a, min(b, nt // 2 + 1))
+        d = min(b, max(c, nt + 1 - a))
+        for lo, hi in ((a, c), (d, b)):
+            part = out[lo - a : hi - a]
+            np.multiply(weight[lo - a : hi - a], -factor, out=part)
+            np.maximum(part, EXPONENT_FLOOR, out=part)
+            np.exp(part, out=part)
+            part *= part >= UNDERFLOW_CLAMP
+        if d > c:
+            out[c - a : d - a] = out[nt + 1 - d - a : nt + 1 - c - a][::-1]
+        if a == 0 < b:
+            out[0] = 0.0
+        if a < b == nt + 1:
+            out[-1] = 0.0
+        return out
 
     # -- closed-form derivatives of the weight -------------------------------
 
@@ -279,10 +298,10 @@ class WeightSystem:
 
     def weight_gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Spatial gradient of the weight from the closed form."""
-        lam = self.params.lam
-        core = self.g[:, None, None] * (lam * self.exp_lam_psi)[None, :, :]
         sign = -1.0 if self.params.regime == "bounded" else 1.0
-        return sign * core * self.dpsi_dx1[None, :, :], sign * core * self.dpsi_dx2[None, :, :]
+        # the sign is exact, so folding it into the spatial factor keeps the bytes
+        core = self.g[:, None, None] * (sign * (self.params.lam * self.exp_lam_psi))[None, :, :]
+        return core * self.dpsi_dx1[None, :, :], core * self.dpsi_dx2[None, :, :]
 
     def weight_laplacian(self) -> np.ndarray:
         """Spatial Laplacian of the weight from the closed form."""

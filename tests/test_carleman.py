@@ -2,6 +2,7 @@ import importlib.util
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid
+from waveguide_carleman import carleman
 from waveguide_carleman.carleman import (
+    WINDOW_TOLERANCE,
     InequalityReport,
     WeightOverflowError,
+    _DecayRows,
     _masses,
+    _prefix_rows,
     _ratio,
     _split_parts,
+    _SplitRows,
+    _union,
     _weight_coefficients,
     carleman_check_bounded,
     carleman_check_open,
@@ -184,9 +191,9 @@ def _interior(g, density, decay, wt=None):
     ("open", (127, 7, 32), [4.0, 8.0, 16.0, 32.0, 64.0]),
 ])
 def test_prefix_rows_equal_separate_integrals(regime, shape, s_values):
-    # the checkers contract all their integrands against each decay at
-    # once; every decay-weighted column keeps the bytes of its integrand
-    # contracted alone
+    # the checkers contract each integrand on its own window of each
+    # decay; every decay-weighted column keeps the bytes of its integrand
+    # contracted alone over the whole grid
     domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
     g = build_grid(domain, *shape)
     lam = 1.1 if regime == "open" else 1.0
@@ -251,6 +258,125 @@ def test_masses_member_equals_its_own_call(k, n, stacked, interior, seed):
     for m in range(k):
         (own,) = _masses(g, decay[m] if stacked else decay, stack[m : m + 1], wt[m : m + 1])
         assert np.float64(got[m]).tobytes() == np.float64(own).tobytes(), m
+
+
+def _windowing_every_grid():
+    """Window the rows of every grid, however small."""
+    return mock.patch.object(carleman, "_WINDOW_MIN_NODES", 0)
+
+
+def _check_window(rows, cells, masses, reference):
+    """A windowed row against the unwindowed one: masses within 1e-15
+    relative of ``reference``, each member's exact mass outside its box
+    (from the per-(t, x1) ``cells``) within the row's bound, and that bound
+    within WINDOW_TOLERANCE of the in-box mass unless the box is the plane."""
+    plane = (0, cells.shape[1], 0, cells.shape[2])
+    for k, (box, bound) in enumerate(zip(rows.boxes, rows.dropped)):
+        assert masses[k] == pytest.approx(reference[k], rel=1e-15, abs=0.0), k
+        t0, t1, i0, i1 = box
+        outside = cells[k].copy()
+        outside[t0:t1, i0:i1] = 0.0
+        assert outside.sum() <= np.exp(bound) * (1.0 + 1e-12), k
+        if box != plane:
+            assert masses[k] > 0.0 and bound <= np.log(WINDOW_TOLERANCE * masses[k]), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    regime=st.sampled_from(["bounded", "open"]),
+    shape=st.tuples(st.integers(4, 40), st.integers(4, 12), st.integers(4, 32)),
+    s=st.floats(1.0, 128.0),
+    powers=st.lists(st.sampled_from([-1, 0, 1, 3]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_decay_rows_match_the_full_contraction(regime, shape, s, powers, seed):
+    domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
+    g = build_grid(domain, *shape)
+    ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime=regime), g)
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_smooth_field(g, rng, anchored_right=regime == "open").values ** 2
+                      for _ in powers])
+    with _windowing_every_grid():
+        rows = _DecayRows(ws, stack, powers)
+    masses = rows.masses(s)
+    decay, sg = ws.decay(s)[1:-1], s * ws.g[1:-1]
+    wts = [g.wt[1:-1] * sg**p for p in powers]
+    x2_sums = [np.einsum("tij,tij,j->ti", decay, m[1:-1], g.w2) for m in stack]
+    reference = [float(w @ (r @ g.w1)) for w, r in zip(wts, x2_sums)]
+    cells = np.array([r * w[:, None] * g.w1 for r, w in zip(x2_sums, wts)])
+    _check_window(rows, cells, masses, reference)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.tuples(st.integers(4, 40), st.integers(4, 12), st.integers(4, 32)),
+    s=st.floats(1.0, 128.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_split_rows_match_the_full_contraction(shape, s, seed):
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=True), *shape)
+    ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime="open"), g)
+    u = random_smooth_field(g, np.random.default_rng(seed)).values
+    with _windowing_every_grid():
+        rows = _SplitRows(ws, u)
+    masses = rows.masses(s)
+    parts = _split_parts(g, ws.decay(s / 2) * u, _weight_coefficients(ws), s)
+    x2_sums = [np.einsum("tij,tij,j->ti", m, m, g.w2) for m in parts]
+    reference = [float(g.wt @ (r @ g.w1)) for r in x2_sums]
+    cells = np.array([r * g.wt[:, None] * g.w1 for r in x2_sums])
+    _check_window(rows, cells, masses, reference)
+    # every kept node of the slabs has the bytes of the whole-grid parts
+    for plane, full, (t0, t1, i0, i1) in zip(rows._planes(s, rows.boxes), x2_sums, rows.boxes):
+        assert plane[t0:t1, i0:i1].tobytes() == full[t0:t1, i0:i1].tobytes()
+        plane[t0:t1, i0:i1] = 0.0
+        assert not plane.any()
+
+
+def test_zero_in_box_mass_falls_back_to_the_full_grid():
+    # F lives left of the anchor where the open decay is clamped to 0 at
+    # s = 64, while its prefix integral reaches the left cap, where the
+    # decay is not: the rhs member has no mass in any box and runs on the
+    # whole grid, and the ratio raises exactly where the unwindowed masses
+    # make it raise
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, alpha=0.95, truncated=True), 63, 7, 16)
+    ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime="open"), g)
+    t, x1, x2 = g.mesh()
+    values = np.where((x1 >= 0.8) & (x1 < 0.9) & (x2 >= 0.5) & (x2 < 1.0), 1.0 + t, 0.0)
+    F = ScalarField(g, np.broadcast_to(values, g.shape).copy(), FULL)
+    G = prefix_integral_x1(F).values ** 2
+    for s in (4.0, 64.0):
+        lhs, rhs = (_interior(g, d, ws.decay(s)) for d in (G, F.values**2))
+        assert lhs > 0.0 and (rhs == 0.0) == (s == 64.0)
+        with _windowing_every_grid():
+            rows = _prefix_rows(F, ws)
+            assert rows.masses(s) == [lhs, rhs]
+            if rhs == 0.0:
+                assert rows.boxes[1] == (0, g.nt - 1, 0, g.n1 + 2)
+                with pytest.raises(ValueError, match="rhs=0"):
+                    lemma_open_check(F, ws, g, [s])
+            else:
+                assert rows.boxes[1] != (0, g.nt - 1, 0, g.n1 + 2)
+                assert lemma_open_check(F, ws, g, [s]).sweep[0]["rhs"] == rhs
+
+
+def test_lemma_open_row_box_shrinks_with_s():
+    # on the open bench grid a row's box (the union of its members' boxes)
+    # never grows with s, and from s = 16 on it covers at most half of the
+    # interior (t, x1) plane
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=True), 255, 31, 64)
+    ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime="open"), g)
+    F = random_smooth_field(g, np.random.default_rng(1234), anchored_right=True)
+    rows = _prefix_rows(F, ws)
+    plane = (g.nt - 1) * (g.n1 + 2)
+    previous = (0, g.nt - 1, 0, g.n1 + 2)
+    for s in (4.0, 8.0, 16.0, 32.0, 64.0, 128.0):
+        rows.masses(s)
+        t0, t1, i0, i1 = box = _union(rows.boxes)
+        assert previous[0] <= t0 and t1 <= previous[1], (s, box)
+        assert previous[2] <= i0 and i1 <= previous[3], (s, box)
+        if s >= 16.0:
+            assert (t1 - t0) * (i1 - i0) <= 0.5 * plane, (s, box)
+        previous = box
 
 
 def test_bounded_check_peak_memory_in_fields():
@@ -422,8 +548,8 @@ class TestCarlemanOpen:
 
     @pytest.mark.parametrize("s", [2.0, 8.0])
     def test_rows_match_full_grid_einsum(self, open_grid, open_ws, s):
-        # each decay-weighted row against the full-size integrand contracted
-        # by one 4-operand einsum with its own trapezoid weights
+        # each windowed row against the full-size integrand contracted over
+        # the whole grid by one 4-operand einsum with its own trapezoid weights
         bump = SpaceTimeBump(open_grid)
         u, Hu = bump.field(), bump.heat_residual()
         row = carleman_check_open(u, Hu, open_ws, open_grid, s_values=[s]).sweep[0]

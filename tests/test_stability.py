@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from waveguide_carleman import WaveguideDomain, assemble_stability, build_grid, manufacture_pair, perturbation_sweep
-from waveguide_carleman.grid import (FULL, ScalarField, fit_convergence_order, gradient,
-                                     normal_derivative)
+from waveguide_carleman.grid import (FULL, ScalarField, derivative, fit_convergence_order,
+                                     gradient, integrate_values, normal_derivative)
 from waveguide_carleman.stability import mixed_sobolev_norm, sweep_table
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
@@ -19,14 +19,30 @@ def pair(run_grid):
     return manufacture_pair(run_grid, q, q + 0.1 * dq_preset(run_grid), axial_factor(run_grid))
 
 
+def _anchor_pair(grid, trace):
+    """A zero field and a field whose anchor column is ``trace``."""
+    values = np.zeros(grid.shape)
+    values[:, grid.alpha_index, :] = trace
+    return ScalarField(grid, np.zeros(grid.shape), FULL), ScalarField(grid, values, FULL)
+
+
+def _trace_norm_reference(g, v):
+    """The norm of a (t, x2) trace as the routine computed it when it took
+    the differenced trace itself."""
+    def h2_density(a):
+        return a**2 + derivative(a, g.dx2, 1) ** 2 + derivative(a, g.dx2, 1, order=2) ** 2
+
+    return integrate_values(g, h2_density(v) + h2_density(derivative(v, g.dt, 0)),
+                            "section_time")
+
+
 class TestMixedSobolevNorm:
     def test_zero(self, grid):
-        assert mixed_sobolev_norm(grid, np.zeros((grid.nt + 1, grid.n2 + 2))) == 0.0
+        assert mixed_sobolev_norm(*_anchor_pair(grid, 0.0)) == 0.0
 
     def test_constant_trace(self, grid):
         # T * h = 2 with all derivative terms vanishing
-        tr = np.ones((grid.nt + 1, grid.n2 + 2))
-        assert mixed_sobolev_norm(grid, tr) == pytest.approx(2.0, rel=1e-12)
+        assert mixed_sobolev_norm(*_anchor_pair(grid, 1.0)) == pytest.approx(2.0, rel=1e-12)
 
     def test_separable_trace_closed_form(self, domain):
         # v = t*sin(pi x2/h): the squared norm integrates to
@@ -38,18 +54,29 @@ class TestMixedSobolevNorm:
         for n in (16, 32, 64):
             g = build_grid(domain, 4, n, n)
             tr = np.outer(g.t, np.sin(np.pi * g.x2 / h))
-            errs.append(abs(mixed_sobolev_norm(g, tr) - expected))
+            errs.append(abs(mixed_sobolev_norm(*_anchor_pair(g, tr)) - expected))
             hs.append(g.dx2)
         assert fit_convergence_order(hs, errs) >= 1.9
         assert errs[-1] / expected < 1e-3
 
-    def test_shape_guard(self, domain):
-        # a full field or a wall trace is not a (t, x2) section trace
-        grid = build_grid(domain, 11, 15, 16)
-        full = grid.sample(lambda t, x1, x2: t * x1 * x2).values
-        for wrong in (full, full[:, :, -1], full[:, grid.alpha_index, :-1]):
-            with pytest.raises(ValueError, match="shape"):
-                mixed_sobolev_norm(grid, wrong)
+    def test_traces_rejected_on_a_square_grid(self, grid):
+        # on the square 15x15x16 grid a (t, x1) wall trace and the (t, x2)
+        # anchor trace have one shape; the norm takes the fields and slices
+        # the anchor column itself, so neither trace is accepted
+        u, u_tilde = (grid.sample(lambda t, x1, x2, a=a: a * t * x1 * x2 + np.sin(t + x2))
+                      for a in (1.0, 1.5))
+        assert grid.n1 == grid.n2
+        for trace in (u_tilde.values[:, :, -1], u_tilde.values[:, grid.alpha_index, :]):
+            with pytest.raises(ValueError, match="full fields"):
+                mixed_sobolev_norm(u, trace)
+            with pytest.raises(ValueError, match="full fields"):
+                mixed_sobolev_norm(trace, u)
+        other = build_grid(grid.domain, 15, 15, 16)
+        with pytest.raises(ValueError, match="share"):
+            mixed_sobolev_norm(u, ScalarField(other, u_tilde.values, FULL))
+        ia = grid.alpha_index
+        expected = _trace_norm_reference(grid, u_tilde.values[:, ia, :] - u.values[:, ia, :])
+        assert np.float64(mixed_sobolev_norm(u, u_tilde)).tobytes() == np.float64(expected).tobytes()
 
 
 class TestAssembleStability:

@@ -249,6 +249,37 @@ class TestTimeMirror:
                 assert dec[k].tobytes() == dec[nt - k].tobytes(), (s, k)
 
 
+class TestDecayBox:
+    """``decay(s, box)`` evaluates only the box, with the bytes of the
+    whole array's ``[box]``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        regime=st.sampled_from(["bounded", "open"]),
+        shape=st.tuples(st.integers(4, 40), st.integers(4, 12), st.integers(4, 33)),
+        s=st.floats(1.0, 128.0),
+        cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                      st.floats(0.0, 1.0)),
+        x2=st.sampled_from(["all", "wall", "slice"]),
+    )
+    def test_box_equals_the_sliced_decay(self, regime, shape, s, cut, x2):
+        domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
+        g = build_grid(domain, *shape)
+        ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime=regime), g)
+        (a, b), (c, d) = (sorted(min(int(f * n), n - 1) for f in pair)
+                          for pair, n in ((cut[:2], g.nt + 1), (cut[2:], g.n1 + 2)))
+        box = (slice(a, b + 1), slice(c, d + 1))
+        box += {"all": (), "wall": (-1,), "slice": (slice(1, -1),)}[x2]
+        got = ws.decay(s, box)
+        assert got.shape == ws.decay(s)[box].shape
+        assert got.tobytes() == ws.decay(s)[box].tobytes()
+
+    def test_rejects_a_strided_time_slice(self, grid):
+        ws = assemble_weight(WeightParams(), grid)
+        with pytest.raises(ValueError, match="step 1"):
+            ws.decay(2.0, (slice(0, None, 2),))
+
+
 class TestAssumptionBounded:
     def test_constructed_profiles_pass_all_bullets(self, grid):
         ws = assemble_weight(WeightParams(), grid)
