@@ -20,20 +20,21 @@ weight sum the interior time levels only: by the convention of
 endpoint levels, and a negative power of s*g = 0 there would give
 0 * inf = nan.  The split parts M1 and M2 are summed over every level.
 
-Each s-row is windowed.  Member k of a row is contracted only on a
-(t, x1) box of its own, and the decay (or, for M1 and M2, the split
-parts) is evaluated only on the union of the boxes.  The boxes come from
-a bound on each (t, x1) cell's mass, built from s-independent arrays
-written once per call: the x2 sums ``w1_i sum_j w2_j stack_k(t, i, j)``
-times exp(max(-2 s g(t) m(i), EXPONENT_FLOOR)), m the x2 minimum of the
-spatial weight; for M1 and M2, the stencils' absolute coefficient sums,
-the squared x2 sums of the weight coefficients and the x2 maximum of
-|u| times exp(-s g m).  A row trims each member's box against its mass on
-its peak-bound level, contracts, and checks that the bound outside the
-box is at most :data:`WINDOW_TOLERANCE` times the positive in-box mass;
-a member that fails is widened, up to the whole plane, which gives the
-bytes of the unwindowed row.  The x2 sums of a box are padded with zeros
-to the whole plane, so the x1 and time sums run in the unwindowed order.
+Each s-row is windowed: all members of a row are contracted on one
+(t, x1) box, and the decay (or, for M1 and M2, the split parts) is
+evaluated only there.  The box comes from a bound on each (t, x1) cell's
+mass, built from s-independent arrays written once per call: the x2 sums
+``w1_i sum_j w2_j stack_k(t, i, j)`` times exp(max(-2 s g(t) m(i),
+EXPONENT_FLOOR)), m the x2 minimum of the spatial weight; for M1 and M2,
+the stencils' absolute coefficient sums, the squared x2 sums of the
+weight coefficients and the x2 maximum of |u| times exp(-s g m).  A row's
+box is the smallest one that holds what each member keeps when trimmed
+against its mass on its own peak-bound level; the row contracts all
+members once on it and checks that every member's bound outside it is at most
+:data:`WINDOW_TOLERANCE` times its positive in-box mass; a row that fails
+runs on the whole plane, which is also the box of every unwindowed row.
+The x2 sums of a box are padded with zeros to the whole plane, so the x1
+and time sums run in the same order on every box.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ S_UNIFORM_FACTOR = 2.0
 #: Largest step-to-step growth of the Carleman constant in the tail that
 #: fixes ``s0``.
 S0_GROWTH = 1.1
-#: Largest bound on the mass a windowed s-row drops outside a member's
-#: box, relative to that member's mass inside it.
+#: Largest bound on the mass a windowed s-row drops outside its box,
+#: relative to each member's mass inside it.
 WINDOW_TOLERANCE = 1e-17
 _LOG_TOLERANCE = math.log(WINDOW_TOLERANCE)
 #: About this many nodes per slab of time levels in which the split parts
@@ -128,6 +129,15 @@ def _require_regime(ws: WeightSystem, regime: str, grid: SpaceTimeGrid,
         raise ValueError("every field and the weight system must share the checker's grid")
 
 
+def _require_s(s_values) -> list:
+    """``s_values`` as a list; ValueError, naming them, unless every s is
+    positive and finite and there is at least one."""
+    s_values = list(s_values)
+    if not s_values or not all(0.0 < s < math.inf for s in s_values):
+        raise ValueError(f"s values must be nonempty, positive and finite, got {s_values!r}")
+    return s_values
+
+
 def _sweep_report(name: str, ws: WeightSystem, sweep: list[dict], ratio_key: str,
                   rhs_keys: dict[str, str], verdict: dict) -> InequalityReport:
     """The report of one s sweep, headed by the row at ``ws.params.s`` (the
@@ -166,20 +176,17 @@ def _x2_sums(grid: SpaceTimeGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _masses(grid: SpaceTimeGrid, decay: np.ndarray, stack: np.ndarray, wt,
-            box: tuple[int, int, int, int] | None = None) -> list[float]:
+            box: tuple[int, int, int, int]) -> list[float]:
     """Trapezoid integral of decay * stack[k] over the time levels that
     ``wt[k]`` weights, for every member k, from their :func:`_x2_sums`.
 
-    With ``box = (t0, t1, i0, i1)``, ``decay`` and ``stack`` cover only
-    those levels (of ``wt``'s) and x1 nodes; their x2 sums are padded with
+    ``decay`` and ``stack`` cover only the levels (of ``wt``'s) and x1
+    nodes of ``box = (t0, t1, i0, i1)``; their x2 sums are padded with
     zeros to the whole (t, x1) plane, so the x1 and time sums run in the
-    order of the unwindowed call."""
-    rows = _x2_sums(grid, decay, stack)
-    if box is not None:
-        t0, t1, i0, i1 = box
-        plane = np.zeros(rows.shape[:-2] + (len(wt[0]), grid.n1 + 2))
-        plane[..., t0:t1, i0:i1] = rows
-        rows = plane
+    same order on every box."""
+    t0, t1, i0, i1 = box
+    rows = np.zeros(stack.shape[:-3] + (len(wt[0]), grid.n1 + 2))
+    rows[..., t0:t1, i0:i1] = _x2_sums(grid, decay, stack)
     return [float(w @ (r @ grid.w1)) for w, r in zip(wt, rows)]
 
 
@@ -194,26 +201,21 @@ def _masses(grid: SpaceTimeGrid, decay: np.ndarray, stack: np.ndarray, wt,
 _TINY = np.finfo(float).tiny
 
 
-def _trim(pt: np.ndarray, pi: np.ndarray, budget: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Per member k, the (t0, t1, i0, i1) box left after dropping from each
-    end of both axes the rows whose summed bound (marginals ``pt[k]`` over
-    t and ``pi[k]`` over x1) stays within an eighth of ``budget[k]``; the
-    whole plane when nothing is left."""
+def _trim(pt: np.ndarray, pi: np.ndarray, budget: np.ndarray) -> tuple[int, int, int, int]:
+    """The (t0, t1, i0, i1) box that covers, for every member k, what is
+    left after dropping from each end of both axes the rows whose summed
+    bound (marginals ``pt[k]`` over t and ``pi[k]`` over x1) stays within
+    an eighth of ``budget[k]``; the whole plane when some member has
+    nothing left."""
     cut = budget[:, None] / 8.0
-    ends = []
+    box = []
     for p in (pt, pi):
         lo = np.sum(np.cumsum(p, axis=1) <= cut, axis=1)
         hi = p.shape[1] - np.sum(np.cumsum(p[:, ::-1], axis=1) <= cut, axis=1)
-        ends.append((lo, hi))
-    (t0, t1), (i0, i1) = ends
-    full = (0, pt.shape[1], 0, pi.shape[1])
-    return [(int(a), int(b), int(c), int(d)) if a < b and c < d else full
-            for a, b, c, d in zip(t0, t1, i0, i1)]
-
-
-def _union(boxes) -> tuple[int, int, int, int]:
-    t0, t1, i0, i1 = zip(*boxes)
-    return min(t0), max(t1), min(i0), max(i1)
+        if np.any(lo >= hi):
+            return 0, pt.shape[1], 0, pi.shape[1]
+        box += [int(lo.min()), int(hi.max())]
+    return tuple(box)
 
 
 def _dropped(pt: np.ndarray, pi: np.ndarray, box) -> float:
@@ -226,62 +228,50 @@ def _dropped(pt: np.ndarray, pi: np.ndarray, box) -> float:
 
 
 class _WindowedRows:
-    """The s-rows of one checker, each contracted on one (t, x1) box per
-    member under a checked dropped-mass bound.
+    """The s-rows of one checker, each contracted on one (t, x1) box,
+    shared by all its members, under a checked dropped-mass bound.
 
-    A subclass gives ``_whole(s)``, the unwindowed row; ``_envelope()``,
-    which writes the s-independent arrays of the bound; per row,
-    ``_marginals(s)``: the sums over x1 (K, T) and over t (K, X) of a
-    bound on each member's mass in each (t, x1) cell, in units of
-    exp(top) with log scales ``top`` (K,); and ``_contract(s, boxes)``:
-    each member's mass on its box, with the bytes of :meth:`_whole` when
-    every box is the whole plane.  :meth:`masses` sizes the boxes from
-    each member's mass on its peak-bound level (a lower bound of its row
-    mass), contracts, and checks that each member's bound outside its box
-    is at most :data:`WINDOW_TOLERANCE` times its positive in-box mass.
-    A member that fails is trimmed again against its in-box mass, then
-    widened to the whole plane.  ``boxes`` and ``dropped`` (the logs of
-    the bounds, evaluated in floating point) of the last windowed row are
-    kept for inspection.  Fields of fewer than :data:`_WINDOW_MIN_NODES`
-    nodes are not windowed.
+    A subclass gives three hooks: ``_envelope()``, which writes the
+    s-independent arrays of the bound; per row, ``_marginals(s)``: the sums
+    over x1 (K, T) and over t (K, X) of a bound on each member's mass in
+    each (t, x1) cell, in units of exp(top) with log scales ``top`` (K,);
+    and ``_contract(s, box)``: every member's mass on ``box``, the whole
+    (t, x1) plane giving the unwindowed row.  :meth:`masses` sizes the
+    box from each member's mass on its own peak-bound level (a lower bound
+    of its row mass), contracts, and checks that each member's bound
+    outside the box is at most :data:`WINDOW_TOLERANCE` times its positive
+    in-box mass; a row that fails runs on the whole plane.  ``box`` and
+    ``dropped`` (the logs of the bounds, evaluated in floating point) of
+    the last windowed row are kept for inspection.  Fields of fewer than
+    :data:`_WINDOW_MIN_NODES` nodes run every row on the whole plane.
     """
 
-    def __init__(self, ws: WeightSystem, nodes: int):
+    def __init__(self, ws: WeightSystem, n_levels: int):
         self.ws = ws
-        self.windowed = nodes >= _WINDOW_MIN_NODES
+        self.plane = (0, n_levels, 0, ws.grid.n1 + 2)
+        self.windowed = math.prod(ws.grid.shape) >= _WINDOW_MIN_NODES
         if self.windowed:
+            self.gm = ws.g[:, None] * ws.min_spatial_weight
             self._envelope()
 
-    def _core(self, s: float, levels) -> list[float]:
+    def _core(self, s: float, levels: list[int]) -> np.ndarray:
         """Each member's mass on its level of ``levels``, over every x1."""
-        x1 = self.ws.grid.n1 + 2
-        return self._contract(s, [(t, t + 1, 0, x1) for t in levels])
+        at = {t: self._contract(s, (t, t + 1) + self.plane[2:]) for t in set(levels)}
+        return np.array([at[t][k] for k, t in enumerate(levels)])
 
     def masses(self, s: float) -> list[float]:
-        if not self.windowed:
-            return self._whole(s)
-        pt, pi, top = self._marginals(s)
-        full = (0, pt.shape[1], 0, pi.shape[1])
-
-        def budget(masses):
+        if self.windowed:
+            pt, pi, top = self._marginals(s)
+            core = self._core(s, np.argmax(pt, axis=1).tolist())
             with np.errstate(divide="ignore", over="ignore"):
-                return np.exp(np.log(masses) + _LOG_TOLERANCE - top)
-
-        boxes = _trim(pt, pi, budget(self._core(s, np.argmax(pt, axis=1))))
-        while True:
-            masses = self._contract(s, boxes)
-            with np.errstate(divide="ignore"):
-                dropped = np.log([_dropped(pt[k], pi[k], b) for k, b in enumerate(boxes)]) + top
-                log_m = np.log(masses)
-            failing = [k for k, box in enumerate(boxes) if box != full and not (
-                masses[k] > 0.0 and dropped[k] <= _LOG_TOLERANCE + log_m[k])]
-            if not failing:
-                self.boxes, self.dropped = boxes, dropped
+                self.box = _trim(pt, pi, np.exp(np.log(core) + _LOG_TOLERANCE - top))
+                self.dropped = np.log([_dropped(p, q, self.box) for p, q in zip(pt, pi)]) + top
+            masses = self._contract(s, self.box)
+            if self.box == self.plane or all(m > 0.0 and d <= _LOG_TOLERANCE + math.log(m)
+                                             for m, d in zip(masses, self.dropped)):
                 return masses
-            wider = _trim(pt, pi, budget(masses))
-            for k in failing:
-                grown = _union([boxes[k], wider[k]])
-                boxes[k] = full if grown == boxes[k] else grown
+            self.box, self.dropped = self.plane, np.full(len(pt), -np.inf)
+        return self._contract(s, self.plane)
 
 
 class _DecayRows(_WindowedRows):
@@ -298,7 +288,7 @@ class _DecayRows(_WindowedRows):
     def __init__(self, ws: WeightSystem, stack: np.ndarray, powers=None):
         self.stack = stack[:, 1:-1]
         self.powers = list(powers or [0] * len(stack))
-        super().__init__(ws, stack[0].size)
+        super().__init__(ws, self.stack.shape[1])
 
     def _envelope(self) -> None:
         g = self.ws.grid
@@ -309,18 +299,13 @@ class _DecayRows(_WindowedRows):
         peak = sums.max(axis=(1, 2))
         peak[peak == 0.0] = 1.0
         self.sums, self.log_peak = sums / peak[:, None, None], np.log(peak)
-        self.gm = self.ws.g[1:-1, None] * self.ws.min_spatial_weight
 
     def _wts(self, s: float) -> list[np.ndarray]:
         wt, sg = self.ws.grid.wt[1:-1], s * self.ws.g[1:-1]
         return [wt if p == 0 else wt * sg**p for p in self.powers]
 
-    def _whole(self, s: float) -> list[float]:
-        decay = self.ws.decay(s, (slice(1, -1),))
-        return _masses(self.ws.grid, decay, self.stack, self._wts(s))
-
     def _marginals(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        exponent = np.maximum(self.gm * (-2.0 * s), EXPONENT_FLOOR)
+        exponent = np.maximum(self.gm[1:-1] * (-2.0 * s), EXPONENT_FLOOR)
         e_top = exponent.max()
         decay = np.exp(exponent - e_top)
         wts = np.array(self._wts(s))
@@ -330,22 +315,10 @@ class _DecayRows(_WindowedRows):
                 np.einsum("kti,ti,kt->ki", self.sums, decay, wts),
                 self.log_peak + e_top + np.log(w_top))
 
-    def _core(self, s: float, levels) -> list[float]:
-        # a lower bound only, so the members at one level share one contraction
-        g, wts, out = self.ws.grid, np.array(self._wts(s)), np.empty(len(levels))
-        for t in set(levels.tolist()):
-            at = levels == t
-            rows = _x2_sums(g, self.ws.decay(s, (slice(t + 1, t + 2),)), self.stack[at, t : t + 1])
-            out[at] = (rows[:, 0] @ g.w1) * wts[at, t]
-        return list(out)
-
-    def _contract(self, s: float, boxes) -> list[float]:
-        t0, t1, i0, i1 = _union(boxes)
+    def _contract(self, s: float, box) -> list[float]:
+        t0, t1, i0, i1 = box
         decay = self.ws.decay(s, (slice(t0 + 1, t1 + 1), slice(i0, i1)))
-        wts = self._wts(s)
-        return [_masses(self.ws.grid, decay[a - t0 : b - t0, c - i0 : d - i0],
-                        self.stack[k : k + 1, a:b, c:d], wts[k : k + 1], (a, b, c, d))[0]
-                for k, (a, b, c, d) in enumerate(boxes)]
+        return _masses(self.ws.grid, decay, self.stack[:, t0:t1, i0:i1], self._wts(s), box)
 
 
 #: Power of s*g multiplying each summand of :func:`weighted_norm_I1`.
@@ -374,7 +347,7 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -
     estimate: (sg)^-1 (Lap z)^2, (sg)^-1 (z_t)^2, sg |grad z|^2 and
     (sg)^3 z^2, each integrated against exp(-2 s eta)."""
     _require_regime(ws, "bounded", z.grid)
-    s_val = ws.params.s if s is None else s
+    (s_val,) = _require_s([ws.params.s if s is None else s])
     stack = np.empty((4,) + z.grid.shape)
     _square_I1_densities(z, stack)
     terms = dict(zip(_I1_POWERS, _DecayRows(ws, stack, _I1_POWERS.values()).masses(s_val)))
@@ -412,7 +385,7 @@ def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     the weighted mass of F itself, sweeping s.  The constant is expected
     to stay bounded across the sweep (s-uniform)."""
     _require_regime(ws, "bounded", grid, F)
-    sweep = _prefix_sweep(F, ws, s_values)
+    sweep = _prefix_sweep(F, ws, _require_s(s_values))
     for row in sweep:
         row["empirical_C"] = _ratio(row["lhs"], row["rhs"])
 
@@ -428,7 +401,7 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     """Open-regime counterpart: the ratio is expected to decay like 1/s^2,
     measured as the slope of log(ratio) against log(s)."""
     _require_regime(ws, "open", grid, F)
-    sweep = _prefix_sweep(F, ws, s_values)
+    sweep = _prefix_sweep(F, ws, _require_s(s_values))
     for row in sweep:
         row["ratio"] = _ratio(row["lhs"], row["rhs"])
         row["ratio_times_s2"] = row["ratio"] * row["s"] * row["s"]
@@ -593,6 +566,7 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     the observation-wall flux term.
     """
     _require_regime(ws, "bounded", grid, z, Pz)
+    s_values = _require_s(s_values)
     trace_max = _boundary_trace_max(z, "z")
 
     obs = grid.domain.obs_segment
@@ -631,6 +605,7 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     slope of psi, plus the weighted mass of Hu.
     """
     _require_regime(ws, "open", grid, u, Hu)
+    s_values = _require_s(s_values)
     trace_max = _boundary_trace_max(u, "u")
 
     lam = ws.params.lam
@@ -748,7 +723,7 @@ class _SplitRows(_WindowedRows):
     """The masses of M1^2 and M2^2 over every level, for the split parts
     of the conjugated operator applied to w = exp(-s weight) u.
 
-    Each box's split parts run on the box plus a one-node halo, whose
+    The split parts of a box run on it plus a one-node halo, whose
     one-sided face values are discarded, so every kept node has the bytes
     of the unwindowed call.  The bound, per (t, x1): |w| <= A = max_x2 |u|
     exp(max(-s g(t) m(i), EXPONENT_FLOOR)) on every x2 node, and 0 on the
@@ -762,7 +737,7 @@ class _SplitRows(_WindowedRows):
     def __init__(self, ws: WeightSystem, u: np.ndarray):
         self.u = u
         self.coeffs = _weight_coefficients(ws)
-        super().__init__(ws, u.size)
+        super().__init__(ws, len(u))
 
     def _envelope(self) -> None:
         g = self.ws.grid
@@ -771,11 +746,6 @@ class _SplitRows(_WindowedRows):
             self.log_q = [np.log(_x2_sums(g, c, c)) for c in self.coeffs]
             self.log_cell = np.log(g.wt)[:, None] + np.log(g.w1) + math.log(16.0)
         self.log_h = math.log(g.w2.sum())
-        self.gm = self.ws.g[:, None] * self.ws.min_spatial_weight
-
-    def _whole(self, s: float) -> list[float]:
-        g = self.ws.grid
-        return self._contract(s, [(0, g.nt + 1, 0, g.n1 + 2)] * 2)
 
     def _marginals(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.ws.grid
@@ -797,29 +767,21 @@ class _SplitRows(_WindowedRows):
         cells = np.exp(lb - top[:, None, None])
         return cells.sum(axis=2), cells.sum(axis=1), top
 
-    def _contract(self, s: float, boxes) -> list[float]:
+    def _contract(self, s: float, box) -> list[float]:
         g = self.ws.grid
-        # the time and x1 sums of _masses over the padded planes
-        return [float(g.wt @ (plane @ g.w1)) for plane in self._planes(s, boxes)]
-
-    def _planes(self, s: float, boxes) -> np.ndarray:
-        """The x2 sums of M1^2 and M2^2 on each member's box, 0 elsewhere."""
-        g = self.ws.grid
-        t0, t1, i0, i1 = _union(boxes)
-        box = (_halo(t0, t1, g.nt + 1, 3), _halo(i0, i1, g.n1 + 2, 4))
-        w = self.ws.decay(s / 2, box)
-        w *= self.u[box]
+        t0, t1, i0, i1 = box
+        halo = (_halo(t0, t1, g.nt + 1, 3), _halo(i0, i1, g.n1 + 2, 4))
+        w = self.ws.decay(s / 2, halo)
+        w *= self.u[halo]
         w_t = derivative(w, g.dt, 0)
-        h0, c = box[0].start, box[1].start
+        h0, kept = halo[0].start, slice(i0 - halo[1].start, i1 - halo[1].start)
         step = max(1, _SLAB_NODES // w[0].size)
+        # the x2 sums of M1^2 and M2^2 on the box, padded with zeros as in _masses
         planes = np.zeros((2, g.nt + 1, g.n1 + 2))
         for a in range(t0, t1, step):
             b = min(a + step, t1)
-            rel, slab = slice(a - h0, b - h0), (slice(a, b), box[1])
+            rel, slab = slice(a - h0, b - h0), (slice(a, b), halo[1])
             parts = _split_parts(g, w[rel], tuple(cf[slab] for cf in self.coeffs), s, w_t[rel])
-            for m, plane, (b0, b1, c0, c1) in zip(parts, planes, boxes):
-                lo, hi = max(a, b0), min(b, b1)
-                if lo < hi:
-                    kept = m[lo - a : hi - a, c0 - c : c1 - c]
-                    plane[lo:hi, c0:c1] = _x2_sums(g, kept, kept[None])[0]
-        return planes
+            for m, plane in zip(parts, planes):
+                plane[a:b, i0:i1] = _x2_sums(g, m[:, kept], m[None, :, kept])[0]
+        return [float(g.wt @ (plane @ g.w1)) for plane in planes]

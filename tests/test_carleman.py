@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -15,13 +16,14 @@ from waveguide_carleman.carleman import (
     WINDOW_TOLERANCE,
     InequalityReport,
     WeightOverflowError,
+    _I1_POWERS,
     _DecayRows,
     _masses,
     _prefix_rows,
     _ratio,
     _split_parts,
     _SplitRows,
-    _union,
+    _square_I1_densities,
     _weight_coefficients,
     carleman_check_bounded,
     carleman_check_open,
@@ -253,10 +255,12 @@ def test_masses_member_equals_its_own_call(k, n, stacked, interior, seed):
     wt = rng.random((k, g.nt + 1))
     if interior:
         stack, decay, wt = stack[:, 1:-1], decay[..., 1:-1, :, :], wt[:, 1:-1]
-    got = _masses(g, decay, stack, wt)
+    plane = (0, wt.shape[1], 0, g.n1 + 2)
+    got = _masses(g, decay, stack, wt, plane)
     assert len(got) == k
     for m in range(k):
-        (own,) = _masses(g, decay[m] if stacked else decay, stack[m : m + 1], wt[m : m + 1])
+        (own,) = _masses(g, decay[m] if stacked else decay, stack[m : m + 1], wt[m : m + 1],
+                         plane)
         assert np.float64(got[m]).tobytes() == np.float64(own).tobytes(), m
 
 
@@ -267,13 +271,13 @@ def _windowing_every_grid():
 
 def _check_window(rows, cells, masses, reference):
     """A windowed row against the unwindowed one: masses within 1e-15
-    relative of ``reference``, each member's exact mass outside its box
-    (from the per-(t, x1) ``cells``) within the row's bound, and that bound
+    relative of ``reference``, each member's exact mass outside the row's
+    box (from the per-(t, x1) ``cells``) within its bound, and that bound
     within WINDOW_TOLERANCE of the in-box mass unless the box is the plane."""
     plane = (0, cells.shape[1], 0, cells.shape[2])
-    for k, (box, bound) in enumerate(zip(rows.boxes, rows.dropped)):
+    t0, t1, i0, i1 = box = rows.box
+    for k, bound in enumerate(rows.dropped):
         assert masses[k] == pytest.approx(reference[k], rel=1e-15, abs=0.0), k
-        t0, t1, i0, i1 = box
         outside = cells[k].copy()
         outside[t0:t1, i0:i1] = 0.0
         assert outside.sum() <= np.exp(bound) * (1.0 + 1e-12), k
@@ -325,11 +329,19 @@ def test_windowed_split_rows_match_the_full_contraction(shape, s, seed):
     reference = [float(g.wt @ (r @ g.w1)) for r in x2_sums]
     cells = np.array([r * g.wt[:, None] * g.w1 for r in x2_sums])
     _check_window(rows, cells, masses, reference)
-    # every kept node of the slabs has the bytes of the whole-grid parts
-    for plane, full, (t0, t1, i0, i1) in zip(rows._planes(s, rows.boxes), x2_sums, rows.boxes):
-        assert plane[t0:t1, i0:i1].tobytes() == full[t0:t1, i0:i1].tobytes()
-        plane[t0:t1, i0:i1] = 0.0
-        assert not plane.any()
+    # every kept node of the slabs (M1, M2 by turns, in time order) has the
+    # bytes of the whole-grid parts, and each mass is the whole-grid plane,
+    # zeroed off the box, summed in the same order
+    t0, t1, i0, i1 = rows.box
+    with mock.patch.object(carleman, "_x2_sums", wraps=carleman._x2_sums) as spy:
+        rows._contract(s, rows.box)
+    for k, full in enumerate(parts):
+        kept = np.concatenate([call.args[1] for call in spy.call_args_list[k::2]])
+        assert kept.tobytes() == full[t0:t1, i0:i1].tobytes(), k
+    for mass, full in zip(masses, x2_sums):
+        kept = np.zeros_like(full)
+        kept[t0:t1, i0:i1] = full[t0:t1, i0:i1]
+        assert np.float64(mass).tobytes() == np.float64(g.wt @ (kept @ g.w1)).tobytes()
 
 
 def test_zero_in_box_mass_falls_back_to_the_full_grid():
@@ -351,27 +363,44 @@ def test_zero_in_box_mass_falls_back_to_the_full_grid():
             rows = _prefix_rows(F, ws)
             assert rows.masses(s) == [lhs, rhs]
             if rhs == 0.0:
-                assert rows.boxes[1] == (0, g.nt - 1, 0, g.n1 + 2)
+                assert rows.box == (0, g.nt - 1, 0, g.n1 + 2)
                 with pytest.raises(ValueError, match="rhs=0"):
                     lemma_open_check(F, ws, g, [s])
             else:
-                assert rows.boxes[1] != (0, g.nt - 1, 0, g.n1 + 2)
+                assert rows.box != (0, g.nt - 1, 0, g.n1 + 2)
                 assert lemma_open_check(F, ws, g, [s]).sweep[0]["rhs"] == rhs
 
 
-def test_lemma_open_row_box_shrinks_with_s():
-    # on the open bench grid a row's box (the union of its members' boxes)
-    # never grows with s, and from s = 16 on it covers at most half of the
-    # interior (t, x1) plane
+def _open_prefix_rows():
     g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=True), 255, 31, 64)
     ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime="open"), g)
     F = random_smooth_field(g, np.random.default_rng(1234), anchored_right=True)
-    rows = _prefix_rows(F, ws)
+    return g, _prefix_rows(F, ws), (4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+
+def _bounded_carleman_rows():
+    # the rows of carleman_check_bounded on the bump, whose z_t^2 member
+    # vanishes at T/2: each member's lower bound must come from its own peak
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), 64, 64, 128)
+    ws = assemble_weight(WeightParams(lam=1.0, s=4.0), g)
+    bump = SpaceTimeBump(g)
+    stack = np.empty((5,) + g.shape)
+    _square_I1_densities(bump.field(), stack)
+    np.square(bump.heat_residual().values, out=stack[4])
+    return g, _DecayRows(ws, stack, [*_I1_POWERS.values(), 0]), (2.0, 4.0, 8.0, 16.0, 32.0)
+
+
+@pytest.mark.parametrize("make_rows", [_open_prefix_rows, _bounded_carleman_rows],
+                         ids=["lemma_open", "carleman_bounded"])
+def test_lemma_open_row_box_shrinks_with_s(make_rows):
+    # on a bench-sized grid a row's box never grows with s, and from s = 16
+    # on it covers at most half of the interior (t, x1) plane
+    g, rows, s_values = make_rows()
     plane = (g.nt - 1) * (g.n1 + 2)
     previous = (0, g.nt - 1, 0, g.n1 + 2)
-    for s in (4.0, 8.0, 16.0, 32.0, 64.0, 128.0):
+    for s in s_values:
         rows.masses(s)
-        t0, t1, i0, i1 = box = _union(rows.boxes)
+        t0, t1, i0, i1 = box = rows.box
         assert previous[0] <= t0 and t1 <= previous[1], (s, box)
         assert previous[2] <= i0 and i1 <= previous[3], (s, box)
         if s >= 16.0:
@@ -585,6 +614,36 @@ class TestCarlemanOpen:
         with pytest.raises(ValueError, match="normal slope"):
             carleman_check_open(bump.field(), bump.heat_residual(), ws, open_grid,
                                 s_values=[4, 8, 16, 32])
+
+
+#: Sweeps no checker may accept, each led by its first bad value.
+_BAD_S = {"empty": [], "negative": [-2.0, 4.0], "zero": [0.0], "nan": [float("nan"), 4.0],
+          "inf": [float("inf")]}
+_S_CHECKS = {
+    "lemma_bounded": lambda u, Hu, ws, s: lemma_bounded_check(u, ws, ws.grid, s),
+    "lemma_open": lambda u, Hu, ws, s: lemma_open_check(u, ws, ws.grid, s),
+    "carleman_bounded": lambda u, Hu, ws, s: carleman_check_bounded(u, Hu, ws, ws.grid, s),
+    "carleman_open": lambda u, Hu, ws, s: carleman_check_open(u, Hu, ws, ws.grid, s),
+    "weighted_norm_I1": lambda u, Hu, ws, s: weighted_norm_I1(u, ws, s[0]),
+}
+
+
+@pytest.mark.parametrize("check, bad", [(c, b) for c in _S_CHECKS for b in _BAD_S
+                                        if (c, b) != ("weighted_norm_I1", "empty")])
+def test_checkers_reject_s_that_is_not_positive_and_finite(check, bad, grid, open_grid):
+    # a negative s used to report a negative constant and pass, s = 0 gave
+    # s0 = 0 and an empty sweep an IndexError; the guard names the values
+    # and runs before any integrand stack is allocated
+    regime = "open" if check.endswith("open") else "bounded"
+    g = open_grid if regime == "open" else grid
+    ws = assemble_weight(WeightParams(lam=1.0, s=4.0, regime=regime), g)
+    bump = SpaceTimeBump(g)
+    u, Hu = bump.field(), bump.heat_residual()
+    s_values = _BAD_S[bad]
+    named = repr(s_values[0]) if s_values else "[]"
+    with mock.patch.object(np, "empty", side_effect=AssertionError("a stack was allocated")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            _S_CHECKS[check](u, Hu, ws, s_values)
 
 
 class TestReportSerialization:
