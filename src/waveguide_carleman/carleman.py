@@ -49,7 +49,6 @@ from .grid import (
     ScalarField,
     SpaceTimeGrid,
     derivative,
-    gradient,
     integrate_values,
     laplacian,
     normal_derivative,
@@ -130,11 +129,14 @@ def _require_regime(ws: WeightSystem, regime: str, grid: SpaceTimeGrid,
 
 
 def _require_s(s_values) -> list:
-    """``s_values`` as a list; ValueError, naming them, unless every s is
-    positive and finite and there is at least one."""
+    """``s_values`` as a list; ValueError, naming them, unless there is at
+    least one s, every s is positive and finite, and they strictly
+    increase (the sweep verdicts read the rows in order)."""
     s_values = list(s_values)
-    if not s_values or not all(0.0 < s < math.inf for s in s_values):
-        raise ValueError(f"s values must be nonempty, positive and finite, got {s_values!r}")
+    if (not s_values or not all(0.0 < s < math.inf for s in s_values)
+            or any(a >= b for a, b in zip(s_values, s_values[1:]))):
+        raise ValueError("s values must be nonempty, positive, finite and strictly "
+                         f"increasing, got {s_values!r}")
     return s_values
 
 
@@ -342,12 +344,12 @@ def _square_gradient(grid: SpaceTimeGrid, v: np.ndarray, out: np.ndarray) -> Non
     out += np.square(d2, out=d2)
 
 
-def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float | None = None) -> dict[str, float]:
+def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float) -> dict[str, float]:
     """The four weighted summands controlled by the bounded-regime
     estimate: (sg)^-1 (Lap z)^2, (sg)^-1 (z_t)^2, sg |grad z|^2 and
     (sg)^3 z^2, each integrated against exp(-2 s eta)."""
     _require_regime(ws, "bounded", z.grid)
-    (s_val,) = _require_s([ws.params.s if s is None else s])
+    (s_val,) = _require_s([s])
     stack = np.empty((4,) + z.grid.shape)
     _square_I1_densities(z, stack)
     terms = dict(zip(_I1_POWERS, _DecayRows(ws, stack, _I1_POWERS.values()).masses(s_val)))
@@ -443,19 +445,17 @@ def r_monotonicity_audit(ws: WeightSystem, grid: SpaceTimeGrid) -> float:
 
 @dataclass
 class ConjugatedDecomposition:
-    """M w computed literally and by product-rule expansion, the split
-    parts M1/M2, and the decomposition gap M_literal - (M1 + M2)."""
+    """M w computed literally, the split parts M1/M2, and the
+    decomposition gap M_literal - (M1 + M2)."""
 
     M_literal: ScalarField
-    M_expanded: ScalarField
     M1: ScalarField
     M2: ScalarField
     residual: ScalarField
 
 
-def conjugated_operator(w: ScalarField, ws: WeightSystem,
-                        s: float | None = None) -> ConjugatedDecomposition:
-    """Evaluate M w = exp(-s phi) (d/dt - Lap)(exp(s phi) w) two ways and
+def conjugated_operator(w: ScalarField, ws: WeightSystem, s: float) -> ConjugatedDecomposition:
+    """Evaluate M w = exp(-s phi) (d/dt - Lap)(exp(s phi) w) literally and
     split it into the stationary and transport parts.
 
     The literal route exponentiates s*phi on the grid, so it is guarded
@@ -465,47 +465,26 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem,
     """
     grid = w.grid
     _require_regime(ws, "open", grid)
-    s_val = ws.params.s if s is None else s
     phi = ws.weight.values
 
-    peak = s_val * float(np.max(phi))
+    peak = s * float(np.max(phi))
     if peak > OVERFLOW_GUARD:
         idx = np.unravel_index(int(np.argmax(phi)), phi.shape)
         raise WeightOverflowError(
             f"s*phi = {peak:.1f} exceeds {OVERFLOW_GUARD} at (time,x1,x2) index {idx}"
         )
 
-    E = np.exp(s_val * phi)
-    Einv = np.exp(-s_val * phi)
+    E = np.exp(s * phi)
+    Einv = np.exp(-s * phi)
     Ew = ScalarField(grid, E * w.values, FULL)
     M_lit = (time_derivative(Ew).values - laplacian(Ew).values) * Einv
-
-    coeffs = _weight_coefficients(ws)
-    phi_t, phi_x1, phi_x2, phi_lap, grad_phi_sq = coeffs
-
-    wt = time_derivative(w).values
-    wlap = laplacian(w).values
-    w1, w2 = gradient(w)
-    grad_dot = phi_x1 * w1.values + phi_x2 * w2.values
-
-    M_exp = (
-        wt
-        + s_val * phi_t * w.values
-        - wlap
-        - 2.0 * s_val * grad_dot
-        - (s_val**2 * grad_phi_sq + s_val * phi_lap) * w.values
-    )
-
-    M1, M2 = _split_parts(grid, w.values, coeffs, s_val)
-
-    residual = M_lit - (M1 + M2)
-
+    M1, M2 = _split_parts(grid, w.values, _weight_coefficients(ws), s,
+                          derivative(w.values, grid.dt, 0))
     return ConjugatedDecomposition(
         M_literal=ScalarField(grid, M_lit, FULL),
-        M_expanded=ScalarField(grid, M_exp, FULL),
         M1=ScalarField(grid, M1, FULL),
         M2=ScalarField(grid, M2, FULL),
-        residual=ScalarField(grid, residual, FULL),
+        residual=ScalarField(grid, M_lit - (M1 + M2), FULL),
     )
 
 
@@ -664,13 +643,13 @@ def _weight_coefficients(ws: WeightSystem) -> tuple[np.ndarray, ...]:
 
 
 def _split_parts(grid: SpaceTimeGrid, w: np.ndarray, coeffs: tuple[np.ndarray, ...],
-                 s: float, w_t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 s: float, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stationary part M1 = -Lap w - (s^2 |grad phi|^2 + s phi_t) w and
     the transport part M2 = w_t + 2s grad phi . grad w + s Lap(phi) w of
     the conjugated operator applied to the values ``w``, with the weight
     coefficients from :func:`_weight_coefficients`.  Each part is summed
     in place, term by term in that order.  ``w_t`` is the time derivative
-    of ``w`` when the caller has it (taken on more levels than ``w``)."""
+    of ``w``, which a windowed caller takes on more levels than ``w``."""
     phi_t, phi_x1, phi_x2, phi_lap, grad_phi_sq = coeffs
     scratch = np.empty_like(w)
 
@@ -687,7 +666,7 @@ def _split_parts(grid: SpaceTimeGrid, w: np.ndarray, coeffs: tuple[np.ndarray, .
     np.multiply(derivative(w, grid.dx2, 2), phi_x2, out=scratch)
     transport += scratch
     transport *= 2.0 * s
-    m2 = np.add(derivative(w, grid.dt, 0) if w_t is None else w_t, transport, out=transport)
+    m2 = np.add(w_t, transport, out=transport)
     np.multiply(phi_lap, s, out=scratch)
     scratch *= w
     m2 += scratch

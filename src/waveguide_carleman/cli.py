@@ -43,11 +43,10 @@ def _at_least(n: float, floor: int) -> None:
         raise ValueError(f"{n} is below {floor}")
 
 
-def _all_positive(values: list[float], least: int = 1) -> None:
+def _s_sweep(values: list[float], least: int = 1) -> None:
     if len(values) < least:
         raise ValueError(f"needs at least {least} s values, got {values}")
-    if not all(v > 0.0 for v in values):
-        raise ValueError(f"s values must be positive, got {values}")
+    carl._require_s(values)
 
 
 def _one_of(value: str, choices: tuple[str, ...]) -> None:
@@ -185,10 +184,10 @@ class ScenarioConfig:
             ("[forward] q_amplitude", lambda: _at_least(cfg["forward"]["q_amplitude"], 0)),
             ("[stability] q_amplitude", lambda: _at_least(st["q_amplitude"], 0)),
             ("[stability] f_bump", lambda: synth.axial_factor(cfg.grid(), st["f_bump"])),
-            ("[weights] s_sweep", lambda: _all_positive(cfg["weights"]["s_sweep"])),
+            ("[weights] s_sweep", lambda: _s_sweep(cfg["weights"]["s_sweep"])),
             # verify-carleman sweeps all but the last entry; verify-lemmas fits a slope
-            ("[open] s_sweep", lambda: _all_positive(cfg["open"]["s_sweep"], least=2)),
-            ("[carleman] s_sweep", lambda: _all_positive(cfg["carleman"]["s_sweep"])),
+            ("[open] s_sweep", lambda: _s_sweep(cfg["open"]["s_sweep"], least=2)),
+            ("[carleman] s_sweep", lambda: _s_sweep(cfg["carleman"]["s_sweep"])),
         ):
             try:
                 build()
@@ -196,7 +195,7 @@ class ScenarioConfig:
                 raise ConfigError(f"invalid {label}: {exc}") from exc
         return cfg
 
-    def domain(self, truncated: bool = False) -> WaveguideDomain:
+    def domain(self, truncated: bool) -> WaveguideDomain:
         d = self["domain"]
         return WaveguideDomain(
             L=d["L"], h=d["h"], T=d["T"], alpha=d["alpha"],
@@ -211,7 +210,7 @@ class ScenarioConfig:
         g = self["open"]
         return build_grid(self.domain(True), g["n1"], g["n2"], g["nt"])
 
-    def weight_params(self, regime: str = "bounded") -> wts.WeightParams:
+    def weight_params(self, regime: str) -> wts.WeightParams:
         w = self["weights"]
         lam = w["lambda"] if regime == "bounded" else self["open"]["lambda"]
         return wts.WeightParams(
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for flag, check in (("eps", lambda v: stab.check_sweep(cfg.grid(), [], v)),
-                        ("sweep_s", _all_positive), ("seed", lambda v: _at_least(v, 0))):
+                        ("sweep_s", _s_sweep), ("seed", lambda v: _at_least(v, 0))):
         if getattr(args, flag, None) is not None:
             try:
                 check(getattr(args, flag))

@@ -152,8 +152,6 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
         raise ValueError("potential, data and solve must share one grid")
     if grid.domain.truncated:
         raise ValueError("solve_heat solves bounded grids only, not truncated ones")
-    if grid.dt > grid.domain.T / 4.0 + 1e-14:
-        raise ValueError(f"time step {grid.dt} exceeds T/4; refine the time grid")
 
     dt, dx1, dx2 = grid.dt, grid.dx1, grid.dx2
     # smallest eigenvalue of -Lap_h: the lowest mode along each axis

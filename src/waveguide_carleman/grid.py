@@ -55,10 +55,9 @@ class WaveguideDomain:
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        if self.L <= 0 or self.h <= 0 or self.T <= 0:
-            raise ValueError(
-                f"domain dimensions must be positive, got L={self.L}, h={self.h}, T={self.T}"
-            )
+        if not all(0.0 < x < math.inf for x in (self.L, self.h, self.T)):
+            raise ValueError(f"domain dimensions must be positive and finite, got L={self.L}, "
+                             f"h={self.h}, T={self.T}")
         if not (-self.L < self.alpha < self.L):
             raise ValueError(f"alpha={self.alpha} must lie strictly inside (-L, L)")
         if self.obs_side not in ("top", "bottom"):

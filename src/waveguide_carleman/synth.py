@@ -81,10 +81,6 @@ class SpaceTimeBump:
         rho, _, X, _, _, Y, _, _ = self._parts()
         return ScalarField(self.grid, self._outer(rho, X, Y), FULL)
 
-    def dt_field(self) -> np.ndarray:
-        rho, rho_t, X, _, _, Y, _, _ = self._parts()
-        return self._outer(rho_t, X, Y)
-
     def dx1_field(self) -> np.ndarray:
         rho, _, _, X1, _, Y, _, _ = self._parts()
         return self._outer(rho, X1, Y)
@@ -93,13 +89,11 @@ class SpaceTimeBump:
         rho, _, X, _, _, _, Y2, _ = self._parts()
         return self._outer(rho, X, Y2)
 
-    def laplacian_field(self) -> np.ndarray:
-        rho, _, X, _, X11, Y, _, Y22 = self._parts()
-        return self._outer(rho, X11, Y) + self._outer(rho, X, Y22)
-
     def heat_residual(self) -> ScalarField:
         """(d/dt - Lap) of the bump, in closed form."""
-        return ScalarField(self.grid, self.dt_field() - self.laplacian_field(), FULL)
+        rho, rho_t, X, _, X11, Y, _, Y22 = self._parts()
+        lap = self._outer(rho, X11, Y) + self._outer(rho, X, Y22)
+        return ScalarField(self.grid, self._outer(rho_t, X, Y) - lap, FULL)
 
 
 def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator,

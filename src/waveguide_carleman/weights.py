@@ -63,9 +63,9 @@ class WeightParams:
     c1: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.s <= 0 or self.delta <= 0 or self.c1 <= 0:
-            raise ValueError(f"lam, s, delta and c1 must all be positive, got lam={self.lam}, "
-                             f"s={self.s}, delta={self.delta}, c1={self.c1}")
+        if not all(0.0 < x < math.inf for x in (self.lam, self.s, self.delta, self.c1)):
+            raise ValueError(f"lam, s, delta and c1 must all be positive and finite, got "
+                             f"lam={self.lam}, s={self.s}, delta={self.delta}, c1={self.c1}")
         if self.regime not in ("bounded", "open"):
             raise ValueError(f"regime must be 'bounded' or 'open', got {self.regime!r}")
 
@@ -149,12 +149,11 @@ class ConstantAxisProfile:
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def make_psi1(domain, c1: float, alpha: float | None = None) -> AxialWeightProfile:
-    """Axial weight profile anchored at ``alpha`` (defaults to the domain's)."""
-    a = domain.alpha if alpha is None else alpha
-    if not (-domain.L < a < domain.L):
-        raise ValueError(f"alpha={a} must lie strictly inside (-L, L)")
-    return AxialWeightProfile(L=domain.L, alpha=a, c1=c1)
+def make_psi1(domain, c1: float, alpha: float) -> AxialWeightProfile:
+    """Axial weight profile anchored at ``alpha``."""
+    if not (-domain.L < alpha < domain.L):
+        raise ValueError(f"alpha={alpha} must lie strictly inside (-L, L)")
+    return AxialWeightProfile(L=domain.L, alpha=alpha, c1=c1)
 
 
 def make_psi2(domain, delta: float) -> SectionWeightProfile:
@@ -211,7 +210,7 @@ class WeightSystem:
             domain, params.delta
         )
         self.psi1_profile = psi1_profile if psi1_profile is not None else make_psi1(
-            domain, params.c1, alpha=grid.alpha_snapped
+            domain, params.c1, grid.alpha_snapped
         )
 
         p1 = self.psi1_profile.value(grid.x1)
@@ -254,10 +253,11 @@ class WeightSystem:
 
     # -- decayed weights ----------------------------------------------------
 
-    def decay(self, s: float | None = None, box: tuple = (slice(None),)) -> np.ndarray:
-        """exp(-2*s*weight) with endpoint time rows exactly 0 and values
-        below the underflow clamp set to 0; the exponent is floored at
-        :data:`EXPONENT_FLOOR` first, which changes no output.
+    def decay(self, s: float, box: tuple = (slice(None),)) -> np.ndarray:
+        """exp(-2*s*weight) at the caller's ``s`` (``params.s`` is only the
+        headline s of the reports), with endpoint time rows exactly 0 and
+        values below the underflow clamp set to 0; the exponent is floored
+        at :data:`EXPONENT_FLOOR` first, which changes no output.
 
         ``box`` is a time slice of step 1 followed by indices of the
         spatial axes; only the box is evaluated, with the bytes of
@@ -265,7 +265,7 @@ class WeightSystem:
         :func:`singular_time_profile`), so a level of the box above nt/2
         whose mirror level is in the box is copied from it.
         """
-        factor = 2.0 * (self.params.s if s is None else s)
+        factor = 2.0 * s
         nt = self.grid.nt
         a, b, step = box[0].indices(nt + 1)
         if step != 1:

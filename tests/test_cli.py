@@ -101,6 +101,7 @@ class TestConfigParsing:
         ("stability", "[stability]\nf_bump: 1.5\n", "[stability] f_bump"),
         ("verify-carleman", "[carleman]\ntheta: 0\n", "[carleman] theta"),
         ("verify-carleman", "[domain]\nh: 1e-300\n", "[grid]/[domain] values"),
+        ("verify-lemmas", "[weights]\ns_sweep: 4,2\n", "[weights] s_sweep"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"
@@ -183,6 +184,7 @@ class TestCommands:
         (["stability", "--eps", "5"], "--eps"),  # outside (0, T/2) on the T = 2 grid
         (["verify-lemmas", "--sweep-s=-1,2"], "--sweep-s"),
         (["verify-lemmas", "--seed", "-3"], "--seed"),
+        (["verify-lemmas", "--sweep-s", "4,2"], "--sweep-s"),
     ])
     def test_malformed_or_foreign_flag_exits_2(self, cfg_path, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -199,6 +201,17 @@ class TestCommands:
         table = (out / "stability_sweep.csv").read_text()
         assert table.startswith("theta,eps,lhs")
         assert (out / "stability_00.txt").exists()
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(c, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 4: open draw 0 fits slope -1.468, "
+                                "outside the band [-2.5, -1.5]"))
+        if c == "verify-lemmas" else c for c in SUBCOMMANDS])
+    def test_shipped_defaults_exit_0(self, tmp_path, command):
+        # every key but the required scenario.name at its shipped default
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("[scenario]\nname: defaults\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_verify_carleman_runs(self, cfg_path, tmp_path):
         out = tmp_path / "out"

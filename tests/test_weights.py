@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -42,21 +43,21 @@ class TestSectionProfile:
 
 class TestAxialProfile:
     def test_slope_roots(self, domain):
-        p1 = make_psi1(domain, 0.5)
+        p1 = make_psi1(domain, 0.5, domain.alpha)
         roots = p1.derivative(np.array([-1.0, 0.0, 1.0]))
         np.testing.assert_allclose(roots, 0.0, atol=1e-15)
 
     def test_slope_signs_maximum_at_anchor(self, domain):
         # the profile increases toward the anchor from both sides, so the
         # comparison kernel of the anchored prefix inequality stays <= 1
-        p1 = make_psi1(domain, 0.5)
+        p1 = make_psi1(domain, 0.5, domain.alpha)
         assert p1.derivative(np.array([-0.5]))[0] > 0.0
         assert p1.derivative(np.array([0.5]))[0] < 0.0
         assert abs(p1.derivative(np.array([0.5]))[0]) == pytest.approx(0.375)
 
     def test_floor_on_dense_sampling(self, domain):
         # dense 1-D oracle: the minimum equals c1 and sits at a cap
-        p1 = make_psi1(domain, 0.5)
+        p1 = make_psi1(domain, 0.5, domain.alpha)
         xs = np.linspace(-1.0, 1.0, 20001)
         vals = p1.value(xs)
         assert np.min(vals) == pytest.approx(0.5, abs=1e-9)
@@ -117,6 +118,18 @@ class TestAssembleWeight:
         with pytest.raises(ValueError):
             WeightParams(regime="weird")
 
+    @pytest.mark.parametrize("build, key, value", [
+        (b, k, v) for b, keys in ((WaveguideDomain, "L h T"), (WeightParams, "lam s delta c1"))
+        for k in keys.split() for v in (math.inf, math.nan, -math.inf)])
+    def test_non_finite_geometry_and_weight_values_are_rejected(self, build, key, value):
+        # L = inf used to build a grid of nan x1 nodes, T = inf a grid with
+        # dt = inf, and every weight parameter took nan and inf; L = nan and
+        # h = nan failed only on the alpha and grid-spacing checks
+        base = {"L": 1.0, "h": 1.0, "T": 2.0} if build is WaveguideDomain else {}
+        with pytest.raises(ValueError, match=re.escape(f"{key}={value}")) as exc:
+            build(**{**base, key: value})
+        assert "positive and finite" in str(exc.value)
+
 
 class TestWeightInvariants:
     def test_eta_positive_interior(self, grid):
@@ -135,14 +148,14 @@ class TestWeightInvariants:
             (WeightParams(lam=1.0, s=2.0, regime="open"), open_grid),
         ):
             ws = assemble_weight(params, g)
-            dec = ws.decay()
+            dec = ws.decay(params.s)
             assert np.all(dec >= 0.0)
             assert np.all(dec[1:-1] < 1.0)
             assert np.all(dec[0] == 0.0) and np.all(dec[-1] == 0.0)
 
     def test_decay_underflow_clamps_to_zero(self, grid):
         ws = assemble_weight(WeightParams(lam=2.0, s=32.0), grid)
-        dec = ws.decay()
+        dec = ws.decay(32.0)
         small = dec[(dec > 0.0) & (dec < 1e-290)]
         assert small.size == 0
 
