@@ -27,10 +27,11 @@ mass, built from s-independent arrays written once per call: the x2 sums
 ``w1_i sum_j w2_j stack_k(t, i, j)`` times exp(max(-2 s g(t) m(i),
 EXPONENT_FLOOR)), m the x2 minimum of the spatial weight; for M1 and M2,
 the stencils' absolute coefficient sums, the squared x2 sums of the
-weight coefficients and the x2 maximum of |u| times exp(-s g m).  A row's
-box is the smallest one that holds what each member keeps when trimmed
-against its mass on its own peak-bound level; the row contracts all
-members once on it and checks that every member's bound outside it is at most
+weight coefficients (a squared time profile times one spatial factor's)
+and the x2 maximum of |u| times exp(-s g m).  A row's box is the
+smallest one that holds what each member keeps when trimmed against its
+mass on its own peak-bound level; the row contracts all members once on
+it and checks that every member's bound outside it is at most
 :data:`WINDOW_TOLERANCE` times its positive in-box mass; a row that fails
 runs on the whole plane, which is also the box of every unwindowed row.
 The x2 sums of a box are padded with zeros to the whole plane, so the x1
@@ -425,7 +426,10 @@ def r_monotonicity_audit(ws: WeightSystem, grid: SpaceTimeGrid) -> float:
     """Maximum of the comparison kernel r(x1, xi) = exp(-2s (eta(x1) -
     eta(xi))) over the two triangular regions where xi lies between the
     anchor and x1.  The constructed weights keep this at most 1; the value
-    is scale-invariant in t, and the middle time level is scanned."""
+    is scale-invariant in t, and the middle time level is scanned.  Raises
+    ValueError unless ``ws`` is built on ``grid``."""
+    if ws.grid is not grid:
+        raise ValueError("the weight system must share the audit's grid")
     s = ws.params.s
     ia = grid.alpha_index
     eta = ws.weight.values[grid.nt // 2]  # (n1+2, n2+2)
@@ -478,8 +482,8 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem, s: float) -> Conjugate
     Einv = np.exp(-s * phi)
     Ew = ScalarField(grid, E * w.values, FULL)
     M_lit = (time_derivative(Ew).values - laplacian(Ew).values) * Einv
-    M1, M2 = _split_parts(grid, w.values, _weight_coefficients(ws), s,
-                          derivative(w.values, grid.dt, 0))
+    M1, M2 = _split_parts(ws, w.values, derivative(w.values, grid.dt, 0), s,
+                          (slice(None), slice(None)))
     return ConjugatedDecomposition(
         M_literal=ScalarField(grid, M_lit, FULL),
         M1=ScalarField(grid, M1, FULL),
@@ -633,43 +637,30 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
                          _carleman_verdict(sweep, trace_max))
 
 
-def _weight_coefficients(ws: WeightSystem) -> tuple[np.ndarray, ...]:
-    """(phi_t, phi_x1, phi_x2, Lap phi, |grad phi|^2) from the closed
-    forms.  None of them depends on s."""
-    phi_t = ws.weight_time_derivative()
-    phi_x1, phi_x2 = ws.weight_gradient()
-    phi_lap = ws.weight_laplacian()
-    return phi_t, phi_x1, phi_x2, phi_lap, phi_x1**2 + phi_x2**2
-
-
-def _split_parts(grid: SpaceTimeGrid, w: np.ndarray, coeffs: tuple[np.ndarray, ...],
-                 s: float, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_parts(ws: WeightSystem, w: np.ndarray, w_t: np.ndarray, s: float,
+                 box: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray]:
     """The stationary part M1 = -Lap w - (s^2 |grad phi|^2 + s phi_t) w and
     the transport part M2 = w_t + 2s grad phi . grad w + s Lap(phi) w of
-    the conjugated operator applied to the values ``w``, with the weight
-    coefficients from :func:`_weight_coefficients`.  Each part is summed
-    in place, term by term in that order.  ``w_t`` is the time derivative
-    of ``w``, which a windowed caller takes on more levels than ``w``."""
-    phi_t, phi_x1, phi_x2, phi_lap, grad_phi_sq = coeffs
-    scratch = np.empty_like(w)
-
+    the conjugated operator applied to ``w``, on the time levels and x1
+    nodes of ``box``.  The coefficients are ``ws``' time profiles times its
+    spatial factors: M1 = -Lap w - ((s g)^2 (S1^2 + S2^2) + s g_t
+    spatial_weight) w and M2 = (2 (S1 w_x1 + S2 w_x2) + laplacian_factor w)
+    s g + w_t, each summed in place in that order.  ``w_t`` is the time
+    derivative of ``w``, which a windowed caller takes on more levels."""
+    grid, (levels, nodes) = ws.grid, box
+    s1, s2 = (f[nodes] for f in ws.gradient_factors)
+    sg, sg_t = ((s * p[levels])[:, None, None] for p in (ws.g, ws.g_t))
     m1 = derivative(w, grid.dx1, 1, order=2)
     m1 += derivative(w, grid.dx2, 2, order=2)
     np.negative(m1, out=m1)
-    for coef, scale in ((grad_phi_sq, s**2), (phi_t, s)):
-        np.multiply(coef, scale, out=scratch)
-        scratch *= w
-        m1 -= scratch
-
-    transport = derivative(w, grid.dx1, 1)
-    transport *= phi_x1
-    np.multiply(derivative(w, grid.dx2, 2), phi_x2, out=scratch)
-    transport += scratch
-    transport *= 2.0 * s
-    m2 = np.add(w_t, transport, out=transport)
-    np.multiply(phi_lap, s, out=scratch)
-    scratch *= w
-    m2 += scratch
+    m1 -= ((s1**2 + s2**2) * sg**2 + ws.spatial_weight[nodes] * sg_t) * w
+    m2 = derivative(w, grid.dx1, 1)
+    m2 *= s1
+    m2 += derivative(w, grid.dx2, 2) * s2
+    m2 *= 2.0
+    m2 += ws.laplacian_factor[nodes] * w
+    m2 *= sg
+    m2 += w_t
     return m1, m2
 
 
@@ -711,18 +702,21 @@ class _SplitRows(_WindowedRows):
     largest: a stencil term's is h times its absolute coefficient sum times
     the largest A its stencil reads, squared; a weight-coefficient term's
     is the coefficient's squared x2 sum times that bound on the rest,
-    squared."""
+    squared; it is a time profile squared times one spatial factor's."""
 
     def __init__(self, ws: WeightSystem, u: np.ndarray):
         self.u = u
-        self.coeffs = _weight_coefficients(ws)
         super().__init__(ws, len(u))
 
     def _envelope(self) -> None:
-        g = self.ws.grid
+        ws, g = self.ws, self.ws.grid
+        s1, s2 = ws.gradient_factors
+        factors = (ws.spatial_weight, s1, s2, ws.laplacian_factor, s1**2 + s2**2)
         with np.errstate(divide="ignore"):
             self.log_u = np.log(np.abs(self.u).max(axis=2))
-            self.log_q = [np.log(_x2_sums(g, c, c)) for c in self.coeffs]
+            log_g2, log_gt2 = 2.0 * np.log(ws.g), 2.0 * np.log(np.abs(ws.g_t))
+            self.log_q = [p[:, None] + np.log(np.square(f) @ g.w2) for p, f in
+                          zip((log_gt2, log_g2, log_g2, log_g2, 2.0 * log_g2), factors)]
             self.log_cell = np.log(g.wt)[:, None] + np.log(g.w1) + math.log(16.0)
         self.log_h = math.log(g.w2.sum())
 
@@ -760,7 +754,7 @@ class _SplitRows(_WindowedRows):
         for a in range(t0, t1, step):
             b = min(a + step, t1)
             rel, slab = slice(a - h0, b - h0), (slice(a, b), halo[1])
-            parts = _split_parts(g, w[rel], tuple(cf[slab] for cf in self.coeffs), s, w_t[rel])
+            parts = _split_parts(self.ws, w[rel], w_t[rel], s, slab)
             for m, plane in zip(parts, planes):
                 plane[a:b, i0:i1] = _x2_sums(g, m[:, kept], m[None, :, kept])[0]
         return [float(g.wt @ (plane @ g.w1)) for plane in planes]

@@ -110,8 +110,11 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
     """Residual of the t=0 consistency condition on the lateral Dirichlet walls:
     d/dt b(0, x) - Lap(u0)(x) + q(0, x2) f(x1) u0(x), maximized over the
     wall nodes.  The time derivative uses the one-sided second-order
-    stencil on the first three data levels."""
+    stencil on the first three data levels.  Raises ValueError unless
+    ``data`` and ``pot`` share one grid."""
     g = data.grid
+    if pot.grid is not g:
+        raise ValueError("potential and data must share one grid")
     lap_u0 = derivative(data.u0, g.dx1, 0, order=2) + derivative(data.u0, g.dx2, 1, order=2)
     v0 = pot.q[0][None, :] * pot.f[:, None] * data.u0
     # the forward time derivative is the negated one-sided stencil at t = 0

@@ -193,10 +193,12 @@ def singular_time_profile_derivative(grid: SpaceTimeGrid) -> np.ndarray:
 
 
 class WeightSystem:
-    """Assembled weight system: spatial profiles, the time profile and the
-    full space-time weight (eta in the bounded regime, phi in the open
-    one), plus exact spatial derivatives used by the assumption checkers
-    and by the conjugated-operator formulas."""
+    """Assembled weight system: spatial profiles, the time profile ``g``, its
+    derivative ``g_t`` and the weight ``g (x) spatial_weight`` (eta in the
+    bounded regime, phi in the open one).  Each closed-form derivative is
+    a time profile times a signed spatial factor: d/dt ``g_t (x)
+    spatial_weight``, the gradient ``g (x) gradient_factors``, the
+    Laplacian ``g (x) laplacian_factor``."""
 
     def __init__(self, params: WeightParams, grid: SpaceTimeGrid,
                  psi1_profile=None, psi2_profile=None):
@@ -234,17 +236,23 @@ class WeightSystem:
         self.psi_values = psi
         self.dpsi_dx1 = dpsi_dx1
         self.dpsi_dx2 = dpsi_dx2
-        self.lap_psi = lap_psi
         self.psi_sup = float(np.max(np.abs(psi)))
         self.C0_margin = float(np.min(np.hypot(dpsi_dx1, dpsi_dx2)))
 
         self.g = singular_time_profile(grid)
-        self.exp_lam_psi = np.exp(params.lam * psi)
+        self.g_t = singular_time_profile_derivative(grid)
+        lam = params.lam
+        exp_lam_psi = np.exp(lam * psi)
         if params.regime == "bounded":
-            weight_cap = float(np.exp(2.0 * params.lam * self.psi_sup))
-            self.spatial_weight = weight_cap - self.exp_lam_psi
+            weight_cap = float(np.exp(2.0 * lam * self.psi_sup))
+            self.spatial_weight = weight_cap - exp_lam_psi
+            core = -lam * exp_lam_psi
         else:
-            self.spatial_weight = self.exp_lam_psi
+            self.spatial_weight = exp_lam_psi
+            core = lam * exp_lam_psi
+        # grad(spatial weight) = core grad(psi), Lap = core (Lap psi + lam |grad psi|^2)
+        self.gradient_factors = (core * dpsi_dx1, core * dpsi_dx2)
+        self.laplacian_factor = core * (lap_psi + lam * (dpsi_dx1**2 + dpsi_dx2**2))
         #: Minimum over x2 of the spatial weight, per x1 node: exp(-2 s g(t)
         #: min_spatial_weight[i]) bounds the decay on every x2 node of (t, i).
         self.min_spatial_weight = self.spatial_weight.min(axis=1)
@@ -293,23 +301,15 @@ class WeightSystem:
 
     def weight_time_derivative(self) -> np.ndarray:
         """d(weight)/dt from the closed form, endpoint rows 0."""
-        gp = singular_time_profile_derivative(self.grid)
-        return gp[:, None, None] * self.spatial_weight[None, :, :]
+        return np.multiply.outer(self.g_t, self.spatial_weight)
 
     def weight_gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Spatial gradient of the weight from the closed form."""
-        sign = -1.0 if self.params.regime == "bounded" else 1.0
-        # the sign is exact, so folding it into the spatial factor keeps the bytes
-        core = self.g[:, None, None] * (sign * (self.params.lam * self.exp_lam_psi))[None, :, :]
-        return core * self.dpsi_dx1[None, :, :], core * self.dpsi_dx2[None, :, :]
+        return tuple(np.multiply.outer(self.g, f) for f in self.gradient_factors)
 
     def weight_laplacian(self) -> np.ndarray:
         """Spatial Laplacian of the weight from the closed form."""
-        lam = self.params.lam
-        grad_sq = self.dpsi_dx1**2 + self.dpsi_dx2**2
-        spatial = lam * self.exp_lam_psi * (self.lap_psi + lam * grad_sq)
-        sign = -1.0 if self.params.regime == "bounded" else 1.0
-        return sign * self.g[:, None, None] * spatial[None, :, :]
+        return np.multiply.outer(self.g, self.laplacian_factor)
 
     def obs_normal_psi(self) -> np.ndarray:
         """Outward normal derivative of psi on the observed wall, per x1."""

@@ -24,7 +24,6 @@ from waveguide_carleman.carleman import (
     _split_parts,
     _SplitRows,
     _square_I1_densities,
-    _weight_coefficients,
     carleman_check_bounded,
     carleman_check_open,
     conjugated_operator,
@@ -45,6 +44,10 @@ from waveguide_carleman.grid import (
 )
 from waveguide_carleman.synth import SpaceTimeBump, random_smooth_field
 from waveguide_carleman.weights import SectionWeightProfile
+
+
+#: The box of a whole field, for direct calls of ``_split_parts``.
+_WHOLE = (slice(None), slice(None))
 
 
 def _trap(n, d):
@@ -174,6 +177,13 @@ class TestLemmaBounded:
             ws = assemble_weight(WeightParams(lam=1.0, s=s), grid)
             assert r_monotonicity_audit(ws, grid) <= 1.0 + 1e-12
 
+    def test_comparison_kernel_audit_rejects_another_grid(self, domain):
+        # the audit reads the grid's anchor and middle level; on a coarser
+        # grid they index the wrong nodes of the weight (a false r = 98.9)
+        ws = assemble_weight(WeightParams(lam=1.0, s=4.0), build_grid(domain, 16, 16, 32))
+        with pytest.raises(ValueError, match="share the audit's grid"):
+            r_monotonicity_audit(ws, build_grid(domain, 8, 8, 16))
+
 
 def _alone(g, a, b, wt):
     """a * b contracted alone: the x2 sum in one einsum, then the x1 and
@@ -223,11 +233,11 @@ def test_prefix_rows_equal_separate_integrals(regime, shape, s_values):
             assert row["lhs"] == sum(_interior(g, d, decay, g.wt[1:-1] * sg**p)
                                      for d, p in zip(densities, (-1, -1, 1, 3))), s
         return
-    phi, coeffs = ws.weight.values, _weight_coefficients(ws)
+    phi = ws.weight.values
     for row in carleman_check_open(u, Hu, ws, g, s_values).sweep:
         s, decay = row["s"], ws.decay(row["s"])
         w = ws.decay(s / 2) * u.values
-        m1, m2 = _split_parts(g, w, coeffs, s, derivative(w, g.dt, 0))
+        m1, m2 = _split_parts(ws, w, derivative(w, g.dt, 0), s, _WHOLE)
         expected = {
             "lhs_zero_order": s**3 * lam**4 * _interior(g, phi**3 * u.values**2, decay),
             "lhs_gradient": s * lam * _interior(g, phi * grad_sq, decay),
@@ -327,7 +337,7 @@ def test_windowed_split_rows_match_the_full_contraction(shape, s, seed):
         rows = _SplitRows(ws, u)
     masses = rows.masses(s)
     w = ws.decay(s / 2) * u
-    parts = _split_parts(g, w, _weight_coefficients(ws), s, derivative(w, g.dt, 0))
+    parts = _split_parts(ws, w, derivative(w, g.dt, 0), s, _WHOLE)
     x2_sums = [np.einsum("tij,tij,j->ti", m, m, g.w2) for m in parts]
     reference = [float(g.wt @ (r @ g.w1)) for r in x2_sums]
     cells = np.array([r * g.wt[:, None] * g.w1 for r in x2_sums])
@@ -432,6 +442,26 @@ def test_bounded_check_peak_memory_in_fields():
     assert fields < 8.0, fields
 
 
+def test_open_check_peak_memory():
+    # the weight's derivatives enter as time profiles times spatial
+    # factors, never as full-size fields: about 25.2 MiB over live data at
+    # 255x31x64 (4.2 MiB a field), where five full-size coefficient fields
+    # read 46.2 MiB
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=True), 255, 31, 64)
+    ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime="open"), g)
+    bump = SpaceTimeBump(g)
+    u, Hu = bump.field(), bump.heat_residual()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        carleman_check_open(u, Hu, ws, g, s_values=[4.0, 8.0, 16.0, 32.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - live) / 2**20 <= 30.0, (peak - live) / 2**20
+
+
 class TestLemmaOpen:
     def test_zero_field(self, open_grid, open_ws):
         F = ScalarField(open_grid, np.zeros(open_grid.shape), FULL)
@@ -483,17 +513,28 @@ class TestConjugatedOperator:
     @pytest.mark.parametrize("s", [0.5, 3.0])
     def test_split_parts_equal_the_expressions(self, open_grid, open_ws, s):
         # the in-place M1/M2 give the bytes of the term-by-term expressions
+        # written from the weight's time profiles and spatial factors, in
+        # the order _split_parts sums them
+        ws = open_ws
         w = SpaceTimeBump(open_grid, amplitude=0.3).field()
-        dec = conjugated_operator(w, open_ws, s=s)
-        phi_t = open_ws.weight_time_derivative()
-        p1, p2 = open_ws.weight_gradient()
-        plap = open_ws.weight_laplacian()
-        w1, w2 = gradient(w)
-        m1 = -laplacian(w).values - s**2 * (p1**2 + p2**2) * w.values - s * phi_t * w.values
-        m2 = (time_derivative(w).values + 2.0 * s * (p1 * w1.values + p2 * w2.values)
-              + s * plap * w.values)
+        dec = conjugated_operator(w, ws, s=s)
+        v, (w1, w2) = w.values, gradient(w)
+        sg, sg_t = (s * ws.g)[:, None, None], (s * ws.g_t)[:, None, None]
+        f1, f2 = ws.gradient_factors
+        m1 = -laplacian(w).values - ((f1**2 + f2**2) * sg**2 + ws.spatial_weight * sg_t) * v
+        m2 = ((2.0 * (w1.values * f1 + w2.values * f2) + ws.laplacian_factor * v) * sg
+              + time_derivative(w).values)
         assert dec.M1.values.tobytes() == m1.tobytes()
         assert dec.M2.values.tobytes() == m2.tobytes()
+        # and they are the full-field closed-form expressions up to round-off
+        phi_t = ws.weight_time_derivative()
+        p1, p2 = ws.weight_gradient()
+        plap = ws.weight_laplacian()
+        full = (-laplacian(w).values - s**2 * (p1**2 + p2**2) * v - s * phi_t * v,
+                time_derivative(w).values + 2.0 * s * (p1 * w1.values + p2 * w2.values)
+                + s * plap * v)
+        for part, expected in zip((dec.M1, dec.M2), full):
+            assert np.max(np.abs(part.values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_overflow_guard_names_node(self, open_grid, open_ws):
         w = SpaceTimeBump(open_grid, amplitude=0.2).field()

@@ -94,6 +94,15 @@ class TestPotentialAndData:
         assert min(np.min(data.u0), np.min(data.b_bottom), np.min(data.b_top)) > 0.0
         assert compatibility_residual(data, pot) == 0.0
 
+    def test_compatibility_residual_rejects_a_potential_on_another_grid(self, grid):
+        # same node counts, longer guide: the potential's samples sit at
+        # other x1 nodes than the data's
+        other = build_grid(WaveguideDomain(L=3.0, h=1.0, T=2.0), grid.n1, grid.n2, grid.nt)
+        data = positive_preset_data(grid, PotentialSpec(grid, q_preset(grid), axial_factor(grid)))
+        pot = PotentialSpec(other, q_preset(other), axial_factor(other))
+        with pytest.raises(ValueError, match="share one grid"):
+            compatibility_residual(data, pot)
+
     def test_oracle_compatibility_residual_is_pure_stencil_error(self, domain):
         # the oracle's walls trace an exact solution, so the residual is
         # the second-order stencils' error alone: positive, and falling at

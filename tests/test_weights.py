@@ -159,24 +159,48 @@ class TestWeightInvariants:
         small = dec[(dec > 0.0) & (dec < 1e-290)]
         assert small.size == 0
 
-    def test_closed_form_gradient_matches_stencils(self, open_domain):
-        from waveguide_carleman.grid import FULL, ScalarField, fit_convergence_order, gradient
+    # measured order and error at the finest grid: bounded 1.95/1.1e-3 (x1),
+    # 2.00/2.9e-6 (x2), 1.78/1.5e-3 (laplacian), 2.01/1.1e-3 (time); open
+    # 1.90/8.7e-4, 1.98/3.7e-5, 1.83/2.6e-3, 2.01/1.1e-3
+    @pytest.mark.parametrize("regime, which, min_order, max_err", [
+        ("bounded", "x1", 1.8, 2e-3),
+        ("bounded", "x2", 1.8, 1e-5),
+        ("bounded", "laplacian", 1.7, 3e-3),
+        ("bounded", "time", 1.8, 2e-3),
+        ("open", "x1", 1.8, 1e-3),
+        ("open", "x2", 1.8, 1e-4),
+        ("open", "laplacian", 1.7, 5e-3),
+        ("open", "time", 1.8, 2e-3),
+    ])
+    def test_closed_form_gradient_matches_stencils(self, regime, which, min_order, max_err):
+        from waveguide_carleman.grid import (FULL, ScalarField, fit_convergence_order,
+                                             gradient, laplacian, time_derivative)
 
-        # the closed-form gradient is the limit of the stencil gradient
+        # each closed-form derivative is the limit of its stencil: the
+        # spatial ones on the middle level at n = 31, 63, 127, the time
+        # derivative on level nt/4 at nt = 32, 64, 128 (at T/2 both are 0)
+        domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
         errs, hs = [], []
         for n in (31, 63, 127):
-            g = build_grid(open_domain, n, n, 8)
-            ws = assemble_weight(WeightParams(lam=0.5, s=1.0, regime="open"), g)
+            g = build_grid(domain, 7, 7, n + 1) if which == "time" else build_grid(domain, n, n, 8)
+            ws = assemble_weight(WeightParams(lam=0.5, s=1.0, regime=regime), g)
             w = ScalarField(g, ws.weight.values, FULL)
-            k = g.nt // 2
-            p1_num = gradient(w)[0].values[k]
-            p1_exact = ws.weight_gradient()[0][k]
-            errs.append(np.max(np.abs(p1_num - p1_exact)) / np.max(np.abs(p1_exact)))
-            hs.append(g.dx1)
+            if which == "time":
+                k, h = g.nt // 4, g.dt
+                num, exact = time_derivative(w).values[k], ws.weight_time_derivative()[k]
+            elif which == "laplacian":
+                k, h = g.nt // 2, g.dx1
+                num, exact = laplacian(w).values[k], ws.weight_laplacian()[k]
+            else:
+                axis, k = ("x1", "x2").index(which), g.nt // 2
+                h = (g.dx1, g.dx2)[axis]
+                num, exact = gradient(w)[axis].values[k], ws.weight_gradient()[axis][k]
+            errs.append(np.max(np.abs(num - exact)) / np.max(np.abs(exact)))
+            hs.append(h)
         # edge stencils on the steep exponential settle slowly; the max-norm
         # order is still close to two
-        assert fit_convergence_order(hs, errs) >= 1.8
-        assert errs[-1] < 1e-3
+        assert fit_convergence_order(hs, errs) >= min_order
+        assert errs[-1] < max_err
 
 
 def _decay_reference(ws, s):
