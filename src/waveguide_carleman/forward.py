@@ -19,7 +19,10 @@ DST-I along x2 for the Dirichlet walls, as dense matrix products, not
 ``numpy.fft`` (faster on the square grids solved here).  Because that
 solve is exact, A z = r + E z for the preconditioned residual z, with E
 the potential's excess over its mean on the diagonal, so the iteration
-applies no stencil; the five-point operator runs once per step.  Solves
+applies no stencil; the five-point operator runs once per step.  Each
+residual is tested before it is preconditioned (Saad 2003, Alg. 9.1), so
+a converged residual takes no transform solve, and the transform-domain
+denominator of the mean system is built once per step.  Solves
 that share a grid and a data set and differ only in the potential march
 as one stack, each member with its own iteration, and a member's field
 does not depend on the stack.  Non-finite samples and a step matrix that
@@ -224,14 +227,16 @@ def _transform_matrix(n, neumann):
 
 
 def _separable_inverse(grid):
-    """inverse(r, c) = (c + (-Lap_h) / 2)^-1 r on the unknown block, with
-    -Lap_h the five-point operator of ``_pcg_solver``'s matvec: DCT-I
-    along x1 on the n1 + 2 rows between the ghost-value caps, DST-I along
-    x2, as dense products costing 4 P Q (P + Q) flops on P x Q unknowns,
-    which beats FFTs on the square grids solved here.  r may be one (P, Q)
-    block with a scalar c, or a (B, P, Q) stack with one c per member;
-    numpy's matmul then makes one GEMM per member, of the same shape at
-    any B."""
+    """(scale, inverse) with inverse(r, scale(c)) = (c + (-Lap_h) / 2)^-1 r
+    on the unknown block, -Lap_h the five-point operator of
+    ``_pcg_solver``'s matvec: DCT-I along x1 on the n1 + 2 rows between the
+    ghost-value caps, DST-I along x2, as dense products costing
+    4 P Q (P + Q) flops on P x Q unknowns, which beats FFTs on the square
+    grids solved here.  scale(c) is the transform-domain denominator, built
+    once per step and passed to every application of that step.  r may be
+    one (P, Q) block with a scalar c, or a (B, P, Q) stack with one c per
+    member; numpy's matmul then makes one GEMM per member, of the same
+    shape at any B."""
     P, Q = grid.n1 + 2, grid.n2
     lam1, m1 = _spectrum(P, grid.dx1, True)
     lam2, m2 = _spectrum(Q, grid.dx2, False)
@@ -239,11 +244,13 @@ def _separable_inverse(grid):
     M2 = _transform_matrix(Q, False)
     half = 0.5 * m1 * m2 * (lam1[:, None] + lam2[None, :])
 
-    def inverse(r, c):
-        scale = m1 * m2 * np.asarray(c)[..., None, None] + half
-        return M1 @ ((M1 @ r @ M2) / scale) @ M2
+    def scale(c):
+        return m1 * m2 * np.asarray(c)[..., None, None] + half
 
-    return inverse
+    def inverse(r, denominator):
+        return M1 @ ((M1 @ r @ M2) / denominator) @ M2
+
+    return scale, inverse
 
 
 #: Relative residual, in the D-norm, at which a step's iteration stops.
@@ -259,16 +266,21 @@ def _pcg_solver(grid):
     too).  solve(diag, rhs, x0, r0, step) solves each member's system by
     conjugate gradients from x0, whose residual r0 it overwrites,
     preconditioned by the same matrix with ``diag`` replaced by its mean,
-    which ``_separable_inverse`` solves exactly.  With E = diag - mean(diag)
-    the preconditioned residual z therefore has A z = r + E z, so the
-    iteration updates q = A p as r + E z + beta q and applies no stencil.
-    With the ghost-value caps the matrix is not symmetric, but D A is for
-    D = diag(1/2, 1, ..., 1, 1/2) along x1, so the iteration runs in the
-    D inner product.  Each member keeps its own shift, step lengths and
-    stopping test, and leaves the stack once it converges.  Inner products
-    are per-member sums of products, not BLAS dots, so a member's result
+    which ``_separable_inverse`` solves exactly; the mean system's
+    transform-domain denominator is built once per call.  With
+    E = diag - mean(diag) the preconditioned residual z therefore has
+    A z = r + E z, so the iteration updates q = A p as r + E z + beta q and
+    applies no stencil.  With the ghost-value caps the matrix is not
+    symmetric, but D A is for D = diag(1/2, 1, ..., 1, 1/2) along x1, so
+    the iteration runs in the D inner product.  Each member keeps its own
+    mean, step lengths and stopping test.  The test reads the residual
+    before it is preconditioned: a member whose residual passes leaves the
+    stack without another transform solve, so the first one comes after
+    the warm start's test and p, q exist only from then on.  x, r, p and q
+    are updated in place through one scratch buffer.  Inner products are
+    per-member sums of products, not BLAS dots, so a member's result
     depends neither on the thread count nor on the other members."""
-    inverse = _separable_inverse(grid)
+    scale, inverse = _separable_inverse(grid)
     c1, c2 = 0.5 / grid.dx1**2, 0.5 / grid.dx2**2
     weight = np.ones(grid.n1 + 2)
     weight[[0, -1]] = 0.5
@@ -292,13 +304,10 @@ def _pcg_solver(grid):
         members = np.arange(len(result))
         rhs_norm = inner(rhs, rhs)
         mean = diag.mean(axis=(1, 2))
-        shift = mean - 2.0 * (c1 + c2)
+        denominator = scale(mean - 2.0 * (c1 + c2))
         excess = diag - mean[:, None, None]
-        x, r = result, r0
-        z = inverse(r, shift)
-        p = z
-        q = r + excess * z
-        rz = inner(r, z)
+        x, r, scratch = result, r0, np.empty_like(r0)
+        p = q = rz = None
         iterations = 0
         while True:
             rr = inner(r, r)
@@ -307,21 +316,33 @@ def _pcg_solver(grid):
                 result[members[~going]] = x[~going]
                 if not going.any():
                     return result
-                members, x, r, p, q, excess, shift, rz, rr, rhs_norm = (
-                    a[going] for a in (members, x, r, p, q, excess, shift, rz, rr, rhs_norm))
+                members, x, r, excess, denominator, rr, rhs_norm = (
+                    a[going] for a in (members, x, r, excess, denominator, rr, rhs_norm))
+                if p is not None:
+                    p, q, rz = (a[going] for a in (p, q, rz))
+                scratch = scratch[:len(r)]
             if iterations == CG_MAX_ITERATIONS:
                 raise SolverBreakdownError(
                     f"member {members[0]}, step {step}: no convergence in {CG_MAX_ITERATIONS} "
                     f"iterations, relative residual {np.sqrt(rr[0] / rhs_norm[0]):.3e}")
             iterations += 1
-            alpha = (rz / inner(p, q))[:, None, None]
-            x += alpha * p
-            r -= alpha * q
-            z = inverse(r, shift)
+            z = inverse(r, denominator)
             rz, rz_old = inner(r, z), rz
-            beta = (rz / rz_old)[:, None, None]
-            p = z + beta * p
-            q = r + excess * z + beta * q
+            np.multiply(excess, z, out=scratch)
+            scratch += r
+            if p is None:
+                p, q = z, scratch.copy()
+            else:
+                beta = (rz / rz_old)[:, None, None]
+                p *= beta
+                p += z
+                q *= beta
+                q += scratch
+            alpha = (rz / inner(p, q))[:, None, None]
+            np.multiply(alpha, p, out=scratch)
+            x += scratch
+            np.multiply(alpha, q, out=scratch)
+            r -= scratch
 
     return matvec, solve
 

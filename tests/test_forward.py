@@ -265,6 +265,28 @@ class TestStackedMarch:
         for pot, u in zip(pots, solve_heat(g, pots, data)):
             assert np.max(step_residuals(g, pot, data, u.values)) <= 2.0 * forward.CG_TOLERANCE
 
+    def test_march_applies_the_stencil_once_per_step(self, domain, monkeypatch):
+        # the iteration updates A p by recurrence: the march's only stencil
+        # is the one matvec per level, and the solve holds no stencil at all
+        calls = []
+        pcg_solver = forward._pcg_solver
+
+        def counting(grid):
+            matvec, solve = pcg_solver(grid)
+            assert "matvec" not in solve.__code__.co_freevars
+
+            def counted(diag, p):
+                calls.append(len(p))
+                return matvec(diag, p)
+
+            return counted, solve
+
+        monkeypatch.setattr(forward, "_pcg_solver", counting)
+        g = build_grid(domain, 16, 16, 32)
+        pots = stack_members(g)
+        solve_heat(g, pots, positive_preset_data(g, pots[0]))
+        assert calls == [len(pots)] * g.nt
+
     def test_potentials_must_share_the_grid(self, grid, domain):
         other = build_grid(domain, 8, 8, 16)
         pots = [zero_potential(grid), zero_potential(other)]
@@ -288,12 +310,41 @@ class TestPreconditioner:
         # to r: this checks the DCT-I/DST-I extensions and eigenvalues directly
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), n1, n2, 4)
         r = np.random.default_rng(seed).standard_normal((n1 + 2, n2))
-        x = forward._separable_inverse(g)(r, c)
+        scale, inverse = forward._separable_inverse(g)
+        x = inverse(r, scale(c))
         matvec, _ = forward._pcg_solver(g)
         got = matvec(np.full(r.shape, c + 1.0 / g.dx1**2 + 1.0 / g.dx2**2), x)
         norm = c + 2.0 / g.dx1**2 + 2.0 / g.dx2**2
         tol = 64.0 * np.finfo(float).eps * norm * np.max(np.abs(x))
         np.testing.assert_allclose(got, r, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("n1, n2, nt", [(16, 16, 32), (24, 12, 16)])
+    def test_exact_preconditioner_takes_one_application_per_step(self, n1, n2, nt, monkeypatch):
+        # a potential constant in space at every level makes the
+        # preconditioner the step matrix itself: one application solves
+        # each member's step, and the converged residual gets no other
+        applied = []
+        separable_inverse = forward._separable_inverse
+
+        def counting(grid):
+            scale, inverse = separable_inverse(grid)
+
+            def counted(r, denominator):
+                applied.append(len(r))
+                return inverse(r, denominator)
+
+            return scale, counted
+
+        monkeypatch.setattr(forward, "_separable_inverse", counting)
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), n1, n2, nt)
+        oracle = SeparableOracle(g)
+        oracle.solve()
+        assert sum(applied) == g.nt
+        applied.clear()
+        pot = oracle.potential()
+        pots = [pot, PotentialSpec(g, 3.0 * pot.q + 1.0, pot.f)]
+        solve_heat(g, pots, oracle.data())
+        assert sum(applied) == len(pots) * g.nt
 
 
 def rfft_transform(x, neumann):
