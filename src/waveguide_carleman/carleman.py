@@ -160,13 +160,14 @@ def _sweep_report(name: str, ws: WeightSystem, sweep: list[dict], ratio_key: str
 
 
 def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs; nan when both are 0, so no verdict passes on such a row."""
     if rhs == 0.0:
         if lhs > 0.0:
             raise ValueError(
                 f"weighted quadrature returned rhs=0 with lhs={lhs}; the weight "
                 "cannot vanish on one side only"
             )
-        return 0.0
+        return math.nan
     return lhs / rhs
 
 
@@ -280,17 +281,16 @@ class _WindowedRows:
 class _DecayRows(_WindowedRows):
     """Masses of the stacked nonnegative integrands ``stack`` (K members
     over every level) against exp(-2 s weight) over the interior levels,
-    member k with (s g)^powers[k] (0 when ``powers`` is None) folded into
-    its time weights.
+    member k with (s g)^powers[k] folded into its time weights.
 
     The bound: exp(-2 s weight) <= exp(max(-2 s g(t) m(i), EXPONENT_FLOOR))
     on every x2 node, m the x2 minimum of the spatial weight, times the
     time weight and the s-independent x2 sums ``w1_i sum_j w2_j
     stack_k(t, i, j)``, written once, each member scaled by its peak."""
 
-    def __init__(self, ws: WeightSystem, stack: np.ndarray, powers=None):
+    def __init__(self, ws: WeightSystem, stack: np.ndarray, powers):
         self.stack = stack[:, 1:-1]
-        self.powers = list(powers or [0] * len(stack))
+        self.powers = list(powers)
         super().__init__(ws, self.stack.shape[1])
 
     def _envelope(self) -> None:
@@ -368,7 +368,7 @@ def _prefix_rows(F: ScalarField, ws: WeightSystem) -> _DecayRows:
     pair = np.empty((2,) + F.grid.shape)
     np.square(prefix_integral_x1(F).values, out=pair[0])
     np.square(F.values, out=pair[1])
-    return _DecayRows(ws, pair)
+    return _DecayRows(ws, pair, [0, 0])
 
 
 def _prefix_sweep(F: ScalarField, ws: WeightSystem, s_list: list) -> list[dict]:
@@ -396,25 +396,23 @@ def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     s_uniform = all(r <= S_UNIFORM_FACTOR * ratios[0] + 1e-15 for r in ratios)
     return _sweep_report("prefix_integral_bounded", ws, sweep, "empirical_C",
                          {"quadrature": "rhs"},
-                         {"s_uniform": s_uniform, "max_over_sweep": max(ratios)})
+                         {"s_uniform": s_uniform, "max_over_sweep": float(np.max(ratios))})
 
 
 def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
                      s_values) -> InequalityReport:
     """Open-regime counterpart: the ratio is expected to decay like 1/s^2,
-    measured as the slope of log(ratio) against log(s)."""
+    measured as the slope of log(ratio) against log(s) over every row: nan,
+    out of band, unless two or more ratios are all positive and finite."""
     _require_regime(ws, "open", grid, F)
     sweep = _prefix_sweep(F, ws, _require_s(s_values))
     for row in sweep:
         row["ratio"] = _ratio(row["lhs"], row["rhs"])
         row["ratio_times_s2"] = row["ratio"] * row["s"] * row["s"]
 
-    positive = [(row["s"], row["ratio"]) for row in sweep if row["ratio"] > 0.0]
-    if len(positive) >= 2:
-        ss, rr = zip(*positive)
-        slope = float(np.polyfit(np.log(ss), np.log(rr), 1)[0])
-    else:
-        slope = float("nan")
+    ss, rr = (np.array([row[key] for row in sweep]) for key in ("s", "ratio"))
+    fit = len(sweep) >= 2 and bool(np.all((rr > 0.0) & (rr < math.inf)))
+    slope = float(np.polyfit(np.log(ss), np.log(rr), 1)[0]) if fit else math.nan
     return _sweep_report("prefix_integral_open", ws, sweep, "ratio", {"quadrature": "rhs"}, {
         "fitted_slope": slope,
         "slope_in_band": bool(SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]),
@@ -432,7 +430,7 @@ def r_monotonicity_audit(ws: WeightSystem, grid: SpaceTimeGrid) -> float:
         raise ValueError("the weight system must share the audit's grid")
     s = ws.params.s
     ia = grid.alpha_index
-    eta = ws.weight.values[grid.nt // 2]  # (n1+2, n2+2)
+    eta = ws.g[grid.nt // 2] * ws.spatial_weight  # (n1+2, n2+2)
 
     idx = np.arange(eta.shape[0])
     right = (idx[:, None] >= ia) & (idx[None, :] >= ia) & (idx[None, :] <= idx[:, None])
@@ -463,13 +461,13 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem, s: float) -> Conjugate
     split it into the stationary and transport parts.
 
     The literal route exponentiates s*phi on the grid, so it is guarded
-    against double-precision overflow.  Endpoint time levels use the
-    stored placeholder weight (zero); their rows are convention-dominated
-    and comparisons should restrict to interior times.
+    against double-precision overflow; only it forms ``g (x) spatial_weight``
+    at full size.  Endpoint time levels use the placeholder g = 0; their
+    rows are convention-dominated, so compare interior times only.
     """
     grid = w.grid
     _require_regime(ws, "open", grid)
-    phi = ws.weight.values
+    phi = np.multiply.outer(ws.g, ws.spatial_weight)
 
     peak = s * float(np.max(phi))
     if peak > OVERFLOW_GUARD:
@@ -600,29 +598,29 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
             "outward normal slope of psi is negative on the observation wall; "
             "the weight construction guarantees the opposite sign"
         )
-    # The s-independent integrands phi^3 u^2, phi |grad u|^2 and Hu^2,
-    # written once, one member at a time.
-    phi, v = ws.weight.values, u.values
+    # The s-independent integrands S^3 u^2, S |grad u|^2 and Hu^2 (phi = g
+    # (x) S, S the spatial weight plane), one member at a time; (s g)^3 and
+    # s g enter as the rows' time weights, as in the bounded checker.
+    S, v = ws.spatial_weight, u.values
     stack = np.empty((3,) + grid.shape)
     np.square(v, out=stack[0])
-    stack[0] *= phi**3
+    stack[0] *= S * S * S
     _square_gradient(grid, v, stack[1])
-    stack[1] *= phi
+    stack[1] *= S
     np.square(Hu.values, out=stack[2])
-    flux_density = phi[:, :, wall_j] * normal_derivative(u, obs) ** 2 * dnu_psi[None, :]
-    rows = _DecayRows(ws, stack)
+    flux_density = (S[:, wall_j] * dnu_psi) * normal_derivative(u, obs) ** 2
+    rows = _DecayRows(ws, stack, [3, 1, 0])
     split = _SplitRows(ws, v)
 
     sweep = []
     for s in s_values:
         zero, grad, rhs_q = rows.masses(s)
-        lhs_zero = s**3 * lam**4 * zero
-        lhs_grad = s * lam * grad
+        lhs_zero = lam**4 * zero
+        lhs_grad = lam * grad
         lhs_m1, lhs_m2 = split.masses(s)
         lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
-
-        flux = ws.decay(s, (slice(None), slice(None), wall_j)) * flux_density
-        rhs_b = s * lam * integrate_values(grid, flux, "boundary", segment=obs)
+        flux = ws.decay(s, (slice(None), slice(None), wall_j)) * (s * ws.g)[:, None]
+        rhs_b = lam * integrate_values(grid, flux * flux_density, "boundary", segment=obs)
 
         sweep.append(
             {

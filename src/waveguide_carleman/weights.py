@@ -20,12 +20,14 @@ at the caps.  This makes the comparison kernel
 monotonicity that the anchored prefix-integral inequality needs, and it
 keeps that inequality's constant bounded uniformly in ``s``.
 
-Time endpoints: ``g`` blows up at t=0 and t=T, so the stored ``g`` array
-and every stored weight field carry the value 0 at the two endpoint time
-levels as a placeholder.  The decayed weights ``exp(-2s*weight)`` vanish
-at the endpoints faster than any polynomial, so all weighted quadratures
-in this package assign the endpoint levels weight zero analytically; the
-placeholders are never used as actual weight values.
+The weight is held as a time profile times an (x1, x2) plane, ``g (x)
+spatial_weight``; no field of the grid's full shape is stored.  Time
+endpoints: ``g`` blows up at t=0 and t=T, so ``g`` and every time profile
+carry the value 0 at the two endpoint time levels as a placeholder.  The
+decayed weights ``exp(-2s*weight)`` vanish at the endpoints faster than
+any polynomial, so all weighted quadratures in this package assign the
+endpoint levels weight zero analytically; the placeholders are never used
+as actual weight values.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FULL, ScalarField, SpaceTimeGrid, report_text
+from .grid import SpaceTimeGrid, report_text
 
 #: Decayed weight values below this threshold are clamped to exactly zero,
 #: giving deterministic underflow behaviour in quadratures.
@@ -194,9 +196,10 @@ def singular_time_profile_derivative(grid: SpaceTimeGrid) -> np.ndarray:
 
 class WeightSystem:
     """Assembled weight system: spatial profiles, the time profile ``g``, its
-    derivative ``g_t`` and the weight ``g (x) spatial_weight`` (eta in the
-    bounded regime, phi in the open one).  Each closed-form derivative is
-    a time profile times a signed spatial factor: d/dt ``g_t (x)
+    derivative ``g_t`` and the plane ``spatial_weight``; the weight (eta in
+    the bounded regime, phi in the open one) is ``g (x) spatial_weight``,
+    never stored at full size.  Each closed-form derivative is a time
+    profile times a signed spatial factor: d/dt ``g_t (x)
     spatial_weight``, the gradient ``g (x) gradient_factors``, the
     Laplacian ``g (x) laplacian_factor``."""
 
@@ -256,8 +259,6 @@ class WeightSystem:
         #: Minimum over x2 of the spatial weight, per x1 node: exp(-2 s g(t)
         #: min_spatial_weight[i]) bounds the decay on every x2 node of (t, i).
         self.min_spatial_weight = self.spatial_weight.min(axis=1)
-        values = self.g[:, None, None] * self.spatial_weight[None, :, :]
-        self.weight = ScalarField(grid, values, FULL)
 
     # -- decayed weights ----------------------------------------------------
 
@@ -267,25 +268,26 @@ class WeightSystem:
         values below the underflow clamp set to 0; the exponent is floored
         at :data:`EXPONENT_FLOOR` first, which changes no output.
 
-        ``box`` is a time slice of step 1 followed by indices of the
+        ``box`` is a time slice of step 1 followed by indices ``P`` of the
         spatial axes; only the box is evaluated, with the bytes of
-        ``decay(s)[box]``.  The weight is symmetric in time (see
-        :func:`singular_time_profile`), so a level of the box above nt/2
-        whose mirror level is in the box is copied from it.
+        ``decay(s)[box]``, level k from ``g[k] * spatial_weight[P] * -2s``.
+        The weight is symmetric in time (see :func:`singular_time_profile`),
+        so a level of the box above nt/2 whose mirror level is in the box
+        is copied from it.
         """
-        factor = 2.0 * s
         nt = self.grid.nt
         a, b, step = box[0].indices(nt + 1)
         if step != 1:
             raise ValueError(f"the time slice of a decay box needs step 1, got {step}")
-        weight = self.weight.values[(slice(a, b),) + tuple(box[1:])]
-        out = np.empty(weight.shape)
+        plane = self.spatial_weight[tuple(box[1:])]
+        out = np.empty((max(b - a, 0),) + plane.shape)
         # levels [c, d) mirror the evaluated levels [a, c); [d, b) is evaluated too
         c = max(a, min(b, nt // 2 + 1))
         d = min(b, max(c, nt + 1 - a))
         for lo, hi in ((a, c), (d, b)):
             part = out[lo - a : hi - a]
-            np.multiply(weight[lo - a : hi - a], -factor, out=part)
+            np.multiply.outer(self.g[lo:hi], plane, out=part)
+            part *= -2.0 * s
             np.maximum(part, EXPONENT_FLOOR, out=part)
             np.exp(part, out=part)
             part *= part >= UNDERFLOW_CLAMP

@@ -213,6 +213,18 @@ class TestCommands:
         cfg.write_text("[scenario]\nname: defaults\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
+    def test_zero_row_fails_verify_carleman(self, tmp_path):
+        # the shipped defaults but a large open sweep: at s = 512 the open
+        # bump's decay is 0 on every node, so both sides of that row are 0;
+        # the row used to read 0, pass all_finite and exit 0
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("[scenario]\nname: large-s\n\n[open]\ns_sweep: 32,64,128,256,512,1024\n")
+        out = tmp_path / "out"
+        assert main(["verify-carleman", "--config", str(cfg), "--out", str(out)]) == 1
+        text = (out / "carleman_open_bump.txt").read_text()
+        assert "verdict.all_finite: False" in text
+        assert "\n512.0,1.1,0.0,0.0,0.0,0.0,0.0,0.0,0.0,nan\n" in text
+
     def test_verify_carleman_runs(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         code = main(["verify-carleman", "--config", str(cfg_path), "--out", str(out)])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,11 @@ from waveguide_carleman.weights import (
     check_assumption_open,
     singular_time_profile,
 )
+
+
+def _weight(ws):
+    """The full-size weight g (x) spatial_weight, the tests' reference."""
+    return np.multiply.outer(ws.g, ws.spatial_weight)
 
 
 class TestSectionProfile:
@@ -77,7 +83,7 @@ class TestAssembleWeight:
             psi1_profile=ConstantAxisProfile(0.0),
             psi2_profile=ConstantAxisProfile(1.0),
         )
-        assert np.max(np.abs(ws.weight.values)) == 0.0
+        assert np.max(np.abs(_weight(ws))) == 0.0
 
     def test_time_profile_midpoint(self, grid):
         g = singular_time_profile(grid)
@@ -97,7 +103,7 @@ class TestAssembleWeight:
         )
         assert ws.psi_sup == pytest.approx(1.0)
         k = grid.nt // 2
-        eta = ws.weight.values[k, 0, 0]
+        eta = _weight(ws)[k, 0, 0]
         assert eta == pytest.approx(np.e**2 - np.e, rel=1e-12)
         assert eta == pytest.approx(4.6708, abs=5e-4)
 
@@ -107,6 +113,23 @@ class TestAssembleWeight:
             ws.psi_values,
             np.outer(ws.psi1_profile.value(grid.x1), ws.psi2_profile.value(grid.x2)),
         )
+
+    def test_holds_no_full_size_array(self):
+        # the weight is held as g (x) spatial_weight: time profiles and
+        # (x1, x2) planes, about 0.2 MiB at 64x64x128, where a stored
+        # full-size weight field took 4.5 MiB
+        g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), 64, 64, 128)
+        tracemalloc.start()
+        try:
+            ws = assemble_weight(WeightParams(), g)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20, held
+        for name, value in vars(ws).items():
+            for a in value if isinstance(value, tuple) else (value,):
+                a = getattr(a, "values", a)  # a ScalarField's array
+                assert not (isinstance(a, np.ndarray) and a.shape == g.shape), name
 
     def test_open_regime_requires_truncated_grid(self, grid):
         with pytest.raises(ValueError, match="truncated"):
@@ -134,7 +157,7 @@ class TestAssembleWeight:
 class TestWeightInvariants:
     def test_eta_positive_interior(self, grid):
         ws = assemble_weight(WeightParams(lam=1.0, s=2.0), grid)
-        eta = ws.weight.values[1:-1]
+        eta = _weight(ws)[1:-1]
         g = singular_time_profile(grid)[1:-1]
         lower = g[:, None, None] * (
             np.exp(2.0 * ws.params.lam * ws.psi_sup) - np.exp(ws.params.lam * ws.psi_sup)
@@ -184,7 +207,7 @@ class TestWeightInvariants:
         for n in (31, 63, 127):
             g = build_grid(domain, 7, 7, n + 1) if which == "time" else build_grid(domain, n, n, 8)
             ws = assemble_weight(WeightParams(lam=0.5, s=1.0, regime=regime), g)
-            w = ScalarField(g, ws.weight.values, FULL)
+            w = ScalarField(g, _weight(ws), FULL)
             if which == "time":
                 k, h = g.nt // 4, g.dt
                 num, exact = time_derivative(w).values[k], ws.weight_time_derivative()[k]
@@ -207,7 +230,7 @@ def _decay_reference(ws, s):
     """exp(-2*s*weight) without the exponent floor, then the clamp."""
     factor = 2.0 * s
     out = np.zeros(ws.grid.shape)
-    out[1:-1] = np.exp(-factor * ws.weight.values[1:-1])
+    out[1:-1] = np.exp(-factor * _weight(ws)[1:-1])
     out[out < UNDERFLOW_CLAMP] = 0.0
     return out
 
@@ -226,7 +249,7 @@ class TestDecayFloor:
         domain = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open")
         g = build_grid(domain, 15, 15, 16)
         ws = assemble_weight(WeightParams(lam=1.0, s=1.0, regime=regime), g)
-        interior = ws.weight.values[1:-1].ravel()
+        interior = _weight(ws)[1:-1].ravel()
         s = (offset - math.log(UNDERFLOW_CLAMP)) / (2.0 * interior[node % interior.size])
         exponents = -2.0 * s * interior
         assert np.any(np.abs(exponents - math.log(UNDERFLOW_CLAMP)) <= 1.0 + 1e-9)
@@ -248,7 +271,7 @@ class TestDecayFloor:
 def _unmirrored_decay(ws, s):
     """:meth:`WeightSystem.decay` evaluated on every interior level."""
     out = np.zeros(ws.grid.shape)
-    inner = np.maximum(ws.weight.values[1:-1] * -(2.0 * s), EXPONENT_FLOOR)
+    inner = np.maximum(_weight(ws)[1:-1] * -(2.0 * s), EXPONENT_FLOOR)
     out[1:-1] = np.exp(inner)
     out[out < UNDERFLOW_CLAMP] = 0.0
     return out
