@@ -512,28 +512,45 @@ def _boundary_trace_max(f: ScalarField, name: str) -> float:
 
 
 def _find_s0(sweep: list[dict], key: str) -> float | None:
-    """Smallest swept s beyond which the constant grows by at most a
-    factor :data:`S0_GROWTH` at every subsequent step; None when no such
-    point exists."""
+    """Smallest swept s from which every constant is finite and grows by
+    at most a factor :data:`S0_GROWTH` at each subsequent step; None when
+    no such point exists, as for a sweep whose last constant is nan."""
     cs = [row[key] for row in sweep]
-    ss = [row["s"] for row in sweep]
-    for k0 in range(len(cs)):
+    for k0, row in enumerate(sweep):
         tail = cs[k0:]
-        if all(tail[i + 1] <= S0_GROWTH * tail[i] for i in range(len(tail) - 1)):
-            return ss[k0]
+        if all(math.isfinite(c) for c in tail) and all(
+                b <= S0_GROWTH * a for a, b in zip(tail, tail[1:])):
+            return row["s"]
     return None
 
 
-#: Sweep columns of the two right-hand-side terms of both Carleman estimates.
-_CARLEMAN_RHS = {"source": "rhs_source", "boundary": "rhs_boundary"}
-
-
-def _carleman_verdict(sweep: list[dict], trace_max: float) -> dict:
-    return {
+def _carleman_sweep(name: str, ws: WeightSystem, f: ScalarField, f_name: str, s_values,
+                    integrands, wall_factor, row) -> InequalityReport:
+    """The s sweep of both Carleman estimates, for ``f`` vanishing on the
+    space boundary.  Once s and that trace are checked, ``integrands()``
+    returns the s-independent stack and its powers of s g (see
+    :class:`_DecayRows`); per s, ``row(s, masses, flux)`` returns the
+    row's columns, ``lhs``, ``rhs_source`` and ``rhs_boundary`` among them,
+    from the stack's masses and the integral over the observed wall of
+    decay * s g * ``wall_factor`` * (normal derivative of f)^2."""
+    s_values = _require_s(s_values)
+    trace_max = _boundary_trace_max(f, f_name)
+    grid, obs = f.grid, f.grid.domain.obs_segment
+    wall = (slice(None), slice(None), grid.domain.obs_columns[0])
+    density = wall_factor * normal_derivative(f, obs) ** 2
+    rows = _DecayRows(ws, *integrands())
+    sweep = []
+    for s in s_values:
+        flux = ws.decay(s, wall) * (s * ws.g)[:, None] * density
+        entry = row(s, rows.masses(s), integrate_values(grid, flux, "boundary", segment=obs))
+        entry["empirical_C"] = _ratio(entry["lhs"], entry["rhs_source"] + entry["rhs_boundary"])
+        sweep.append(entry)
+    return _sweep_report(name, ws, sweep, "empirical_C",
+                         {"source": "rhs_source", "boundary": "rhs_boundary"}, {
         "s0": _find_s0(sweep, "empirical_C"),
-        "all_finite": bool(np.all(np.isfinite([row["empirical_C"] for row in sweep]))),
+        "all_finite": bool(np.all(np.isfinite([e["empirical_C"] for e in sweep]))),
         "boundary_trace_max": trace_max,
-    }
+    })
 
 
 def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
@@ -547,32 +564,20 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     the observation-wall flux term.
     """
     _require_regime(ws, "bounded", grid, z, Pz)
-    s_values = _require_s(s_values)
-    trace_max = _boundary_trace_max(z, "z")
 
-    obs = grid.domain.obs_segment
-    dnu_z_sq = normal_derivative(z, obs) ** 2
-    wall = (slice(None), slice(None), -1 if obs == "x2_max" else 0)
-    # The s-independent integrands: the four of weighted_norm_I1, then Pz^2.
-    stack = np.empty((5,) + grid.shape)
-    _square_I1_densities(z, stack)
-    np.square(Pz.values, out=stack[4])
+    def integrands():
+        # the four of weighted_norm_I1, then Pz^2
+        stack = np.empty((5,) + grid.shape)
+        _square_I1_densities(z, stack)
+        np.square(Pz.values, out=stack[4])
+        return stack, [*_I1_POWERS.values(), 0]
 
-    rows = _DecayRows(ws, stack, [*_I1_POWERS.values(), 0])
-    sweep = []
-    for s in s_values:
-        *terms, rhs_q = rows.masses(s)
-        lhs = sum(terms)
+    def row(s, masses, flux):
+        *terms, rhs_q = masses
+        return {"s": s, "lambda": ws.params.lam, "lhs": sum(terms), "rhs_source": rhs_q,
+                "rhs_boundary": flux}
 
-        flux = ws.decay(s, wall) * (s * ws.g)[:, None] * dnu_z_sq
-        rhs_b = integrate_values(grid, flux, "boundary", segment=obs)
-
-        sweep.append(
-            {"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs_source": rhs_q,
-             "rhs_boundary": rhs_b, "empirical_C": _ratio(lhs, rhs_q + rhs_b)}
-        )
-    return _sweep_report("carleman_bounded", ws, sweep, "empirical_C", _CARLEMAN_RHS,
-                         _carleman_verdict(sweep, trace_max))
+    return _carleman_sweep("carleman_bounded", ws, z, "z", s_values, integrands, 1.0, row)
 
 
 def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
@@ -586,53 +591,38 @@ def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,
     slope of psi, plus the weighted mass of Hu.
     """
     _require_regime(ws, "open", grid, u, Hu)
-    s_values = _require_s(s_values)
-    trace_max = _boundary_trace_max(u, "u")
-
     lam = ws.params.lam
-    obs = grid.domain.obs_segment
-    wall_j = -1 if obs == "x2_max" else 0
     dnu_psi = ws.obs_normal_psi()
     if np.min(dnu_psi) < 0.0:
         raise ValueError(
             "outward normal slope of psi is negative on the observation wall; "
             "the weight construction guarantees the opposite sign"
         )
-    # The s-independent integrands S^3 u^2, S |grad u|^2 and Hu^2 (phi = g
-    # (x) S, S the spatial weight plane), one member at a time; (s g)^3 and
-    # s g enter as the rows' time weights, as in the bounded checker.
     S, v = ws.spatial_weight, u.values
-    stack = np.empty((3,) + grid.shape)
-    np.square(v, out=stack[0])
-    stack[0] *= S * S * S
-    _square_gradient(grid, v, stack[1])
-    stack[1] *= S
-    np.square(Hu.values, out=stack[2])
-    flux_density = (S[:, wall_j] * dnu_psi) * normal_derivative(u, obs) ** 2
-    rows = _DecayRows(ws, stack, [3, 1, 0])
     split = _SplitRows(ws, v)
 
-    sweep = []
-    for s in s_values:
-        zero, grad, rhs_q = rows.masses(s)
-        lhs_zero = lam**4 * zero
-        lhs_grad = lam * grad
+    def integrands():
+        # S^3 u^2, S |grad u|^2 and Hu^2 (phi = g (x) S, S the spatial
+        # weight plane), one member at a time; (s g)^3 and s g enter as the
+        # rows' time weights, as in the bounded checker
+        stack = np.empty((3,) + grid.shape)
+        np.square(v, out=stack[0])
+        stack[0] *= S * S * S
+        _square_gradient(grid, v, stack[1])
+        stack[1] *= S
+        np.square(Hu.values, out=stack[2])
+        return stack, [3, 1, 0]
+
+    def row(s, masses, flux):
+        zero, grad, rhs_q = masses
+        lhs_zero, lhs_grad = lam**4 * zero, lam * grad
         lhs_m1, lhs_m2 = split.masses(s)
-        lhs = lhs_zero + lhs_grad + lhs_m1 + lhs_m2
-        flux = ws.decay(s, (slice(None), slice(None), wall_j)) * (s * ws.g)[:, None]
-        rhs_b = lam * integrate_values(grid, flux * flux_density, "boundary", segment=obs)
+        return {"s": s, "lambda": lam, "lhs_zero_order": lhs_zero, "lhs_gradient": lhs_grad,
+                "lhs_M1": lhs_m1, "lhs_M2": lhs_m2, "lhs": lhs_zero + lhs_grad + lhs_m1 + lhs_m2,
+                "rhs_boundary": lam * flux, "rhs_source": rhs_q}
 
-        sweep.append(
-            {
-                "s": s, "lambda": lam, "lhs_zero_order": lhs_zero,
-                "lhs_gradient": lhs_grad, "lhs_M1": lhs_m1, "lhs_M2": lhs_m2,
-                "lhs": lhs, "rhs_boundary": rhs_b, "rhs_source": rhs_q,
-                "empirical_C": _ratio(lhs, rhs_b + rhs_q),
-            }
-        )
-
-    return _sweep_report("carleman_open", ws, sweep, "empirical_C", _CARLEMAN_RHS,
-                         _carleman_verdict(sweep, trace_max))
+    return _carleman_sweep("carleman_open", ws, u, "u", s_values, integrands,
+                           S[:, grid.domain.obs_columns[0]] * dnu_psi, row)
 
 
 def _split_parts(ws: WeightSystem, w: np.ndarray, w_t: np.ndarray, s: float,

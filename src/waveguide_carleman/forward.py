@@ -405,8 +405,7 @@ def measurement(u: ScalarField) -> np.ndarray:
     stencil reads are differentiated along x1; the values equal
     ``normal_derivative(gradient(u)[0], segment)``."""
     grid = u.grid
-    cols = [-1, -2, -3] if grid.domain.obs_segment == "x2_max" else [0, 1, 2]
-    d1 = derivative(u.values[:, :, cols], grid.dx1, 1)
+    d1 = derivative(u.values[:, :, list(grid.domain.obs_columns)], grid.dx1, 1)
     return one_sided_derivative(np.moveaxis(d1, 2, 0), grid.dx2)
 
 

@@ -68,6 +68,12 @@ class WaveguideDomain:
         """Boundary tag of the observed lateral wall."""
         return "x2_max" if self.obs_side == "top" else "x2_min"
 
+    @property
+    def obs_columns(self) -> tuple[int, int, int]:
+        """x2 indices of the observed wall and of its two inward
+        neighbours, wall first."""
+        return (-1, -2, -3) if self.obs_side == "top" else (0, 1, 2)
+
 
 def trapezoid(n: int, d: float) -> np.ndarray:
     """Trapezoid weights of ``n`` equispaced nodes ``d`` apart."""

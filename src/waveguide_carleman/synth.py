@@ -67,31 +67,21 @@ class SpaceTimeBump:
         rho_t = (2.0 * t * (T - t) ** 2 - 2.0 * t**2 * (T - t)) * (16.0 / T**4)
         sq = (x1 / L) ** 2
         X = (1.0 - sq) ** 2
-        X1 = -4.0 * x1 * (1.0 - sq) / L**2
         X11 = -4.0 * (1.0 - sq) / L**2 + 8.0 * x1**2 / L**4
         Y = np.sin(np.pi * x2 / h)
-        Y2 = (np.pi / h) * np.cos(np.pi * x2 / h)
         Y22 = -((np.pi / h) ** 2) * Y
-        return rho, rho_t, X, X1, X11, Y, Y2, Y22
+        return rho, rho_t, X, X11, Y, Y22
 
     def _outer(self, a, b, c):
         return self.amplitude * a[:, None, None] * b[None, :, None] * c[None, None, :]
 
     def field(self) -> ScalarField:
-        rho, _, X, _, _, Y, _, _ = self._parts()
+        rho, _, X, _, Y, _ = self._parts()
         return ScalarField(self.grid, self._outer(rho, X, Y), FULL)
-
-    def dx1_field(self) -> np.ndarray:
-        rho, _, _, X1, _, Y, _, _ = self._parts()
-        return self._outer(rho, X1, Y)
-
-    def dx2_field(self) -> np.ndarray:
-        rho, _, X, _, _, _, Y2, _ = self._parts()
-        return self._outer(rho, X, Y2)
 
     def heat_residual(self) -> ScalarField:
         """(d/dt - Lap) of the bump, in closed form."""
-        rho, rho_t, X, _, X11, Y, _, Y22 = self._parts()
+        rho, rho_t, X, X11, Y, Y22 = self._parts()
         lap = self._outer(rho, X11, Y) + self._outer(rho, X, Y22)
         return ScalarField(self.grid, self._outer(rho_t, X, Y) - lap, FULL)
 

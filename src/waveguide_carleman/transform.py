@@ -49,7 +49,6 @@ from .grid import (
 @dataclass
 class TransformBundle:
     grid: SpaceTimeGrid
-    v: ScalarField
     w: ScalarField
     z: ScalarField
     fu: ScalarField        # the positive denominator f * u~
@@ -63,7 +62,7 @@ class TransformBundle:
 
 
 def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> TransformBundle:
-    """Assemble v, w, z and every coefficient field for one solution pair.
+    """Assemble w, z and every coefficient field for one solution pair.
 
     ``pot`` must be the potential of the *q*-system (the one multiplying v
     in its equation).  Raises if the denominator f u~ is not strictly
@@ -82,8 +81,7 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
         )
     fu = ScalarField(grid, m, FULL)
 
-    v = ScalarField(grid, u.values - u_tilde.values, FULL)
-    w = ScalarField(grid, v.values / m, FULL)
+    w = ScalarField(grid, (u.values - u_tilde.values) / m, FULL)
     z = ScalarField(grid, derivative(w.values, grid.dx1, 1), FULL)
 
     dm1, dm2 = gradient(fu)
@@ -99,7 +97,7 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
     b_coef = ScalarField(grid, -derivative(a_coef.values, grid.dx1, 1), FULL)
 
     return TransformBundle(
-        grid=grid, v=v, w=w, z=z, fu=fu,
+        grid=grid, w=w, z=z, fu=fu,
         A1=A1, A2=A2, a_coef=a_coef, B1=B1, B2=B2, b_coef=b_coef,
         c1_floor=c1_floor,
     )

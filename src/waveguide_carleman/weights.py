@@ -135,22 +135,6 @@ class SectionWeightProfile:
         return np.full_like(np.asarray(x2, dtype=float), self.slope)
 
 
-@dataclass(frozen=True)
-class ConstantAxisProfile:
-    """Degenerate constant profile (test hook for forcing broken weights)."""
-
-    c: float
-
-    def value(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.c)
-
-    def derivative(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def second_derivative(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def make_psi1(domain, c1: float, alpha: float) -> AxialWeightProfile:
     """Axial weight profile anchored at ``alpha``."""
     if not (-domain.L < alpha < domain.L):
@@ -314,16 +298,15 @@ class WeightSystem:
         return np.multiply.outer(self.g, self.laplacian_factor)
 
     def obs_normal_psi(self) -> np.ndarray:
-        """Outward normal derivative of psi on the observed wall, per x1."""
-        if self.grid.domain.obs_side == "top":
-            return self.dpsi_dx2[:, -1].copy()
-        return -self.dpsi_dx2[:, 0].copy()
+        """Outward normal derivative of psi on the observed wall, per x1
+        (outward along x2 is from the wall's inward neighbour to it)."""
+        wall, inner, _ = self.grid.domain.obs_columns
+        return (wall - inner) * self.dpsi_dx2[:, wall]
 
     def hidden_normal_psi(self) -> np.ndarray:
         """Outward normal derivative of psi on the unobserved wall, per x1."""
-        if self.grid.domain.obs_side == "top":
-            return -self.dpsi_dx2[:, 0]
-        return self.dpsi_dx2[:, -1]
+        wall, inner, _ = self.grid.domain.obs_columns
+        return (inner - wall) * self.dpsi_dx2[:, -1 - wall]
 
 
 def assemble_weight(params: WeightParams, grid: SpaceTimeGrid,

@@ -31,6 +31,8 @@ from waveguide_carleman.synth import SpaceTimeBump, axial_factor, dq_preset, q_p
 from waveguide_carleman.transform import core_mask, ftc_representation_check, rhs_identity_check, z_residual
 from waveguide_carleman.weights import check_assumption_bounded
 
+from closed_forms import bump_gradient
+
 DOMAIN = WaveguideDomain(L=1.0, h=1.0, T=2.0)
 OPEN_DOMAIN = WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=True)
 
@@ -193,9 +195,10 @@ def test_criterion_07_conjugated_operator():
         phi_t = ws.weight_time_derivative()
         p1, p2 = ws.weight_gradient()
         plap = ws.weight_laplacian()
+        dx1_bump, dx2_bump = bump_gradient(bump)
         oracle = 2.0 * s * (
             phi_t * w.values
-            - 2.0 * (p1 * bump.dx1_field() + p2 * bump.dx2_field())
+            - 2.0 * (p1 * dx1_bump + p2 * dx2_bump)
             - plap * w.values
         )
         mask = core_mask(g)

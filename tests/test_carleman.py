@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import math
 import re
@@ -45,6 +46,8 @@ from waveguide_carleman.grid import (
 )
 from waveguide_carleman.synth import SpaceTimeBump, random_smooth_field
 from waveguide_carleman.weights import SectionWeightProfile
+
+from closed_forms import bump_gradient
 
 
 #: The box of a whole field, for direct calls of ``_split_parts``.
@@ -594,9 +597,10 @@ class TestConjugatedOperator:
             phi_t = ws.weight_time_derivative()
             p1, p2 = ws.weight_gradient()
             plap = ws.weight_laplacian()
+            dx1_bump, dx2_bump = bump_gradient(bump)
             oracle = 2.0 * 0.5 * (
                 phi_t * w.values
-                - 2.0 * (p1 * bump.dx1_field() + p2 * bump.dx2_field())
+                - 2.0 * (p1 * dx1_bump + p2 * dx2_bump)
                 - plap * w.values
             )
             mask = core_mask(g)
@@ -698,6 +702,63 @@ class TestCarlemanOpen:
         with pytest.raises(ValueError, match="normal slope"):
             carleman_check_open(bump.field(), bump.heat_residual(), ws, open_grid,
                                 s_values=[4, 8, 16, 32])
+
+
+class TestFindS0:
+    @pytest.mark.parametrize("constants, s0", [
+        ([1.0, 2.0, 1.5], 2.0),
+        ([1.0, math.nan], None),
+        ([math.nan], None),
+        ([1.0, 1.0, math.inf], None),
+        ([math.inf, math.inf], None),
+        ([3.0, math.nan, 2.0, 2.0], 3.0),
+    ])
+    def test_a_tail_holding_a_non_finite_constant_does_not_qualify(self, constants, s0):
+        # a last row of 0/0 (nan) used to be a one-row tail and give its s
+        sweep = [{"s": float(k + 1), "C": c} for k, c in enumerate(constants)]
+        assert carleman._find_s0(sweep, "C") == s0
+
+    def test_open_sweep_ending_on_a_zero_row_has_no_s0(self, open_grid, open_ws):
+        # at s = 1e6 the decay is 0 on every node, so the last row is 0/0
+        bump = SpaceTimeBump(open_grid)
+        rep = carleman_check_open(bump.field(), bump.heat_residual(), open_ws, open_grid,
+                                  s_values=[4.0, 8.0, 1e6])
+        assert math.isnan(rep.sweep[-1]["empirical_C"])
+        assert rep.verdict["s0"] is None and not rep.passed
+
+
+def _reflected(f, grid):
+    """``f`` mirrored in x2 onto ``grid``."""
+    return ScalarField(grid, f.values[:, :, ::-1], FULL)
+
+
+class TestBottomObservedWall:
+    """Observing the bottom wall of x2-reflected fields reads the numbers
+    of observing the top wall of the fields themselves."""
+
+    @pytest.mark.parametrize("regime", ["bounded", "open"])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_checkers_match_the_top_observed_reflection(self, regime, windowed):
+        check = carleman_check_open if regime == "open" else carleman_check_bounded
+        top, bottom = (build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, obs_side=side,
+                                                  truncated=regime == "open"), 23, 15, 32)
+                       for side in ("top", "bottom"))
+        bump = SpaceTimeBump(top)
+        u, Hu = bump.field(), bump.heat_residual()
+        reports = []
+        with _windowing_every_grid() if windowed else contextlib.nullcontext():
+            for g, fields in ((top, (u, Hu)), (bottom, (_reflected(u, bottom),
+                                                        _reflected(Hu, bottom)))):
+                ws = assemble_weight(WeightParams(lam=1.0, s=4.0, regime=regime), g)
+                reports.append(check(*fields, ws, g, s_values=[2.0, 4.0, 8.0, 16.0, 32.0]))
+        rep_top, rep_bottom = reports
+        assert rep_top.verdict["s0"] == rep_bottom.verdict["s0"] is not None
+        assert rep_top.verdict["all_finite"] and rep_bottom.verdict["all_finite"]
+        for row_top, row_bottom in zip(rep_top.sweep, rep_bottom.sweep, strict=True):
+            assert row_top.keys() == row_bottom.keys()
+            for key, value in row_top.items():
+                assert value > 0.0, key
+                assert row_bottom[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 #: Sweeps no checker may accept, each led by its first bad value (for the

@@ -215,6 +215,20 @@ class TestPerturbationSweep:
         cs = [r.empirical_C_eps for r in reports]
         assert cs[0] <= cs[1] <= cs[2]
 
+    def test_bottom_observed_reflection_matches_the_top(self, run_grid):
+        # q and dq mirrored in x2 and the bottom wall observed: every number
+        # of the top-observed sweep, the observed wall's measurement included
+        bottom = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, obs_side="bottom"),
+                            run_grid.n1, run_grid.n2, run_grid.nt)
+        q, dq, f = q_preset(run_grid), dq_preset(run_grid), axial_factor(run_grid)
+        sweeps = [perturbation_sweep(g, qq, dd, f, [0.1, 0.05], [0.25, 0.5]) for g, qq, dd in
+                  ((run_grid, q, dq), (bottom, q[:, ::-1], dq[:, ::-1]))]
+        for top, bot in zip(*sweeps, strict=True):
+            for key in ("lhs", "rhs_boundary", "rhs_trace", "empirical_C_eps", "r_bound"):
+                want = getattr(top, key)
+                assert want > 0.0, key
+                assert getattr(bot, key) == pytest.approx(want, rel=1e-11, abs=0.0), key
+
     def test_rejects_bad_theta(self, run_grid):
         with pytest.raises(ValueError):
             perturbation_sweep(

