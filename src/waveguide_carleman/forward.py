@@ -10,23 +10,24 @@ Scheme: Crank-Nicolson in time with the potential treated implicitly at
 both levels, five-point Laplacian in space, Neumann caps imposed through
 second-order ghost values, Dirichlet rows eliminated.  One five-point
 operator on the unknown block serves both sides of each step; the
-boundary data enter only through an edge lift of each level.  Each step's
-system A = 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate gradients,
-preconditioned by the same system with V^{k+1} replaced by its mean
-(Concus & Golub 1973), which the transforms that diagonalise it solve
-exactly (Swarztrauber 1977): DCT-I along x1 for the ghost-value caps and
-DST-I along x2 for the Dirichlet walls, as dense matrix products, not
-``numpy.fft`` (faster on the square grids solved here).  Because that
-solve is exact, A z = r + E z for the preconditioned residual z, with E
-the potential's excess over its mean on the diagonal, so the iteration
-applies no stencil; the five-point operator runs once per step.  Each
-residual is tested before it is preconditioned (Saad 2003, Alg. 9.1), so
-a converged residual takes no transform solve, and the transform-domain
-denominator of the mean system is built once per step.  Solves
-that share a grid and a data set and differ only in the potential march
-as one stack, each member with its own iteration, and a member's field
-does not depend on the stack.  Non-finite samples and a step matrix that
-is not positive definite are rejected before marching.  The scheme is
+boundary data enter only through an edge lift of each level.  Each
+step's system A = 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate
+gradients in the variables D^(1/2) x, D = diag(1/2, 1, ..., 1, 1/2)
+along x1, in which it is symmetric, preconditioned by the mean-potential
+system (Concus & Golub 1973), which the transforms that diagonalise it
+solve exactly (Swarztrauber 1977): DCT-I along x1 for the ghost-value
+caps and DST-I along x2 for the Dirichlet walls, as dense matrix
+products, not ``numpy.fft``.  Because that solve is exact, A z = r + E z
+for the preconditioned residual z, with E the potential's excess over
+its mean on the diagonal, so the iteration applies no stencil; the
+five-point operator runs once per step.  Each residual is tested before
+it is preconditioned (Saad 2003, Alg. 9.1), so a converged residual
+takes no transform solve, and the reciprocal of the mean system's
+transform-domain denominator is built once per step.  Solves that share
+a grid and a data set and differ only in the potential march as one
+stack, each member with its own iteration, and a member's field does not
+depend on the stack.  Non-finite samples and a step matrix that is not
+positive definite are rejected before marching.  The scheme is
 unconditionally stable and second order; the closed-form oracle below is
 its yardstick.  The wall measurement ``measurement(u)`` is a plain
 ``(nt+1, n1+2)`` array, read on ``u``'s own grid.
@@ -147,8 +148,9 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     the Dirichlet neighbours stored in u[k] (level 0 keeps the edges of
     u0) over dx2^2 and, on the caps, the ghost-value Neumann terms
     2 cap / dx1.  The lift is shared by every member, and each level's
-    diagonal is built from q[k] and f.  The five-point operator runs once
-    per step, on A_k u^k; the warm start's residual takes
+    diagonal is q[k] f / 2 plus a constant.  The level marched is held in
+    ``_pcg_solver``'s variables and unscaled once into u.  The five-point
+    operator runs once per step, on A_k u^k; the warm start's residual takes
     A_{k+1} u^k = A_k u^k + (diag_{k+1} - diag_k) u^k.  Each member's
     field is the same, bit for bit, whatever the stack's size."""
     pots = list(pots)
@@ -170,33 +172,38 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
         if not 1.0 / dt + 0.5 * (lam_min + min_v) > 0.0:
             raise ValueError(f"step matrix of member {b} is not positive definite: time step "
                              f"{dt} with min V {min_v}; refine the time grid")
-    q = np.stack([pot.q[:, None, 1:-1] for pot in pots])  # (B, nt+1, 1, Q)
+    half_q = 0.5 * np.stack([pot.q[:, None, 1:-1] for pot in pots])  # (B, nt+1, 1, Q)
     f = np.stack([pot.f[:, None] for pot in pots])  # (B, P, 1)
+    sym = _cap_scaling(grid.n1 + 2)
     u = np.zeros((len(pots),) + grid.shape)
     u[:, 0] = data.u0
     u[:, 1:, :, 0] = data.b_bottom[1:]
     u[:, 1:, :, -1] = data.b_top[1:]
 
     def level(k):
-        """(diagonal of A_k for each member, edge lift l_k)."""
-        diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + q[:, k] * f)
+        """(diagonal of A_k for each member, S l_k / 2 with l_k the edge lift)."""
+        diag = half_q[:, k] * f
+        diag += 1.0 / dt + 1.0 / dx1**2 + 1.0 / dx2**2
         edges = u[0, k]
         lift = np.zeros(diag.shape[1:])
         lift[:, 0] += edges[:, 0] / dx2**2
         lift[:, -1] += edges[:, -1] / dx2**2
         lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
         lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
-        return diag, lift
+        return diag, 0.5 * sym * lift
 
     matvec, solve = _pcg_solver(grid)
+    x = np.repeat((sym * data.u0[:, 1:-1])[None], len(pots), axis=0)
     diag, lift = level(0)
     for k in range(grid.nt):
-        x = u[:, k, :, 1:-1]
         diag_next, lift_next = level(k + 1)
         ax = matvec(diag, x)
-        rhs = 2.0 * x / dt - ax + 0.5 * (lift + lift_next)
-        residual = rhs - (ax + (diag_next - diag) * x)
-        u[:, k + 1, :, 1:-1] = solve(diag_next, rhs, x, residual, k + 1)
+        rhs = np.multiply(2.0 / dt, x)
+        rhs -= ax
+        rhs += lift + lift_next
+        ax += (diag_next - diag) * x  # A_{k+1} x, overwritten by the warm start's residual
+        solve(diag_next, rhs, x, np.subtract(rhs, ax, out=ax), k + 1)
+        np.divide(x, sym, out=u[:, k + 1, :, 1:-1])
         diag, lift = diag_next, lift_next
     return [ScalarField(grid, field, FULL) for field in u]
 
@@ -226,29 +233,42 @@ def _transform_matrix(n, neumann):
     return M
 
 
+def _cap_scaling(n):
+    """S = D^(1/2) as an (n, 1) column, D = diag(1/2, 1, ..., 1, 1/2) along x1."""
+    return np.sqrt(np.r_[0.5, np.ones(n - 2), 0.5])[:, None]
+
+
 def _separable_inverse(grid):
-    """(scale, inverse) with inverse(r, scale(c)) = (c + (-Lap_h) / 2)^-1 r
-    on the unknown block, -Lap_h the five-point operator of
-    ``_pcg_solver``'s matvec: DCT-I along x1 on the n1 + 2 rows between the
+    """(scale, inverse) with inverse(r, scale(c)) = S (c + (-Lap_h) / 2)^-1 S^-1 r
+    on the unknown block, for S of ``_cap_scaling`` and -Lap_h the
+    five-point operator: DCT-I along x1 on the n1 + 2 rows between the
     ghost-value caps, DST-I along x2, as dense products costing
     4 P Q (P + Q) flops on P x Q unknowns, which beats FFTs on the square
-    grids solved here.  scale(c) is the transform-domain denominator, built
-    once per step and passed to every application of that step.  r may be
-    one (P, Q) block with a scalar c, or a (B, P, Q) stack with one c per
-    member; numpy's matmul then makes one GEMM per member, of the same
-    shape at any B."""
+    grids solved here.  With S folded in, the DCT-I matrix is S C S for the
+    cosine matrix C, symmetric with square m1 I.  scale(c) is the reciprocal
+    transform-domain denominator, built once per step; the four products
+    share two buffers.  r may be one (P, Q) block with a scalar c, or a
+    (B, P, Q) stack with one c per member; numpy's matmul then makes one
+    GEMM per member, of the same shape at any B."""
     P, Q = grid.n1 + 2, grid.n2
     lam1, m1 = _spectrum(P, grid.dx1, True)
     lam2, m2 = _spectrum(Q, grid.dx2, False)
+    sym = _cap_scaling(P)
     M1 = _transform_matrix(P, True)
+    M1[:, [0, -1]] *= 2.0
+    M1 *= sym * sym.T
     M2 = _transform_matrix(Q, False)
     half = 0.5 * m1 * m2 * (lam1[:, None] + lam2[None, :])
 
     def scale(c):
-        return m1 * m2 * np.asarray(c)[..., None, None] + half
+        return 1.0 / (m1 * m2 * np.asarray(c)[..., None, None] + half)
 
-    def inverse(r, denominator):
-        return M1 @ ((M1 @ r @ M2) / denominator) @ M2
+    def inverse(r, reciprocal):
+        left = np.matmul(M1, r)
+        right = np.matmul(left, M2)
+        right *= reciprocal
+        np.matmul(M1, right, out=left)
+        return np.matmul(left, M2, out=right)
 
     return scale, inverse
 
@@ -261,52 +281,52 @@ CG_MAX_ITERATIONS = 200
 
 def _pcg_solver(grid):
     """(matvec, solve) for the five-point step system on the unknown block,
-    on (B, P, Q) stacks of members.  matvec(diag, p) applies ``diag`` plus
-    the fixed couplings of -Lap_h / 2 to p (a single (P, Q) block works
-    too).  solve(diag, rhs, x0, r0, step) solves each member's system by
-    conjugate gradients from x0, whose residual r0 it overwrites,
-    preconditioned by the same matrix with ``diag`` replaced by its mean,
-    which ``_separable_inverse`` solves exactly; the mean system's
-    transform-domain denominator is built once per call.  With
-    E = diag - mean(diag) the preconditioned residual z therefore has
-    A z = r + E z, so the iteration updates q = A p as r + E z + beta q and
-    applies no stencil.  With the ghost-value caps the matrix is not
-    symmetric, but D A is for D = diag(1/2, 1, ..., 1, 1/2) along x1, so
-    the iteration runs in the D inner product.  Each member keeps its own
+    on (B, P, Q) stacks of members, in the variables S x of ``_cap_scaling``.
+    The ghost-value step matrix A is not symmetric, but D A is, so S A S^-1
+    is: a cap row and its neighbour couple by sqrt(2) c1 both ways, not by
+    2 c1 and c1, and CG runs in the plain inner product, the D inner
+    product of x.  matvec(diag, p) applies ``diag`` plus the fixed
+    couplings of S (-Lap_h / 2) S^-1 to p (one (P, Q) block works too).
+    solve(diag, rhs, x, r, step) solves each member's system by conjugate
+    gradients, updating x and its residual r in place, preconditioned by
+    the same matrix with ``diag`` replaced by its mean, which
+    ``_separable_inverse`` solves exactly, its reciprocal denominator built
+    once per call.  With E = diag - mean(diag) the preconditioned residual
+    z therefore has A z = r + E z, so the iteration updates q = A p as
+    r + E z + beta q and applies no stencil.  Each member keeps its own
     mean, step lengths and stopping test.  The test reads the residual
     before it is preconditioned: a member whose residual passes leaves the
     stack without another transform solve, so the first one comes after
     the warm start's test and p, q exist only from then on.  x, r, p and q
     are updated in place through one scratch buffer.  Inner products are
-    per-member sums of products, not BLAS dots, so a member's result
+    per-member two-operand sums, not BLAS dots, so a member's result
     depends neither on the thread count nor on the other members."""
     scale, inverse = _separable_inverse(grid)
     c1, c2 = 0.5 / grid.dx1**2, 0.5 / grid.dx2**2
-    weight = np.ones(grid.n1 + 2)
-    weight[[0, -1]] = 0.5
+    cap = np.sqrt(2.0)
 
     def matvec(diag, p):
         out = diag * p
-        out[..., 1:] -= c2 * p[..., :-1]
-        out[..., :-1] -= c2 * p[..., 1:]
-        out[..., 1:, :] -= c1 * p[..., :-1, :]
-        out[..., :-1, :] -= c1 * p[..., 1:, :]
-        # cap rows couple doubly to their one axial neighbour
-        out[..., 0, :] -= c1 * p[..., 1, :]
-        out[..., -1, :] -= c1 * p[..., -2, :]
+        c1p, c2p = c1 * p, c2 * p
+        out[..., 1:] -= c2p[..., :-1]
+        out[..., :-1] -= c2p[..., 1:]
+        out[..., [0, -1], :] -= cap * c1p[..., [1, -2], :]
+        c1p[..., [0, -1], :] *= cap
+        out[..., 1:-1, :] -= c1p[..., :-2, :]
+        out[..., 1:-1, :] -= c1p[..., 2:, :]
         return out
 
     def inner(a, b):
-        return np.einsum("bij,bij,i->b", a, b, weight)
+        return np.einsum("bij,bij->b", a, b)
 
-    def solve(diag, rhs, x0, r0, step):
-        result = x0.copy()
+    def solve(diag, rhs, x, r, step):
+        result = x
         members = np.arange(len(result))
         rhs_norm = inner(rhs, rhs)
         mean = diag.mean(axis=(1, 2))
-        denominator = scale(mean - 2.0 * (c1 + c2))
+        reciprocal = scale(mean - 2.0 * (c1 + c2))
         excess = diag - mean[:, None, None]
-        x, r, scratch = result, r0, np.empty_like(r0)
+        scratch = np.empty_like(r)
         p = q = rz = None
         iterations = 0
         while True:
@@ -315,9 +335,9 @@ def _pcg_solver(grid):
             if not going.all():
                 result[members[~going]] = x[~going]
                 if not going.any():
-                    return result
-                members, x, r, excess, denominator, rr, rhs_norm = (
-                    a[going] for a in (members, x, r, excess, denominator, rr, rhs_norm))
+                    return
+                members, x, r, excess, reciprocal, rr, rhs_norm = (
+                    a[going] for a in (members, x, r, excess, reciprocal, rr, rhs_norm))
                 if p is not None:
                     p, q, rz = (a[going] for a in (p, q, rz))
                 scratch = scratch[:len(r)]
@@ -326,7 +346,7 @@ def _pcg_solver(grid):
                     f"member {members[0]}, step {step}: no convergence in {CG_MAX_ITERATIONS} "
                     f"iterations, relative residual {np.sqrt(rr[0] / rhs_norm[0]):.3e}")
             iterations += 1
-            z = inverse(r, denominator)
+            z = inverse(r, reciprocal)
             rz, rz_old = inner(r, z), rz
             np.multiply(excess, z, out=scratch)
             scratch += r

@@ -214,32 +214,61 @@ def stack_members(grid):
             PotentialSpec(grid, rng.uniform(-0.5, 1.0, q.shape), rng.uniform(0.2, 2.0, f.shape))]
 
 
-def step_residuals(grid, pot, data, u):
-    """True relative D-norm residual of every Crank-Nicolson step of the
-    solved bounded field u, with the stencil applied afresh to each level."""
-    matvec, _ = forward._pcg_solver(grid)
-    dt, dx1, dx2 = grid.dt, grid.dx1, grid.dx2
+def cap_weight(grid):
+    """D = diag(1/2, 1, ..., 1, 1/2) along x1 as a (P, 1) column: the
+    weight of the inner product in which the step matrix is symmetric."""
     weight = np.ones((grid.n1 + 2, 1))
     weight[[0, -1]] = 0.5
+    return weight
+
+
+def step_residuals(grid, pot, data, u):
+    """True relative D-norm residual of every Crank-Nicolson step of the
+    solved bounded field u, with -Lap_h assembled as a sparse Kronecker sum
+    in the unscaled variables and applied afresh to each level."""
+    dt, dx1, dx2 = grid.dt, grid.dx1, grid.dx2
+    lap = negative_laplacian(grid)
+    weight = cap_weight(grid)
     V = pot.potential_values()
 
-    def level(k):
-        diag = 1.0 / dt + 0.5 * (2.0 / dx1**2 + 2.0 / dx2**2 + V[k][:, 1:-1])
-        lift = np.zeros_like(diag)
-        lift[:, 0] += u[k][:, 0] / dx2**2
-        lift[:, -1] += u[k][:, -1] / dx2**2
-        lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
-        lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
-        return diag, lift
+    def step_matrix(k, x):
+        """A_k x with A_k = 1/dt + (-Lap_h + V^k) / 2."""
+        return x / dt + 0.5 * ((lap @ x.ravel()).reshape(x.shape) + V[k][:, 1:-1] * x)
+
+    def lift(k):
+        c = np.zeros((grid.n1 + 2, grid.n2))
+        c[:, 0] += u[k][:, 0] / dx2**2
+        c[:, -1] += u[k][:, -1] / dx2**2
+        c[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
+        c[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
+        return c
 
     out = []
     for k in range(grid.nt):
-        (diag, lift), (diag_next, lift_next) = level(k), level(k + 1)
         x, x_next = u[k][:, 1:-1], u[k + 1][:, 1:-1]
-        rhs = 2.0 * x / dt - matvec(diag, x) + 0.5 * (lift + lift_next)
-        r = rhs - matvec(diag_next, x_next)
+        rhs = 2.0 * x / dt - step_matrix(k, x) + 0.5 * (lift(k) + lift(k + 1))
+        r = rhs - step_matrix(k + 1, x_next)
         out.append(np.sqrt(np.sum(weight * r * r) / np.sum(weight * rhs * rhs)))
     return np.array(out)
+
+
+def counted_applications(monkeypatch):
+    """A list that receives the member count of every preconditioner
+    application of the solves that follow."""
+    applied = []
+    separable_inverse = forward._separable_inverse
+
+    def counting(grid):
+        scale, inverse = separable_inverse(grid)
+
+        def counted(r, reciprocal):
+            applied.append(len(r))
+            return inverse(r, reciprocal)
+
+        return scale, counted
+
+    monkeypatch.setattr(forward, "_separable_inverse", counting)
+    return applied
 
 
 class TestStackedMarch:
@@ -287,6 +316,17 @@ class TestStackedMarch:
         solve_heat(g, pots, positive_preset_data(g, pots[0]))
         assert calls == [len(pots)] * g.nt
 
+    def test_stacked_march_takes_no_more_applications_than_before(self, domain, monkeypatch):
+        # the four stack members at 32x32x64 took 1019 preconditioner
+        # applications (3.98 per member and step) when the iteration ran in
+        # the D inner product on unscaled variables; the symmetrized
+        # iteration is the same method and may take no more
+        applied = counted_applications(monkeypatch)
+        g = build_grid(domain, 32, 32, 64)
+        pots = stack_members(g)
+        solve_heat(g, pots, positive_preset_data(g, pots[0]))
+        assert sum(applied) <= 1019
+
     def test_potentials_must_share_the_grid(self, grid, domain):
         other = build_grid(domain, 8, 8, 16)
         pots = [zero_potential(grid), zero_potential(other)]
@@ -305,37 +345,61 @@ class TestPreconditioner:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_inverts_constant_coefficient_step(self, n1, n2, c, seed):
-        # c + (-Lap_h)/2, applied through the solver's own matvec with its
-        # diagonal c + 1/dx1^2 + 1/dx2^2, maps the transform solve of r back
-        # to r: this checks the DCT-I/DST-I extensions and eigenvalues directly
+        # the inverse works in the symmetrized variables S x, S = D^(1/2):
+        # S^-1 inverse(S r) must solve c + (-Lap_h)/2, with -Lap_h assembled
+        # here as a sparse Kronecker sum; this checks the DCT-I/DST-I
+        # extensions, eigenvalues and the folded scaling directly
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), n1, n2, 4)
         r = np.random.default_rng(seed).standard_normal((n1 + 2, n2))
+        sym = np.sqrt(cap_weight(g))
         scale, inverse = forward._separable_inverse(g)
-        x = inverse(r, scale(c))
-        matvec, _ = forward._pcg_solver(g)
-        got = matvec(np.full(r.shape, c + 1.0 / g.dx1**2 + 1.0 / g.dx2**2), x)
+        x = inverse(sym * r, scale(c)) / sym
+        got = c * x + 0.5 * (negative_laplacian(g) @ x.ravel()).reshape(x.shape)
         norm = c + 2.0 / g.dx1**2 + 2.0 / g.dx2**2
         tol = 64.0 * np.finfo(float).eps * norm * np.max(np.abs(x))
         np.testing.assert_allclose(got, r, rtol=0, atol=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(4, 12), n2=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+    def test_symmetrized_step_and_preconditioner(self, n1, n2, seed):
+        # in the variables S x the step operator and the preconditioner are
+        # symmetric, so CG may run in the plain inner product, and the
+        # preconditioner inverts the step with the diagonal's mean.  Bounds
+        # fixed from the sizes: an inner product of N terms errs by at most
+        # (N + 6) eps |x| |y| times the operator's norm (five products per
+        # row of the stencil), and each of the four transform products by at
+        # most 2 n^1.5 eps relative, n <= P + Q
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), n1, n2, 4)
+        rng = np.random.default_rng(seed)
+        shape = (1, n1 + 2, n2)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        c1, c2 = 0.5 / g.dx1**2, 0.5 / g.dx2**2
+        diag = 2.0 * (c1 + c2) + rng.uniform(0.1, 100.0, shape)
+        c = diag.mean() - 2.0 * (c1 + c2)
+        matvec, _ = forward._pcg_solver(g)
+        scale, inverse = forward._separable_inverse(g)
+        eps, N, n = np.finfo(float).eps, x.size, n1 + 2 + n2
+        size = np.linalg.norm(x) * np.linalg.norm(y)
+
+        def asymmetry(op):
+            return abs(np.sum(x * op(y)) - np.sum(op(x) * y))
+
+        norm = np.max(diag) + 3.0 * c1 + 2.0 * c2
+        assert asymmetry(lambda v: matvec(diag, v)) <= 2.0 * (N + 6) * eps * norm * size
+        reciprocal = scale(c)
+        assert asymmetry(lambda v: inverse(v, reciprocal)) <= (
+            2.0 * (8.0 * n**1.5 + N) * eps * size / c)
+        z = inverse(x, reciprocal)
+        got = matvec(np.full(shape, diag.mean()), z)
+        tol = 64.0 * eps * (c + 2.0 / g.dx1**2 + 2.0 / g.dx2**2) * np.max(np.abs(z))
+        np.testing.assert_allclose(got, x, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n1, n2, nt", [(16, 16, 32), (24, 12, 16)])
     def test_exact_preconditioner_takes_one_application_per_step(self, n1, n2, nt, monkeypatch):
         # a potential constant in space at every level makes the
         # preconditioner the step matrix itself: one application solves
         # each member's step, and the converged residual gets no other
-        applied = []
-        separable_inverse = forward._separable_inverse
-
-        def counting(grid):
-            scale, inverse = separable_inverse(grid)
-
-            def counted(r, denominator):
-                applied.append(len(r))
-                return inverse(r, denominator)
-
-            return scale, counted
-
-        monkeypatch.setattr(forward, "_separable_inverse", counting)
+        applied = counted_applications(monkeypatch)
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), n1, n2, nt)
         oracle = SeparableOracle(g)
         oracle.solve()
@@ -387,12 +451,19 @@ def second_difference(n, d, doubled_ends=False):
     return sp.diags([lower, main, upper], [-1, 0, 1], format="csr") / d**2
 
 
+def negative_laplacian(grid):
+    """-Lap_h on the unknown block as a sparse Kronecker sum, acting on the
+    row-major ravel of a (P, Q) block: ghost-value caps along x1, Dirichlet
+    rows eliminated along x2; unscaled, as the scheme states it."""
+    return sp.kronsum(second_difference(grid.n2, grid.dx2),
+                      second_difference(grid.n1 + 2, grid.dx1, doubled_ends=True), format="csc")
+
+
 def reference_solve(grid, pot, data):
     """Crank-Nicolson with -Lap_h assembled as a sparse Kronecker sum and
     every step solved by spsolve: an independent route to solve_heat."""
     P = grid.n1 + 2
-    A = sp.kronsum(second_difference(grid.n2, grid.dx2),
-                   second_difference(P, grid.dx1, doubled_ends=True), format="csc")
+    A = negative_laplacian(grid)
     eye = sp.identity(P * grid.n2, format="csc")
     V = pot.potential_values()[:, :, 1:-1].reshape(grid.nt + 1, -1)
 
