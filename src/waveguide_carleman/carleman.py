@@ -330,17 +330,18 @@ _I1_POWERS = {"laplacian": -1, "time": -1, "gradient": 1, "zero_order": 3}
 
 def _square_I1_densities(z: ScalarField, stack: np.ndarray) -> None:
     """Write the s-independent integrands of :func:`weighted_norm_I1` into
-    ``stack[:4]`` one at a time, so at most two derivatives are live beside it."""
+    ``stack[:4]``, each derivative into its member, one temporary beside it."""
     g, v = z.grid, z.values
-    np.square(laplacian(z).values, out=stack[0])
-    np.square(derivative(v, g.dt, 0), out=stack[1])
+    lap = derivative(v, g.dx1, 1, order=2, out=stack[0])
+    np.square(np.add(lap, derivative(v, g.dx2, 2, order=2), out=lap), out=lap)
+    np.square(derivative(v, g.dt, 0, out=stack[1]), out=stack[1])
     _square_gradient(g, v, stack[2])
     np.square(v, out=stack[3])
 
 
 def _square_gradient(grid: SpaceTimeGrid, v: np.ndarray, out: np.ndarray) -> None:
-    """Write |grad v|^2 into ``out``, one derivative at a time."""
-    np.square(derivative(v, grid.dx1, 1), out=out)
+    """Write |grad v|^2 into ``out``, one derivative in a temporary."""
+    np.square(derivative(v, grid.dx1, 1, out=out), out=out)
     d2 = derivative(v, grid.dx2, 2)
     out += np.square(d2, out=d2)
 

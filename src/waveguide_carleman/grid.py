@@ -185,9 +185,10 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def derivative(values: np.ndarray, d: float, axis: int, order: int = 1) -> np.ndarray:
+def derivative(values: np.ndarray, d: float, axis: int, order: int = 1,
+               out: np.ndarray | None = None) -> np.ndarray:
     """First (``order=1``) or second (``order=2``) derivative of node
-    values ``d`` apart along ``axis``, second order everywhere.
+    values ``d`` apart along ``axis``, second order at every node, into ``out`` if given.
 
     Inside, the centred 3-point stencil runs as one shift of the flattened
     C-ordered array by the axis's element stride; the nodes that shift
@@ -196,8 +197,9 @@ def derivative(values: np.ndarray, d: float, axis: int, order: int = 1) -> np.nd
     ``order=2``.  The first derivative has the bytes of
     ``np.gradient(values, d, axis=axis, edge_order=2)``.  Raises
     ``ValueError`` when the axis has fewer nodes than the end stencil reads
-    (3 or 4), where the shift would wrap into the neighbouring line.
-    """
+    (3 or 4), where the shift would wrap into the neighbouring line, or for
+    an ``out`` (written through a flat reshape) that overlaps ``values`` or
+    is not a C-contiguous float64 array of its shape."""
     v = np.ascontiguousarray(values, dtype=float)
     axis = range(v.ndim)[axis]
     n = v.shape[axis]
@@ -206,7 +208,11 @@ def derivative(values: np.ndarray, d: float, axis: int, order: int = 1) -> np.nd
     if n < order + 2:
         raise ValueError(f"axis {axis} has {n} nodes; an order-{order} derivative "
                          f"needs at least {order + 2}")
-    out = np.empty_like(v)
+    if out is None:
+        out = np.empty_like(v)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == v.shape
+              and out.flags.c_contiguous) or np.may_share_memory(out, values):
+        raise ValueError("out must be C-contiguous float64, of the input's shape, apart from it")
     step = math.prod(v.shape[axis + 1:])
     flat, inner = v.reshape(-1), out.reshape(-1)[step:-step]
     if order == 1:  # (v[2:] - v[:-2]) / (2 d)

@@ -48,21 +48,46 @@ from .grid import (
 
 @dataclass
 class TransformBundle:
+    """Stores w, z, B2 and b; fu, A1, A2, a_coef and B1 are formed on access."""
+
     grid: SpaceTimeGrid
     w: ScalarField
     z: ScalarField
-    fu: ScalarField        # the positive denominator f * u~
-    A1: ScalarField
-    A2: ScalarField
-    a_coef: ScalarField
-    B1: ScalarField
     B2: ScalarField
     b_coef: ScalarField
     c1_floor: float        # min of f * u~ over the space-time grid
+    u_tilde: ScalarField
+    pot: PotentialSpec
+
+    @property
+    def fu(self) -> ScalarField:  # the positive denominator f * u~
+        return ScalarField(self.grid, self.pot.f[None, :, None] * self.u_tilde.values, FULL)
+
+    def _drift(self, d: float, axis: int) -> ScalarField:
+        m = self.fu.values
+        return ScalarField(self.grid, -2.0 * derivative(m, d, axis) / m, FULL)
+
+    A1 = property(lambda self: self._drift(self.grid.dx1, 1))
+    A2 = property(lambda self: self._drift(self.grid.dx2, 2))
+
+    @property
+    def a_coef(self) -> ScalarField:
+        return ScalarField(self.grid, _a_values(self.fu.values, self.pot), FULL)
+
+    @property
+    def B1(self) -> ScalarField:
+        g, m = self.grid, self.fu.values
+        return ScalarField(g, -2.0 * derivative(derivative(m, g.dx1, 1) / m, g.dx1, 1), FULL)
+
+
+def _a_values(m: np.ndarray, pot: PotentialSpec) -> np.ndarray:
+    """a = (m_t - Lap(m)) / m + q f for the denominator m = f u~."""
+    lap = derivative(m, pot.grid.dx1, 1, order=2) + derivative(m, pot.grid.dx2, 2, order=2)
+    return (derivative(m, pot.grid.dt, 0) - lap) / m + pot.potential_values()
 
 
 def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> TransformBundle:
-    """Assemble w, z and every coefficient field for one solution pair.
+    """Assemble w, z, B2 and b for one solution pair.
 
     ``pot`` must be the potential of the *q*-system (the one multiplying v
     in its equation).  Raises if the denominator f u~ is not strictly
@@ -79,28 +104,12 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
         raise ValueError(
             f"f*u~ is not positive: min {c1_floor} at (time,x1,x2) index {idx}"
         )
-    fu = ScalarField(grid, m, FULL)
-
     w = ScalarField(grid, (u.values - u_tilde.values) / m, FULL)
     z = ScalarField(grid, derivative(w.values, grid.dx1, 1), FULL)
-
-    dm1, dm2 = gradient(fu)
-    A1 = ScalarField(grid, -2.0 * dm1.values / m, FULL)
-    A2 = ScalarField(grid, -2.0 * dm2.values / m, FULL)
-
-    V = pot.potential_values()
-    a_vals = (time_derivative(fu).values - laplacian(fu).values) / m + V
-    a_coef = ScalarField(grid, a_vals, FULL)
-
-    B1 = ScalarField(grid, -2.0 * derivative(dm1.values / m, grid.dx1, 1), FULL)
-    B2 = ScalarField(grid, 2.0 * derivative(dm2.values / m, grid.dx1, 1), FULL)
-    b_coef = ScalarField(grid, -derivative(a_coef.values, grid.dx1, 1), FULL)
-
-    return TransformBundle(
-        grid=grid, w=w, z=z, fu=fu,
-        A1=A1, A2=A2, a_coef=a_coef, B1=B1, B2=B2, b_coef=b_coef,
-        c1_floor=c1_floor,
-    )
+    B2 = ScalarField(grid, 2.0 * derivative(derivative(m, grid.dx2, 2) / m, grid.dx1, 1), FULL)
+    b_coef = ScalarField(grid, -derivative(_a_values(m, pot), grid.dx1, 1), FULL)
+    return TransformBundle(grid=grid, w=w, z=z, B2=B2, b_coef=b_coef, c1_floor=c1_floor,
+                           u_tilde=u_tilde, pot=pot)
 
 
 #: Width of the boundary collar excluded from check norms, as a fraction
@@ -150,8 +159,9 @@ def _w_operator(bundle: TransformBundle, f: ScalarField) -> np.ndarray:
 def z_source(bundle: TransformBundle) -> ScalarField:
     """Source term B2 w_x2 + b w of the differentiated equation."""
     g, w = bundle.grid, bundle.w.values
-    return ScalarField(g, bundle.B2.values * derivative(w, g.dx2, 2) + bundle.b_coef.values * w,
-                       FULL)
+    out = derivative(w, g.dx2, 2)
+    np.multiply(bundle.B2.values, out, out=out)
+    return ScalarField(g, np.add(out, bundle.b_coef.values * w, out=out), FULL)
 
 
 def z_residual(bundle: TransformBundle) -> tuple[ScalarField, float]:

@@ -416,6 +416,50 @@ class TestDerivativeKernel:
         got = derivative(values, d, axis, order=2)
         assert got.tobytes() == _second_derivative_reference(values, d, axis).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(4, 9), st.integers(4, 9), st.integers(4, 9)),
+        axis=st.integers(0, 2),
+        order=st.sampled_from([1, 2]),
+        member=st.integers(0, 2),
+        d=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_out_has_the_bytes_of_the_allocating_call(self, shape, axis, order, member, d,
+                                                      seed):
+        values = np.random.default_rng(seed).standard_normal(shape)
+        expected = derivative(values, d, axis, order=order).tobytes()
+        buf = np.full(shape, np.nan)
+        assert derivative(values, d, axis, order=order, out=buf) is buf
+        assert buf.tobytes() == expected
+        # one member of a stack: its neighbours keep their contents
+        stack = np.full((3,) + shape, np.nan)
+        derivative(values, d, axis, order=order, out=stack[member])
+        assert stack[member].tobytes() == expected
+        assert np.all(np.isnan(np.delete(stack, member, axis=0)))
+
+    def test_out_must_be_a_separate_contiguous_float64_array_of_the_shape(self):
+        # the flat shift writes through out.reshape(-1), which can be a copy
+        # of an out that is not C-contiguous (a Fortran-ordered one is): its
+        # writes would be lost
+        stack = np.random.default_rng(0).standard_normal((2, 6, 7, 8))
+        values, before = stack[0], stack.copy()
+        flat = stack.reshape(-1)
+        bad = {
+            "the input": values,
+            "a shifted window of the input": flat[5 : 5 + values.size].reshape(values.shape),
+            "strided": np.empty((6, 7, 16))[:, :, ::2],
+            "Fortran-ordered": np.empty((6, 7, 8), order="F"),
+            "float32": np.empty((6, 7, 8), dtype=np.float32),
+            "another shape": np.empty((6, 7, 9)),
+        }
+        for name, out in bad.items():
+            with pytest.raises(ValueError, match="out must be"):
+                derivative(values, 0.1, 2, out=out)
+            assert stack.tobytes() == before.tobytes(), name
+        member = stack[1]
+        assert derivative(values, 0.1, 2, out=member) is member
+
     @pytest.mark.parametrize("order, nodes", [(1, 2), (2, 3), (2, 2)])
     def test_too_short_axis_is_named(self, order, nodes):
         values = np.ones((5, nodes, 6))

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from waveguide_carleman import stability
 from waveguide_carleman import WaveguideDomain, assemble_stability, build_grid, manufacture_pair, perturbation_sweep
 from waveguide_carleman.grid import (FULL, ScalarField, derivative, fit_convergence_order,
                                      gradient, integrate_values, normal_derivative)
 from waveguide_carleman.stability import mixed_sobolev_norm, sweep_table
+from waveguide_carleman.forward import PotentialSpec, positive_preset_data, solve_heat
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
 
@@ -228,6 +232,23 @@ class TestPerturbationSweep:
                 want = getattr(top, key)
                 assert want > 0.0, key
                 assert getattr(bot, key) == pytest.approx(want, rel=1e-11, abs=0.0), key
+
+    def test_reports_equal_assemble_stability_and_measure_each_solve_once(self, run_grid):
+        # the window-free right side is formed once per theta, and the base
+        # solve's measurement once per sweep, with the bytes of one
+        # assemble_stability call per (theta, eps) on the same stacked solve
+        g, thetas, epss = run_grid, [0.1, 0.05], [0.25, 0.5]
+        q, dq, f = q_preset(g), dq_preset(g), axial_factor(g)
+        with mock.patch.object(stability, "measurement", wraps=stability.measurement) as meas:
+            reports = perturbation_sweep(g, q, dq, f, thetas, epss)
+        assert meas.call_count == 1 + len(thetas)
+        q_tildes = [q + theta * dq for theta in thetas]
+        pot = PotentialSpec(g, q, f)
+        u, *u_tildes = solve_heat(g, [pot] + [PotentialSpec(g, qt, f) for qt in q_tildes],
+                                  positive_preset_data(g, pot))
+        expected = [assemble_stability(u, ut, q, qt, g, eps, theta=theta)
+                    for theta, qt, ut in zip(thetas, q_tildes, u_tildes) for eps in epss]
+        assert [r.to_text() for r in reports] == [r.to_text() for r in expected]
 
     def test_rejects_bad_theta(self, run_grid):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from waveguide_carleman import build_bundle, build_grid, manufacture_pair
 from waveguide_carleman.forward import PotentialSpec
-from waveguide_carleman.grid import FULL, ScalarField, fit_convergence_order, gradient
+from waveguide_carleman.grid import (FULL, ScalarField, derivative, fit_convergence_order,
+                                     gradient, laplacian, time_derivative)
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 from waveguide_carleman.transform import (
     core_mask,
@@ -40,6 +43,25 @@ class TestBuildBundle:
         assert np.max(np.abs(b.A1.values)) == 0.0
         assert np.max(np.abs(b.A2.values)) == 0.0
         np.testing.assert_allclose(b.a_coef.values, pot.potential_values(), atol=1e-14)
+
+    def test_retains_four_fields(self, domain):
+        # only w, z, B2 and b are stored; the five fields that only the
+        # identity checks read are formed on access (a 1.07 MiB field here;
+        # slack of a tenth of a field for the small arrays)
+        g = build_grid(domain, 32, 32, 120)
+        pot = PotentialSpec(g, q_preset(g), axial_factor(g))
+        u_tilde = g.sample(lambda t, x1, x2: 1.0 + 0.2 * np.sin(x1 + t) * np.cos(x2))
+        u = g.sample(lambda t, x1, x2: 1.0 + 0.1 * np.cos(x1 - t) * np.sin(x2))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            b = build_bundle(u, u_tilde, pot)
+            kept = tracemalloc.get_traced_memory()[0] - live
+        finally:
+            tracemalloc.stop()
+        assert b.u_tilde is u_tilde and b.pot is pot
+        fields = kept / (8 * np.prod(g.shape))
+        assert fields <= 4.1, fields
 
     def test_nonpositive_denominator_rejected(self, grid):
         pot = PotentialSpec(grid, q_preset(grid), np.ones(grid.n1 + 2))
@@ -131,6 +153,26 @@ class TestPipelineIdentities:
         assert b.B1.values.tobytes() == (-2.0 * gradient(ratio1)[0].values).tobytes()
         assert b.B2.values.tobytes() == (2.0 * gradient(ratio2)[0].values).tobytes()
         assert b.b_coef.values.tobytes() == (-gradient(b.a_coef)[0].values).tobytes()
+
+    def test_on_demand_fields_have_the_bytes_of_the_eager_build(self, grid):
+        # fu, A1, A2, a_coef and B1 are formed on access; each has the bytes
+        # of the formula an eager build of every coefficient field used
+        pair = _pair(grid)
+        b = build_bundle(pair.u, pair.u_tilde, pair.pot)
+        m = pair.pot.f[None, :, None] * pair.u_tilde.values
+        fu = ScalarField(grid, m, FULL)
+        dm1, dm2 = gradient(fu)
+        a = (time_derivative(fu).values - laplacian(fu).values) / m + pair.pot.potential_values()
+        eager = {
+            "fu": m, "A1": -2.0 * dm1.values / m, "A2": -2.0 * dm2.values / m, "a_coef": a,
+            "B1": -2.0 * derivative(dm1.values / m, grid.dx1, 1),
+            "B2": 2.0 * derivative(dm2.values / m, grid.dx1, 1),
+            "b_coef": -derivative(a, grid.dx1, 1),
+        }
+        for name, values in eager.items():
+            field = getattr(b, name)
+            assert isinstance(field, ScalarField), name
+            assert field.values.tobytes() == values.tobytes(), name
 
     def test_initial_level_of_z_is_exactly_zero(self, grid):
         pair = _pair(grid)
