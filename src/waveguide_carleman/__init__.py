@@ -17,7 +17,7 @@ from .grid import (
     save_field,
     load_field,
 )
-from .weights import WeightParams, WeightSystem, make_psi1, make_psi2, assemble_weight
+from .weights import WeightParams, WeightSystem, assemble_weight
 from .forward import PotentialSpec, BoundaryData, solve_heat, manufacture_pair, measurement
 from .transform import TransformBundle, build_bundle
 from .carleman import InequalityReport
@@ -38,8 +38,6 @@ __all__ = [
     "load_field",
     "WeightParams",
     "WeightSystem",
-    "make_psi1",
-    "make_psi2",
     "assemble_weight",
     "PotentialSpec",
     "BoundaryData",

@@ -536,14 +536,14 @@ def _carleman_sweep(name: str, ws: WeightSystem, f: ScalarField, f_name: str, s_
     decay * s g * ``wall_factor`` * (normal derivative of f)^2."""
     s_values = _require_s(s_values)
     trace_max = _boundary_trace_max(f, f_name)
-    grid, obs = f.grid, f.grid.domain.obs_segment
+    grid = f.grid
     wall = (slice(None), slice(None), grid.domain.obs_columns[0])
-    density = wall_factor * normal_derivative(f, obs) ** 2
+    density = wall_factor * normal_derivative(f) ** 2
     rows = _DecayRows(ws, *integrands())
     sweep = []
     for s in s_values:
         flux = ws.decay(s, wall) * (s * ws.g)[:, None] * density
-        entry = row(s, rows.masses(s), integrate_values(grid, flux, "boundary", segment=obs))
+        entry = row(s, rows.masses(s), integrate_values(grid, flux, "wall"))
         entry["empirical_C"] = _ratio(entry["lhs"], entry["rhs_source"] + entry["rhs_boundary"])
         sweep.append(entry)
     return _sweep_report(name, ws, sweep, "empirical_C",

@@ -49,6 +49,11 @@ def _s_sweep(values: list[float], least: int = 1) -> None:
     carl._require_s(values)
 
 
+def _off_the_caps(grid) -> None:
+    if grid.alpha_index in (0, grid.n1 + 1):
+        raise ValueError(f"alpha={grid.domain.alpha} snaps to the cap x1={grid.alpha_snapped}")
+
+
 def _one_of(value: str, choices: tuple[str, ...]) -> None:
     if value not in choices:
         raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
@@ -137,10 +142,13 @@ class ScenarioConfig:
 
     @classmethod
     def parse(cls, path: str | Path | None) -> "ScenarioConfig":
-        raw = configparser.ConfigParser()
+        raw = configparser.ConfigParser(interpolation=None)  # a "%" is literal
         raw.optionxform = str  # keys are case-sensitive
         if path is not None:
-            read = raw.read(str(path))
+            try:
+                read = raw.read(str(path))
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config file {path}: {exc}") from exc
             if not read:
                 raise ConfigError(f"config file not found: {path}")
 
@@ -171,8 +179,14 @@ class ScenarioConfig:
         for label, build in (
             ("[grid]/[domain] values", cfg.grid),
             ("[open] values", cfg.open_grid),
+            ("[domain] alpha on [grid]", lambda: _off_the_caps(cfg.grid())),
+            ("[domain] alpha on [open]", lambda: _off_the_caps(cfg.open_grid())),
             ("[weights] values", lambda: cfg.weight_params("bounded")),
             ("[open] lambda", lambda: cfg.weight_params("open")),
+            ("bounded weight on [grid]/[domain]/[weights]",
+             lambda: wts.assemble_weight(cfg.weight_params("bounded"), cfg.grid())),
+            ("open weight on [open]/[domain]/[weights]",
+             lambda: wts.assemble_weight(cfg.weight_params("open"), cfg.open_grid())),
             ("[stability] theta_list", lambda: stab.check_sweep(cfg.grid(), st["theta_list"], [])),
             ("[stability] eps_list", lambda: stab.check_sweep(cfg.grid(), [], st["eps_list"])),
             # theta 0 makes u and u~ coincide, so the pipeline field z vanishes

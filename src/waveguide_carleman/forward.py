@@ -423,7 +423,7 @@ def measurement(u: ScalarField) -> np.ndarray:
     of the axial derivative, taken on the observed lateral wall of
     ``u.grid``.  Only the three wall columns that the one-sided normal
     stencil reads are differentiated along x1; the values equal
-    ``normal_derivative(gradient(u)[0], segment)``."""
+    ``normal_derivative(gradient(u)[0])``."""
     grid = u.grid
     d1 = derivative(u.values[:, :, list(grid.domain.obs_columns)], grid.dx1, 1)
     return one_sided_derivative(np.moveaxis(d1, 2, 0), grid.dx2)

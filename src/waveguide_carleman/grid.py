@@ -30,11 +30,6 @@ import numpy as np
 # The one field kind, written to every field's metadata.
 FULL = "full-field"
 
-# Boundary segments.  x2_min/x2_max are the lateral walls, x1_min/x1_max
-# the end caps.
-SEGMENTS = ("x1_min", "x1_max", "x2_min", "x2_max")
-LATERAL_SEGMENTS = ("x2_min", "x2_max")
-
 
 @dataclass(frozen=True)
 class WaveguideDomain:
@@ -62,11 +57,6 @@ class WaveguideDomain:
             raise ValueError(f"alpha={self.alpha} must lie strictly inside (-L, L)")
         if self.obs_side not in ("top", "bottom"):
             raise ValueError(f"obs_side must be 'top' or 'bottom', got {self.obs_side!r}")
-
-    @property
-    def obs_segment(self) -> str:
-        """Boundary tag of the observed lateral wall."""
-        return "x2_max" if self.obs_side == "top" else "x2_min"
 
     @property
     def obs_columns(self) -> tuple[int, int, int]:
@@ -254,21 +244,12 @@ def time_derivative(f: ScalarField) -> ScalarField:
     return ScalarField(g, derivative(f.values, g.dt, 0), FULL)
 
 
-def normal_derivative(f: ScalarField, segment: str) -> np.ndarray:
-    """Outward normal derivative on one boundary segment, as a
-    ``(nt+1, n)`` array over time and the segment's nodes.
-
-    One-sided second-order stencil along the outward normal; the sign
-    convention is outward, so e.g. on the bottom wall the normal is -e2.
-    """
-    if segment not in SEGMENTS:
-        raise ValueError(f"unknown boundary segment {segment!r}")
+def normal_derivative(f: ScalarField) -> np.ndarray:
+    """Outward normal derivative on the observed lateral wall, as a
+    ``(nt+1, n1+2)`` array over time and x1: the one-sided second-order
+    stencil on the wall's :attr:`WaveguideDomain.obs_columns`."""
     g = f.grid
-    axis, d = (2, g.dx2) if segment in LATERAL_SEGMENTS else (1, g.dx1)
-    v = np.moveaxis(f.values, axis, 0)
-    if segment.endswith("_max"):
-        v = v[::-1]
-    return one_sided_derivative(v, d)
+    return one_sided_derivative(np.moveaxis(f.values, 2, 0)[list(g.domain.obs_columns)], g.dx2)
 
 
 def one_sided_derivative(v: np.ndarray, d: float) -> np.ndarray:
@@ -282,26 +263,19 @@ def one_sided_derivative(v: np.ndarray, d: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def integrate_values(grid: SpaceTimeGrid, values: np.ndarray, region: str,
-                     segment: str | None = None) -> float:
+def integrate_values(grid: SpaceTimeGrid, values: np.ndarray, region: str) -> float:
     """Trapezoidal integral of raw values over a named region.
 
-    Regions: ``Q`` (full space-time box), ``boundary`` (one boundary
-    segment crossed with time) and ``section_time`` ((0,T) x
+    Regions: ``Q`` (full space-time box), ``wall`` ((0,T) x the observed
+    wall, values over (t, x1)) and ``section_time`` ((0,T) x
     cross-section).  Each contracts one axis at a time with the grid's
     trapezoid weights, so no full-size temporary is formed.
     """
     if region == "Q":
         return float(grid.wt @ (values @ grid.w2 @ grid.w1))
-    if region == "boundary":
-        if segment not in SEGMENTS:
-            raise ValueError(f"boundary integral needs a segment, got {segment!r}")
-        w = grid.w1 if segment in LATERAL_SEGMENTS else grid.w2
-    elif region == "section_time":
-        w = grid.w2
-    else:
+    if region not in ("wall", "section_time"):
         raise ValueError(f"unknown region {region!r}")
-    return float(grid.wt @ values @ w)
+    return float(grid.wt @ values @ (grid.w1 if region == "wall" else grid.w2))
 
 
 def prefix_integral_x1(f: ScalarField) -> ScalarField:

@@ -102,7 +102,7 @@ def _reports(grid: SpaceTimeGrid, u: ScalarField, meas_u: np.ndarray, u_tilde: S
              q: np.ndarray, q_tilde: np.ndarray, epss, theta: float) -> list[StabilityReport]:
     """One report per eps; the right side, which no window enters, is formed once."""
     meas_diff = measurement(u_tilde) - meas_u
-    rhs_boundary = integrate_values(grid, meas_diff**2, "boundary", grid.domain.obs_segment)
+    rhs_boundary = integrate_values(grid, meas_diff**2, "wall")
     rhs_trace = mixed_sobolev_norm(u, u_tilde)
     rhs = rhs_boundary + rhs_trace
     r_bound = max(float(np.sqrt(integrate_values(grid, np.asarray(p, dtype=float) ** 2,

@@ -78,8 +78,9 @@ class AxialWeightProfile:
 
     The slope vanishes at both caps and changes sign exactly at ``alpha``
     (positive left of it, negative right of it), so the profile has its
-    maximum at the anchor.  ``offset`` shifts the primitive so that the
-    minimum over [-L, L] equals ``c1 > 0``.
+    maximum at the anchor, which must lie strictly inside (-L, L).
+    ``offset`` shifts the primitive so that the minimum over [-L, L]
+    equals ``c1 > 0``.
     """
 
     L: float
@@ -88,6 +89,8 @@ class AxialWeightProfile:
     offset: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if not (-self.L < self.alpha < self.L):
+            raise ValueError(f"alpha={self.alpha} must lie strictly inside (-L, L)")
         p_ends = min(self._primitive(-self.L), self._primitive(self.L))
         object.__setattr__(self, "offset", self.c1 - p_ends)
 
@@ -135,18 +138,6 @@ class SectionWeightProfile:
         return np.full_like(np.asarray(x2, dtype=float), self.slope)
 
 
-def make_psi1(domain, c1: float, alpha: float) -> AxialWeightProfile:
-    """Axial weight profile anchored at ``alpha``."""
-    if not (-domain.L < alpha < domain.L):
-        raise ValueError(f"alpha={alpha} must lie strictly inside (-L, L)")
-    return AxialWeightProfile(L=domain.L, alpha=alpha, c1=c1)
-
-
-def make_psi2(domain, delta: float) -> SectionWeightProfile:
-    """Cross-section weight profile increasing toward the observed wall."""
-    return SectionWeightProfile(h=domain.h, delta=delta, obs_side=domain.obs_side)
-
-
 def singular_time_profile(grid: SpaceTimeGrid) -> np.ndarray:
     """Samples of 1/(t*(T-t)) with endpoint placeholders equal to 0.
 
@@ -185,7 +176,8 @@ class WeightSystem:
     never stored at full size.  Each closed-form derivative is a time
     profile times a signed spatial factor: d/dt ``g_t (x)
     spatial_weight``, the gradient ``g (x) gradient_factors``, the
-    Laplacian ``g (x) laplacian_factor``."""
+    Laplacian ``g (x) laplacian_factor``.  Raises ``ValueError`` when the
+    plane or a factor is not finite, as when ``exp(lam * psi)`` overflows."""
 
     def __init__(self, params: WeightParams, grid: SpaceTimeGrid,
                  psi1_profile=None, psi2_profile=None):
@@ -195,51 +187,43 @@ class WeightSystem:
         self.grid = grid
         domain = grid.domain
 
-        self.psi2_profile = psi2_profile if psi2_profile is not None else make_psi2(
-            domain, params.delta
-        )
-        self.psi1_profile = psi1_profile if psi1_profile is not None else make_psi1(
-            domain, params.c1, grid.alpha_snapped
-        )
-
-        p1 = self.psi1_profile.value(grid.x1)
-        p2 = self.psi2_profile.value(grid.x2)
-        dp2 = self.psi2_profile.derivative(grid.x2)
-
+        self.psi2_profile = psi2_profile if psi2_profile is not None else SectionWeightProfile(
+            domain.h, params.delta, domain.obs_side)
+        # psi = a(x1) psi2(x2) with (a, a', a''): psi1 and its derivatives in
+        # the bounded regime, exp(x1) thrice in the open one
+        self.psi1_profile = None
         if params.regime == "bounded":
-            dp1 = self.psi1_profile.derivative(grid.x1)
-            d2p1 = self.psi1_profile.second_derivative(grid.x1)
-            psi = np.outer(p1, p2)
-            dpsi_dx1 = np.outer(dp1, p2)
-            dpsi_dx2 = np.outer(p1, dp2)
-            lap_psi = np.outer(d2p1, p2)  # the affine psi2 has zero curvature
+            p1 = self.psi1_profile = psi1_profile if psi1_profile is not None else (
+                AxialWeightProfile(domain.L, grid.alpha_snapped, params.c1))
+            a, da, d2a = p1.value(grid.x1), p1.derivative(grid.x1), p1.second_derivative(grid.x1)
         else:
-            ex = np.exp(grid.x1)
-            psi = np.outer(ex, p2)
-            dpsi_dx1 = psi
-            dpsi_dx2 = np.outer(ex, dp2)
-            lap_psi = psi  # exp(x1)*psi2 is its own axial second derivative
-
-        self.psi_values = psi
-        self.dpsi_dx1 = dpsi_dx1
-        self.dpsi_dx2 = dpsi_dx2
+            a = da = d2a = np.exp(grid.x1)
+        p2 = self.psi2_profile.value(grid.x2)
+        psi = self.psi_values = np.outer(a, p2)
+        dpsi_dx1 = self.dpsi_dx1 = np.outer(da, p2)
+        dpsi_dx2 = self.dpsi_dx2 = np.outer(a, self.psi2_profile.derivative(grid.x2))
+        lap_psi = np.outer(d2a, p2)  # the affine psi2 has zero curvature
         self.psi_sup = float(np.max(np.abs(psi)))
         self.C0_margin = float(np.min(np.hypot(dpsi_dx1, dpsi_dx2)))
 
         self.g = singular_time_profile(grid)
         self.g_t = singular_time_profile_derivative(grid)
         lam = params.lam
-        exp_lam_psi = np.exp(lam * psi)
-        if params.regime == "bounded":
-            weight_cap = float(np.exp(2.0 * lam * self.psi_sup))
-            self.spatial_weight = weight_cap - exp_lam_psi
-            core = -lam * exp_lam_psi
-        else:
-            self.spatial_weight = exp_lam_psi
-            core = lam * exp_lam_psi
-        # grad(spatial weight) = core grad(psi), Lap = core (Lap psi + lam |grad psi|^2)
-        self.gradient_factors = (core * dpsi_dx1, core * dpsi_dx2)
-        self.laplacian_factor = core * (lap_psi + lam * (dpsi_dx1**2 + dpsi_dx2**2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp_lam_psi = np.exp(lam * psi)
+            if params.regime == "bounded":
+                weight_cap = float(np.exp(2.0 * lam * self.psi_sup))
+                self.spatial_weight = weight_cap - exp_lam_psi
+                core = -lam * exp_lam_psi
+            else:
+                self.spatial_weight = exp_lam_psi
+                core = lam * exp_lam_psi
+            # grad(spatial weight) = core grad(psi), Lap = core (Lap psi + lam |grad psi|^2)
+            self.gradient_factors = (core * dpsi_dx1, core * dpsi_dx2)
+            self.laplacian_factor = core * (lap_psi + lam * (dpsi_dx1**2 + dpsi_dx2**2))
+        if not all(np.all(np.isfinite(f)) for f in (self.spatial_weight, *self.gradient_factors,
+                                                     self.laplacian_factor)):
+            raise ValueError(f"the weight overflows: lambda={lam} with sup psi={self.psi_sup}")
         #: Minimum over x2 of the spatial weight, per x1 node: exp(-2 s g(t)
         #: min_spatial_weight[i]) bounds the decay on every x2 node of (t, i).
         self.min_spatial_weight = self.spatial_weight.min(axis=1)
@@ -312,7 +296,8 @@ class WeightSystem:
 def assemble_weight(params: WeightParams, grid: SpaceTimeGrid,
                     psi1_profile=None, psi2_profile=None) -> WeightSystem:
     """Build a :class:`WeightSystem`; the profile arguments are test hooks
-    that substitute degenerate profiles for the constructed ones."""
+    that substitute degenerate profiles for the constructed ones (the open
+    regime reads no ``psi1_profile``: its axial factor is exp(x1))."""
     return WeightSystem(params, grid, psi1_profile=psi1_profile, psi2_profile=psi2_profile)
 
 
@@ -348,28 +333,30 @@ class AssumptionReport:
         return report_text(entries)
 
 
+def _shared_bullets(ws: WeightSystem, regime: str, caps=()) -> list[AssumptionBullet]:
+    """Raise ``ValueError`` unless ``ws`` is a ``regime`` system; else the
+    three bullets both checkers open with: psi > 0, |grad psi| > 0, and an
+    outward normal slope of psi <= 0 off the observed wall, that is on the
+    unobserved wall and on the outward cap slopes ``caps``."""
+    if ws.params.regime != regime:
+        raise ValueError(f"{regime}-regime checker called on "
+                         f"{'an open' if regime == 'bounded' else 'a bounded'}-regime system")
+    min_psi = float(np.min(ws.psi_values))
+    worst = float(max(a.max() for a in (*caps, ws.hidden_normal_psi())))
+    return [AssumptionBullet("psi_positive", min_psi > 0.0, min_psi),
+            AssumptionBullet("gradient_lower_bound", ws.C0_margin > 0.0, ws.C0_margin),
+            AssumptionBullet("normal_nonpositive_off_obs", worst <= 0.0, worst)]
+
+
 def check_assumption_bounded(ws: WeightSystem) -> AssumptionReport:
     """Evaluate the five structural conditions on the bounded-regime psi.
 
     Margins come from the exact closed-form derivatives.  Failures are
     reported, never raised, so degenerate test profiles can be probed.
     """
-    if ws.params.regime != "bounded":
-        raise ValueError("bounded-regime checker called on an open-regime system")
+    shared = _shared_bullets(ws, "bounded", caps=(-ws.dpsi_dx1[0, :], ws.dpsi_dx1[-1, :]))
     grid = ws.grid
     ia = grid.alpha_index
-
-    min_psi = float(np.min(ws.psi_values))
-    b1 = AssumptionBullet("psi_positive", min_psi > 0.0, min_psi)
-
-    b2 = AssumptionBullet("gradient_lower_bound", ws.C0_margin > 0.0, ws.C0_margin)
-
-    # Outward normal derivative of psi away from the observed wall: the two
-    # caps and the unobserved lateral wall.
-    cap_lo = -ws.dpsi_dx1[0, :]
-    cap_hi = ws.dpsi_dx1[-1, :]
-    worst = float(max(cap_lo.max(), cap_hi.max(), ws.hidden_normal_psi().max()))
-    b3 = AssumptionBullet("normal_nonpositive_off_obs", worst <= 0.0, worst)
 
     # Axial slope: positive strictly left of the anchor, negative strictly
     # right of it (maximum of psi1 at alpha).  The caps are excluded: the
@@ -387,7 +374,7 @@ def check_assumption_bounded(ws: WeightSystem) -> AssumptionReport:
         "min_psi1": float(np.min(ws.psi1_profile.value(grid.x1))),
         "min_psi2": float(np.min(ws.psi2_profile.value(grid.x2))),
     }
-    return AssumptionReport("bounded", [b1, b2, b3, b4, b5], extras)
+    return AssumptionReport("bounded", [*shared, b4, b5], extras)
 
 
 def check_assumption_open(ws: WeightSystem) -> AssumptionReport:
@@ -399,18 +386,9 @@ def check_assumption_open(ws: WeightSystem) -> AssumptionReport:
     margins decay like exp(-R) on the left), so those two bullets carry a
     truncation flag and report their truncation-dependent margins.
     """
-    if ws.params.regime != "open":
-        raise ValueError("open-regime checker called on a bounded-regime system")
+    shared = _shared_bullets(ws, "open")
     grid = ws.grid
     R = grid.domain.L
-
-    min_psi = float(np.min(ws.psi_values))
-    b1 = AssumptionBullet("psi_positive", min_psi > 0.0, min_psi)
-
-    b2 = AssumptionBullet("gradient_lower_bound", ws.C0_margin > 0.0, ws.C0_margin)
-
-    worst = float(ws.hidden_normal_psi().max())
-    b3 = AssumptionBullet("normal_nonpositive_off_obs", worst <= 0.0, worst)
 
     kappa = float(np.min(ws.dpsi_dx1))
     b4 = AssumptionBullet(
@@ -434,4 +412,4 @@ def check_assumption_open(ws: WeightSystem) -> AssumptionReport:
         "truncation_radius": R,
         "unbounded_strip_flags": "axial_slope_lower_bound,superlinear_growth",
     }
-    return AssumptionReport("open", [b1, b2, b3, b4, b5], extras)
+    return AssumptionReport("open", [*shared, b4, b5], extras)

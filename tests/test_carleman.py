@@ -675,7 +675,7 @@ class TestCarlemanOpen:
         lam, decay = open_ws.params.lam, open_ws.decay(s)
         phi = np.multiply.outer(open_ws.g, open_ws.spatial_weight)
         g1, g2 = gradient(u)
-        dnu_u = normal_derivative(u, "x2_max")
+        dnu_u = normal_derivative(u)
         flux = decay[:, :, -1] * phi[:, :, -1] * dnu_u**2 * open_ws.dpsi_dx2[None, :, -1]
         dec = conjugated_operator(
             ScalarField(open_grid, open_ws.decay(s / 2) * u.values, FULL), open_ws, s=s)

@@ -102,6 +102,12 @@ class TestConfigParsing:
         ("verify-carleman", "[carleman]\ntheta: 0\n", "[carleman] theta"),
         ("verify-carleman", "[domain]\nh: 1e-300\n", "[grid]/[domain] values"),
         ("verify-lemmas", "[weights]\ns_sweep: 4,2\n", "[weights] s_sweep"),
+        # an anchor that snaps onto a cap node: 2/33 apart on [grid], 2/8 on [open]
+        ("check-weights", "[domain]\nalpha: 0.98\n", "[domain] alpha on [grid]"),
+        ("verify-lemmas", "[domain]\nalpha: 0.9\n\n[open]\nn1: 7\n", "[domain] alpha on [open]"),
+        # sup psi = 725.5 at L = 6.5, so exp(2 lam sup psi) overflows
+        ("check-weights", "[domain]\nL: 6.5\n", "bounded weight on [grid]"),
+        ("verify-carleman", "[open]\nlambda: 800\n", "open weight on [open]"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"
@@ -110,6 +116,35 @@ class TestConfigParsing:
             ScenarioConfig.parse(p)
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw", [
+        b"[scenario]\nname: x\n\n[grid]\nn1: 8\n\n[grid]\nn2: 8\n",
+        b"[scenario]\nname: x\nname: y\n",
+        b"name: x\n[scenario]\nname: x\n",
+        b"[scenario]\nname: x\nno separator here\n",
+        b"\xff\xfe[scenario]\nname: x\n",
+    ], ids=["duplicate-section", "duplicate-key", "no-section-header", "no-separator",
+            "not-utf8"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, raw):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(raw)
+        with pytest.raises(ConfigError, match="bad.cfg"):
+            ScenarioConfig.parse(p)
+        assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "bad.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        # the file is flat key: value text, with no %(key)s interpolation
+        p = tmp_path / "pct.cfg"
+        p.write_text("[scenario]\nname: 100% (%(x)s)\n")
+        assert ScenarioConfig.parse(p)["scenario"]["name"] == "100% (%(x)s)"
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "absent.cfg"
+        assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config file not found: {p}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_defaults_fill_in(self, cfg_path):
@@ -149,6 +184,17 @@ class TestCommands:
         assert (out / "u.meta").exists() and (out / "u.f64").exists()
         text = (out / "forward_oracle.txt").read_text()
         assert "relative_l2_error" in text and "fitted_order" in text
+
+    def test_forward_positive_preset(self, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("[scenario]\nname: positive\n\n[forward]\npreset: positive\n")
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "u.meta").exists() and (out / "u.f64").exists()
+        report = dict(line.split(": ", 1)
+                      for line in (out / "forward_positive.txt").read_text().splitlines())
+        assert float(report["min_u"]) == pytest.approx(0.9407773423660128, rel=1e-12)
+        assert float(report["compatibility_residual"]) == 0.0
 
     def test_verify_lemmas_ok_and_deterministic(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

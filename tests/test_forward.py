@@ -554,7 +554,7 @@ class TestMeasurement:
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0, obs_side=obs_side), 20, 16, 8)
         u = ScalarField(g, rng.standard_normal(g.shape), FULL)
         m = measurement(u)
-        ref = normal_derivative(gradient(u)[0], g.domain.obs_segment)
+        ref = normal_derivative(gradient(u)[0])
         assert m.tobytes() == ref.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -568,7 +568,7 @@ class TestMeasurement:
         L, h, T = extents
         g = build_grid(WaveguideDomain(L=L, h=h, T=T, obs_side=obs_side), *sizes)
         u = ScalarField(g, np.random.default_rng(seed).standard_normal(g.shape), FULL)
-        ref = normal_derivative(gradient(u)[0], g.domain.obs_segment)
+        ref = normal_derivative(gradient(u)[0])
         assert measurement(u).tobytes() == ref.tobytes()
 
     def test_oracle_measurement_matches_analytic(self, domain):

@@ -175,69 +175,44 @@ class TestCalculus:
 
 class TestNormalDerivative:
     def test_lateral_signs(self, grid):
-        f = grid.sample(lambda t, x1, x2: x2 + 0 * t * x1)
-        top = normal_derivative(f, "x2_max")
-        bot = normal_derivative(f, "x2_min")
+        # the outward normal is +e2 on the top wall and -e2 on the bottom one
+        bottom = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, obs_side="bottom"), 15, 15, 16)
+        top = normal_derivative(grid.sample(lambda t, x1, x2: x2 + 0 * t * x1))
+        bot = normal_derivative(bottom.sample(lambda t, x1, x2: x2 + 0 * t * x1))
         assert top.shape == bot.shape == (grid.nt + 1, grid.n1 + 2)
         np.testing.assert_allclose(top, 1.0, atol=5e-13)
         np.testing.assert_allclose(bot, -1.0, atol=5e-13)
 
-    def test_cap_sign_matches_outward_convention(self, grid):
-        # outward normal at the left cap points toward negative x1
-        f = grid.sample(lambda t, x1, x2: x1 + 0 * t * x2)
-        left = normal_derivative(f, "x1_min")
-        right = normal_derivative(f, "x1_max")
-        assert left.shape == right.shape == (grid.nt + 1, grid.n2 + 2)
-        np.testing.assert_allclose(left, -1.0, atol=5e-13)
-        np.testing.assert_allclose(right, 1.0, atol=5e-13)
-
-    def test_unknown_segment(self, grid):
-        f = grid.sample(lambda t, x1, x2: x1 * x2 * t)
-        with pytest.raises(ValueError, match="segment"):
-            normal_derivative(f, "x3_max")
-
-    def test_cap_trace_matches_gradient_restriction(self, grid):
-        f = grid.sample(lambda t, x1, x2: np.sin(x1) * np.cos(x2) * (1 + t))
-        g1, _ = gradient(f)
-        right = normal_derivative(f, "x1_max")
-        left = normal_derivative(f, "x1_min")
-        tol = 10.0 * grid.dx1**2
-        assert np.max(np.abs(right - g1.values[:, -1, :])) <= tol
-        assert np.max(np.abs(left + g1.values[:, 0, :])) <= tol
-
     @settings(max_examples=60, deadline=None)
     @given(
+        obs_side=st.sampled_from(["top", "bottom"]),
         sizes=st.tuples(st.integers(4, 12), st.integers(4, 12), st.integers(4, 8)),
         extents=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
         coeffs=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=7, max_size=7),
     )
-    def test_exact_on_quadratics(self, sizes, extents, coeffs):
+    def test_exact_on_quadratics(self, obs_side, sizes, extents, coeffs):
         # the one-sided 3-point stencil is exact on quadratics, so on
-        # (1 + p t)(a + b x1 + c x2 + d x1^2 + e x1 x2 + k x2^2) each segment
-        # reads the outward derivative up to round-off of values of size
-        # `scale` divided by the spacing
+        # (1 + p t)(a + b x1 + c x2 + d x1^2 + e x1 x2 + k x2^2) the observed
+        # wall reads the outward derivative up to round-off of values of
+        # size `scale` divided by the spacing
         a, b, c, d, e, k, p = coeffs
         L, h, T = extents
-        g = build_grid(WaveguideDomain(L=L, h=h, T=T), *sizes)
-        tt, x1, x2 = g.mesh()
+        g = build_grid(WaveguideDomain(L=L, h=h, T=T, obs_side=obs_side), *sizes)
+        tt, x1, _ = g.mesh()
         f = g.sample(lambda t, x1, x2: (1.0 + p * t)
                      * (a + b * x1 + c * x2 + d * x1**2 + e * x1 * x2 + k * x2**2))
         time = 1.0 + p * tt[:, :, 0]
-        outward = {
-            "x2_max": time * (c + e * x1[:, :, 0] + 2.0 * k * h),
-            "x2_min": -time * (c + e * x1[:, :, 0]),
-            "x1_max": time * (b + 2.0 * d * L + e * x2[:, 0, :]),
-            "x1_min": -time * (b - 2.0 * d * L + e * x2[:, 0, :]),
-        }
+        if obs_side == "top":
+            exact = time * (c + e * x1[:, :, 0] + 2.0 * k * h)
+        else:
+            exact = -time * (c + e * x1[:, :, 0])
         scale = (1.0 + abs(p) * T) * (abs(a) + (abs(b) + abs(d) * L) * L
                                       + (abs(c) + abs(k) * h) * h + abs(e) * L * h)
         fp = np.finfo(float)
-        for segment, exact in outward.items():
-            got = normal_derivative(f, segment)
-            d_normal = g.dx2 if segment.startswith("x2") else g.dx1
-            tol = 64.0 * fp.eps * (scale / d_normal + np.max(np.abs(exact))) + fp.tiny
-            assert got.shape == exact.shape
-            np.testing.assert_allclose(got, exact, rtol=0, atol=tol)
+        got = normal_derivative(f)
+        tol = 64.0 * fp.eps * (scale / g.dx2 + np.max(np.abs(exact))) + fp.tiny
+        assert got.shape == exact.shape
+        np.testing.assert_allclose(got, exact, rtol=0, atol=tol)
 
 
 class TestQuadrature:
@@ -272,21 +247,19 @@ class TestQuadrature:
 
     def test_region_kind_compatibility(self, grid):
         sec = np.ones((grid.nt + 1, grid.n2 + 2))
-        # time x cross-section measure: T * h
+        # time x cross-section measure: T * h; time x wall measure: T * 2L
         assert integrate_values(grid, sec, "section_time") == pytest.approx(2.0, abs=1e-12)
-        with pytest.raises(ValueError, match="segment"):
-            integrate_values(grid, sec, "boundary")
-        with pytest.raises(ValueError, match="region"):
-            integrate_values(grid, sec, "nowhere")
+        wall = np.ones((grid.nt + 1, grid.n1 + 2))
+        assert integrate_values(grid, wall, "wall") == pytest.approx(4.0, abs=1e-12)
+        for gone in ("boundary", "nowhere"):
+            with pytest.raises(ValueError, match="region"):
+                integrate_values(grid, sec, gone)
 
-    # Each region's (axes, segment); axes name the variables of its values.
+    # Each region and the variables of its values.
     REGIONS = (
-        ("Q", ("t", "x1", "x2"), None),
-        ("boundary", ("t", "x1"), "x2_min"),
-        ("boundary", ("t", "x1"), "x2_max"),
-        ("boundary", ("t", "x2"), "x1_min"),
-        ("boundary", ("t", "x2"), "x1_max"),
-        ("section_time", ("t", "x2"), None),
+        ("Q", ("t", "x1", "x2")),
+        ("wall", ("t", "x1")),
+        ("section_time", ("t", "x2")),
     )
 
     @settings(max_examples=60, deadline=None)
@@ -299,7 +272,7 @@ class TestQuadrature:
     def test_exact_on_multilinear_fields(self, which, sizes, extents, coeffs):
         # the tensor trapezoid rule integrates every product of affine
         # factors exactly, so only round-off of the summands is left
-        region, axes, segment = self.REGIONS[which]
+        region, axes = self.REGIONS[which]
         L, h, T = extents
         g = build_grid(WaveguideDomain(L=L, h=h, T=T), *sizes)
         nodes = {"t": g.t, "x1": g.x1, "x2": g.x2}
@@ -319,7 +292,7 @@ class TestQuadrature:
             values += c * term
             exact += c * moment
             scale += abs(c) * size
-        got = integrate_values(g, values, region, segment)
+        got = integrate_values(g, values, region)
         assert abs(got - exact) <= 1e-12 * scale + 1e-300
 
 
@@ -542,7 +515,7 @@ class TestPersistence:
         # a wall trace beside its (t, x1) values
         f = grid.sample(lambda t, x1, x2: x2 + 0 * t * x1)
         meta_path, data_path = save_field(f, tmp_path / "trace")
-        tr = normal_derivative(f, "x2_max")
+        tr = normal_derivative(f)
         data_path.write_bytes(tr.astype("<f8").tobytes())
         meta_path.write_text(meta_path.read_text()
                              .replace("kind: full-field", "kind: boundary-trace")

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid, make_psi1, make_psi2
+from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid
 from waveguide_carleman.weights import (
     EXPONENT_FLOOR,
     UNDERFLOW_CLAMP,
+    AxialWeightProfile,
     SectionWeightProfile,
     check_assumption_bounded,
     check_assumption_open,
@@ -28,52 +30,52 @@ def _weight(ws):
 
 class TestSectionProfile:
     def test_affine_values_top_observed(self, domain):
-        p2 = make_psi2(domain, 0.5)
+        p2 = SectionWeightProfile(h=domain.h, delta=0.5, obs_side=domain.obs_side)
         assert p2.value(0.0) == pytest.approx(0.5)
         assert p2.value(1.0) == pytest.approx(1.5)
 
     def test_normal_slope_on_hidden_wall(self, domain):
         # outward normal at the bottom wall is -e2; the profile slope is +1
-        p2 = make_psi2(domain, 0.5)
+        p2 = SectionWeightProfile(h=domain.h, delta=0.5, obs_side=domain.obs_side)
         assert -p2.derivative(np.array([0.0]))[0] == pytest.approx(-1.0)
 
     def test_unit_slope_everywhere(self, domain, grid):
-        p2 = make_psi2(domain, 0.5)
+        p2 = SectionWeightProfile(h=domain.h, delta=0.5, obs_side=domain.obs_side)
         assert np.min(np.abs(p2.derivative(grid.x2))) == pytest.approx(1.0)
 
     def test_bottom_observed_reflection(self):
         d = WaveguideDomain(L=1.0, h=1.0, T=2.0, obs_side="bottom")
-        p2 = make_psi2(d, 0.5)
+        p2 = SectionWeightProfile(h=d.h, delta=0.5, obs_side=d.obs_side)
         assert p2.value(0.0) == pytest.approx(1.5)
         assert p2.value(1.0) == pytest.approx(0.5)
 
 
 class TestAxialProfile:
     def test_slope_roots(self, domain):
-        p1 = make_psi1(domain, 0.5, domain.alpha)
+        p1 = AxialWeightProfile(L=domain.L, alpha=domain.alpha, c1=0.5)
         roots = p1.derivative(np.array([-1.0, 0.0, 1.0]))
         np.testing.assert_allclose(roots, 0.0, atol=1e-15)
 
     def test_slope_signs_maximum_at_anchor(self, domain):
         # the profile increases toward the anchor from both sides, so the
         # comparison kernel of the anchored prefix inequality stays <= 1
-        p1 = make_psi1(domain, 0.5, domain.alpha)
+        p1 = AxialWeightProfile(L=domain.L, alpha=domain.alpha, c1=0.5)
         assert p1.derivative(np.array([-0.5]))[0] > 0.0
         assert p1.derivative(np.array([0.5]))[0] < 0.0
         assert abs(p1.derivative(np.array([0.5]))[0]) == pytest.approx(0.375)
 
     def test_floor_on_dense_sampling(self, domain):
         # dense 1-D oracle: the minimum equals c1 and sits at a cap
-        p1 = make_psi1(domain, 0.5, domain.alpha)
+        p1 = AxialWeightProfile(L=domain.L, alpha=domain.alpha, c1=0.5)
         xs = np.linspace(-1.0, 1.0, 20001)
         vals = p1.value(xs)
         assert np.min(vals) == pytest.approx(0.5, abs=1e-9)
         assert abs(abs(xs[np.argmin(vals)]) - 1.0) < 1e-3
         assert p1.value(np.array([domain.alpha]))[0] == np.max(vals)
 
-    def test_alpha_validation(self, domain):
-        with pytest.raises(ValueError):
-            make_psi1(domain, 0.5, alpha=1.5)
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            AxialWeightProfile(L=1.0, alpha=1.5, c1=0.5)
 
 
 class TestAssembleWeight:
@@ -114,6 +116,26 @@ class TestAssembleWeight:
             ws.psi_values,
             np.outer(ws.psi1_profile.value(grid.x1), ws.psi2_profile.value(grid.x2)),
         )
+
+    def test_open_psi_is_exp_x1_times_psi2(self, open_grid):
+        # e^x1 is its own derivative: psi, d psi/dx1 share their bytes, and
+        # the quartic psi1 is never built
+        ws = assemble_weight(WeightParams(regime="open"), open_grid)
+        expected = np.outer(np.exp(open_grid.x1), ws.psi2_profile.value(open_grid.x2))
+        assert ws.psi_values.tobytes() == expected.tobytes()
+        assert ws.dpsi_dx1.tobytes() == expected.tobytes()
+        assert ws.psi1_profile is None
+
+    @pytest.mark.parametrize("regime", ["bounded", "open"])
+    def test_overflowing_weight_raises_without_a_warning(self, regime):
+        # L = 6.5 puts sup psi at 725 (bounded) and exp(lam psi) past the
+        # largest double in both regimes
+        d = WaveguideDomain(L=6.5, h=1.0, T=2.0, truncated=regime == "open")
+        g = build_grid(d, 32, 32, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflows: lambda=1\.0 with sup psi="):
+                assemble_weight(WeightParams(regime=regime), g)
 
     def test_holds_no_full_size_array(self):
         # the weight is held as g (x) spatial_weight: time profiles and
