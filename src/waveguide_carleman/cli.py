@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,21 @@ from .grid import WaveguideDomain, build_grid, fit_convergence_order, report_tex
 
 
 class ConfigError(Exception):
-    """Invalid or missing configuration; the message names the key."""
+    """Invalid or missing configuration; the message names the key.  When a
+    rule fails, ``label`` names it and ``__cause__`` is its ``ValueError``."""
+
+    def __init__(self, message: str, label: str | None = None):
+        super().__init__(message)
+        self.label = label
+
+
+def _rule(label: str, build, *args, **kwargs):
+    """Run one rule of :meth:`ScenarioConfig.parse` and return what it
+    builds; its ``ValueError`` becomes a ``ConfigError`` naming ``label``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {label}: {exc}", label) from exc
 
 
 def _at_least(n: float, floor: int) -> None:
@@ -133,15 +147,21 @@ _SPEC: dict[str, dict[str, tuple]] = {
 
 @dataclass
 class ScenarioConfig:
-    """Fully validated configuration with every default resolved."""
+    """Fully validated configuration with every default resolved, and the
+    weight system of each regime (``"bounded"``, ``"open"``), each of which
+    holds its grid."""
 
-    values: dict[str, dict[str, object]] = field(default_factory=dict)
+    values: dict[str, dict[str, object]]
+    weights: dict[str, wts.WeightSystem]
 
     def __getitem__(self, section: str) -> dict[str, object]:
         return self.values[section]
 
     @classmethod
-    def parse(cls, path: str | Path | None) -> "ScenarioConfig":
+    def parse(cls, path: str | Path | None, overrides: dict | None = None) -> "ScenarioConfig":
+        """Read ``path``, let ``overrides`` (``{(section, key): value}``, from
+        the command-line flags) replace their keys, then run every rule in
+        order, building each grid and weight system once."""
         raw = configparser.ConfigParser(interpolation=None)  # a "%" is literal
         raw.optionxform = str  # keys are case-sensitive
         if path is not None:
@@ -152,16 +172,20 @@ class ScenarioConfig:
             if not read:
                 raise ConfigError(f"config file not found: {path}")
 
+        overrides = overrides or {}
         values: dict[str, dict[str, object]] = {}
         for section, keys in _SPEC.items():
             values[section] = {}
             for key, (default, parser, _desc) in keys.items():
-                if raw.has_option(section, key):
+                if (section, key) in overrides:
+                    values[section][key] = overrides[section, key]
+                elif raw.has_option(section, key):
                     text = raw.get(section, key)
                     try:
                         values[section][key] = parser(text)
                     except (TypeError, ValueError) as exc:
-                        raise ConfigError(f"invalid value for [{section}] {key}: {text!r}") from exc
+                        raise ConfigError(
+                            f"invalid value for [{section}] {key}: {text!r}") from exc
                 elif default is None:
                     raise ConfigError(f"missing config key: {section}.{key}")
                 else:
@@ -174,62 +198,45 @@ class ScenarioConfig:
                 if key not in _SPEC[section]:
                     raise ConfigError(f"unknown config key: {section}.{key}")
 
-        cfg = cls(values)
-        st = cfg["stability"]
-        for label, build in (
-            ("[grid]/[domain] values", cfg.grid),
-            ("[open] values", cfg.open_grid),
-            ("[domain] alpha on [grid]", lambda: _off_the_caps(cfg.grid())),
-            ("[domain] alpha on [open]", lambda: _off_the_caps(cfg.open_grid())),
-            ("[weights] values", lambda: cfg.weight_params("bounded")),
-            ("[open] lambda", lambda: cfg.weight_params("open")),
-            ("bounded weight on [grid]/[domain]/[weights]",
-             lambda: wts.assemble_weight(cfg.weight_params("bounded"), cfg.grid())),
-            ("open weight on [open]/[domain]/[weights]",
-             lambda: wts.assemble_weight(cfg.weight_params("open"), cfg.open_grid())),
-            ("[stability] theta_list", lambda: stab.check_sweep(cfg.grid(), st["theta_list"], [])),
-            ("[stability] eps_list", lambda: stab.check_sweep(cfg.grid(), [], st["eps_list"])),
-            # theta 0 makes u and u~ coincide, so the pipeline field z vanishes
-            ("[carleman] theta",
-             lambda: stab.check_sweep(cfg.grid(), [cfg["carleman"]["theta"]], [])),
-            ("[lemmas] draws", lambda: _at_least(cfg["lemmas"]["draws"], 1)),
-            ("[lemmas] seed", lambda: _at_least(cfg["lemmas"]["seed"], 0)),
-            ("[forward] preset", lambda: _one_of(cfg["forward"]["preset"], ("oracle", "positive"))),
-            ("[forward] q_amplitude", lambda: _at_least(cfg["forward"]["q_amplitude"], 0)),
-            ("[stability] q_amplitude", lambda: _at_least(st["q_amplitude"], 0)),
-            ("[stability] f_bump", lambda: synth.axial_factor(cfg.grid(), st["f_bump"])),
-            ("[weights] s_sweep", lambda: _s_sweep(cfg["weights"]["s_sweep"])),
-            # verify-carleman sweeps all but the last entry; verify-lemmas fits a slope
-            ("[open] s_sweep", lambda: _s_sweep(cfg["open"]["s_sweep"], least=2)),
-            ("[carleman] s_sweep", lambda: _s_sweep(cfg["carleman"]["s_sweep"])),
-        ):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(f"invalid {label}: {exc}") from exc
-        return cfg
-
-    def domain(self, truncated: bool) -> WaveguideDomain:
-        d = self["domain"]
-        return WaveguideDomain(
-            L=d["L"], h=d["h"], T=d["T"], alpha=d["alpha"],
-            obs_side=d["obs_side"], truncated=truncated,
-        )
+        g, o, w, st, fw = (values[k] for k in ("grid", "open", "weights", "stability", "forward"))
+        grid = _rule("[grid]/[domain] values", lambda: build_grid(
+            WaveguideDomain(**values["domain"]), g["n1"], g["n2"], g["nt"]))
+        open_grid = _rule("[open] values", lambda: build_grid(
+            replace(grid.domain, truncated=True), o["n1"], o["n2"], o["nt"]))
+        _rule("[domain] alpha on [grid]", _off_the_caps, grid)
+        _rule("[domain] alpha on [open]", _off_the_caps, open_grid)
+        params = _rule("[weights] values", wts.WeightParams,
+                       lam=w["lambda"], s=w["s"], delta=w["delta"], c1=w["c1"])
+        open_params = _rule("[open] lambda", replace, params, lam=o["lambda"], regime="open")
+        weights = {
+            "bounded": _rule("bounded weight on [grid]/[domain]/[weights]",
+                             wts.assemble_weight, params, grid),
+            "open": _rule("open weight on [open]/[domain]/[weights]",
+                          wts.assemble_weight, open_params, open_grid),
+        }
+        _rule("[stability] theta_list", stab.check_sweep, grid, st["theta_list"], [])
+        _rule("[stability] eps_list", stab.check_sweep, grid, [], st["eps_list"])
+        # theta 0 makes u and u~ coincide, so the pipeline field z vanishes
+        _rule("[carleman] theta", stab.check_sweep, grid, [values["carleman"]["theta"]], [])
+        _rule("[lemmas] draws", _at_least, values["lemmas"]["draws"], 1)
+        _rule("[lemmas] seed", _at_least, values["lemmas"]["seed"], 0)
+        _rule("[forward] preset", _one_of, fw["preset"], ("oracle", "positive"))
+        # the oracle fits its order against a coarse grid of max(n1 // 2, 4)
+        # axial nodes, which at n1 = 4 is the grid itself
+        if fw["preset"] == "oracle":
+            _rule("[grid] n1 under the oracle preset", _at_least, g["n1"], 5)
+        _rule("[forward] q_amplitude", _at_least, fw["q_amplitude"], 0)
+        _rule("[stability] q_amplitude", _at_least, st["q_amplitude"], 0)
+        _rule("[stability] f_bump", synth.axial_factor, grid, st["f_bump"])
+        _rule("[weights] s_sweep", _s_sweep, w["s_sweep"])
+        # verify-carleman sweeps all but the last entry; verify-lemmas fits a slope
+        _rule("[open] s_sweep", _s_sweep, o["s_sweep"], least=2)
+        _rule("[carleman] s_sweep", _s_sweep, values["carleman"]["s_sweep"])
+        return cls(values, weights)
 
     def grid(self):
-        g = self["grid"]
-        return build_grid(self.domain(False), g["n1"], g["n2"], g["nt"])
-
-    def open_grid(self):
-        g = self["open"]
-        return build_grid(self.domain(True), g["n1"], g["n2"], g["nt"])
-
-    def weight_params(self, regime: str) -> wts.WeightParams:
-        w = self["weights"]
-        lam = w["lambda"] if regime == "bounded" else self["open"]["lambda"]
-        return wts.WeightParams(
-            lam=lam, s=w["s"], regime=regime, delta=w["delta"], c1=w["c1"]
-        )
+        """The bounded weight's grid."""
+        return self.weights["bounded"].grid
 
 
 def write_reference(out_dir: Path) -> Path:
@@ -293,29 +300,27 @@ def cmd_forward(cfg: ScenarioConfig, out: Path) -> int:
 
 def cmd_check_weights(cfg: ScenarioConfig, out: Path) -> int:
     passed = []
-    for regime, grid, check in (("bounded", cfg.grid(), wts.check_assumption_bounded),
-                                ("open", cfg.open_grid(), wts.check_assumption_open)):
-        rep = check(wts.assemble_weight(cfg.weight_params(regime), grid))
+    for regime, check in (("bounded", wts.check_assumption_bounded),
+                          ("open", wts.check_assumption_open)):
+        rep = check(cfg.weights[regime])
         _emit(out / f"assumptions_{regime}.txt", rep.to_text())
         passed.append(rep.all_passed)
     return 0 if all(passed) else 1
 
 
-def cmd_verify_lemmas(cfg: ScenarioConfig, out: Path, seed: int | None = None,
-                      s_sweep: list[float] | None = None) -> int:
-    rng_seed = seed if seed is not None else cfg["lemmas"]["seed"]
+def cmd_verify_lemmas(cfg: ScenarioConfig, out: Path) -> int:
     passed = []
-    for regime, grid, sweep, check, summary in (
-        ("bounded", cfg.grid(), s_sweep if s_sweep is not None else cfg["weights"]["s_sweep"],
+    for regime, sweep, check, summary in (
+        ("bounded", cfg["weights"]["s_sweep"],
          carl.lemma_bounded_check, "max C {max_over_sweep!r} s_uniform {s_uniform}"),
-        ("open", cfg.open_grid(), cfg["open"]["s_sweep"],
+        ("open", cfg["open"]["s_sweep"],
          carl.lemma_open_check, "slope {fitted_slope!r} in_band {slope_in_band}"),
     ):
-        ws = wts.assemble_weight(cfg.weight_params(regime), grid)
-        rng = np.random.default_rng(rng_seed)
+        ws = cfg.weights[regime]
+        rng = np.random.default_rng(cfg["lemmas"]["seed"])
         for k in range(cfg["lemmas"]["draws"]):
-            F = synth.random_smooth_field(grid, rng, anchored_right=regime == "open")
-            rep = check(F, ws, grid, s_values=sweep)
+            F = synth.random_smooth_field(ws.grid, rng, anchored_right=regime == "open")
+            rep = check(F, ws, ws.grid, s_values=sweep)
             _emit(out / f"lemma_{regime}_{k:02d}.txt", rep.to_text(),
                   f"lemma_{regime} draw {k}: " + summary.format(**rep.verdict))
             passed.append(rep.passed)
@@ -331,8 +336,8 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
               f"{name} {case}: s0 {rep.verdict['s0']!r} finite {rep.verdict['all_finite']}")
         passed.append(rep.passed)
 
-    grid = cfg.grid()
-    ws = wts.assemble_weight(cfg.weight_params("bounded"), grid)
+    ws = cfg.weights["bounded"]
+    grid = ws.grid
     sweep = cfg["carleman"]["s_sweep"]
 
     bump = synth.SpaceTimeBump(grid, amplitude=cfg["carleman"]["bump_amplitude"])
@@ -343,29 +348,32 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
     q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
     pair = fwd.manufacture_pair(grid, q, q + theta * synth.dq_preset(grid),
                                 synth.axial_factor(grid))
-    bundle = trans.build_bundle(pair.u, pair.u_tilde, pair.pot)
-    report(carl.carleman_check_bounded(bundle.z, trans.z_source(bundle), ws, grid,
-                                       s_values=sweep), "carleman_bounded_pipeline")
+    try:
+        bundle = trans.build_bundle(pair.u, pair.u_tilde, pair.pot)
+        rep = carl.carleman_check_bounded(bundle.z, trans.z_source(bundle), ws, grid,
+                                          s_values=sweep)
+    except ValueError as exc:  # the pipeline broke a hypothesis of the transform or check
+        print(f"carleman_bounded pipeline: not checked: {exc}", file=sys.stderr)
+        passed.append(False)
+    else:
+        report(rep, "carleman_bounded_pipeline")
 
-    ogrid = cfg.open_grid()
-    wso = wts.assemble_weight(cfg.weight_params("open"), ogrid)
-    obump = synth.SpaceTimeBump(ogrid, amplitude=cfg["carleman"]["bump_amplitude"])
-    report(carl.carleman_check_open(obump.field(), obump.heat_residual(), wso, ogrid,
+    wso = cfg.weights["open"]
+    obump = synth.SpaceTimeBump(wso.grid, amplitude=cfg["carleman"]["bump_amplitude"])
+    report(carl.carleman_check_open(obump.field(), obump.heat_residual(), wso, wso.grid,
                                     s_values=cfg["open"]["s_sweep"][:-1]),
            "carleman_open_bump")
 
     return 0 if all(passed) else 1
 
 
-def cmd_stability(cfg: ScenarioConfig, out: Path,
-                  eps_list: list[float] | None = None) -> int:
+def cmd_stability(cfg: ScenarioConfig, out: Path) -> int:
     grid = cfg.grid()
     st = cfg["stability"]
     q = synth.q_preset(grid, st["q_amplitude"])
     dq = synth.dq_preset(grid)
     f = synth.axial_factor(grid, st["f_bump"])
-    epss = eps_list if eps_list is not None else st["eps_list"]
-    reports = stab.perturbation_sweep(grid, q, dq, f, st["theta_list"], epss)
+    reports = stab.perturbation_sweep(grid, q, dq, f, st["theta_list"], st["eps_list"])
     for i, rep in enumerate(reports):
         (out / f"stability_{i:02d}.txt").write_text(rep.to_text())
     _emit(out / "stability_sweep.csv", stab.sweep_table(reports))
@@ -377,6 +385,15 @@ def cmd_stability(cfg: ScenarioConfig, out: Path,
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {"forward": cmd_forward, "check-weights": cmd_check_weights,
+             "verify-lemmas": cmd_verify_lemmas, "verify-carleman": cmd_verify_carleman,
+             "stability": cmd_stability}
+
+# flag (its argparse dest) -> the config key it replaces
+_FLAGS = {"seed": ("lemmas", "seed"), "sweep_s": ("weights", "s_sweep"),
+          "eps": ("stability", "eps_list")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waveguide-carleman",
@@ -384,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "waveguide heat problem",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("forward", "check-weights", "verify-lemmas", "verify-carleman", "stability"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="path to the config file")
         p.add_argument("--out", type=str, default="out", help="output directory")
@@ -401,32 +418,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    given = {dest: key for dest, key in _FLAGS.items() if getattr(args, dest, None) is not None}
     try:
-        cfg = ScenarioConfig.parse(args.config)
+        cfg = ScenarioConfig.parse(args.config,
+                                   {key: getattr(args, dest) for dest, key in given.items()})
     except ConfigError as exc:
+        for dest, (section, key) in given.items():
+            if exc.label == f"[{section}] {key}":
+                parser.error(f"argument --{dest.replace('_', '-')}: {exc.__cause__}")
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for flag, check in (("eps", lambda v: stab.check_sweep(cfg.grid(), [], v)),
-                        ("sweep_s", _s_sweep), ("seed", lambda v: _at_least(v, 0))):
-        if getattr(args, flag, None) is not None:
-            try:
-                check(getattr(args, flag))
-            except ValueError as exc:
-                parser.error(f"argument --{flag.replace('_', '-')}: {exc}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_reference(out)
-
-    if args.command == "forward":
-        return cmd_forward(cfg, out)
-    if args.command == "check-weights":
-        return cmd_check_weights(cfg, out)
-    if args.command == "verify-lemmas":
-        return cmd_verify_lemmas(cfg, out, seed=args.seed, s_sweep=args.sweep_s)
-    if args.command == "verify-carleman":
-        return cmd_verify_carleman(cfg, out)
-    return cmd_stability(cfg, out, eps_list=args.eps)
+    return _COMMANDS[args.command](cfg, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

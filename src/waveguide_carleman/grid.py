@@ -294,9 +294,12 @@ def prefix_integral_x1(f: ScalarField) -> ScalarField:
 
 
 def fit_convergence_order(spacings, errors) -> float:
-    """Least-squares slope of log(error) versus log(spacing)."""
+    """Least-squares slope of log(error) versus log(spacing); the spacings
+    must be distinct and the errors positive."""
     spacings = np.asarray(spacings, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    if np.unique(spacings).size != spacings.size:
+        raise ValueError(f"spacings must be distinct for an order fit, got {spacings.tolist()}")
     if np.any(errors <= 0):
         raise ValueError("errors must be positive for an order fit")
     return float(np.polyfit(np.log(spacings), np.log(errors), 1)[0])

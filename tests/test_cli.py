@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from waveguide_carleman.cli import ConfigError, ScenarioConfig, main, write_reference
+from waveguide_carleman.grid import SpaceTimeGrid
+from waveguide_carleman.weights import WeightSystem
 
 MINIMAL = """\
 [scenario]
@@ -117,6 +119,35 @@ class TestConfigParsing:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key_text, argv", [
+        ("[stability]\neps_list: 5\n", ["stability", "--eps", "0.25"]),
+        ("[weights]\ns_sweep: 4,2\n", ["verify-lemmas", "--sweep-s", "1,2"]),
+    ], ids=["eps", "sweep-s"])
+    def test_flag_replaces_its_key_before_the_rules(self, tmp_path, key_text, argv):
+        # the key's value breaks its rule, but the run reads the flag's value
+        p = tmp_path / "scenario.cfg"
+        p.write_text(MINIMAL + "\n" + key_text)
+        with pytest.raises(ConfigError):
+            ScenarioConfig.parse(p)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 0
+        if argv[0] == "stability":
+            rows = (out / "stability_sweep.csv").read_text().splitlines()[1:]
+            assert {row.split(",")[1] for row in rows} == {"0.25"}
+
+    def test_oracle_needs_a_coarser_axis(self, tmp_path, capsys):
+        # at n1 = 4 the oracle's coarse grid keeps max(4 // 2, 4) = 4 axial
+        # nodes, so its order fit would see two equal spacings
+        p = tmp_path / "bad.cfg"
+        p.write_text("[scenario]\nname: x\n\n[grid]\nn1: 4\nn2: 4\nnt: 4\n")
+        with pytest.raises(ConfigError, match=re.escape("[grid] n1")):
+            ScenarioConfig.parse(p)
+        assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "[grid] n1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        p.write_text(p.read_text() + "\n[forward]\npreset: positive\n")
+        assert ScenarioConfig.parse(p).grid().n1 == 4
 
     @pytest.mark.parametrize("raw", [
         b"[scenario]\nname: x\n\n[grid]\nn1: 8\n\n[grid]\nn2: 8\n",
@@ -270,6 +301,45 @@ class TestCommands:
         text = (out / "carleman_open_bump.txt").read_text()
         assert "verdict.all_finite: False" in text
         assert "\n512.0,1.1,0.0,0.0,0.0,0.0,0.0,0.0,0.0,nan\n" in text
+
+    @pytest.mark.parametrize("key_text, reason", [
+        ("[forward]\nq_amplitude: 1000\n", "f*u~ is not positive"),
+        ("[carleman]\ntheta: 100\n", "z does not vanish on the space boundary"),
+    ], ids=["q_amplitude", "theta"])
+    def test_verify_carleman_names_a_pipeline_it_cannot_check(self, cfg_path, tmp_path,
+                                                             key_text, reason):
+        # the pipeline breaks a hypothesis of the transform or of the check:
+        # the run says why, still checks the open bump, and fails
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(cfg_path.read_text() + "\n" + key_text)
+        out = tmp_path / "out"
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "waveguide_carleman", "verify-carleman", "--config", str(cfg),
+             "--out", str(out)], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"carleman_bounded pipeline: not checked: {reason}" in proc.stderr
+        assert (out / "carleman_open_bump.txt").exists()
+        assert not (out / "carleman_bounded_pipeline.txt").exists()
+        assert "carleman_open bump: s0" in proc.stdout
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_each_grid_and_weight_is_built_once(self, cfg_path, tmp_path, monkeypatch, command):
+        # parse builds the bounded and open grids and weights; the commands
+        # use them, and only forward's oracle builds its coarse grid
+        built = []
+        for cls, kind in ((SpaceTimeGrid, "grid"), (WeightSystem, "weights")):
+            def counting(self, *args, _init=cls.__init__, _kind=kind, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append((_kind, self.domain.truncated) if _kind == "grid"
+                             else (_kind, self.params.regime))
+            monkeypatch.setattr(cls, "__init__", counting)
+        main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        grids = [("grid", False), ("grid", True)] + [("grid", False)] * (command == "forward")
+        assert sorted(built) == sorted(grids + [("weights", "bounded"), ("weights", "open")])
 
     def test_verify_carleman_runs(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -172,6 +172,15 @@ class TestCalculus:
             hs.append(g.dt)
         assert fit_convergence_order(hs, errs) >= 1.9
 
+    def test_order_fit_needs_distinct_spacings(self):
+        # two equal spacings leave a single abscissa, through which no line
+        # is determined; numpy would only warn and return a slope
+        with pytest.raises(ValueError, match="distinct"):
+            fit_convergence_order([0.4, 0.4], [0.03, 0.02])
+        with pytest.raises(ValueError, match="distinct"):
+            fit_convergence_order([0.4, 0.2, 0.4], [0.03, 0.01, 0.02])
+        assert fit_convergence_order([0.4, 0.2], [0.04, 0.01]) == pytest.approx(2.0)
+
 
 class TestNormalDerivative:
     def test_lateral_signs(self, grid):
