@@ -95,7 +95,7 @@ def float_list(text: str) -> list[float]:
 # marks a required key.
 _SPEC: dict[str, dict[str, tuple]] = {
     "scenario": {
-        "name": (None, str, "label written into every report (required)"),
+        "name": (None, str, "label written into the forward report (required)"),
     },
     "domain": {
         "L": (1.0, finite_float, "axial half-length (truncation radius in open mode)"),
@@ -133,14 +133,11 @@ _SPEC: dict[str, dict[str, tuple]] = {
     },
     "carleman": {
         "s_sweep": ([2.0, 4.0, 8.0, 16.0, 32.0], float_list, "s sweep for the bounded estimate"),
-        "bump_amplitude": (1.0, finite_float, "amplitude of the boundary-vanishing test bump"),
         "theta": (0.1, finite_float, "perturbation size for the pipeline field"),
     },
     "stability": {
         "theta_list": ([0.1, 0.05, 0.025], float_list, "perturbation sizes"),
         "eps_list": ([0.25, 0.5], float_list, "time-window margins"),
-        "q_amplitude": (0.4, finite_float, "amplitude of the potential preset"),
-        "f_bump": (0.5, finite_float, "amplitude of the axial factor's cosine bump"),
     },
 }
 
@@ -226,8 +223,6 @@ class ScenarioConfig:
         if fw["preset"] == "oracle":
             _rule("[grid] n1 under the oracle preset", _at_least, g["n1"], 5)
         _rule("[forward] q_amplitude", _at_least, fw["q_amplitude"], 0)
-        _rule("[stability] q_amplitude", _at_least, st["q_amplitude"], 0)
-        _rule("[stability] f_bump", synth.axial_factor, grid, st["f_bump"])
         _rule("[weights] s_sweep", _s_sweep, w["s_sweep"])
         # verify-carleman sweeps all but the last entry; verify-lemmas fits a slope
         _rule("[open] s_sweep", _s_sweep, o["s_sweep"], least=2)
@@ -340,7 +335,7 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
     grid = ws.grid
     sweep = cfg["carleman"]["s_sweep"]
 
-    bump = synth.SpaceTimeBump(grid, amplitude=cfg["carleman"]["bump_amplitude"])
+    bump = synth.SpaceTimeBump(grid)
     report(carl.carleman_check_bounded(bump.field(), bump.heat_residual(), ws, grid,
                                        s_values=sweep), "carleman_bounded_bump")
 
@@ -359,7 +354,7 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
         report(rep, "carleman_bounded_pipeline")
 
     wso = cfg.weights["open"]
-    obump = synth.SpaceTimeBump(wso.grid, amplitude=cfg["carleman"]["bump_amplitude"])
+    obump = synth.SpaceTimeBump(wso.grid)
     report(carl.carleman_check_open(obump.field(), obump.heat_residual(), wso, wso.grid,
                                     s_values=cfg["open"]["s_sweep"][:-1]),
            "carleman_open_bump")
@@ -370,10 +365,9 @@ def cmd_verify_carleman(cfg: ScenarioConfig, out: Path) -> int:
 def cmd_stability(cfg: ScenarioConfig, out: Path) -> int:
     grid = cfg.grid()
     st = cfg["stability"]
-    q = synth.q_preset(grid, st["q_amplitude"])
-    dq = synth.dq_preset(grid)
-    f = synth.axial_factor(grid, st["f_bump"])
-    reports = stab.perturbation_sweep(grid, q, dq, f, st["theta_list"], st["eps_list"])
+    q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
+    reports = stab.perturbation_sweep(grid, q, synth.dq_preset(grid), synth.axial_factor(grid),
+                                      st["theta_list"], st["eps_list"])
     for i, rep in enumerate(reports):
         (out / f"stability_{i:02d}.txt").write_text(rep.to_text())
     _emit(out / "stability_sweep.csv", stab.sweep_table(reports))
@@ -389,9 +383,10 @@ _COMMANDS = {"forward": cmd_forward, "check-weights": cmd_check_weights,
              "verify-lemmas": cmd_verify_lemmas, "verify-carleman": cmd_verify_carleman,
              "stability": cmd_stability}
 
-# flag (its argparse dest) -> the config key it replaces
-_FLAGS = {"seed": ("lemmas", "seed"), "sweep_s": ("weights", "s_sweep"),
-          "eps": ("stability", "eps_list")}
+# flag (its argparse dest) -> the subcommand that takes it and the config key it replaces
+_FLAGS = {"seed": ("verify-lemmas", ("lemmas", "seed")),
+          "sweep_s": ("verify-lemmas", ("weights", "s_sweep")),
+          "eps": ("stability", ("stability", "eps_list"))}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -405,20 +400,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="path to the config file")
         p.add_argument("--out", type=str, default="out", help="output directory")
-        if name == "verify-lemmas":
-            p.add_argument("--seed", type=int, default=None, help="override lemmas.seed")
-            p.add_argument("--sweep-s", type=float_list, default=None,
-                           help="comma-separated s values overriding weights.s_sweep")
-        if name == "stability":
-            p.add_argument("--eps", type=float_list, default=None,
-                           help="comma-separated window margins overriding stability.eps_list")
+        for dest, (command, (section, key)) in _FLAGS.items():
+            if command == name:
+                p.add_argument("--" + dest.replace("_", "-"), type=_SPEC[section][key][1],
+                               help=f"override {section}.{key}")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    given = {dest: key for dest, key in _FLAGS.items() if getattr(args, dest, None) is not None}
+    given = {dest: key for dest, (_, key) in _FLAGS.items() if vars(args).get(dest) is not None}
     try:
         cfg = ScenarioConfig.parse(args.config,
                                    {key: getattr(args, dest) for dest, key in given.items()})
@@ -430,7 +422,10 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path through one
+        parser.error(f"argument --out: {exc}")
     write_reference(out)
     return _COMMANDS[args.command](cfg, out)
 

@@ -9,6 +9,8 @@ import pytest
 
 from waveguide_carleman.cli import ConfigError, ScenarioConfig, main, write_reference
 from waveguide_carleman.grid import SpaceTimeGrid
+from waveguide_carleman.stability import perturbation_sweep, sweep_table
+from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 from waveguide_carleman.weights import WeightSystem
 
 MINIMAL = """\
@@ -55,6 +57,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid.what"):
             ScenarioConfig.parse(p)
 
+    @pytest.mark.parametrize("section, key", [
+        ("carleman", "bump_amplitude"), ("stability", "q_amplitude"), ("stability", "f_bump"),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key):
+        # every pipeline command reads one potential, [forward] q_amplitude
+        # times the fixed axial factor, and the Carleman bumps have unit
+        # amplitude, so no key sets either separately
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[scenario]\nname: x\n\n[{section}]\n{key}: 0.3\n")
+        command = "verify-carleman" if section == "carleman" else "stability"
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown config key: {section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_section_named(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[scenario]\nname: x\n\n[mystery]\nk: 1\n")
@@ -92,7 +108,6 @@ class TestConfigParsing:
         ("verify-lemmas", "[lemmas]\nseed: -1\n", "[lemmas] seed"),
         ("verify-carleman", "[carleman]\ns_sweep: 2,inf\n", "[carleman] s_sweep"),
         ("forward", "[forward]\npreset: positive\nq_amplitude: -100\n", "[forward] q_amplitude"),
-        ("stability", "[stability]\nq_amplitude: -0.5\n", "[stability] q_amplitude"),
         ("verify-carleman", "[open]\ns_sweep: 4\n", "[open] s_sweep"),
         ("forward", "[forward]\npreset: soup\n", "[forward] preset"),
         ("forward", "[domain]\nT: inf\n", "[domain] T"),
@@ -100,7 +115,6 @@ class TestConfigParsing:
         ("stability", "[stability]\ntheta_list: nan\n", "[stability] theta_list"),
         ("verify-carleman", "[carleman]\ntheta: nan\n", "[carleman] theta"),
         ("check-weights", "[weights]\ndelta: nan\n", "[weights] delta"),
-        ("stability", "[stability]\nf_bump: 1.5\n", "[stability] f_bump"),
         ("verify-carleman", "[carleman]\ntheta: 0\n", "[carleman] theta"),
         ("verify-carleman", "[domain]\nh: 1e-300\n", "[grid]/[domain] values"),
         ("verify-lemmas", "[weights]\ns_sweep: 4,2\n", "[weights] s_sweep"),
@@ -278,6 +292,36 @@ class TestCommands:
         table = (out / "stability_sweep.csv").read_text()
         assert table.startswith("theta,eps,lhs")
         assert (out / "stability_00.txt").exists()
+
+    def test_stability_uses_the_forward_potential(self, cfg_path, tmp_path):
+        # stability sweeps the potential q_preset([forward] q_amplitude) times
+        # the axial factor f = 1 + 0.5 cos(pi x1 / L), as verify-carleman does
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(cfg_path.read_text() + "\n[forward]\nq_amplitude: 0.2\n")
+        out = tmp_path / "out"
+        assert main(["stability", "--config", str(cfg), "--out", str(out), "--eps", "0.25"]) == 0
+        grid = ScenarioConfig.parse(cfg).grid()
+        reports = perturbation_sweep(grid, q_preset(grid, 0.2), dq_preset(grid),
+                                     axial_factor(grid), [0.1, 0.05, 0.025], [0.25])
+        for i, rep in enumerate(reports):
+            assert (out / f"stability_{i:02d}.txt").read_text() == rep.to_text()
+        assert (out / "stability_sweep.csv").read_text() == sweep_table(reports)
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_is_not_a_directory_exits_2(self, cfg_path, tmp_path, out):
+        # the config is checked first; then --out must name a directory it
+        # can create or reuse, and an existing file is left as it was
+        (tmp_path / "afile").write_text("keep")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "waveguide_carleman", "check-weights", "--config",
+             str(cfg_path), "--out", out], capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "argument --out:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (tmp_path / "afile").read_text() == "keep"
 
     @pytest.mark.parametrize("command", [
         pytest.param(c, marks=pytest.mark.xfail(
