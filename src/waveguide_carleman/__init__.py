@@ -15,7 +15,6 @@ from .grid import (
     normal_derivative,
     prefix_integral_x1,
     save_field,
-    load_field,
 )
 from .weights import WeightParams, WeightSystem, assemble_weight
 from .forward import PotentialSpec, BoundaryData, solve_heat, manufacture_pair, measurement
@@ -35,7 +34,6 @@ __all__ = [
     "normal_derivative",
     "prefix_integral_x1",
     "save_field",
-    "load_field",
     "WeightParams",
     "WeightSystem",
     "assemble_weight",

@@ -13,10 +13,11 @@ Conventions:
 * ``n1``/``n2`` count *interior* nodes, so the axial spacing is
   ``2L / (n1 + 1)`` and a full axial line has ``n1 + 2`` nodes.
 * The anchor abscissa ``alpha`` is snapped to the nearest axial node so
-  that prefix integrals anchored there are exact node-column sums.
+  that prefix integrals anchored there are exact node-column sums; that
+  node must be interior, not a cap.
 * Field arrays are indexed ``(time, x1, x2)``.  A :class:`ScalarField`
-  is always a full field, and the only kind :func:`load_field` reads;
-  boundary and cross-section traces are plain ``(time, n)`` arrays.
+  is always a full field; boundary and cross-section traces are plain
+  ``(time, n)`` arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-# The one field kind, written to every field's metadata.
+# The one field kind: every ScalarField holds the full (t, x1, x2) grid.
 FULL = "full-field"
 
 
@@ -75,6 +76,8 @@ def trapezoid(n: int, d: float) -> np.ndarray:
 class SpaceTimeGrid:
     """Uniform tensor-product grid on (0, T) x (-L, L) x (0, h).
 
+    The constructor rejects counts below 4, spacings d whose 1/d^2
+    overflows and an anchor that snaps onto a cap node, in that order.
     Immutable after construction; all derivative and quadrature routines
     below are pure functions of their inputs, so grids and fields may be
     shared freely across threads.
@@ -99,11 +102,17 @@ class SpaceTimeGrid:
         self.wt = trapezoid(self.nt + 1, self.dt)
         self.w1 = trapezoid(self.n1 + 2, self.dx1)
         self.w2 = trapezoid(self.n2 + 2, self.dx2)
+        spacings = {"dx1": self.dx1, "dx2": self.dx2, "dt": self.dt}
+        with np.errstate(over="ignore", divide="ignore"):
+            inverse_squares = 1.0 / np.array(list(spacings.values())) ** 2
+        if not np.all(np.isfinite(inverse_squares)):
+            raise ValueError(f"grid spacings {spacings} are too small: 1/d^2 overflows")
 
-        # Snap the anchor to the nearest axial node.
+        # Snap the anchor to the nearest axial node, which must be interior.
         self.alpha_index = int(np.argmin(np.abs(self.x1 - domain.alpha)))
         self.alpha_snapped = float(self.x1[self.alpha_index])
-        self.alpha_snap_distance = abs(self.alpha_snapped - domain.alpha)
+        if self.alpha_index in (0, self.n1 + 1):
+            raise ValueError(f"alpha={domain.alpha} snaps to the cap x1={self.alpha_snapped}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -131,20 +140,8 @@ class SpaceTimeGrid:
         )
 
 
-def build_grid(domain: WaveguideDomain, n1: int, n2: int, nt: int) -> SpaceTimeGrid:
-    """Build a grid; rejects counts below 4, spacings d whose 1/d^2
-    overflows, and validates the snap distance."""
-    grid = SpaceTimeGrid(domain, n1, n2, nt)
-    spacings = {"dx1": grid.dx1, "dx2": grid.dx2, "dt": grid.dt}
-    with np.errstate(over="ignore", divide="ignore"):
-        inverse_squares = 1.0 / np.array(list(spacings.values())) ** 2
-    if not np.all(np.isfinite(inverse_squares)):
-        raise ValueError(f"grid spacings {spacings} are too small: 1/d^2 overflows")
-    if grid.alpha_snap_distance > 0.5 * grid.dx1 + 1e-12:
-        raise ValueError(
-            f"alpha snap distance {grid.alpha_snap_distance} exceeds dx1/2={grid.dx1 / 2}"
-        )
-    return grid
+# The name callers build grids by.
+build_grid = SpaceTimeGrid
 
 
 class ScalarField:
@@ -309,10 +306,6 @@ def fit_convergence_order(spacings, errors) -> float:
 # Text reports; field persistence as one report + one raw little-endian file
 # ---------------------------------------------------------------------------
 
-_FORMAT = "waveguide-field-v1"
-_CREATOR = "waveguide-carleman"
-
-
 def report_text(entries: dict, rows=()) -> str:
     """The one text format of every report and field metadata file: a
     ``key: value`` line per entry (a ``str`` as it is, any other value by
@@ -334,10 +327,8 @@ def save_field(f: ScalarField, basepath: str | Path) -> tuple[Path, Path]:
     base = Path(basepath)
     d = f.grid.domain
     meta = {
-        "format": _FORMAT,
-        "creator": _CREATOR,
-        "kind": FULL,
-        "segment": "-",
+        "format": "waveguide-field-v1",
+        "creator": "waveguide-carleman",
         "L": d.L,
         "h": d.h,
         "T": d.T,
@@ -354,32 +345,3 @@ def save_field(f: ScalarField, basepath: str | Path) -> tuple[Path, Path]:
     meta_path.write_text(report_text(meta))
     data_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
     return meta_path, data_path
-
-
-def load_field(basepath: str | Path) -> ScalarField:
-    """Read back a field written by :func:`save_field`; raises
-    ``ValueError`` for any kind but :data:`FULL`."""
-    base = Path(basepath)
-    meta_path = base.with_suffix(base.suffix + ".meta")
-    data_path = base.with_suffix(base.suffix + ".f64")
-    meta: dict[str, str] = {}
-    for line in meta_path.read_text().splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition(":")
-        meta[key.strip()] = value.strip()
-    if meta.get("format") != _FORMAT:
-        raise ValueError(f"unsupported field format {meta.get('format')!r}")
-    if meta.get("kind") != FULL:
-        raise ValueError(f"only full fields can be loaded, got kind {meta.get('kind')!r}")
-    domain = WaveguideDomain(
-        L=float(meta["L"]),
-        h=float(meta["h"]),
-        T=float(meta["T"]),
-        alpha=float(meta["alpha"]),
-        obs_side=meta["obs_side"],
-        truncated=bool(int(meta["truncated"])),
-    )
-    grid = build_grid(domain, int(meta["n1"]), int(meta["n2"]), int(meta["nt"]))
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<f8").reshape(grid.shape)
-    return ScalarField(grid, raw.astype(float), FULL)

@@ -82,6 +82,9 @@ def _window_indices(grid: SpaceTimeGrid, eps: float) -> tuple[int, int]:
     if not (0.0 < eps < T / 2.0):
         raise ValueError(f"eps={eps} must lie in (0, T/2)")
     ia = int(round(eps / grid.dt))
+    if ia == 0:
+        raise ValueError(f"eps={eps} rounds to time level 0 on this grid (dt={grid.dt}), "
+                         f"so the window would start at t=0")
     ib = grid.nt - ia
     if ib - ia < 1:
         raise ValueError(f"eps={eps} leaves no interior time window on this grid")
@@ -121,7 +124,7 @@ def _reports(grid: SpaceTimeGrid, u: ScalarField, meas_u: np.ndarray, u_tilde: S
 
 def check_sweep(grid: SpaceTimeGrid, theta_list, eps_list) -> None:
     """Raise ValueError unless every theta is positive and every eps
-    leaves a time window on the grid."""
+    leaves a time window on the grid that starts after t=0."""
     if any(t <= 0 for t in theta_list):
         raise ValueError(f"theta values must be positive, got {list(theta_list)}")
     for e in eps_list:

@@ -119,8 +119,8 @@ class TestConfigParsing:
         ("verify-carleman", "[domain]\nh: 1e-300\n", "[grid]/[domain] values"),
         ("verify-lemmas", "[weights]\ns_sweep: 4,2\n", "[weights] s_sweep"),
         # an anchor that snaps onto a cap node: 2/33 apart on [grid], 2/8 on [open]
-        ("check-weights", "[domain]\nalpha: 0.98\n", "[domain] alpha on [grid]"),
-        ("verify-lemmas", "[domain]\nalpha: 0.9\n\n[open]\nn1: 7\n", "[domain] alpha on [open]"),
+        ("check-weights", "[domain]\nalpha: 0.98\n", "[grid]/[domain] values"),
+        ("verify-lemmas", "[domain]\nalpha: 0.9\n\n[open]\nn1: 7\n", "[open] values"),
         # sup psi = 725.5 at L = 6.5, so exp(2 lam sup psi) overflows
         ("check-weights", "[domain]\nL: 6.5\n", "bounded weight on [grid]"),
         ("verify-carleman", "[open]\nlambda: 800\n", "open weight on [open]"),
@@ -154,7 +154,7 @@ class TestConfigParsing:
         # at n1 = 4 the oracle's coarse grid keeps max(4 // 2, 4) = 4 axial
         # nodes, so its order fit would see two equal spacings
         p = tmp_path / "bad.cfg"
-        p.write_text("[scenario]\nname: x\n\n[grid]\nn1: 4\nn2: 4\nnt: 4\n")
+        p.write_text("[scenario]\nname: x\n\n[grid]\nn1: 4\nn2: 4\nnt: 8\n")
         with pytest.raises(ConfigError, match=re.escape("[grid] n1")):
             ScenarioConfig.parse(p)
         assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -162,6 +162,21 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
         p.write_text(p.read_text() + "\n[forward]\npreset: positive\n")
         assert ScenarioConfig.parse(p).grid().n1 == 4
+
+    def test_eps_that_rounds_to_t_0_exits_2(self, tmp_path, capsys):
+        # at T = 2 with 8 or 4 time steps, eps = 0.1 rounds to time level 0,
+        # where the window would run over all of [0, T] under eps's name
+        p = tmp_path / "scenario.cfg"
+        out = str(tmp_path / "o")
+        p.write_text("[scenario]\nname: x\n\n[grid]\nnt: 8\n\n[stability]\neps_list: 0.1\n")
+        assert main(["stability", "--config", str(p), "--out", out]) == 2
+        assert "[stability] eps_list: eps=0.1 rounds to time level 0" in capsys.readouterr().err
+        p.write_text("[scenario]\nname: x\n\n[grid]\nnt: 4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--config", str(p), "--out", out, "--eps", "0.1"])
+        assert exc.value.code == 2
+        assert "argument --eps: eps=0.1 rounds to time level 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("raw", [
         b"[scenario]\nname: x\n\n[grid]\nn1: 8\n\n[grid]\nn2: 8\n",
@@ -349,11 +364,13 @@ class TestCommands:
     @pytest.mark.parametrize("key_text, reason", [
         ("[forward]\nq_amplitude: 1000\n", "f*u~ is not positive"),
         ("[carleman]\ntheta: 100\n", "z does not vanish on the space boundary"),
-    ], ids=["q_amplitude", "theta"])
+        ("[forward]\nq_amplitude: 1e100\n", "member 0, step 1: no convergence in 200 iterations"),
+    ], ids=["q_amplitude", "theta", "breakdown"])
     def test_verify_carleman_names_a_pipeline_it_cannot_check(self, cfg_path, tmp_path,
                                                              key_text, reason):
-        # the pipeline breaks a hypothesis of the transform or of the check:
-        # the run says why, still checks the open bump, and fails
+        # the pipeline's solve breaks down, or the pipeline breaks a hypothesis
+        # of the transform or of the check: the run says why, still checks
+        # the open bump, and fails
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(cfg_path.read_text() + "\n" + key_text)
         out = tmp_path / "out"
@@ -369,6 +386,37 @@ class TestCommands:
         assert (out / "carleman_open_bump.txt").exists()
         assert not (out / "carleman_bounded_pipeline.txt").exists()
         assert "carleman_open bump: s0" in proc.stdout
+
+    @pytest.mark.parametrize("command, key_text", [
+        ("stability", "[forward]\nq_amplitude: 1e100\n"),
+        ("forward", "[forward]\npreset: positive\nq_amplitude: 1e300\n"),
+    ], ids=["stability", "forward"])
+    def test_solver_breakdown_fails_without_a_traceback(self, cfg_path, tmp_path, command,
+                                                        key_text):
+        # the potential is so large that the first step's solve does not
+        # converge: the run names the breakdown on one stderr line and fails
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(cfg_path.read_text() + "\n" + key_text)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "waveguide_carleman", command, "--config", str(cfg),
+             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"{command}: not solved: member 0, step 1: no convergence ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_forward_oracle_reads_no_anchor(self, tmp_path):
+        # alpha = 0.95 is interior at the default n1 = 32 but snaps onto the
+        # cap of the oracle's coarse axis at n1 = 16, which reads no anchor
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("[scenario]\nname: anchor\n\n[domain]\nalpha: 0.95\n")
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "alpha: 0.95\n" in (out / "u.meta").read_text()
+        assert "fitted_order: " in (out / "forward_oracle.txt").read_text()
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_each_grid_and_weight_is_built_once(self, cfg_path, tmp_path, monkeypatch, command):
