@@ -106,7 +106,6 @@ _SPEC: dict[str, dict[str, tuple]] = {
     },
     "weights": {
         "lambda": (1.0, finite_float, "weight sharpness"),
-        "s": (4.0, finite_float, "headline large parameter"),
         "delta": (0.5, finite_float, "cross-section profile offset"),
         "c1": (0.5, finite_float, "axial profile floor"),
         "s_sweep": ([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], float_list, "s values swept by checks"),
@@ -163,6 +162,8 @@ class ScenarioConfig:
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
             if not read:
                 raise ConfigError(f"config file not found: {path}")
+            if raw.defaults():  # configparser adds [DEFAULT]'s keys to every section
+                raise ConfigError(f"unknown config section: {raw.default_section}")
 
         overrides = overrides or {}
         values: dict[str, dict[str, object]] = {}
@@ -196,7 +197,7 @@ class ScenarioConfig:
         open_grid = _rule("[open] values", lambda: build_grid(
             replace(grid.domain, truncated=True), o["n1"], o["n2"], o["nt"]))
         params = _rule("[weights] values", wts.WeightParams,
-                       lam=w["lambda"], s=w["s"], delta=w["delta"], c1=w["c1"])
+                       lam=w["lambda"], delta=w["delta"], c1=w["c1"])
         open_params = _rule("[open] lambda", replace, params, lam=o["lambda"], regime="open")
         weights = {
             "bounded": _rule("bounded weight on [grid]/[domain]/[weights]",
@@ -277,7 +278,7 @@ def cmd_forward(cfg: ScenarioConfig, out: Path) -> int:
     else:
         q = synth.q_preset(grid, cfg["forward"]["q_amplitude"])
         pot = fwd.PotentialSpec(grid, q, synth.axial_factor(grid))
-        data = fwd.positive_preset_data(grid, pot)
+        data = fwd.positive_preset_data(pot)
         [u] = fwd.solve_heat(grid, [pot], data)
         measured = {"min_u": float(np.min(u.values)),
                     "compatibility_residual": fwd.compatibility_residual(data, pot)}

@@ -51,8 +51,8 @@ from .grid import (
 
 
 class SolverBreakdownError(RuntimeError):
-    """A time step's iterative solve did not converge within the
-    iteration cap; the message names the member and the step."""
+    """A time step's iterative solve did not converge within the iteration
+    cap or met a non-finite residual; the message names the member and the step."""
 
 
 @dataclass
@@ -331,6 +331,9 @@ def _pcg_solver(grid):
         iterations = 0
         while True:
             rr = inner(r, r)
+            if not np.isfinite(rr).all():  # a NaN would pass the stopping test as converged
+                bad = members[~np.isfinite(rr)][0]
+                raise SolverBreakdownError(f"member {bad}, step {step}: non-finite residual")
             going = rr > CG_TOLERANCE**2 * rhs_norm
             if not going.all():
                 result[members[~going]] = x[~going]
@@ -372,15 +375,15 @@ def _pcg_solver(grid):
 # ---------------------------------------------------------------------------
 
 
-def positive_preset_data(grid: SpaceTimeGrid, pot: PotentialSpec) -> BoundaryData:
-    """Positive data compatible with the given potential at t=0.
+def positive_preset_data(pot: PotentialSpec) -> BoundaryData:
+    """Positive data on ``pot``'s grid, compatible with the potential at t=0.
 
     The initial field is identically 1 (so its Laplacian vanishes) and the
     Dirichlet traces are exp(-t * q(0, x2) f(x1)), whose initial time
     derivative is exactly the value the t=0 consistency condition asks
     for.  When q(0, .) = 0 every trace is identically 1.  Cap data are
     zero Neumann traces."""
-    g = grid
+    g = pot.grid
     u0 = np.ones((g.n1 + 2, g.n2 + 2))
     t = g.t[:, None]
 
@@ -407,7 +410,7 @@ def manufacture_pair(grid: SpaceTimeGrid, q: np.ndarray, q_tilde: np.ndarray,
     compatible, positive data set."""
     pot = PotentialSpec(grid, q, f)
     pot_tilde = PotentialSpec(grid, q_tilde, f)
-    data = positive_preset_data(grid, pot)
+    data = positive_preset_data(pot)
     u, u_tilde = solve_heat(grid, [pot, pot_tilde], data)
     return ManufacturedPair(
         u=u,

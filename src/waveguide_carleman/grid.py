@@ -159,7 +159,7 @@ class ScalarField:
             raise ValueError(f"value shape {values.shape} does not match grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
             bad = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(f"non-finite entry in field at index {tuple(bad)}")
+            raise ValueError(f"non-finite entry in field at index {tuple(bad.tolist())}")
         self.grid = grid
         self.values = values
 

@@ -92,18 +92,19 @@ def _window_indices(grid: SpaceTimeGrid, eps: float) -> tuple[int, int]:
 
 
 def assemble_stability(u: ScalarField, u_tilde: ScalarField, q: np.ndarray,
-                       q_tilde: np.ndarray, grid: SpaceTimeGrid, eps: float,
+                       q_tilde: np.ndarray, eps: float,
                        theta: float = float("nan")) -> StabilityReport:
-    """All three norms of the stability estimate for one solution pair;
-    ``u`` and ``u_tilde`` must live on ``grid``."""
-    if u.grid is not grid or u_tilde.grid is not grid:
-        raise ValueError("u and u_tilde must share the stability grid")
-    return _reports(grid, u, measurement(u), u_tilde, q, q_tilde, [eps], theta)[0]
+    """All three norms of the stability estimate for one solution pair, on
+    ``u``'s grid; ``u_tilde`` must share it."""
+    if u_tilde.grid is not u.grid:
+        raise ValueError("u and u_tilde must share one grid")
+    return _reports(u, measurement(u), u_tilde, q, q_tilde, [eps], theta)[0]
 
 
-def _reports(grid: SpaceTimeGrid, u: ScalarField, meas_u: np.ndarray, u_tilde: ScalarField,
-             q: np.ndarray, q_tilde: np.ndarray, epss, theta: float) -> list[StabilityReport]:
+def _reports(u: ScalarField, meas_u: np.ndarray, u_tilde: ScalarField, q: np.ndarray,
+             q_tilde: np.ndarray, epss, theta: float) -> list[StabilityReport]:
     """One report per eps; the right side, which no window enters, is formed once."""
+    grid = u.grid
     meas_diff = measurement(u_tilde) - meas_u
     rhs_boundary = integrate_values(grid, meas_diff**2, "wall")
     rhs_trace = mixed_sobolev_norm(u, u_tilde)
@@ -143,10 +144,10 @@ def perturbation_sweep(grid: SpaceTimeGrid, q: np.ndarray, dq: np.ndarray,
     q_tildes = [np.asarray(q, dtype=float) + theta * np.asarray(dq, dtype=float)
                 for theta in thetas]
     u, *u_tildes = solve_heat(grid, [pot] + [PotentialSpec(grid, qt, f) for qt in q_tildes],
-                              positive_preset_data(grid, pot))
+                              positive_preset_data(pot))
     meas_u = measurement(u)
     return [report for theta, q_tilde, u_tilde in zip(thetas, q_tildes, u_tildes)
-            for report in _reports(grid, u, meas_u, u_tilde, q, q_tilde, epss, theta)]
+            for report in _reports(u, meas_u, u_tilde, q, q_tilde, epss, theta)]
 
 
 def sweep_table(reports: list[StabilityReport]) -> str:

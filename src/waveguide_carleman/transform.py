@@ -100,7 +100,7 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
     m = pot.f[None, :, None] * u_tilde.values
     c1_floor = float(np.min(m))
     if c1_floor <= 0.0:
-        idx = np.unravel_index(int(np.argmin(m)), m.shape)
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(m)), m.shape)))
         raise ValueError(
             f"f*u~ is not positive: min {c1_floor} at (time,x1,x2) index {idx}"
         )

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waveguide_carleman import WaveguideDomain, build_grid
+from waveguide_carleman.grid import WaveguideDomain, build_grid
 
 # The CLI and thread-count tests start child interpreters; they import the
 # package from this checkout as the test process does.

@@ -8,14 +8,6 @@ criterion runs in well under two minutes.
 import numpy as np
 import pytest
 
-from waveguide_carleman import (
-    WaveguideDomain,
-    WeightParams,
-    assemble_weight,
-    build_bundle,
-    build_grid,
-    manufacture_pair,
-)
 from waveguide_carleman.carleman import (
     carleman_check_bounded,
     conjugated_operator,
@@ -24,12 +16,15 @@ from waveguide_carleman.carleman import (
     r_monotonicity_audit,
 )
 from waveguide_carleman.cli import main as cli_main
-from waveguide_carleman.forward import PotentialSpec, SeparableOracle, positive_preset_data, solve_heat
-from waveguide_carleman.grid import FULL, ScalarField, fit_convergence_order, gradient
+from waveguide_carleman.forward import (PotentialSpec, SeparableOracle, manufacture_pair,
+                                        positive_preset_data, solve_heat)
+from waveguide_carleman.grid import (FULL, ScalarField, WaveguideDomain, build_grid,
+                                     fit_convergence_order, gradient)
 from waveguide_carleman.stability import perturbation_sweep
 from waveguide_carleman.synth import SpaceTimeBump, axial_factor, dq_preset, q_preset, random_smooth_field
-from waveguide_carleman.transform import core_mask, ftc_representation_check, rhs_identity_check, z_residual
-from waveguide_carleman.weights import check_assumption_bounded
+from waveguide_carleman.transform import (build_bundle, core_mask, ftc_representation_check,
+                                          rhs_identity_check, z_residual)
+from waveguide_carleman.weights import WeightParams, assemble_weight, check_assumption_bounded
 
 from closed_forms import bump_gradient
 
@@ -78,7 +73,7 @@ def test_criterion_03_prefix_inequality_bounded():
         assert max(cs) <= 2.0 * cs[0], f"seed {seed}: sweep {cs} not s-uniform"
         worst_ratio = max(worst_ratio, max(cs) / cs[0])
     r_max = max(
-        r_monotonicity_audit(assemble_weight(WeightParams(lam=1.0, s=s), g), g)
+        r_monotonicity_audit(assemble_weight(WeightParams(lam=1.0, s=s), g))
         for s in (1.0, 4.0, 16.0)
     )
     assert r_max <= 1.0 + 1e-12, f"comparison kernel max {r_max}"
@@ -240,7 +235,7 @@ def test_criterion_09_positivity():
     g = build_grid(DOMAIN, 32, 32, 64)
     f = axial_factor(g)
     pot = PotentialSpec(g, q_preset(g, 0.4), f)
-    data = positive_preset_data(g, pot)
+    data = positive_preset_data(pot)
     [u_tilde] = solve_heat(g, [pot], data)
     min_u = float(np.min(u_tilde.values))
     min_fu = float(np.min(f[None, :, None] * u_tilde.values))

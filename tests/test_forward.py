@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,17 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from waveguide_carleman import (WaveguideDomain, build_grid, forward, manufacture_pair, measurement,
-                                perturbation_sweep, solve_heat)
+from waveguide_carleman import forward
 from waveguide_carleman.forward import (
     BoundaryData,
     PotentialSpec,
     SeparableOracle,
     SolverBreakdownError,
     compatibility_residual,
+    manufacture_pair,
+    measurement,
     positive_preset_data,
+    solve_heat,
 )
-from waveguide_carleman.grid import FULL, ScalarField, fit_convergence_order, gradient, normal_derivative
+from waveguide_carleman.grid import (FULL, ScalarField, WaveguideDomain, build_grid,
+                                     fit_convergence_order, gradient, normal_derivative)
+from waveguide_carleman.stability import perturbation_sweep
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
 
@@ -73,7 +78,7 @@ class TestPotentialAndData:
         # and in q it was reported as an indefinite step matrix
         grid = build_grid(domain, 16, 16, 32)
         pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
-        data = positive_preset_data(grid, pot)
+        data = positive_preset_data(pot)
         names = ("u0", "b_bottom", "b_top", "cap_minus", "cap_plus")
         for name, bad in zip(names, (np.nan, np.inf, -np.inf, np.nan, np.nan)):
             arrays = {n: getattr(data, n).copy() for n in names}
@@ -90,7 +95,7 @@ class TestPotentialAndData:
         # the preset potential vanishes at t=0, so the wall consistency
         # residual is identically zero
         pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
-        data = positive_preset_data(grid, pot)
+        data = positive_preset_data(pot)
         assert min(np.min(data.u0), np.min(data.b_bottom), np.min(data.b_top)) > 0.0
         assert compatibility_residual(data, pot) == 0.0
 
@@ -98,7 +103,7 @@ class TestPotentialAndData:
         # same node counts, longer guide: the potential's samples sit at
         # other x1 nodes than the data's
         other = build_grid(WaveguideDomain(L=3.0, h=1.0, T=2.0), grid.n1, grid.n2, grid.nt)
-        data = positive_preset_data(grid, PotentialSpec(grid, q_preset(grid), axial_factor(grid)))
+        data = positive_preset_data(PotentialSpec(grid, q_preset(grid), axial_factor(grid)))
         pot = PotentialSpec(other, q_preset(other), axial_factor(other))
         with pytest.raises(ValueError, match="share one grid"):
             compatibility_residual(data, pot)
@@ -153,7 +158,7 @@ class TestSolveHeat:
 
     def test_linearity_in_data(self, grid):
         pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
-        d1 = positive_preset_data(grid, pot)
+        d1 = positive_preset_data(pot)
         bump = 0.3 * np.sin(np.pi * (grid.x1 + 1.0) / 2.0)
         d2 = BoundaryData(
             grid,
@@ -180,7 +185,7 @@ class TestSolveHeat:
     def test_positivity_with_positive_preset(self, domain):
         grid = build_grid(domain, 24, 24, 48)
         pot = PotentialSpec(grid, q_preset(grid, 0.4), axial_factor(grid))
-        [u] = solve_heat(grid, [pot], positive_preset_data(grid, pot))
+        [u] = solve_heat(grid, [pot], positive_preset_data(pot))
         assert np.min(u.values) > 0.0
 
     def test_indefinite_step_matrix_rejected(self, domain):
@@ -189,19 +194,31 @@ class TestSolveHeat:
         grid = build_grid(domain, 32, 32, 64)
         pot = PotentialSpec(grid, q_preset(grid, -100.0), axial_factor(grid))
         with pytest.raises(ValueError, match=r"time step 0\.03125 with min V -224\."):
-            solve_heat(grid, [pot], positive_preset_data(grid, pot))
+            solve_heat(grid, [pot], positive_preset_data(pot))
         # in a stack, the message names the indefinite member
         good = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
         with pytest.raises(ValueError, match="member 1 is not positive definite"):
-            solve_heat(grid, [good, pot], positive_preset_data(grid, good))
+            solve_heat(grid, [good, pot], positive_preset_data(good))
 
     def test_iteration_cap_names_the_step(self, grid, monkeypatch):
         monkeypatch.setattr(forward, "CG_MAX_ITERATIONS", 0)
         pot = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
         with pytest.raises(SolverBreakdownError,
                            match="step 1: no convergence in 0 iterations") as info:
-            solve_heat(grid, [pot], positive_preset_data(grid, pot))
+            solve_heat(grid, [pot], positive_preset_data(pot))
         assert "member 0, step 1" in str(info.value)
+
+    def test_non_finite_residual_names_the_member_and_the_step(self, domain):
+        # the second member's first residual overflows to inf, then NaN,
+        # which the stopping test would pass as converged
+        grid = build_grid(domain, 8, 8, 16)
+        good = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
+        huge = PotentialSpec(grid, q_preset(grid, 1e308), axial_factor(grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(SolverBreakdownError,
+                               match="^member 1, step 1: non-finite residual$"):
+                solve_heat(grid, [good, huge], positive_preset_data(good))
 
 
 def stack_members(grid):
@@ -277,7 +294,7 @@ class TestStackedMarch:
         # stack of four whose members converge at different iterations
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), 24, 20, 16)
         pots = stack_members(g)
-        data = positive_preset_data(g, pots[0])
+        data = positive_preset_data(pots[0])
         stacked = solve_heat(g, pots, data)
         assert len(stacked) == 4
         for pot, field in zip(pots, stacked):
@@ -290,7 +307,7 @@ class TestStackedMarch:
         # solved levels must still find each step converged
         g = build_grid(domain, n, n, nt)
         pots = stack_members(g)[:2]
-        data = positive_preset_data(g, pots[0])
+        data = positive_preset_data(pots[0])
         for pot, u in zip(pots, solve_heat(g, pots, data)):
             assert np.max(step_residuals(g, pot, data, u.values)) <= 2.0 * forward.CG_TOLERANCE
 
@@ -313,7 +330,7 @@ class TestStackedMarch:
         monkeypatch.setattr(forward, "_pcg_solver", counting)
         g = build_grid(domain, 16, 16, 32)
         pots = stack_members(g)
-        solve_heat(g, pots, positive_preset_data(g, pots[0]))
+        solve_heat(g, pots, positive_preset_data(pots[0]))
         assert calls == [len(pots)] * g.nt
 
     def test_stacked_march_takes_no_more_applications_than_before(self, domain, monkeypatch):
@@ -324,7 +341,7 @@ class TestStackedMarch:
         applied = counted_applications(monkeypatch)
         g = build_grid(domain, 32, 32, 64)
         pots = stack_members(g)
-        solve_heat(g, pots, positive_preset_data(g, pots[0]))
+        solve_heat(g, pots, positive_preset_data(pots[0]))
         assert sum(applied) <= 1019
 
     def test_potentials_must_share_the_grid(self, grid, domain):
@@ -512,6 +529,23 @@ class TestAgainstSparseReference:
         ref = reference_solve(g, pot, data)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_potential_that_only_the_laplacian_keeps_definite(self):
+        # 1/dt + min V / 2 <= 0 < 1/dt + (lambda_min + min V) / 2: the step
+        # matrix is positive definite through -Lap_h's lowest eigenvalue alone
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), 9, 7, 10)
+        weight = cap_weight(g).ravel().repeat(g.n2)  # -Lap_h is D-symmetric
+        sym = np.sqrt(weight)
+        lap = negative_laplacian(g).toarray() * sym[:, None] / sym[None, :]
+        lam_min = float(np.linalg.eigvalsh(0.5 * (lap + lap.T))[0])
+        q = -2.0 / g.dt - 0.5 * lam_min
+        assert 1.0 / g.dt + q / 2.0 <= 0.0 < 1.0 / g.dt + (lam_min + q) / 2.0
+        pot = PotentialSpec(g, np.full((g.nt + 1, g.n2 + 2), q), np.ones(g.n1 + 2))
+        data = constant_data(g)
+        data.cap_minus[:] = 0.3
+        got = solve_heat(g, [pot], data)[0].values
+        ref = reference_solve(g, pot, data)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestManufacturePair:
     def test_identical_potentials_give_identical_solves(self, grid):
@@ -600,14 +634,14 @@ class TestThreadIndependence:
         (q_preset scaled by 1, 2, ...) at 1 and at 2 threads."""
         script = (
             "import sys\n"
-            "from waveguide_carleman import WaveguideDomain, build_grid, solve_heat\n"
-            "from waveguide_carleman.forward import PotentialSpec, positive_preset_data\n"
+            "from waveguide_carleman.grid import WaveguideDomain, build_grid\n"
+            "from waveguide_carleman.forward import PotentialSpec, positive_preset_data, solve_heat\n"
             "from waveguide_carleman.synth import axial_factor, q_preset\n"
             "d = WaveguideDomain(L=1.0, h=1.0, T=2.0)\n"
             f"g = build_grid(d, {n1}, {n2}, 4)\n"
             "pots = [PotentialSpec(g, (1 + b) * q_preset(g), axial_factor(g))\n"
             f"        for b in range({members})]\n"
-            "us = solve_heat(g, pots, positive_preset_data(g, pots[0]))\n"
+            "us = solve_heat(g, pots, positive_preset_data(pots[0]))\n"
             "open(sys.argv[1], 'wb').write(b''.join(u.values.tobytes() for u in us))\n"
         )
         paths = []

@@ -5,12 +5,12 @@ xfail naming the ROADMAP item that mends it; that item drops the marker."""
 import numpy as np
 import pytest
 
-from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid
 from waveguide_carleman.carleman import (SLOPE_BAND, carleman_check_bounded, lemma_bounded_check,
                                          lemma_open_check)
+from waveguide_carleman.grid import WaveguideDomain, build_grid
 from waveguide_carleman.synth import SpaceTimeBump, random_smooth_field
-from waveguide_carleman.weights import (AxialWeightProfile, SectionWeightProfile,
-                                        check_assumption_bounded)
+from waveguide_carleman.weights import (AxialWeightProfile, SectionWeightProfile, WeightParams,
+                                        assemble_weight, check_assumption_bounded)
 
 S_VALUES = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from waveguide_carleman import stability
-from waveguide_carleman import WaveguideDomain, assemble_stability, build_grid, manufacture_pair, perturbation_sweep
-from waveguide_carleman.grid import (FULL, ScalarField, derivative, fit_convergence_order,
-                                     gradient, integrate_values, normal_derivative)
-from waveguide_carleman.stability import mixed_sobolev_norm, sweep_table
-from waveguide_carleman.forward import PotentialSpec, positive_preset_data, solve_heat
+from waveguide_carleman.grid import (FULL, ScalarField, WaveguideDomain, build_grid, derivative,
+                                     fit_convergence_order, gradient, integrate_values,
+                                     normal_derivative)
+from waveguide_carleman.stability import (assemble_stability, mixed_sobolev_norm,
+                                          perturbation_sweep, sweep_table)
+from waveguide_carleman.forward import (PotentialSpec, manufacture_pair, positive_preset_data,
+                                        solve_heat)
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 
 
@@ -87,7 +89,7 @@ class TestAssembleStability:
     def test_identical_pair_gives_zero(self, run_grid):
         q = q_preset(run_grid)
         same = manufacture_pair(run_grid, q, q.copy(), axial_factor(run_grid))
-        rep = assemble_stability(same.u, same.u_tilde, q, q.copy(), run_grid, eps=0.25)
+        rep = assemble_stability(same.u, same.u_tilde, q, q.copy(), eps=0.25)
         assert rep.lhs == 0.0
         assert rep.rhs_boundary == 0.0
         assert rep.rhs_trace == 0.0
@@ -95,7 +97,7 @@ class TestAssembleStability:
 
     def test_perturbed_pair_has_positive_sides(self, run_grid, pair):
         rep = assemble_stability(
-            pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, run_grid, eps=0.25
+            pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, eps=0.25
         )
         assert rep.lhs > 0.0
         assert rep.rhs_boundary > 0.0
@@ -109,7 +111,7 @@ class TestAssembleStability:
         # u on both sides sees nothing of q~ - q: the right side is 0 while
         # the left is not, which no finite constant bounds
         q, qt = pair.pot.q, pair.pot_tilde.q
-        rep = assemble_stability(pair.u, pair.u, q, qt, run_grid, eps=0.25)
+        rep = assemble_stability(pair.u, pair.u, q, qt, eps=0.25)
         assert rep.lhs > 0.0 and rep.rhs_boundary == rep.rhs_trace == 0.0
         assert rep.empirical_C_eps == np.inf
         assert "note: non-finite empirical constant\n" in rep.to_text()
@@ -120,21 +122,21 @@ class TestAssembleStability:
         far = build_grid(WaveguideDomain(L=3.0, h=1.0, T=2.0), 24, 24, 48)
         moved = ScalarField(far, pair.u_tilde.values, FULL)
         q, qt = pair.pot.q, pair.pot_tilde.q
-        for u, u_tilde, g in ((pair.u, pair.u_tilde, far), (pair.u, moved, run_grid)):
+        for u, u_tilde in ((pair.u, moved), (moved, pair.u_tilde)):
             with pytest.raises(ValueError, match="share"):
-                assemble_stability(u, u_tilde, q, qt, g, eps=0.25)
+                assemble_stability(u, u_tilde, q, qt, eps=0.25)
 
     def test_window_validation(self, run_grid, pair):
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 assemble_stability(
-                    pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, run_grid, eps=bad
+                    pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, eps=bad
                 )
 
     def test_window_monotonicity_exact(self, run_grid, pair):
         q, qt = pair.pot.q, pair.pot_tilde.q
         reps = [
-            assemble_stability(pair.u, pair.u_tilde, q, qt, run_grid, eps=e)
+            assemble_stability(pair.u, pair.u_tilde, q, qt, eps=e)
             for e in (0.125, 0.25, 0.5, 0.75)
         ]
         lhss = [r.lhs for r in reps]
@@ -151,7 +153,7 @@ class TestAgainstFullGridEinsum:
     @pytest.mark.parametrize("eps", [0.25, 0.5])
     def test_windowed_lhs(self, run_grid, pair, eps):
         q, qt = pair.pot.q, pair.pot_tilde.q
-        rep = assemble_stability(pair.u, pair.u_tilde, q, qt, run_grid, eps=eps)
+        rep = assemble_stability(pair.u, pair.u_tilde, q, qt, eps=eps)
         g = run_grid
         ia = int(round(eps / g.dt))
         ib = g.nt - ia
@@ -164,7 +166,7 @@ class TestAgainstFullGridEinsum:
         # the observed trace taken from the full-grid gradient, squared and
         # integrated over the observed wall and (0, T)
         g = run_grid
-        rep = assemble_stability(pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, g, eps=0.25)
+        rep = assemble_stability(pair.u, pair.u_tilde, pair.pot.q, pair.pot_tilde.q, eps=0.25)
         diff = (normal_derivative(gradient(pair.u_tilde)[0])
                 - normal_derivative(gradient(pair.u)[0]))
         expected = np.einsum("ti,t,i->", diff**2, _trap(g.nt + 1, g.dt), _trap(g.n1 + 2, g.dx1))
@@ -175,7 +177,7 @@ class TestAgainstFullGridEinsum:
         # the larger of the two potentials' L2 norms over (0, T) x section
         g = run_grid
         q, qt = pair.pot.q, pair.pot_tilde.q
-        rep = assemble_stability(pair.u, pair.u_tilde, q, qt, g, eps=0.25)
+        rep = assemble_stability(pair.u, pair.u_tilde, q, qt, eps=0.25)
         w = (_trap(g.nt + 1, g.dt), _trap(g.n2 + 2, g.dx2))
         expected = max(np.sqrt(np.einsum("tj,t,j->", p**2, *w)) for p in (q, qt))
         assert expected > 0.0
@@ -244,8 +246,8 @@ class TestPerturbationSweep:
         q_tildes = [q + theta * dq for theta in thetas]
         pot = PotentialSpec(g, q, f)
         u, *u_tildes = solve_heat(g, [pot] + [PotentialSpec(g, qt, f) for qt in q_tildes],
-                                  positive_preset_data(g, pot))
-        expected = [assemble_stability(u, ut, q, qt, g, eps, theta=theta)
+                                  positive_preset_data(pot))
+        expected = [assemble_stability(u, ut, q, qt, eps, theta=theta)
                     for theta, qt, ut in zip(thetas, q_tildes, u_tildes) for eps in epss]
         assert [r.to_text() for r in reports] == [r.to_text() for r in expected]
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from waveguide_carleman import build_bundle, build_grid, manufacture_pair
-from waveguide_carleman.forward import PotentialSpec
-from waveguide_carleman.grid import (FULL, ScalarField, derivative, fit_convergence_order,
-                                     gradient, laplacian, time_derivative)
+from waveguide_carleman.forward import PotentialSpec, manufacture_pair
+from waveguide_carleman.grid import (FULL, ScalarField, build_grid, derivative,
+                                     fit_convergence_order, gradient, laplacian, time_derivative)
 from waveguide_carleman.synth import axial_factor, dq_preset, q_preset
 from waveguide_carleman.transform import (
+    build_bundle,
     core_mask,
     ftc_representation_check,
     rhs_identity_check,
@@ -67,7 +67,8 @@ class TestBuildBundle:
         pot = PotentialSpec(grid, q_preset(grid), np.ones(grid.n1 + 2))
         ones = grid.sample(lambda t, x1, x2: 1.0 + 0 * t * x1 * x2)
         bad = grid.sample(lambda t, x1, x2: x2 + 0 * t * x1)  # zero on the bottom wall
-        with pytest.raises(ValueError, match="not positive"):
+        with pytest.raises(ValueError, match=r"not positive: min 0\.0 at \(time,x1,x2\) index "
+                                             r"\(0, 0, 0\)$"):
             build_bundle(ones, bad, pot)
 
     def test_coefficients_match_symbolic_oracle(self, domain):

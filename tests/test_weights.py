@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveguide_carleman import WaveguideDomain, WeightParams, assemble_weight, build_grid
+from waveguide_carleman.grid import WaveguideDomain, build_grid
 from waveguide_carleman.weights import (
     EXPONENT_FLOOR,
     UNDERFLOW_CLAMP,
     AxialWeightProfile,
     SectionWeightProfile,
+    WeightParams,
+    assemble_weight,
     check_assumption_bounded,
     check_assumption_open,
     singular_time_profile,
@@ -387,6 +389,18 @@ class TestAssumptionBounded:
         rep = check_assumption_bounded(ws)
         by_name = {b.name: b for b in rep.bullets}
         assert not by_name["psi_positive"].passed
+
+    @pytest.mark.parametrize("peak, failing", [
+        (-0.5, "axial_slope_positive_left"), (0.5, "axial_slope_negative_right"),
+    ])
+    def test_axial_peak_off_the_anchor_breaks_the_slope_on_its_side(self, grid, peak, failing):
+        # the grid is anchored at 0; psi1 falls between its peak and the anchor
+        ws = assemble_weight(WeightParams(), grid,
+                             psi1_profile=AxialWeightProfile(L=1.0, alpha=peak, c1=0.5))
+        slopes = {b.name: b.passed for b in check_assumption_bounded(ws).bullets
+                  if b.name.startswith("axial_slope")}
+        assert slopes == {name: name != failing for name in
+                          ("axial_slope_positive_left", "axial_slope_negative_right")}
 
     def test_regime_mismatch(self, open_grid):
         ws = assemble_weight(WeightParams(regime="open"), open_grid)
