@@ -11,23 +11,25 @@ both levels, five-point Laplacian in space, Neumann caps imposed through
 second-order ghost values, Dirichlet rows eliminated.  One five-point
 operator on the unknown block serves both sides of each step; the
 boundary data enter only through an edge lift of each level.  Each
-step's system A = 1/dt + (-Lap_h + V^{k+1})/2 is solved by conjugate
-gradients in the variables D^(1/2) x, D = diag(1/2, 1, ..., 1, 1/2)
-along x1, in which it is symmetric, preconditioned by the mean-potential
-system (Concus & Golub 1973), which the transforms that diagonalise it
-solve exactly (Swarztrauber 1977): DCT-I along x1 for the ghost-value
-caps and DST-I along x2 for the Dirichlet walls, as dense matrix
-products, not ``numpy.fft``.  Because that solve is exact, A z = r + E z
-for the preconditioned residual z, with E the potential's excess over
-its mean on the diagonal, so the iteration applies no stencil; the
-five-point operator runs once per step.  Each residual is tested before
-it is preconditioned (Saad 2003, Alg. 9.1), so a converged residual
-takes no transform solve, and the reciprocal of the mean system's
-transform-domain denominator is built once per step.  Solves that share
-a grid and a data set and differ only in the potential march as one
-stack, each member with its own iteration, and a member's field does not
-depend on the stack.  Non-finite samples and a step matrix that is not
-positive definite are rejected before marching.  The scheme is
+step's system A = 1/dt + (-Lap_h + V^{k+1})/2 is solved in the variables
+D^(1/2) x, D = diag(1/2, 1, ..., 1, 1/2) along x1, in which it is
+symmetric, preconditioned by the midrange-potential system C (Concus &
+Golub 1973), which the transforms that diagonalise it solve exactly
+(Swarztrauber 1977): DCT-I along x1 for the ghost-value caps and DST-I
+along x2 for the Dirichlet walls, as dense matrix products, not
+``numpy.fft``.  Because that solve is exact, z = C^-1 r leaves the
+residual -E z, with E the potential's excess over its midrange on the
+diagonal: each member runs preconditioned Richardson while one
+application shrinks its residual at least 20-fold, and conjugate
+gradients from then on, with A z = r + E z.  Neither applies a stencil;
+the five-point operator runs once per step.  Each residual is tested
+before it is preconditioned (Saad 2003, Alg. 9.1), so a converged
+residual takes no transform solve, and the reciprocal of the midrange
+system's transform-domain denominator is built once per step.  Solves
+that share a grid and a data set and differ only in the potential march
+as one stack, each member with its own iteration, and a member's field
+does not depend on the stack.  Non-finite samples and a step matrix that
+is not positive definite are rejected before marching.  The scheme is
 unconditionally stable and second order; the closed-form oracle below is
 its yardstick.  The wall measurement ``measurement(u)`` is a plain
 ``(nt+1, n1+2)`` array, read on ``u``'s own grid.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -194,17 +197,18 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
 
     matvec, solve = _pcg_solver(grid)
     x = np.repeat((sym * data.u0[:, 1:-1])[None], len(pots), axis=0)
-    diag, lift = level(0)
-    for k in range(grid.nt):
-        diag_next, lift_next = level(k + 1)
-        ax = matvec(diag, x)
-        rhs = np.multiply(2.0 / dt, x)
-        rhs -= ax
-        rhs += lift + lift_next
-        ax += (diag_next - diag) * x  # A_{k+1} x, overwritten by the warm start's residual
-        solve(diag_next, rhs, x, np.subtract(rhs, ax, out=ax), k + 1)
-        np.divide(x, sym, out=u[:, k + 1, :, 1:-1])
-        diag, lift = diag_next, lift_next
+    with np.errstate(over="ignore", invalid="ignore"):  # solve names a non-finite residual
+        diag, lift = level(0)
+        for k in range(grid.nt):
+            diag_next, lift_next = level(k + 1)
+            ax = matvec(diag, x)
+            rhs = np.multiply(2.0 / dt, x)
+            rhs -= ax
+            rhs += lift + lift_next
+            ax += (diag_next - diag) * x  # A_{k+1} x, overwritten by the warm start's residual
+            solve(diag_next, rhs, x, np.subtract(rhs, ax, out=ax), k + 1)
+            np.divide(x, sym, out=u[:, k + 1, :, 1:-1])
+            diag, lift = diag_next, lift_next
     return [ScalarField(grid, field, FULL) for field in u]
 
 
@@ -275,8 +279,10 @@ def _separable_inverse(grid):
 
 #: Relative residual, in the D-norm, at which a step's iteration stops.
 CG_TOLERANCE = 1e-14
-#: Iterations per step before the solve gives up.
+#: Iterations per step, Richardson and CG together, before the solve gives up.
 CG_MAX_ITERATIONS = 200
+#: Residual ratio of one Richardson application above which a member hands over to CG.
+RICHARDSON_RATE = 0.05
 
 
 def _pcg_solver(grid):
@@ -287,87 +293,116 @@ def _pcg_solver(grid):
     2 c1 and c1, and CG runs in the plain inner product, the D inner
     product of x.  matvec(diag, p) applies ``diag`` plus the fixed
     couplings of S (-Lap_h / 2) S^-1 to p (one (P, Q) block works too).
-    solve(diag, rhs, x, r, step) solves each member's system by conjugate
-    gradients, updating x and its residual r in place, preconditioned by
-    the same matrix with ``diag`` replaced by its mean, which
-    ``_separable_inverse`` solves exactly, its reciprocal denominator built
-    once per call.  With E = diag - mean(diag) the preconditioned residual
-    z therefore has A z = r + E z, so the iteration updates q = A p as
-    r + E z + beta q and applies no stencil.  Each member keeps its own
-    mean, step lengths and stopping test.  The test reads the residual
-    before it is preconditioned: a member whose residual passes leaves the
-    stack without another transform solve, so the first one comes after
-    the warm start's test and p, q exist only from then on.  x, r, p and q
-    are updated in place through one scratch buffer.  Inner products are
-    per-member two-operand sums, not BLAS dots, so a member's result
-    depends neither on the thread count nor on the other members."""
+    solve(diag, rhs, x, r, step) solves each member's system, updating x
+    in place from its residual r, preconditioned by C, the same matrix with
+    ``diag`` replaced by its midrange, which ``_separable_inverse`` solves
+    exactly, its reciprocal denominator built once per call.  With
+    E = diag - midrange, A = C + E: each member runs Richardson, x += z =
+    C^-1 r and r = -E z, until one application shrinks its residual by less
+    than ``RICHARDSON_RATE``, then ``_conjugate_gradients`` from its x and r.
+    The midrange makes E 0 for a potential constant in space and minimizes
+    max |E|, which bounds the contraction.  Each member keeps its own
+    midrange, phase and stopping test; the iteration cap counts both."""
     scale, inverse = _separable_inverse(grid)
     c1, c2 = 0.5 / grid.dx1**2, 0.5 / grid.dx2**2
     cap = np.sqrt(2.0)
+    P = grid.n1 + 2
+    ends, next_to_ends = slice(0, P, P - 1), slice(1, P - 1, P - 3)  # rows 0, P-1 and 1, P-2
 
     def matvec(diag, p):
         out = diag * p
         c1p, c2p = c1 * p, c2 * p
         out[..., 1:] -= c2p[..., :-1]
         out[..., :-1] -= c2p[..., 1:]
-        out[..., [0, -1], :] -= cap * c1p[..., [1, -2], :]
-        c1p[..., [0, -1], :] *= cap
+        out[..., ends, :] -= cap * c1p[..., next_to_ends, :]
+        c1p[..., ends, :] *= cap
         out[..., 1:-1, :] -= c1p[..., :-2, :]
         out[..., 1:-1, :] -= c1p[..., 2:, :]
         return out
 
-    def inner(a, b):
-        return np.einsum("bij,bij->b", a, b)
-
     def solve(diag, rhs, x, r, step):
-        result = x
-        members = np.arange(len(result))
-        rhs_norm = inner(rhs, rhs)
-        mean = diag.mean(axis=(1, 2))
-        reciprocal = scale(mean - 2.0 * (c1 + c2))
-        excess = diag - mean[:, None, None]
-        scratch = np.empty_like(r)
-        p = q = rz = None
+        mid = 0.5 * (diag.min(axis=(1, 2)) + diag.max(axis=(1, 2)))
+        s = SimpleNamespace(members=np.arange(len(x)), x=x, r=r, deficit=mid[:, None, None] - diag,
+                            reciprocal=scale(mid - 2.0 * (c1 + c2)), rr=_inner(r, r),
+                            bound=CG_TOLERANCE**2 * _inner(rhs, rhs), last=np.full(len(x), np.inf))
         iterations = 0
-        while True:
-            rr = inner(r, r)
-            if not np.isfinite(rr).all():  # a NaN would pass the stopping test as converged
-                bad = members[~np.isfinite(rr)][0]
-                raise SolverBreakdownError(f"member {bad}, step {step}: non-finite residual")
-            going = rr > CG_TOLERANCE**2 * rhs_norm
-            if not going.all():
-                result[members[~going]] = x[~going]
-                if not going.any():
+        while (s := _settle(x, s, iterations, step)) is not None:
+            slow = s.rr > RICHARDSON_RATE**2 * s.last
+            if slow.any():
+                _conjugate_gradients(inverse, x, _take(s, slow), iterations, step)
+                if slow.all():
                     return
-                members, x, r, excess, reciprocal, rr, rhs_norm = (
-                    a[going] for a in (members, x, r, excess, reciprocal, rr, rhs_norm))
-                if p is not None:
-                    p, q, rz = (a[going] for a in (p, q, rz))
-                scratch = scratch[:len(r)]
-            if iterations == CG_MAX_ITERATIONS:
-                raise SolverBreakdownError(
-                    f"member {members[0]}, step {step}: no convergence in {CG_MAX_ITERATIONS} "
-                    f"iterations, relative residual {np.sqrt(rr[0] / rhs_norm[0]):.3e}")
+                s = _take(s, ~slow)
             iterations += 1
-            z = inverse(r, reciprocal)
-            rz, rz_old = inner(r, z), rz
-            np.multiply(excess, z, out=scratch)
-            scratch += r
-            if p is None:
-                p, q = z, scratch.copy()
-            else:
-                beta = (rz / rz_old)[:, None, None]
-                p *= beta
-                p += z
-                q *= beta
-                q += scratch
-            alpha = (rz / inner(p, q))[:, None, None]
-            np.multiply(alpha, p, out=scratch)
-            x += scratch
-            np.multiply(alpha, q, out=scratch)
-            r -= scratch
+            z = inverse(s.r, s.reciprocal)
+            s.x += z
+            np.multiply(s.deficit, z, out=s.r)
+            s.last, s.rr = s.rr, _inner(s.r, s.r)
 
     return matvec, solve
+
+
+def _conjugate_gradients(inverse, result, s, iterations, step):
+    """CG for the members of ``solve``'s stack ``s`` from their x and r, after
+    ``iterations`` Richardson applications; each converged x goes to
+    ``result``.  C is exact, so A z = r + E z for the preconditioned
+    residual z, and q = A p updates as r + E z + beta q with no stencil.
+    x, r, p and q are updated in place through one scratch buffer."""
+    # p = q = 0 and rz = inf make the first beta 0 and the first p z
+    s.p, s.q, s.rz = np.zeros_like(s.r), np.zeros_like(s.r), np.full(len(s.r), np.inf)
+    scratch = np.empty_like(s.r)
+    while (s := _settle(result, s, iterations, step)) is not None:
+        scratch = scratch[:len(s.r)]
+        iterations += 1
+        z = inverse(s.r, s.reciprocal)
+        rz = _inner(s.r, z)
+        np.multiply(s.deficit, z, out=scratch)
+        np.subtract(s.r, scratch, out=scratch)
+        beta = (rz / s.rz)[:, None, None]
+        s.p *= beta
+        s.p += z
+        s.q *= beta
+        s.q += scratch
+        s.rz = rz
+        alpha = (rz / _inner(s.p, s.q))[:, None, None]
+        np.multiply(alpha, s.p, out=scratch)
+        s.x += scratch
+        np.multiply(alpha, s.q, out=scratch)
+        s.r -= scratch
+        s.rr = _inner(s.r, s.r)
+
+
+def _settle(result, s, iterations, step):
+    """Test each member of the stack ``s`` before an application: write the x
+    of each one whose residual norm rr meets its bound into ``result``, so it
+    takes no transform solve, and return the others' stack, or None.  Raises
+    SolverBreakdownError on a non-finite residual and at the iteration cap."""
+    finite = np.isfinite(s.rr)
+    if not finite.all():  # a NaN would pass the stopping test as converged
+        raise SolverBreakdownError(f"member {s.members[~finite][0]}, step {step}: "
+                                   "non-finite residual")
+    going = s.rr > s.bound
+    if not going.all():
+        result[s.members[~going]] = s.x[~going]
+        if not going.any():
+            return None
+        s = _take(s, going)
+    if iterations == CG_MAX_ITERATIONS:
+        raise SolverBreakdownError(
+            f"member {s.members[0]}, step {step}: no convergence in {CG_MAX_ITERATIONS} "
+            f"iterations, relative residual {CG_TOLERANCE * np.sqrt(s.rr[0] / s.bound[0]):.3e}")
+    return s
+
+
+def _take(s, mask):
+    """The members of the stack ``s`` where ``mask`` holds, as a new stack."""
+    return SimpleNamespace(**{name: a[mask] for name, a in vars(s).items()})
+
+
+def _inner(a, b):
+    """Per-member sums, not BLAS dots: a member's inner product depends
+    neither on the thread count nor on the other members."""
+    return np.einsum("bij,bij->b", a, b)
 
 
 # ---------------------------------------------------------------------------

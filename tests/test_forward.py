@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -208,17 +207,26 @@ class TestSolveHeat:
             solve_heat(grid, [pot], positive_preset_data(pot))
         assert "member 0, step 1" in str(info.value)
 
+    def test_iteration_cap_counts_both_phases(self, monkeypatch):
+        # at step 1 this member hands over to CG after five Richardson
+        # applications and converges after three CG iterations more, so a cap
+        # of seven stops it there; CG alone would first reach seven at step 2
+        monkeypatch.setattr(forward, "CG_MAX_ITERATIONS", 7)
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), 24, 20, 16)
+        pot = PotentialSpec(g, q_preset(g, 40.0), axial_factor(g, 0.5))
+        with pytest.raises(SolverBreakdownError,
+                           match="^member 0, step 1: no convergence in 7 iterations"):
+            solve_heat(g, [pot], positive_preset_data(pot))
+
     def test_non_finite_residual_names_the_member_and_the_step(self, domain):
         # the second member's first residual overflows to inf, then NaN,
-        # which the stopping test would pass as converged
+        # which the stopping test would pass as converged; the overflow
+        # itself raises no RuntimeWarning (an error under tier-1's filters)
         grid = build_grid(domain, 8, 8, 16)
         good = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
         huge = PotentialSpec(grid, q_preset(grid, 1e308), axial_factor(grid))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-            with pytest.raises(SolverBreakdownError,
-                               match="^member 1, step 1: non-finite residual$"):
-                solve_heat(grid, [good, huge], positive_preset_data(good))
+        with pytest.raises(SolverBreakdownError, match="^member 1, step 1: non-finite residual$"):
+            solve_heat(grid, [good, huge], positive_preset_data(good))
 
 
 def stack_members(grid):
@@ -288,15 +296,40 @@ def counted_applications(monkeypatch):
     return applied
 
 
+def handed_over(monkeypatch):
+    """A list that receives the set of members of every hand-over from
+    Richardson to CG in the solves that follow."""
+    handed = []
+    conjugate_gradients = forward._conjugate_gradients
+
+    def recording(inverse, result, s, iterations, step):
+        handed.append(set(s.members.tolist()))
+        return conjugate_gradients(inverse, result, s, iterations, step)
+
+    monkeypatch.setattr(forward, "_conjugate_gradients", recording)
+    return handed
+
+
+def preset_stack(grid, amplitude):
+    """The four potentials the perturbation sweep marches: the preset at
+    ``amplitude`` and its three shipped theta perturbations."""
+    q, dq, f = q_preset(grid, amplitude), dq_preset(grid), axial_factor(grid, 0.5)
+    return [PotentialSpec(grid, q + theta * dq, f) for theta in (0.0, 0.1, 0.05, 0.025)]
+
+
 class TestStackedMarch:
-    def test_member_fields_do_not_depend_on_the_stack(self):
+    def test_member_fields_do_not_depend_on_the_stack(self, monkeypatch):
         # each member's field is the same, bit for bit, alone and in a
-        # stack of four whose members converge at different iterations
+        # stack of five whose members converge at different iterations; the
+        # strong fifth one hands over to CG, after one to five Richardson
+        # applications, and the other four converge in Richardson
+        handed = handed_over(monkeypatch)
         g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), 24, 20, 16)
-        pots = stack_members(g)
+        pots = stack_members(g) + [PotentialSpec(g, q_preset(g, 40.0), axial_factor(g, 0.5))]
         data = positive_preset_data(pots[0])
         stacked = solve_heat(g, pots, data)
-        assert len(stacked) == 4
+        assert len(stacked) == 5
+        assert handed and set().union(*handed) == {4}
         for pot, field in zip(pots, stacked):
             [alone] = solve_heat(g, [pot], data)
             assert field.values.tobytes() == alone.values.tobytes()
@@ -333,16 +366,41 @@ class TestStackedMarch:
         solve_heat(g, pots, positive_preset_data(pots[0]))
         assert calls == [len(pots)] * g.nt
 
-    def test_stacked_march_takes_no_more_applications_than_before(self, domain, monkeypatch):
+    def test_stack_members_take_the_measured_applications(self, domain, monkeypatch):
         # the four stack members at 32x32x64 took 1019 preconditioner
-        # applications (3.98 per member and step) when the iteration ran in
-        # the D inner product on unscaled variables; the symmetrized
-        # iteration is the same method and may take no more
-        applied = counted_applications(monkeypatch)
+        # applications (3.98 per member and step) under CG alone; Richardson
+        # takes 1090 (4.26), each cheaper, and since every application
+        # shrinks their residuals at least 130-fold, none hands over
+        applied, handed = counted_applications(monkeypatch), handed_over(monkeypatch)
         g = build_grid(domain, 32, 32, 64)
         pots = stack_members(g)
         solve_heat(g, pots, positive_preset_data(pots[0]))
-        assert sum(applied) <= 1019
+        assert sum(applied) <= 1090
+        assert handed == []
+
+    def test_high_contrast_stack_hands_over_to_cg(self, domain, monkeypatch):
+        # at amplitude 400 one Richardson application shrinks the residual
+        # less than 20-fold on most steps: every member hands over; the stack takes
+        # 4240 applications (16.56 per member and step) against 4136 (16.16)
+        # under CG alone and 8827 (34.48) under Richardson alone; the
+        # stencil re-applied to the solved levels finds each step converged
+        applied, handed = counted_applications(monkeypatch), handed_over(monkeypatch)
+        g = build_grid(domain, 32, 32, 64)
+        pots = preset_stack(g, 400.0)
+        data = positive_preset_data(pots[0])
+        fields = solve_heat(g, pots, data)
+        assert sum(applied) <= 4240
+        assert set().union(*handed) == {0, 1, 2, 3}
+        for pot, u in zip(pots, fields):
+            assert np.max(step_residuals(g, pot, data, u.values)) <= 2.0 * forward.CG_TOLERANCE
+
+    @pytest.mark.parametrize("n, nt", [(32, 64), (64, 128)])
+    def test_shipped_preset_hands_over_no_member(self, domain, monkeypatch, n, nt):
+        handed = handed_over(monkeypatch)
+        g = build_grid(domain, n, n, nt)
+        pots = preset_stack(g, 0.4)
+        solve_heat(g, pots, positive_preset_data(pots[0]))
+        assert handed == []
 
     def test_potentials_must_share_the_grid(self, grid, domain):
         other = build_grid(domain, 8, 8, 16)
