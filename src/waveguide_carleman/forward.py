@@ -22,10 +22,11 @@ residual -E z, with E the potential's excess over its midrange on the
 diagonal: each member runs preconditioned Richardson while one
 application shrinks its residual at least 20-fold, and conjugate
 gradients from then on, with A z = r + E z.  Neither applies a stencil;
-the five-point operator runs once per step.  Each residual is tested
-before it is preconditioned (Saad 2003, Alg. 9.1), so a converged
-residual takes no transform solve, and the reciprocal of the midrange
-system's transform-domain denominator is built once per step.  Solves
+the five-point operator runs once per step, its x2 couplings as shifts of
+the flattened stack.  Each residual is tested before it is preconditioned
+(Saad 2003, Alg. 9.1), so a converged residual takes no transform solve.
+Each level's midrange (read off q's and f's extremes) and edge lift are
+built once per solve, the transform-domain reciprocal once per step.  Solves
 that share a grid and a data set and differ only in the potential march
 as one stack, each member with its own iteration, and a member's field
 does not depend on the stack.  Non-finite samples and a step matrix that
@@ -151,8 +152,11 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     the Dirichlet neighbours stored in u[k] (level 0 keeps the edges of
     u0) over dx2^2 and, on the caps, the ghost-value Neumann terms
     2 cap / dx1.  The lift is shared by every member, and each level's
-    diagonal is q[k] f / 2 plus a constant.  The level marched is held in
-    ``_pcg_solver``'s variables and unscaled once into u.  The five-point
+    diagonal is q[k] f / 2 plus a constant.  Every level's lift and
+    diagonal midrange (``_diagonal_extremes``) are built once per solve, as
+    are the march's buffers.  The level marched is held in
+    ``_pcg_solver``'s variables and unscaled into u: its interior rows,
+    where S = 1, are copied and its cap rows divided.  The five-point
     operator runs once per step, on A_k u^k; the warm start's residual takes
     A_{k+1} u^k = A_k u^k + (diag_{k+1} - diag_k) u^k.  Each member's
     field is the same, bit for bit, whatever the stack's size."""
@@ -177,39 +181,56 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
                              f"{dt} with min V {min_v}; refine the time grid")
     half_q = 0.5 * np.stack([pot.q[:, None, 1:-1] for pot in pots])  # (B, nt+1, 1, Q)
     f = np.stack([pot.f[:, None] for pot in pots])  # (B, P, 1)
-    sym = _cap_scaling(grid.n1 + 2)
+    shift = 1.0 / dt + 1.0 / dx1**2 + 1.0 / dx2**2
+    P, Q = grid.n1 + 2, grid.n2
+    sym, ends = _cap_scaling(P), slice(0, P, P - 1)  # ends: rows 0 and P-1
     u = np.zeros((len(pots),) + grid.shape)
     u[:, 0] = data.u0
     u[:, 1:, :, 0] = data.b_bottom[1:]
     u[:, 1:, :, -1] = data.b_top[1:]
-
-    def level(k):
-        """(diagonal of A_k for each member, S l_k / 2 with l_k the edge lift)."""
-        diag = half_q[:, k] * f
-        diag += 1.0 / dt + 1.0 / dx1**2 + 1.0 / dx2**2
-        edges = u[0, k]
-        lift = np.zeros(diag.shape[1:])
-        lift[:, 0] += edges[:, 0] / dx2**2
-        lift[:, -1] += edges[:, -1] / dx2**2
-        lift[0] += 2.0 * data.cap_minus[k][1:-1] / dx1
-        lift[-1] += 2.0 * data.cap_plus[k][1:-1] / dx1
-        return diag, 0.5 * sym * lift
+    # S l_k / 2 of all levels on the edges (0 inside), added onto zeros: cols 0, Q-1, rows 0, P-1
+    cols = np.zeros((grid.nt + 1, P, 2))
+    cols += u[0, :, :, ::Q + 1] / dx2**2
+    rows = np.zeros((grid.nt + 1, 2, Q))
+    rows[..., ::Q - 1] = cols[:, ends]
+    rows += 2.0 * np.stack([data.cap_minus, data.cap_plus], axis=1)[..., 1:-1] / dx1
+    cols *= 0.5 * sym
+    rows *= 0.5 * sym[ends]
 
     matvec, solve = _pcg_solver(grid)
     x = np.repeat((sym * data.u0[:, 1:-1])[None], len(pots), axis=0)
+    ax, rhs, scratch, diag_next = (np.empty_like(x) for _ in range(4))
+    lifts = np.zeros((P, Q))  # (l_k + l_{k+1}) S / 2, whose zeros turn a -0.0 of rhs to 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # solve names a non-finite residual
-        diag, lift = level(0)
+        mids = 0.5 * np.add(*_diagonal_extremes(half_q, f, shift))  # (B, nt+1)
+        diag = half_q[:, 0] * f + shift
         for k in range(grid.nt):
-            diag_next, lift_next = level(k + 1)
-            ax = matvec(diag, x)
-            rhs = np.multiply(2.0 / dt, x)
+            np.multiply(half_q[:, k + 1], f, out=diag_next)
+            diag_next += shift
+            matvec(diag, x, ax)
+            np.multiply(2.0 / dt, x, out=rhs)
             rhs -= ax
-            rhs += lift + lift_next
-            ax += (diag_next - diag) * x  # A_{k+1} x, overwritten by the warm start's residual
-            solve(diag_next, rhs, x, np.subtract(rhs, ax, out=ax), k + 1)
-            np.divide(x, sym, out=u[:, k + 1, :, 1:-1])
-            diag, lift = diag_next, lift_next
+            np.add(rows[k], rows[k + 1], out=lifts[ends])
+            np.add(cols[k, 1:-1], cols[k + 1, 1:-1], out=lifts[1:-1, ::Q - 1])
+            rhs += lifts
+            np.subtract(diag_next, diag, out=scratch)
+            scratch *= x
+            ax += scratch  # A_{k+1} x, overwritten by the warm start's residual
+            np.subtract(mids[:, k + 1, None, None], diag_next, out=scratch)
+            solve(mids[:, k + 1], scratch, rhs, x, np.subtract(rhs, ax, out=ax), k + 1)
+            u[:, k + 1, 1:-1, 1:-1] = x[:, 1:-1]  # S = 1 there, and x / 1 is x
+            np.divide(x[:, ends], sym[ends], out=u[:, k + 1, ends, 1:-1])
+            diag, diag_next = diag_next, diag
     return [ScalarField(grid, field, FULL) for field in u]
+
+
+def _diagonal_extremes(half_q, f, shift):
+    """(min, max) of each level's diagonal fl(fl(h f) + shift), h = ``half_q``
+    (B, nt+1, 1, Q), f (B, P, 1) > 0, bit for bit: rounding is monotone, so
+    they lie at the extremes of h and of f.  Two (B, nt+1) arrays."""
+    h = np.stack([half_q.min(axis=(2, 3)), half_q.max(axis=(2, 3))], axis=-1)[..., None]
+    corners = h * np.concatenate([f.min(axis=1), f.max(axis=1)], axis=1)[:, None, None] + shift
+    return corners.min(axis=(2, 3)), corners.max(axis=(2, 3))
 
 
 def _spectrum(n, d, neumann):
@@ -291,15 +312,16 @@ def _pcg_solver(grid):
     The ghost-value step matrix A is not symmetric, but D A is, so S A S^-1
     is: a cap row and its neighbour couple by sqrt(2) c1 both ways, not by
     2 c1 and c1, and CG runs in the plain inner product, the D inner
-    product of x.  matvec(diag, p) applies ``diag`` plus the fixed
-    couplings of S (-Lap_h / 2) S^-1 to p (one (P, Q) block works too).
-    solve(diag, rhs, x, r, step) solves each member's system, updating x
-    in place from its residual r, preconditioned by C, the same matrix with
-    ``diag`` replaced by its midrange, which ``_separable_inverse`` solves
-    exactly, its reciprocal denominator built once per call.  With
-    E = diag - midrange, A = C + E: each member runs Richardson, x += z =
-    C^-1 r and r = -E z, until one application shrinks its residual by less
-    than ``RICHARDSON_RATE``, then ``_conjugate_gradients`` from its x and r.
+    product of x.  matvec(diag, p, out) applies ``diag`` plus the fixed
+    couplings of S (-Lap_h / 2) S^-1 to p (or one (P, Q) block), into
+    ``out``, C-contiguous, if given.  solve(mid, deficit, rhs, x, r, step)
+    solves each member's system, updating x in place from its residual r,
+    preconditioned by C, the same matrix with the diagonal replaced by its
+    midrange ``mid``, which ``_separable_inverse`` solves exactly, its
+    reciprocal denominator built once per call.  With E = diag - mid =
+    -``deficit``, A = C + E: each member runs Richardson, x += z = C^-1 r and
+    r = -E z, until one application shrinks its residual by less than
+    ``RICHARDSON_RATE``, then ``_conjugate_gradients`` from its x and r.
     The midrange makes E 0 for a potential constant in space and minimizes
     max |E|, which bounds the contraction.  Each member keeps its own
     midrange, phase and stopping test; the iteration cap counts both."""
@@ -309,35 +331,40 @@ def _pcg_solver(grid):
     P = grid.n1 + 2
     ends, next_to_ends = slice(0, P, P - 1), slice(1, P - 1, P - 3)  # rows 0, P-1 and 1, P-2
 
-    def matvec(diag, p):
-        out = diag * p
+    def matvec(diag, p, out=None):
+        out = np.multiply(diag, p, out=out, order="C")
         c1p, c2p = c1 * p, c2 * p
-        out[..., 1:] -= c2p[..., :-1]
-        out[..., :-1] -= c2p[..., 1:]
+        # x2 couplings as flat-stack shifts (a last-axis offset view runs row by row);
+        # the column coupling a row's end to the next row's is +0.0: x - +0.0 is x
+        c2p[..., -1] = 0.0
+        out.reshape(-1)[1:] -= c2p.reshape(-1)[:-1]
+        c2p[..., -1] = c2 * p[..., -1]
+        c2p[..., 0] = 0.0
+        out.reshape(-1)[:-1] -= c2p.reshape(-1)[1:]
         out[..., ends, :] -= cap * c1p[..., next_to_ends, :]
         c1p[..., ends, :] *= cap
         out[..., 1:-1, :] -= c1p[..., :-2, :]
         out[..., 1:-1, :] -= c1p[..., 2:, :]
         return out
 
-    def solve(diag, rhs, x, r, step):
-        mid = 0.5 * (diag.min(axis=(1, 2)) + diag.max(axis=(1, 2)))
-        s = SimpleNamespace(members=np.arange(len(x)), x=x, r=r, deficit=mid[:, None, None] - diag,
-                            reciprocal=scale(mid - 2.0 * (c1 + c2)), rr=_inner(r, r),
-                            bound=CG_TOLERANCE**2 * _inner(rhs, rhs), last=np.full(len(x), np.inf))
+    def solve(mid, deficit, rhs, x, r, step):
+        s = SimpleNamespace(members=np.arange(len(x)), x=x, r=r, deficit=deficit,
+                            reciprocal=scale(mid - 2.0 * (c1 + c2)), rr=_inner(r, r).tolist(),
+                            bound=(CG_TOLERANCE**2 * _inner(rhs, rhs)).tolist(),
+                            last=[np.inf] * len(x))
         iterations = 0
         while (s := _settle(x, s, iterations, step)) is not None:
-            slow = s.rr > RICHARDSON_RATE**2 * s.last
-            if slow.any():
+            slow = [rr > RICHARDSON_RATE**2 * last for rr, last in zip(s.rr, s.last)]
+            if any(slow):
                 _conjugate_gradients(inverse, x, _take(s, slow), iterations, step)
-                if slow.all():
+                if all(slow):
                     return
-                s = _take(s, ~slow)
+                s = _take(s, [not v for v in slow])
             iterations += 1
             z = inverse(s.r, s.reciprocal)
             s.x += z
             np.multiply(s.deficit, z, out=s.r)
-            s.last, s.rr = s.rr, _inner(s.r, s.r)
+            s.last, s.rr = s.rr, _inner(s.r, s.r).tolist()
 
     return matvec, solve
 
@@ -369,34 +396,37 @@ def _conjugate_gradients(inverse, result, s, iterations, step):
         s.x += scratch
         np.multiply(alpha, s.q, out=scratch)
         s.r -= scratch
-        s.rr = _inner(s.r, s.r)
+        s.rr = _inner(s.r, s.r).tolist()
 
 
 def _settle(result, s, iterations, step):
-    """Test each member of the stack ``s`` before an application: write the x
-    of each one whose residual norm rr meets its bound into ``result``, so it
-    takes no transform solve, and return the others' stack, or None.  Raises
-    SolverBreakdownError on a non-finite residual and at the iteration cap."""
-    finite = np.isfinite(s.rr)
-    if not finite.all():  # a NaN would pass the stopping test as converged
-        raise SolverBreakdownError(f"member {s.members[~finite][0]}, step {step}: "
+    """Test each member of the stack ``s`` before an application, on floats:
+    write the x of each one whose residual norm rr meets its bound into
+    ``result``, so it takes no transform solve, and return the others' stack,
+    or None.  Raises SolverBreakdownError on a non-finite rr and at the cap."""
+    finite = [-np.inf < rr < np.inf for rr in s.rr]
+    if not all(finite):  # a NaN would pass the stopping test as converged
+        raise SolverBreakdownError(f"member {s.members[finite.index(False)]}, step {step}: "
                                    "non-finite residual")
-    going = s.rr > s.bound
-    if not going.all():
-        result[s.members[~going]] = s.x[~going]
-        if not going.any():
+    going = [rr > bound for rr, bound in zip(s.rr, s.bound)]
+    if not all(going):
+        done = [not g for g in going]
+        if s.x is not result:  # a stack not yet compacted updates result in place
+            result[s.members[done]] = s.x[done]
+        if not any(going):
             return None
         s = _take(s, going)
     if iterations == CG_MAX_ITERATIONS:
         raise SolverBreakdownError(
-            f"member {s.members[0]}, step {step}: no convergence in {CG_MAX_ITERATIONS} "
-            f"iterations, relative residual {CG_TOLERANCE * np.sqrt(s.rr[0] / s.bound[0]):.3e}")
+            f"member {s.members[0]}, step {step}: no convergence in {CG_MAX_ITERATIONS} iterations, "
+            f"relative residual {CG_TOLERANCE * np.sqrt(np.float64(s.rr[0]) / s.bound[0]):.3e}")
     return s
 
 
 def _take(s, mask):
-    """The members of the stack ``s`` where ``mask`` holds, as a new stack."""
-    return SimpleNamespace(**{name: a[mask] for name, a in vars(s).items()})
+    """The members of the stack ``s`` where the list of bools ``mask`` holds, as a new stack."""
+    return SimpleNamespace(**{name: [v for v, m in zip(a, mask) if m] if isinstance(a, list)
+                              else a[mask] for name, a in vars(s).items()})
 
 
 def _inner(a, b):

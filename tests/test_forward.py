@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.linalg import spsolve
 
 from waveguide_carleman import forward
@@ -354,9 +355,9 @@ class TestStackedMarch:
             matvec, solve = pcg_solver(grid)
             assert "matvec" not in solve.__code__.co_freevars
 
-            def counted(diag, p):
+            def counted(diag, p, out=None):
                 calls.append(len(p))
-                return matvec(diag, p)
+                return matvec(diag, p, out)
 
             return counted, solve
 
@@ -402,6 +403,24 @@ class TestStackedMarch:
         solve_heat(g, pots, positive_preset_data(pots[0]))
         assert handed == []
 
+    def test_solve_leaves_its_inputs_untouched(self, monkeypatch):
+        # the march writes into buffers and views of its own: a stacked solve
+        # with a member that hands over to CG changes no byte of any
+        # potential's samples or of the data set, caps included
+        handed = handed_over(monkeypatch)
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), 24, 20, 16)
+        pots = stack_members(g) + [PotentialSpec(g, q_preset(g, 40.0), axial_factor(g, 0.5))]
+        rng = np.random.default_rng(5)
+        preset = positive_preset_data(pots[0])
+        data = BoundaryData(g, preset.u0, preset.b_bottom, preset.b_top,
+                            *rng.standard_normal((2, g.nt + 1, g.n2 + 2)))
+        inputs = [a for pot in pots for a in (pot.q, pot.f)] + [
+            data.u0, data.b_bottom, data.b_top, data.cap_minus, data.cap_plus]
+        before = [a.tobytes() for a in inputs]
+        solve_heat(g, pots, data)
+        assert set().union(*handed) == {4}
+        assert [a.tobytes() for a in inputs] == before
+
     def test_potentials_must_share_the_grid(self, grid, domain):
         other = build_grid(domain, 8, 8, 16)
         pots = [zero_potential(grid), zero_potential(other)]
@@ -409,6 +428,74 @@ class TestStackedMarch:
             solve_heat(grid, pots, constant_data(grid))
         with pytest.raises(ValueError, match="at least one potential"):
             solve_heat(grid, [], constant_data(grid))
+
+
+def slice_matvec(grid, diag, p):
+    """S (diag - Lap_h / 2) S^-1 p, with S = D^(1/2), written with offset
+    slices along each axis: the reference for the solver's matvec."""
+    c1, c2, cap = 0.5 / grid.dx1**2, 0.5 / grid.dx2**2, np.sqrt(2.0)
+    out = diag * p
+    c1p, c2p = c1 * p, c2 * p
+    out[..., 1:] -= c2p[..., :-1]
+    out[..., :-1] -= c2p[..., 1:]
+    out[..., [0, -1], :] -= cap * c1p[..., [1, -2], :]
+    c1p[..., [0, -1], :] *= cap
+    out[..., 1:-1, :] -= c1p[..., :-2, :]
+    out[..., 1:-1, :] -= c1p[..., 2:, :]
+    return out
+
+
+def signed_zeros(rng, a, share=0.2):
+    """``a`` with about ``share`` of its entries set to +0.0 and as many to -0.0."""
+    a[rng.random(a.shape) < share] = 0.0
+    a[rng.random(a.shape) < share] = -0.0
+    return a
+
+
+class TestKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(4, 64), n2=st.integers(4, 64), stack=st.sampled_from([(), (1,), (5,)]),
+           into=st.booleans(), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n1=4, n2=4, stack=(5,), into=True, fortran=False, seed=1)
+    @example(n1=64, n2=64, stack=(5,), into=True, fortran=False, seed=2)
+    def test_matvec_matches_the_slice_reference(self, n1, n2, stack, into, fortran, seed):
+        # byte for byte, signed zeros included, on one block or a stack, into
+        # a given buffer or a new one, from operands in either memory order;
+        # p is left as it was
+        g = build_grid(WaveguideDomain(L=1.0, h=1.3, T=2.0), n1, n2, 4)
+        rng = np.random.default_rng(seed)
+        shape = stack + (n1 + 2, n2)
+        diag = signed_zeros(rng, rng.uniform(0.5, 100.0, shape), 0.1)
+        p = signed_zeros(rng, rng.standard_normal(shape))
+        if fortran:
+            diag, p = np.asfortranarray(diag), np.asfortranarray(p)
+        p_bytes = p.tobytes()
+        matvec, _ = forward._pcg_solver(g)
+        out = np.full(shape, np.nan) if into else None
+        got = matvec(diag, p, out)
+        assert got.tobytes() == slice_matvec(g, diag, p).tobytes()
+        assert p.tobytes() == p_bytes
+        assert out is None or got is out
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), members=st.integers(1, 4), levels=st.integers(1, 4),
+           P=st.integers(6, 12), Q=st.integers(4, 12),
+           shift=st.floats(1.0, 1e6), scale=st.sampled_from([1.0, 1e6, 1e308]))
+    def test_diagonal_extremes_are_the_diagonals_own(self, data, members, levels, P, Q, shift,
+                                                     scale):
+        # min and max of every level's diagonal fl(fl(h f) + shift), read off
+        # the extremes of h and f, bit for bit; h takes negative, zero and
+        # -0.0 entries, f > 0, and at scale 1e308 the products overflow
+        q = data.draw(arrays(np.float64, (members, levels, 1, Q),
+                             elements=st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])))
+        f = data.draw(arrays(np.float64, (members, P, 1),
+                             elements=st.floats(0.0, 1e3, exclude_min=True)))
+        half_q = 0.5 * (scale * q)
+        with np.errstate(over="ignore"):
+            lo, hi = forward._diagonal_extremes(half_q, f, shift)
+            diag = half_q * f[:, None] + shift
+        assert lo.tobytes() == diag.min(axis=(2, 3)).tobytes()
+        assert hi.tobytes() == diag.max(axis=(2, 3)).tobytes()
 
 
 class TestPreconditioner:
