@@ -255,7 +255,8 @@ class _WindowedRows:
         self.plane = (0, n_levels, 0, ws.grid.n1 + 2)
         self.windowed = math.prod(ws.grid.shape) >= _WINDOW_MIN_NODES
         if self.windowed:
-            self.gm = ws.g[:, None] * ws.min_spatial_weight
+            # g(t) m(i), m the x2 minimum of the weight plane: the bounds' decay exponent
+            self.gm = ws.g[:, None] * ws.spatial_weight.min(axis=1)
             self._envelope()
 
     def _core(self, s: float, levels: list[int]) -> np.ndarray:

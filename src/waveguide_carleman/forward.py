@@ -152,14 +152,14 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     the Dirichlet neighbours stored in u[k] (level 0 keeps the edges of
     u0) over dx2^2 and, on the caps, the ghost-value Neumann terms
     2 cap / dx1.  The lift is shared by every member, and each level's
-    diagonal is q[k] f / 2 plus a constant.  Every level's lift and
-    diagonal midrange (``_diagonal_extremes``) are built once per solve, as
-    are the march's buffers.  The level marched is held in
-    ``_pcg_solver``'s variables and unscaled into u: its interior rows,
-    where S = 1, are copied and its cap rows divided.  The five-point
-    operator runs once per step, on A_k u^k; the warm start's residual takes
-    A_{k+1} u^k = A_k u^k + (diag_{k+1} - diag_k) u^k.  Each member's
-    field is the same, bit for bit, whatever the stack's size."""
+    diagonal is q[k] f / 2 plus a constant.  One pass over each potential's
+    extremes (``_potential_extremes``) gives the definiteness test and every
+    level's diagonal midrange; the lifts and the march's buffers are built
+    once per solve.  The level marched is held in ``_pcg_solver``'s variables
+    and unscaled into u: its interior rows (S = 1) are copied, its cap rows
+    divided.  The five-point operator runs once per step, on A_k u^k; the warm
+    start's residual takes A_{k+1} u^k = A_k u^k + (diag_{k+1} - diag_k) u^k.
+    Each member's field is the same, bit for bit, at any stack size."""
     pots = list(pots)
     if not pots:
         raise ValueError("solve_heat needs at least one potential")
@@ -171,16 +171,14 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     dt, dx1, dx2 = grid.dt, grid.dx1, grid.dx2
     # smallest eigenvalue of -Lap_h: the lowest mode along each axis
     lam_min = _spectrum(grid.n1 + 2, dx1, True)[0][0] + _spectrum(grid.n2, dx2, False)[0][0]
-    for b, pot in enumerate(pots):
-        # min of q f over the marched levels: f > 0, so the smallest q
-        # meets the largest f when it is negative and the smallest otherwise
-        q_min = float(np.min(pot.q[1:, 1:-1]))
-        min_v = q_min * float(np.max(pot.f) if q_min < 0.0 else np.min(pot.f))
-        if not 1.0 / dt + 0.5 * (lam_min + min_v) > 0.0:
-            raise ValueError(f"step matrix of member {b} is not positive definite: time step "
-                             f"{dt} with min V {min_v}; refine the time grid")
     half_q = 0.5 * np.stack([pot.q[:, None, 1:-1] for pot in pots])  # (B, nt+1, 1, Q)
     f = np.stack([pot.f[:, None] for pot in pots])  # (B, P, 1)
+    with np.errstate(over="ignore"):  # solve names a non-finite residual
+        corners = _potential_extremes(half_q, f)  # h = q / 2: 2 fl(h f) = fl(q f) if normal
+        for b, min_v in enumerate((2.0 * corners[:, 1:].min(axis=(1, 2, 3))).tolist()):
+            if not 1.0 / dt + 0.5 * (lam_min + min_v) > 0.0:  # over the marched levels 1..nt
+                raise ValueError(f"step matrix of member {b} is not positive definite: time "
+                                 f"step {dt} with min V {min_v}; refine the time grid")
     shift = 1.0 / dt + 1.0 / dx1**2 + 1.0 / dx2**2
     P, Q = grid.n1 + 2, grid.n2
     sym, ends = _cap_scaling(P), slice(0, P, P - 1)  # ends: rows 0 and P-1
@@ -202,7 +200,7 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     ax, rhs, scratch, diag_next = (np.empty_like(x) for _ in range(4))
     lifts = np.zeros((P, Q))  # (l_k + l_{k+1}) S / 2, whose zeros turn a -0.0 of rhs to 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # solve names a non-finite residual
-        mids = 0.5 * np.add(*_diagonal_extremes(half_q, f, shift))  # (B, nt+1)
+        mids = 0.5 * (np.min(corners + shift, axis=(2, 3)) + np.max(corners + shift, axis=(2, 3)))
         diag = half_q[:, 0] * f + shift
         for k in range(grid.nt):
             np.multiply(half_q[:, k + 1], f, out=diag_next)
@@ -224,13 +222,12 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     return [ScalarField(grid, field, FULL) for field in u]
 
 
-def _diagonal_extremes(half_q, f, shift):
-    """(min, max) of each level's diagonal fl(fl(h f) + shift), h = ``half_q``
-    (B, nt+1, 1, Q), f (B, P, 1) > 0, bit for bit: rounding is monotone, so
-    they lie at the extremes of h and of f.  Two (B, nt+1) arrays."""
+def _potential_extremes(half_q, f):
+    """fl(h f) at the corners of each level's extremes of h = ``half_q`` (B, nt+1, 1, Q) and
+    f (B, P, 1) > 0, (B, nt+1, 2, 2): rounding is monotone, so they hold each level's
+    extremes of fl(h f) (up to a zero's sign) and, bit for bit, of fl(fl(h f) + c)."""
     h = np.stack([half_q.min(axis=(2, 3)), half_q.max(axis=(2, 3))], axis=-1)[..., None]
-    corners = h * np.concatenate([f.min(axis=1), f.max(axis=1)], axis=1)[:, None, None] + shift
-    return corners.min(axis=(2, 3)), corners.max(axis=(2, 3))
+    return h * np.concatenate([f.min(axis=1), f.max(axis=1)], axis=1)[:, None, None]
 
 
 def _spectrum(n, d, neumann):
@@ -244,18 +241,14 @@ def _spectrum(n, d, neumann):
 
 
 def _transform_matrix(n, neumann):
-    """Unnormalised DCT-I (``neumann``, end columns halved) or DST-I on n
-    points as a dense (n, n) matrix M: the transform of x along axis 0 is
-    M @ x.  j k is reduced modulo the extension length m of ``_spectrum``
-    before scaling, so every angle lies in [0, 2 pi); M @ M = m I."""
+    """2 cos (``neumann``) or 2 sin of 2 pi j k / m on n points as a dense (n, n)
+    matrix M, m the extension length of ``_spectrum``: the DST-I of x along axis 0
+    is M @ x, and M @ M = m I; the DCT-I is M with its end columns halved.  j k
+    is reduced modulo m before scaling, so every angle lies in [0, 2 pi)."""
     m = _spectrum(n, 1.0, neumann)[1]
     j = np.arange(n) + (0 if neumann else 1)
     angle = 2.0 * np.pi * (np.outer(j, j) % m) / m
-    if not neumann:
-        return 2.0 * np.sin(angle)
-    M = 2.0 * np.cos(angle)
-    M[:, [0, -1]] *= 0.5
-    return M
+    return 2.0 * (np.cos(angle) if neumann else np.sin(angle))
 
 
 def _cap_scaling(n):
@@ -280,7 +273,6 @@ def _separable_inverse(grid):
     lam2, m2 = _spectrum(Q, grid.dx2, False)
     sym = _cap_scaling(P)
     M1 = _transform_matrix(P, True)
-    M1[:, [0, -1]] *= 2.0
     M1 *= sym * sym.T
     M2 = _transform_matrix(Q, False)
     half = 0.5 * m1 * m2 * (lam1[:, None] + lam2[None, :])

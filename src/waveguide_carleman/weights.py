@@ -124,10 +124,6 @@ class SectionWeightProfile:
     delta: float
     obs_side: str = "top"
 
-    @property
-    def slope(self) -> float:
-        return 1.0 if self.obs_side == "top" else -1.0
-
     def value(self, x2):
         x2 = np.asarray(x2, dtype=float)
         if self.obs_side == "top":
@@ -135,7 +131,7 @@ class SectionWeightProfile:
         return (self.h - x2) + self.delta
 
     def derivative(self, x2):
-        return np.full_like(np.asarray(x2, dtype=float), self.slope)
+        return np.full_like(np.asarray(x2, dtype=float), 1.0 if self.obs_side == "top" else -1.0)
 
 
 def singular_time_profile(grid: SpaceTimeGrid) -> np.ndarray:
@@ -145,19 +141,12 @@ def singular_time_profile(grid: SpaceTimeGrid) -> np.ndarray:
     ``g[k] == g[nt - k]`` holds exactly, as it does for the function;
     :meth:`WeightSystem.decay` relies on this symmetry.
     """
-    t = grid.t[1 : grid.nt // 2 + 1]
+    nt, m = grid.nt, (grid.nt - 1) // 2
+    t = grid.t[1 : nt // 2 + 1]
     g = np.zeros_like(grid.t)
-    g[1 : grid.nt // 2 + 1] = 1.0 / (t * (grid.domain.T - t))
-    return _mirror_in_time(g)
-
-
-def _mirror_in_time(a: np.ndarray) -> np.ndarray:
-    """Copy levels 1..(nt-1)//2 of ``a`` (nt + 1 time levels on its first
-    axis) onto levels nt-1..nt-(nt-1)//2; returns ``a``."""
-    nt = a.shape[0] - 1
-    m = (nt - 1) // 2
-    a[nt - m : nt] = a[1 : m + 1][::-1]
-    return a
+    g[1 : nt // 2 + 1] = 1.0 / (t * (grid.domain.T - t))
+    g[nt - m : nt] = g[1 : m + 1][::-1]  # levels nt-1..nt-m mirror levels 1..m
+    return g
 
 
 def singular_time_profile_derivative(grid: SpaceTimeGrid) -> np.ndarray:
@@ -224,9 +213,6 @@ class WeightSystem:
         if not all(np.all(np.isfinite(f)) for f in (self.spatial_weight, *self.gradient_factors,
                                                      self.laplacian_factor)):
             raise ValueError(f"the weight overflows: lambda={lam} with sup psi={self.psi_sup}")
-        #: Minimum over x2 of the spatial weight, per x1 node: exp(-2 s g(t)
-        #: min_spatial_weight[i]) bounds the decay on every x2 node of (t, i).
-        self.min_spatial_weight = self.spatial_weight.min(axis=1)
 
     # -- decayed weights ----------------------------------------------------
 

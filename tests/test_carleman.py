@@ -25,6 +25,7 @@ from waveguide_carleman.carleman import (
     _split_parts,
     _SplitRows,
     _square_I1_densities,
+    _trim,
     carleman_check_bounded,
     carleman_check_open,
     conjugated_operator,
@@ -385,6 +386,91 @@ def test_windowed_split_rows_match_the_full_contraction(shape, s, seed):
         kept = np.zeros_like(full)
         kept[t0:t1, i0:i1] = full[t0:t1, i0:i1]
         assert np.float64(mass).tobytes() == np.float64(g.wt @ (kept @ g.w1)).tobytes()
+
+
+def test_trim_keeps_the_whole_plane_for_a_member_without_bound():
+    # member 1's bound is 0 on every cell: nothing of it is left after any
+    # cut, so no box covers it and the row runs on the whole plane
+    pt = np.array([[0.0, 1.0, 5.0, 1.0, 0.0], [0.0] * 5])
+    pi = np.array([[0.0, 6.0, 1.0, 0.0], [0.0] * 4])
+    assert _trim(pt, pi, np.array([1.0, 1.0])) == (0, 5, 0, 4)
+    assert _trim(pt[:1], pi[:1], np.array([1.0])) == (1, 4, 1, 3)
+
+
+def _boundary_free_field(g, kind, seed):
+    """A field on ``g`` that vanishes on the space boundary, inside normal
+    noise, a checkerboard or a near-constant field."""
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        v = rng.standard_normal(g.shape)
+    elif kind == "checkerboard":
+        v = (-1.0) ** np.indices(g.shape).sum(axis=0)
+    else:
+        v = 1.0 + 1e-3 * rng.standard_normal(g.shape)
+    v[:, [0, -1]] = 0.0
+    v[:, :, [0, -1]] = 0.0
+    return v
+
+
+def _assert_marginals_bound(marginals, cells):
+    """The bound's marginals (pt, pi, top) of a windowed row against the exact
+    per-(t, x1) masses ``cells`` (K, T, X) of the whole plane: each level's
+    ``pt[k, t] e^top[k]`` and each column's ``pi[k, i] e^top[k]`` is at least
+    that level's or column's mass, compared in logs with 1e-9 relative slack."""
+    pt, pi, top = marginals
+    with np.errstate(divide="ignore"):
+        for bound, mass in ((pt, cells.sum(axis=2)), (pi, cells.sum(axis=1))):
+            log_bound, log_mass = np.log(bound) + top[:, None], np.log(mass)
+            short = log_bound < log_mass - 1e-9 * np.abs(log_mass)
+            assert not short.any(), (np.argwhere(short)[0], log_bound[short], log_mass[short])
+
+
+_FIELD_KINDS = st.sampled_from(["noise", "checkerboard", "near-constant"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    regime=st.sampled_from(["bounded", "open"]),
+    shape=st.tuples(st.integers(4, 16), st.integers(4, 10), st.integers(4, 16)),
+    members=st.lists(st.tuples(_FIELD_KINDS, st.sampled_from([-1, 0, 1, 3])),
+                     min_size=1, max_size=3),
+    s=st.floats(0.5, 128.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decay_row_bound_holds_on_every_level_and_column(regime, shape, members, s, seed):
+    # the bound a windowed decay row trims by is at least the mass it bounds,
+    # level by level and column by column, each member with its (s g)^p
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=regime == "open"), *shape)
+    ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime=regime), g)
+    stack = np.stack([_boundary_free_field(g, kind, seed + k) ** 2
+                      for k, (kind, _) in enumerate(members)])
+    with _windowing_every_grid():
+        rows = _DecayRows(ws, stack, [p for _, p in members])
+    decay = ws.decay(s)[1:-1]
+    cells = np.array([np.einsum("tij,tij,j->ti", decay, m[1:-1], g.w2) * w[:, None] * g.w1
+                      for m, w in zip(stack, rows._wts(s))])
+    _assert_marginals_bound(rows._marginals(s), cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(4, 16), st.integers(4, 10), st.integers(4, 16)),
+    kind=_FIELD_KINDS,
+    s=st.floats(0.5, 128.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_row_bound_holds_on_every_level_and_column(shape, kind, s, seed):
+    # the same for the open Carleman check's M1^2 and M2^2
+    g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, truncated=True), *shape)
+    ws = assemble_weight(WeightParams(lam=1.1, s=4.0, regime="open"), g)
+    u = _boundary_free_field(g, kind, seed)
+    with _windowing_every_grid():
+        rows = _SplitRows(ws, u)
+    w = ws.decay(s / 2) * u
+    parts = _split_parts(ws, w, derivative(w, g.dt, 0), s, _WHOLE)
+    cells = np.array([np.einsum("tij,tij,j->ti", m, m, g.w2) * g.wt[:, None] * g.w1
+                      for m in parts])
+    _assert_marginals_bound(rows._marginals(s), cells)
 
 
 def test_zero_in_box_mass_falls_back_to_the_full_grid():

@@ -128,6 +128,10 @@ class TestConfigParsing:
         # sup psi = 725.5 at L = 6.5, so exp(2 lam sup psi) overflows
         ("check-weights", "[domain]\nL: 6.5\n", "bounded weight on [grid]"),
         ("verify-carleman", "[open]\nlambda: 800\n", "open weight on [open]"),
+        ("forward", "[domain]\nobs_side: left\n", "[grid]/[domain] values"),
+        # ia = round(0.99 / dt) = 32 = nt - ia on the default 64 levels
+        ("stability", "[stability]\neps_list: 0.99\n",
+         "[stability] eps_list: eps=0.99 leaves no interior time window"),
     ])
     def test_value_the_builders_reject_names_key(self, tmp_path, capsys, command, text, key):
         p = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -60,6 +61,11 @@ class TestPotentialAndData:
         f[3] = 0.0
         with pytest.raises(ValueError, match="positive"):
             PotentialSpec(grid, np.zeros((grid.nt + 1, grid.n2 + 2)), f)
+
+    def test_axial_factor_bump_must_stay_below_one(self, grid):
+        # f = 1 + bump cos(pi x1 / L) vanishes at a cap when bump = 1
+        with pytest.raises(ValueError, match=re.escape("bump must lie in [0, 1)")):
+            axial_factor(grid, 1.0)
 
     def test_mode_specific_data_validation(self, grid, open_grid):
         # both modes take one required cap pair; a cap trace missing its
@@ -199,6 +205,22 @@ class TestSolveHeat:
         good = PotentialSpec(grid, q_preset(grid), axial_factor(grid))
         with pytest.raises(ValueError, match="member 1 is not positive definite"):
             solve_heat(grid, [good, pot], positive_preset_data(good))
+
+    def test_definiteness_reads_the_marched_levels_only(self, domain):
+        # level 0 is u0, never solved for: a potential indefinite there alone
+        # is accepted, and the same values at level 1 are not
+        grid = build_grid(domain, 8, 8, 16)
+        q = np.zeros((grid.nt + 1, grid.n2 + 2))
+        q[0] = -1e3
+        pots = [zero_potential(grid), PotentialSpec(grid, q, np.ones(grid.n1 + 2))]
+        data = positive_preset_data(pots[0])
+        u, u_level0 = solve_heat(grid, pots, data)
+        assert np.all(np.isfinite(u_level0.values))
+        assert u_level0.values[1:].tobytes() != u.values[1:].tobytes()
+        pots[1] = PotentialSpec(grid, np.roll(q, 1, axis=0), pots[1].f)
+        with pytest.raises(ValueError, match=r"member 1 is not positive definite: "
+                                             r"time step 0\.125 with min V -1000\.0;"):
+            solve_heat(grid, pots, data)
 
     def test_iteration_cap_names_the_step(self, grid, monkeypatch):
         monkeypatch.setattr(forward, "CG_MAX_ITERATIONS", 0)
@@ -484,18 +506,25 @@ class TestKernels:
     def test_diagonal_extremes_are_the_diagonals_own(self, data, members, levels, P, Q, shift,
                                                      scale):
         # min and max of every level's diagonal fl(fl(h f) + shift), read off
-        # the extremes of h and f, bit for bit; h takes negative, zero and
-        # -0.0 entries, f > 0, and at scale 1e308 the products overflow
+        # the four corners of the extremes of h and f, bit for bit, and of its
+        # products fl(h f) up to the sign of a zero (which of two tied zeros
+        # is the min depends on their order); h takes negative, zero and -0.0
+        # entries, f > 0, and at scale 1e308 the products overflow
         q = data.draw(arrays(np.float64, (members, levels, 1, Q),
                              elements=st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])))
         f = data.draw(arrays(np.float64, (members, P, 1),
                              elements=st.floats(0.0, 1e3, exclude_min=True)))
         half_q = 0.5 * (scale * q)
         with np.errstate(over="ignore"):
-            lo, hi = forward._diagonal_extremes(half_q, f, shift)
-            diag = half_q * f[:, None] + shift
-        assert lo.tobytes() == diag.min(axis=(2, 3)).tobytes()
-        assert hi.tobytes() == diag.max(axis=(2, 3)).tobytes()
+            corners = forward._potential_extremes(half_q, f)
+            products = half_q * f[:, None]
+            diag = products + shift
+            assert corners.shape == (members, levels, 2, 2)
+            for ext in (np.min, np.max):
+                np.testing.assert_array_equal(ext(corners, axis=(2, 3)),
+                                              ext(products, axis=(2, 3)))
+                got = ext(corners + shift, axis=(2, 3))
+                assert got.tobytes() == ext(diag, axis=(2, 3)).tobytes()
 
 
 class TestPreconditioner:
@@ -591,9 +620,12 @@ class TestTransformMatrix:
     def test_matches_fft_extension_and_squares_to_m(self, neumann, n, seed):
         # tolerances fixed from n eps: a length-n sum errs by at most about
         # n eps times the sum of its absolute terms, here |M_kj x_j| <= 2|x_j|
-        # for M @ x and |M_ij M_jk| <= 4 for M @ M
+        # for M @ x and |M_ij M_jk| <= 4 for M @ M; the DCT-I is the cosine
+        # matrix with its end columns halved
         eps = np.finfo(float).eps
         M = forward._transform_matrix(n, neumann)
+        if neumann:
+            M[:, [0, -1]] *= 0.5
         m = forward._spectrum(n, 1.0, neumann)[1]
         x = np.random.default_rng(seed).standard_normal((n, 3))
         sign = 1.0 if neumann else -1.0

@@ -214,6 +214,11 @@ class TestCalculus:
             fit_convergence_order([0.4, 0.2, 0.4], [0.03, 0.01, 0.02])
         assert fit_convergence_order([0.4, 0.2], [0.04, 0.01]) == pytest.approx(2.0)
 
+    def test_order_fit_needs_positive_errors(self):
+        # log 0 would make the slope -inf or nan
+        with pytest.raises(ValueError, match="errors must be positive"):
+            fit_convergence_order([0.4, 0.2], [0.04, 0.0])
+
 
 class TestNormalDerivative:
     def test_lateral_signs(self, grid):
@@ -474,6 +479,10 @@ class TestDerivativeKernel:
             assert stack.tobytes() == before.tobytes(), name
         member = stack[1]
         assert derivative(values, 0.1, 2, out=member) is member
+
+    def test_order_other_than_1_or_2_is_rejected(self):
+        with pytest.raises(ValueError, match="derivative order must be 1 or 2, got 3"):
+            derivative(np.ones((5, 6, 7)), 0.1, 1, order=3)
 
     @pytest.mark.parametrize("order, nodes", [(1, 2), (2, 3), (2, 2)])
     def test_too_short_axis_is_named(self, order, nodes):

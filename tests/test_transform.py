@@ -71,6 +71,13 @@ class TestBuildBundle:
                                              r"\(0, 0, 0\)$"):
             build_bundle(ones, bad, pot)
 
+    def test_fields_on_another_grid_are_rejected(self, grid, domain):
+        pair = _pair(grid)
+        other = build_grid(domain, grid.n1, grid.n2, grid.nt)
+        u_tilde = ScalarField(other, pair.u_tilde.values, FULL)
+        with pytest.raises(ValueError, match="share one grid"):
+            build_bundle(pair.u, u_tilde, pair.pot)
+
     def test_coefficients_match_symbolic_oracle(self, domain):
         # closed-form positive u~ and f, coefficients derived symbolically
         t_s, x1_s, x2_s = sp.symbols("t x1 x2")
