@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    FULL,
     ScalarField,
     SpaceTimeGrid,
     derivative,
@@ -101,11 +100,13 @@ class InequalityReport:
     lhs: float
     rhs_terms: dict[str, float]
     empirical_C: float
+    obs_side: str  # the wall the weight system observes
     sweep: list[dict] = field(default_factory=list)
     verdict: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        entries = {"report": self.name, "lambda": self.lam, "s": self.s, "lhs": self.lhs}
+        entries = {"report": self.name, "obs_side": self.obs_side, "lambda": self.lam,
+                   "s": self.s, "lhs": self.lhs}
         entries.update((f"rhs.{key}", self.rhs_terms[key]) for key in sorted(self.rhs_terms))
         entries["empirical_C"] = self.empirical_C
         entries.update((f"verdict.{key}", self.verdict[key]) for key in sorted(self.verdict))
@@ -154,6 +155,7 @@ def _sweep_report(name: str, ws: WeightSystem, sweep: list[dict], ratio_key: str
         lhs=head["lhs"],
         rhs_terms={term: head[col] for term, col in rhs_keys.items()},
         empirical_C=head[ratio_key],
+        obs_side=ws.grid.domain.obs_side,
         sweep=sweep,
         verdict=verdict,
     )
@@ -478,15 +480,15 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem, s: float) -> Conjugate
 
     E = np.exp(s * phi)
     Einv = np.exp(-s * phi)
-    Ew = ScalarField(grid, E * w.values, FULL)
+    Ew = ScalarField(grid, E * w.values)
     M_lit = (time_derivative(Ew).values - laplacian(Ew).values) * Einv
     M1, M2 = _split_parts(ws, w.values, derivative(w.values, grid.dt, 0), s,
                           (slice(None), slice(None)))
     return ConjugatedDecomposition(
-        M_literal=ScalarField(grid, M_lit, FULL),
-        M1=ScalarField(grid, M1, FULL),
-        M2=ScalarField(grid, M2, FULL),
-        residual=ScalarField(grid, M_lit - (M1 + M2), FULL),
+        M_literal=ScalarField(grid, M_lit),
+        M1=ScalarField(grid, M1),
+        M2=ScalarField(grid, M2),
+        residual=ScalarField(grid, M_lit - (M1 + M2)),
     )
 
 

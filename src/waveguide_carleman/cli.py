@@ -428,7 +428,3 @@ def main(argv=None) -> int:
     except fwd.SolverBreakdownError as exc:  # from forward's or stability's solve
         print(f"{args.command}: not solved: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -45,7 +45,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .grid import (
-    FULL,
     ScalarField,
     SpaceTimeGrid,
     derivative,
@@ -219,7 +218,7 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
             u[:, k + 1, 1:-1, 1:-1] = x[:, 1:-1]  # S = 1 there, and x / 1 is x
             np.divide(x[:, ends], sym[ends], out=u[:, k + 1, ends, 1:-1])
             diag, diag_next = diag_next, diag
-    return [ScalarField(grid, field, FULL) for field in u]
+    return [ScalarField(grid, field) for field in u]
 
 
 def _potential_extremes(half_q, f):
@@ -512,9 +511,6 @@ class SeparableOracle:
         self.grid = grid
         self.mu = (np.pi / (2.0 * d.L)) ** 2 + (np.pi / d.h) ** 2
 
-    def q_of_t(self, t):
-        return self.q0 + self.q1 * np.sin(np.pi * t / self.grid.domain.T)
-
     def q_primitive(self, t):
         T = self.grid.domain.T
         return self.q0 * t + self.q1 * T / np.pi * (1.0 - np.cos(np.pi * t / T))
@@ -532,7 +528,8 @@ class SeparableOracle:
 
     def potential(self) -> PotentialSpec:
         g = self.grid
-        q = np.repeat(self.q_of_t(g.t)[:, None], g.n2 + 2, axis=1)
+        q_of_t = self.q0 + self.q1 * np.sin(np.pi * g.t / g.domain.T)
+        q = np.repeat(q_of_t[:, None], g.n2 + 2, axis=1)
         return PotentialSpec(g, q, np.ones(g.n1 + 2))
 
     def data(self) -> BoundaryData:

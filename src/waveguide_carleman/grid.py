@@ -130,7 +130,7 @@ class SpaceTimeGrid:
         """Sample ``fn(t, x1, x2)`` on the full space-time grid."""
         tt, xx1, xx2 = self.mesh()
         values = np.broadcast_to(fn(tt, xx1, xx2), self.shape).astype(float).copy()
-        return ScalarField(self, values, FULL)
+        return ScalarField(self, values)
 
     def __repr__(self) -> str:  # pragma: no cover
         d = self.domain
@@ -147,11 +147,11 @@ build_grid = SpaceTimeGrid
 class ScalarField:
     """A sampled real-valued function on the full space-time grid.
 
-    ``kind`` must be :data:`FULL`.  Every constructed field is checked to
-    have the grid's shape and to be finite.
+    ``kind``, if given, must be :data:`FULL`.  Every constructed field is
+    checked to have the grid's shape and to be finite.
     """
 
-    def __init__(self, grid: SpaceTimeGrid, values: np.ndarray, kind: str):
+    def __init__(self, grid: SpaceTimeGrid, values: np.ndarray, kind: str = FULL):
         if kind != FULL:
             raise ValueError(f"unknown field kind {kind!r}")
         values = np.asarray(values, dtype=float)
@@ -223,8 +223,8 @@ def derivative(values: np.ndarray, d: float, axis: int, order: int = 1,
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spatial gradient (d/dx1, d/dx2) of a full field."""
     g = f.grid
-    return (ScalarField(g, derivative(f.values, g.dx1, 1), FULL),
-            ScalarField(g, derivative(f.values, g.dx2, 2), FULL))
+    return (ScalarField(g, derivative(f.values, g.dx1, 1)),
+            ScalarField(g, derivative(f.values, g.dx2, 2)))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -232,13 +232,13 @@ def laplacian(f: ScalarField) -> ScalarField:
     g = f.grid
     out = derivative(f.values, g.dx1, 1, order=2)
     out += derivative(f.values, g.dx2, 2, order=2)
-    return ScalarField(g, out, FULL)
+    return ScalarField(g, out)
 
 
 def time_derivative(f: ScalarField) -> ScalarField:
     """d/dt of a full field (centered inside, one-sided at t=0 and t=T)."""
     g = f.grid
-    return ScalarField(g, derivative(f.values, g.dt, 0), FULL)
+    return ScalarField(g, derivative(f.values, g.dt, 0))
 
 
 def normal_derivative(f: ScalarField) -> np.ndarray:
@@ -287,7 +287,7 @@ def prefix_integral_x1(f: ScalarField) -> ScalarField:
     np.multiply(inc, 0.5 * g.dx1, out=inc)
     np.cumsum(inc, axis=1, out=inc)
     out -= out[:, g.alpha_index : g.alpha_index + 1, :].copy()
-    return ScalarField(g, out, FULL)
+    return ScalarField(g, out)
 
 
 def fit_convergence_order(spacings, errors) -> float:

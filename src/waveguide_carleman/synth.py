@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FULL, ScalarField, SpaceTimeGrid
+from .grid import ScalarField, SpaceTimeGrid
 
 
 def time_bump(grid: SpaceTimeGrid) -> np.ndarray:
@@ -77,13 +77,13 @@ class SpaceTimeBump:
 
     def field(self) -> ScalarField:
         rho, _, X, _, Y, _ = self._parts()
-        return ScalarField(self.grid, self._outer(rho, X, Y), FULL)
+        return ScalarField(self.grid, self._outer(rho, X, Y))
 
     def heat_residual(self) -> ScalarField:
         """(d/dt - Lap) of the bump, in closed form."""
         rho, rho_t, X, X11, Y, Y22 = self._parts()
         lap = self._outer(rho, X11, Y) + self._outer(rho, X, Y22)
-        return ScalarField(self.grid, self._outer(rho_t, X, Y) - lap, FULL)
+        return ScalarField(self.grid, self._outer(rho_t, X, Y) - lap)
 
 
 def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator,
@@ -114,4 +114,4 @@ def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator,
     coef = rng.standard_normal((3, 3, 3)) / (k[:, None, None] * k[None, :, None] * k)
     spatial = np.einsum("kmn,mi,nj->kij", coef, ax_modes, x2_modes)
     out = (t_modes.T @ spatial.reshape(3, -1)).reshape(g.shape)
-    return ScalarField(g, out, FULL)
+    return ScalarField(g, out)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .forward import PotentialSpec
 from .grid import (
-    FULL,
     ScalarField,
     SpaceTimeGrid,
     derivative,
@@ -61,23 +60,23 @@ class TransformBundle:
 
     @property
     def fu(self) -> ScalarField:  # the positive denominator f * u~
-        return ScalarField(self.grid, self.pot.f[None, :, None] * self.u_tilde.values, FULL)
+        return ScalarField(self.grid, self.pot.f[None, :, None] * self.u_tilde.values)
 
     def _drift(self, d: float, axis: int) -> ScalarField:
         m = self.fu.values
-        return ScalarField(self.grid, -2.0 * derivative(m, d, axis) / m, FULL)
+        return ScalarField(self.grid, -2.0 * derivative(m, d, axis) / m)
 
     A1 = property(lambda self: self._drift(self.grid.dx1, 1))
     A2 = property(lambda self: self._drift(self.grid.dx2, 2))
 
     @property
     def a_coef(self) -> ScalarField:
-        return ScalarField(self.grid, _a_values(self.fu.values, self.pot), FULL)
+        return ScalarField(self.grid, _a_values(self.fu.values, self.pot))
 
     @property
     def B1(self) -> ScalarField:
         g, m = self.grid, self.fu.values
-        return ScalarField(g, -2.0 * derivative(derivative(m, g.dx1, 1) / m, g.dx1, 1), FULL)
+        return ScalarField(g, -2.0 * derivative(derivative(m, g.dx1, 1) / m, g.dx1, 1))
 
 
 def _a_values(m: np.ndarray, pot: PotentialSpec) -> np.ndarray:
@@ -104,10 +103,10 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
         raise ValueError(
             f"f*u~ is not positive: min {c1_floor} at (time,x1,x2) index {idx}"
         )
-    w = ScalarField(grid, (u.values - u_tilde.values) / m, FULL)
-    z = ScalarField(grid, derivative(w.values, grid.dx1, 1), FULL)
-    B2 = ScalarField(grid, 2.0 * derivative(derivative(m, grid.dx2, 2) / m, grid.dx1, 1), FULL)
-    b_coef = ScalarField(grid, -derivative(_a_values(m, pot), grid.dx1, 1), FULL)
+    w = ScalarField(grid, (u.values - u_tilde.values) / m)
+    z = ScalarField(grid, derivative(w.values, grid.dx1, 1))
+    B2 = ScalarField(grid, 2.0 * derivative(derivative(m, grid.dx2, 2) / m, grid.dx1, 1))
+    b_coef = ScalarField(grid, -derivative(_a_values(m, pot), grid.dx1, 1))
     return TransformBundle(grid=grid, w=w, z=z, B2=B2, b_coef=b_coef, c1_floor=c1_floor,
                            u_tilde=u_tilde, pot=pot)
 
@@ -161,7 +160,7 @@ def z_source(bundle: TransformBundle) -> ScalarField:
     g, w = bundle.grid, bundle.w.values
     out = derivative(w, g.dx2, 2)
     np.multiply(bundle.B2.values, out, out=out)
-    return ScalarField(g, np.add(out, bundle.b_coef.values * w, out=out), FULL)
+    return ScalarField(g, np.add(out, bundle.b_coef.values * w, out=out))
 
 
 def z_residual(bundle: TransformBundle) -> tuple[ScalarField, float]:
@@ -174,31 +173,22 @@ def z_residual(bundle: TransformBundle) -> tuple[ScalarField, float]:
     z = bundle.z
     res = _w_operator(bundle, z) + bundle.B1.values * z.values - z_source(bundle).values
     _, norm = _core_norms(g, res, core_mask(g))
-    return ScalarField(g, res, FULL), norm
+    return ScalarField(g, res), norm
 
 
 def ftc_representation_check(bundle: TransformBundle) -> dict[str, float]:
-    """Rebuild w and its cross-section derivative from z by anchored
-    prefix integration; report max and L2 reconstruction errors over the
-    evaluation core."""
+    """Rebuild w from z, and its cross-section derivative from that of z, by
+    anchored prefix integration; report max and L2 reconstruction errors
+    over the evaluation core."""
     g = bundle.grid
     ia = g.alpha_index
     mask = core_mask(g)
-
-    w_rec = prefix_integral_x1(bundle.z).values + bundle.w.values[:, ia : ia + 1, :]
-    err_w, err_w_l2 = _core_norms(g, w_rec - bundle.w.values, mask)
-
-    dw2 = derivative(bundle.w.values, g.dx2, 2)
-    dz2 = ScalarField(g, derivative(bundle.z.values, g.dx2, 2), FULL)
-    rec2 = prefix_integral_x1(dz2).values + dw2[:, ia : ia + 1, :]
-    err_dw2, err_dw2_l2 = _core_norms(g, rec2 - dw2, mask)
-
-    return {
-        "w_error": err_w,
-        "w_error_l2": err_w_l2,
-        "dx2w_error": err_dw2,
-        "dx2w_error_l2": err_dw2_l2,
-    }
+    w, dz2 = bundle.w.values, ScalarField(g, derivative(bundle.z.values, g.dx2, 2))
+    errors = {}
+    for key, f, fx1 in (("w", w, bundle.z), ("dx2w", derivative(w, g.dx2, 2), dz2)):
+        rec = prefix_integral_x1(fx1).values + f[:, ia : ia + 1, :]
+        errors[f"{key}_error"], errors[f"{key}_error_l2"] = _core_norms(g, rec - f, mask)
+    return errors
 
 
 def rhs_identity_check(bundle: TransformBundle, pot: PotentialSpec,

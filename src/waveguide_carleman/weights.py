@@ -149,15 +149,6 @@ def singular_time_profile(grid: SpaceTimeGrid) -> np.ndarray:
     return g
 
 
-def singular_time_profile_derivative(grid: SpaceTimeGrid) -> np.ndarray:
-    """d/dt of the singular time profile, endpoint placeholders 0."""
-    t = grid.t
-    T = grid.domain.T
-    out = np.zeros_like(t)
-    out[1:-1] = -(T - 2.0 * t[1:-1]) / (t[1:-1] * (T - t[1:-1])) ** 2
-    return out
-
-
 class WeightSystem:
     """Assembled weight system: spatial profiles, the time profile ``g``, its
     derivative ``g_t`` and the plane ``spatial_weight``; the weight (eta in
@@ -196,7 +187,9 @@ class WeightSystem:
         self.C0_margin = float(np.min(np.hypot(dpsi_dx1, dpsi_dx2)))
 
         self.g = singular_time_profile(grid)
-        self.g_t = singular_time_profile_derivative(grid)
+        t, T = grid.t[1:-1], domain.T  # g_t = d/dt g, endpoint placeholders 0
+        self.g_t = np.zeros_like(grid.t)
+        self.g_t[1:-1] = -(T - 2.0 * t) / (t * (T - t)) ** 2
         lam = params.lam
         with np.errstate(over="ignore", invalid="ignore"):
             exp_lam_psi = np.exp(lam * psi)
@@ -303,6 +296,7 @@ class AssumptionBullet:
 @dataclass
 class AssumptionReport:
     regime: str
+    obs_side: str
     bullets: list[AssumptionBullet]
     extras: dict
 
@@ -311,7 +305,8 @@ class AssumptionReport:
         return all(b.passed for b in self.bullets)
 
     def to_text(self) -> str:
-        entries = {"regime": self.regime, "all_passed": str(self.all_passed).lower()}
+        entries = {"regime": self.regime, "obs_side": self.obs_side,
+                   "all_passed": str(self.all_passed).lower()}
         for b in self.bullets:
             entries[f"bullet.{b.name}"] = (f"{'pass' if b.passed else 'FAIL'} "
                                            f"margin={b.margin!r}{' ' + b.detail if b.detail else ''}")
@@ -360,7 +355,7 @@ def check_assumption_bounded(ws: WeightSystem) -> AssumptionReport:
         "min_psi1": float(np.min(ws.psi1_profile.value(grid.x1))),
         "min_psi2": float(np.min(ws.psi2_profile.value(grid.x2))),
     }
-    return AssumptionReport("bounded", [*shared, b4, b5], extras)
+    return AssumptionReport("bounded", grid.domain.obs_side, [*shared, b4, b5], extras)
 
 
 def check_assumption_open(ws: WeightSystem) -> AssumptionReport:
@@ -398,4 +393,4 @@ def check_assumption_open(ws: WeightSystem) -> AssumptionReport:
         "truncation_radius": R,
         "unbounded_strip_flags": "axial_slope_lower_bound,superlinear_growth",
     }
-    return AssumptionReport("open", [*shared, b4, b5], extras)
+    return AssumptionReport("open", grid.domain.obs_side, [*shared, b4, b5], extras)

@@ -940,7 +940,7 @@ class TestPassRule:
     def test_passed_matches_bench_gate(self, verdict, expected):
         gate = _load_bench_gate()
         rep = InequalityReport(name="r", lam=1.0, s=1.0, lhs=1.0, rhs_terms={},
-                               empirical_C=1.0, verdict=verdict)
+                               empirical_C=1.0, obs_side="top", verdict=verdict)
         assert rep.passed is expected
         assert rep.passed == (not gate.verdict_failed(rep))
 

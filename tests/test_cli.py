@@ -245,6 +245,25 @@ class TestCommands:
         assert (out / "config_reference.txt").exists()
         assert "all_passed: true" in capsys.readouterr().out
 
+    def test_check_weights_reports_name_their_wall(self, cfg_path, tmp_path, capsys):
+        # the two walls' profiles are mirror images with the same margins,
+        # so the obs_side line after regime: is all that tells them apart
+        bottom = tmp_path / "bottom.cfg"
+        bottom.write_text(MINIMAL + "\n[domain]\nobs_side: bottom\n")
+        lines = {}
+        for side, cfg in (("top", cfg_path), ("bottom", bottom)):
+            out = tmp_path / side
+            assert main(["check-weights", "--config", str(cfg), "--out", str(out)]) == 0
+            lines[side] = [capsys.readouterr().out.splitlines()] + [
+                (out / f"assumptions_{regime}.txt").read_text().splitlines()
+                for regime in ("bounded", "open")]
+        for top, bottom in zip(lines["top"], lines["bottom"], strict=True):
+            assert len(top) == len(bottom)
+            changed = [(i, a, b) for i, (a, b) in enumerate(zip(top, bottom)) if a != b]
+            assert changed and all(top[i - 1].startswith("regime: ") and
+                                   (a, b) == ("obs_side: top", "obs_side: bottom")
+                                   for i, a, b in changed), changed
+
     def test_forward_oracle_writes_field_and_report(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         code = main(["forward", "--config", str(cfg_path), "--out", str(out)])
