@@ -23,7 +23,10 @@ diagonal: each member runs preconditioned Richardson while one
 application shrinks its residual at least 20-fold, and conjugate
 gradients from then on, with A z = r + E z.  Neither applies a stencil;
 the five-point operator runs once per step, its x2 couplings as shifts of
-the flattened stack.  Each residual is tested before it is preconditioned
+the flattened stack.  Each later step starts a member from the polynomial
+through its last six levels (Fischer 1998), or from its last level where
+that residual is the smaller, and reads A_k u^k off the converged residual
+of the step before.  Each residual is tested before it is preconditioned
 (Saad 2003, Alg. 9.1), so a converged residual takes no transform solve.
 Each level's midrange (read off q's and f's extremes) and edge lift are
 built once per solve, the transform-domain reciprocal once per step.  Solves
@@ -38,6 +41,7 @@ its yardstick.  The wall measurement ``measurement(u)`` is a plain
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -156,9 +160,19 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     level's diagonal midrange; the lifts and the march's buffers are built
     once per solve.  The level marched is held in ``_pcg_solver``'s variables
     and unscaled into u: its interior rows (S = 1) are copied, its cap rows
-    divided.  The five-point operator runs once per step, on A_k u^k; the warm
-    start's residual takes A_{k+1} u^k = A_k u^k + (diag_{k+1} - diag_k) u^k.
-    Each member's field is the same, bit for bit, at any stack size."""
+    divided.  The five-point operator runs once per step.  Step 0 applies it
+    to u^0, for A_0 u^0, and starts from u^0.  Every later step takes
+    A_k u^k = rhs_k - r_k, the last step's right side less the converged
+    residual that ``solve`` leaves, and applies the operator to the start
+
+        x0 = sum_j (-1)^j C(m, j+1) u^{k-j},  j = 0 ... m - 1,
+
+    the value at level k + 1 of the polynomial through the last
+    m = min(k + 1, ``EXTRAPOLATED_LEVELS``) levels.  A member starts from
+    u^k instead where that start's residual, rhs_{k+1} - A_k u^k -
+    (diag_{k+1} - diag_k) u^k, which takes no stencil, has the smaller
+    norm: on data rough in time the polynomial starts farther off.  Each
+    member's field is the same, bit for bit, at any stack size."""
     pots = list(pots)
     if not pots:
         raise ValueError("solve_heat needs at least one potential")
@@ -195,16 +209,20 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     rows *= 0.5 * sym[ends]
 
     matvec, solve = _pcg_solver(grid)
-    x = np.repeat((sym * data.u0[:, 1:-1])[None], len(pots), axis=0)
-    ax, rhs, scratch, diag_next = (np.empty_like(x) for _ in range(4))
+    levels = [np.repeat((sym * data.u0[:, 1:-1])[None], len(pots), axis=0)]  # x^k, x^(k-1), ...
+    ax, rhs, r, scratch, diag_next = (np.empty_like(levels[0]) for _ in range(5))
     lifts = np.zeros((P, Q))  # (l_k + l_{k+1}) S / 2, whose zeros turn a -0.0 of rhs to 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # solve names a non-finite residual
         mids = 0.5 * (np.min(corners + shift, axis=(2, 3)) + np.max(corners + shift, axis=(2, 3)))
         diag = half_q[:, 0] * f + shift
         for k in range(grid.nt):
+            x = levels[0]
             np.multiply(half_q[:, k + 1], f, out=diag_next)
             diag_next += shift
-            matvec(diag, x, ax)
+            if k == 0:
+                matvec(diag, x, ax)
+            else:  # A_k x^k = rhs - r of the step just solved
+                np.subtract(rhs, r, out=ax)
             np.multiply(2.0 / dt, x, out=rhs)
             rhs -= ax
             np.add(rows[k], rows[k + 1], out=lifts[ends])
@@ -212,13 +230,37 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
             rhs += lifts
             np.subtract(diag_next, diag, out=scratch)
             scratch *= x
-            ax += scratch  # A_{k+1} x, overwritten by the warm start's residual
+            ax += scratch  # A_{k+1} x^k
+            np.subtract(rhs, ax, out=r)  # the residual of the start x^k
+            start = levels.pop() if len(levels) > EXTRAPOLATED_LEVELS else np.empty_like(x)
+            if k == 0:
+                start[...] = x
+            else:  # the polynomial through the last m levels, where it starts closer
+                weights = _extrapolation_weights(len(levels))
+                np.multiply(weights[0], x, out=start)
+                for weight, level in zip(weights[1:], levels[1:]):
+                    np.multiply(weight, level, out=scratch)
+                    start += scratch
+                matvec(diag_next, start, ax)
+                np.subtract(rhs, ax, out=ax)
+                # per member: x^k where x0's residual is larger or not finite
+                plain = ~(_inner(ax, ax) <= _inner(r, r))
+                ax[plain] = r[plain]
+                start[plain] = x[plain]
+                r, ax = ax, r
             np.subtract(mids[:, k + 1, None, None], diag_next, out=scratch)
-            solve(mids[:, k + 1], scratch, rhs, x, np.subtract(rhs, ax, out=ax), k + 1)
-            u[:, k + 1, 1:-1, 1:-1] = x[:, 1:-1]  # S = 1 there, and x / 1 is x
-            np.divide(x[:, ends], sym[ends], out=u[:, k + 1, ends, 1:-1])
+            solve(mids[:, k + 1], scratch, rhs, start, r, k + 1)
+            levels.insert(0, start)
+            u[:, k + 1, 1:-1, 1:-1] = start[:, 1:-1]  # S = 1 there, and x / 1 is x
+            np.divide(start[:, ends], sym[ends], out=u[:, k + 1, ends, 1:-1])
             diag, diag_next = diag_next, diag
     return [ScalarField(grid, field) for field in u]
+
+
+def _extrapolation_weights(m):
+    """Weights (-1)^j C(m, j + 1), j = 0 ... m - 1, of the levels x^k, ..., x^(k-m+1) in
+    the value at level k + 1 of the polynomial of degree < m through them."""
+    return [(-1) ** j * math.comb(m, j + 1) for j in range(m)]
 
 
 def _potential_extremes(half_q, f):
@@ -295,6 +337,8 @@ CG_TOLERANCE = 1e-14
 CG_MAX_ITERATIONS = 200
 #: Residual ratio of one Richardson application above which a member hands over to CG.
 RICHARDSON_RATE = 0.05
+#: Marched levels through which the polynomial that starts each step runs.
+EXTRAPOLATED_LEVELS = 6
 
 
 def _pcg_solver(grid):
@@ -306,7 +350,8 @@ def _pcg_solver(grid):
     product of x.  matvec(diag, p, out) applies ``diag`` plus the fixed
     couplings of S (-Lap_h / 2) S^-1 to p (or one (P, Q) block), into
     ``out``, C-contiguous, if given.  solve(mid, deficit, rhs, x, r, step)
-    solves each member's system, updating x in place from its residual r,
+    solves each member's system, updating x in place from its residual r
+    and leaving each member's final residual in r,
     preconditioned by C, the same matrix with the diagonal replaced by its
     midrange ``mid``, which ``_separable_inverse`` solves exactly, its
     reciprocal denominator built once per call.  With E = diag - mid =
@@ -339,15 +384,16 @@ def _pcg_solver(grid):
         return out
 
     def solve(mid, deficit, rhs, x, r, step):
-        s = SimpleNamespace(members=np.arange(len(x)), x=x, r=r, deficit=deficit,
-                            reciprocal=scale(mid - 2.0 * (c1 + c2)), rr=_inner(r, r).tolist(),
-                            bound=(CG_TOLERANCE**2 * _inner(rhs, rhs)).tolist(),
-                            last=[np.inf] * len(x))
+        s = full = SimpleNamespace(members=np.arange(len(x)), x=x, r=r, deficit=deficit,
+                                   reciprocal=scale(mid - 2.0 * (c1 + c2)),
+                                   rr=_inner(r, r).tolist(),
+                                   bound=(CG_TOLERANCE**2 * _inner(rhs, rhs)).tolist(),
+                                   last=[np.inf] * len(x))
         iterations = 0
-        while (s := _settle(x, s, iterations, step)) is not None:
+        while (s := _settle(full, s, iterations, step)) is not None:
             slow = [rr > RICHARDSON_RATE**2 * last for rr, last in zip(s.rr, s.last)]
             if any(slow):
-                _conjugate_gradients(inverse, x, _take(s, slow), iterations, step)
+                _conjugate_gradients(inverse, full, _take(s, slow), iterations, step)
                 if all(slow):
                     return
                 s = _take(s, [not v for v in slow])
@@ -360,16 +406,16 @@ def _pcg_solver(grid):
     return matvec, solve
 
 
-def _conjugate_gradients(inverse, result, s, iterations, step):
+def _conjugate_gradients(inverse, full, s, iterations, step):
     """CG for the members of ``solve``'s stack ``s`` from their x and r, after
-    ``iterations`` Richardson applications; each converged x goes to
-    ``result``.  C is exact, so A z = r + E z for the preconditioned
+    ``iterations`` Richardson applications; each converged x and r go to
+    the stack ``full``.  C is exact, so A z = r + E z for the preconditioned
     residual z, and q = A p updates as r + E z + beta q with no stencil.
     x, r, p and q are updated in place through one scratch buffer."""
     # p = q = 0 and rz = inf make the first beta 0 and the first p z
     s.p, s.q, s.rz = np.zeros_like(s.r), np.zeros_like(s.r), np.full(len(s.r), np.inf)
     scratch = np.empty_like(s.r)
-    while (s := _settle(result, s, iterations, step)) is not None:
+    while (s := _settle(full, s, iterations, step)) is not None:
         scratch = scratch[:len(s.r)]
         iterations += 1
         z = inverse(s.r, s.reciprocal)
@@ -390,11 +436,12 @@ def _conjugate_gradients(inverse, result, s, iterations, step):
         s.rr = _inner(s.r, s.r).tolist()
 
 
-def _settle(result, s, iterations, step):
+def _settle(full, s, iterations, step):
     """Test each member of the stack ``s`` before an application, on floats:
-    write the x of each one whose residual norm rr meets its bound into
-    ``result``, so it takes no transform solve, and return the others' stack,
-    or None.  Raises SolverBreakdownError on a non-finite rr and at the cap."""
+    write the x and r of each one whose residual norm rr meets its bound into
+    the stack ``full`` that ``solve`` began, so it takes no transform solve,
+    and return the others' stack, or None.  Raises SolverBreakdownError on a
+    non-finite rr and at the cap."""
     finite = [-np.inf < rr < np.inf for rr in s.rr]
     if not all(finite):  # a NaN would pass the stopping test as converged
         raise SolverBreakdownError(f"member {s.members[finite.index(False)]}, step {step}: "
@@ -402,8 +449,9 @@ def _settle(result, s, iterations, step):
     going = [rr > bound for rr, bound in zip(s.rr, s.bound)]
     if not all(going):
         done = [not g for g in going]
-        if s.x is not result:  # a stack not yet compacted updates result in place
-            result[s.members[done]] = s.x[done]
+        if s is not full:  # the stack not yet compacted is full, updated in place
+            full.x[s.members[done]] = s.x[done]
+            full.r[s.members[done]] = s.r[done]
         if not any(going):
             return None
         s = _take(s, going)
