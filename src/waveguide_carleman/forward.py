@@ -23,11 +23,11 @@ diagonal: each member runs preconditioned Richardson while one
 application shrinks its residual at least 20-fold, and conjugate
 gradients from then on, with A z = r + E z.  Neither applies a stencil;
 the five-point operator runs once per step, its x2 couplings as shifts of
-the flattened stack.  Each later step starts a member from the polynomial
-through its last six levels (Fischer 1998), or from its last level where
-that residual is the smaller, and reads A_k u^k off the converged residual
-of the step before.  Each residual is tested before it is preconditioned
-(Saad 2003, Alg. 9.1), so a converged residual takes no transform solve.
+the flattened stack.  Each step starts a member from the polynomial
+through its last six levels (Fischer 1998), and each later one reads
+A_k u^k off the converged residual of the step before.  Each residual is
+tested before it is preconditioned (Saad 2003, Alg. 9.1), so a converged
+residual takes no transform solve.
 Each level's midrange (read off q's and f's extremes) and edge lift are
 built once per solve, the transform-domain reciprocal once per step.  Solves
 that share a grid and a data set and differ only in the potential march
@@ -160,19 +160,18 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     level's diagonal midrange; the lifts and the march's buffers are built
     once per solve.  The level marched is held in ``_pcg_solver``'s variables
     and unscaled into u: its interior rows (S = 1) are copied, its cap rows
-    divided.  The five-point operator runs once per step.  Step 0 applies it
-    to u^0, for A_0 u^0, and starts from u^0.  Every later step takes
-    A_k u^k = rhs_k - r_k, the last step's right side less the converged
-    residual that ``solve`` leaves, and applies the operator to the start
+    divided.  Each member's step to level k + 1 starts from
 
         x0 = sum_j (-1)^j C(m, j+1) u^{k-j},  j = 0 ... m - 1,
 
     the value at level k + 1 of the polynomial through the last
-    m = min(k + 1, ``EXTRAPOLATED_LEVELS``) levels.  A member starts from
-    u^k instead where that start's residual, rhs_{k+1} - A_k u^k -
-    (diag_{k+1} - diag_k) u^k, which takes no stencil, has the smaller
-    norm: on data rough in time the polynomial starts farther off.  Each
-    member's field is the same, bit for bit, at any stack size."""
+    m = min(k + 1, ``EXTRAPOLATED_LEVELS``) levels, formed in one pass over
+    a ring of the levels.  The five-point operator runs once per step.  Step
+    0 applies it to u^0 = x0, for A_0 u^0, and takes A_1 x0 = A_0 u^0 +
+    (diag_1 - diag_0) u^0.  Every later step applies it to x0 and takes
+    A_k u^k = rhs_k - r_k, the last step's right side less the converged
+    residual that ``solve`` leaves.  Each member's field is the same, bit
+    for bit, at any stack size."""
     pots = list(pots)
     if not pots:
         raise ValueError("solve_heat needs at least one potential")
@@ -209,14 +208,20 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     rows *= 0.5 * sym[ends]
 
     matvec, solve = _pcg_solver(grid)
-    levels = [np.repeat((sym * data.u0[:, 1:-1])[None], len(pots), axis=0)]  # x^k, x^(k-1), ...
-    ax, rhs, r, scratch, diag_next = (np.empty_like(levels[0]) for _ in range(5))
+    slots = EXTRAPOLATED_LEVELS + 1  # level i in ring[i % slots]; each start overwrites the oldest
+    ring = np.zeros((slots, len(pots), P, Q))
+    ring[0] = sym * data.u0[:, 1:-1]
+    steps = np.arange(grid.nt)
+    weights = np.zeros((grid.nt, slots))  # row k: x0 of step k + 1 = weights[k] . ring
+    for j, w in enumerate(_EXTRAPOLATION_WEIGHTS[np.minimum(steps, EXTRAPOLATED_LEVELS - 1)].T):
+        weights[steps, (steps - j) % slots] = w  # level k - j; 0 past level 0
+    ax, rhs, r, scratch, diag_next = (np.empty_like(ring[0]) for _ in range(5))
     lifts = np.zeros((P, Q))  # (l_k + l_{k+1}) S / 2, whose zeros turn a -0.0 of rhs to 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # solve names a non-finite residual
         mids = 0.5 * (np.min(corners + shift, axis=(2, 3)) + np.max(corners + shift, axis=(2, 3)))
         diag = half_q[:, 0] * f + shift
         for k in range(grid.nt):
-            x = levels[0]
+            x, start = ring[k % slots], ring[(k + 1) % slots]
             np.multiply(half_q[:, k + 1], f, out=diag_next)
             diag_next += shift
             if k == 0:
@@ -228,39 +233,20 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
             np.add(rows[k], rows[k + 1], out=lifts[ends])
             np.add(cols[k, 1:-1], cols[k + 1, 1:-1], out=lifts[1:-1, ::Q - 1])
             rhs += lifts
-            np.subtract(diag_next, diag, out=scratch)
-            scratch *= x
-            ax += scratch  # A_{k+1} x^k
-            np.subtract(rhs, ax, out=r)  # the residual of the start x^k
-            start = levels.pop() if len(levels) > EXTRAPOLATED_LEVELS else np.empty_like(x)
-            if k == 0:
-                start[...] = x
-            else:  # the polynomial through the last m levels, where it starts closer
-                weights = _extrapolation_weights(len(levels))
-                np.multiply(weights[0], x, out=start)
-                for weight, level in zip(weights[1:], levels[1:]):
-                    np.multiply(weight, level, out=scratch)
-                    start += scratch
+            np.einsum("j,jbpq->bpq", weights[k], ring, out=start)
+            if k == 0:  # x0 = x^0, and A_1 x^0 = A_0 x^0 + (diag_1 - diag_0) x^0
+                np.subtract(diag_next, diag, out=scratch)
+                scratch *= x
+                ax += scratch
+            else:
                 matvec(diag_next, start, ax)
-                np.subtract(rhs, ax, out=ax)
-                # per member: x^k where x0's residual is larger or not finite
-                plain = ~(_inner(ax, ax) <= _inner(r, r))
-                ax[plain] = r[plain]
-                start[plain] = x[plain]
-                r, ax = ax, r
+            np.subtract(rhs, ax, out=r)
             np.subtract(mids[:, k + 1, None, None], diag_next, out=scratch)
             solve(mids[:, k + 1], scratch, rhs, start, r, k + 1)
-            levels.insert(0, start)
             u[:, k + 1, 1:-1, 1:-1] = start[:, 1:-1]  # S = 1 there, and x / 1 is x
             np.divide(start[:, ends], sym[ends], out=u[:, k + 1, ends, 1:-1])
             diag, diag_next = diag_next, diag
     return [ScalarField(grid, field) for field in u]
-
-
-def _extrapolation_weights(m):
-    """Weights (-1)^j C(m, j + 1), j = 0 ... m - 1, of the levels x^k, ..., x^(k-m+1) in
-    the value at level k + 1 of the polynomial of degree < m through them."""
-    return [(-1) ** j * math.comb(m, j + 1) for j in range(m)]
 
 
 def _potential_extremes(half_q, f):
@@ -339,6 +325,11 @@ CG_MAX_ITERATIONS = 200
 RICHARDSON_RATE = 0.05
 #: Marched levels through which the polynomial that starts each step runs.
 EXTRAPOLATED_LEVELS = 6
+#: Row m - 1, column j: the weight (-1)^j C(m, j + 1) of level k - j in the value at
+#: level k + 1 of the polynomial of degree < m through levels k, ..., k - m + 1 (0 for j >= m).
+_EXTRAPOLATION_WEIGHTS = np.array([[(-1) ** j * math.comb(m, j + 1)
+                                    for j in range(EXTRAPOLATED_LEVELS)]
+                                   for m in range(1, EXTRAPOLATED_LEVELS + 1)], dtype=float)
 
 
 def _pcg_solver(grid):

@@ -464,9 +464,8 @@ def rough_data(grid, seed=0):
 
 class TestExtrapolatedStart:
     # Each step starts a member from the polynomial through its last six
-    # levels, or from its last level where that one's residual is smaller.
-    # A slip in the weights moves no field beyond round-off (the guard and
-    # the solve hide it): only the application counts and the weights' own
+    # levels.  A slip in the weights moves no field beyond round-off (the
+    # solve hides it): only the application counts and the weights' own
     # test show it.
 
     @settings(max_examples=200, deadline=None)
@@ -476,37 +475,15 @@ class TestExtrapolatedStart:
            t0=st.floats(-3.0, 3.0), h=st.floats(0.01, 1.0))
     @example(m=6, coeffs=[1.0] * 6, t0=0.0, h=1.0)
     def test_weights_continue_every_polynomial_of_lower_degree(self, m, coeffs, t0, h):
-        weights = forward._extrapolation_weights(m)
-        assert len(weights) == m
+        weights = forward._EXTRAPOLATION_WEIGHTS[m - 1]
+        assert not weights[m:].any()
+        weights = weights[:m].tolist()
         assert sum(weights) == 1
         c = coeffs[:m]  # degree < m
         newest_first = [np.polyval(c, t0 + (m - 1 - j) * h) for j in range(m)]
         got = sum(w * value for w, value in zip(weights, newest_first))
         size = max(np.polyval(np.abs(c), abs(t0) + i * h) for i in range(m + 1))
         assert abs(got - np.polyval(c, t0 + m * h)) <= 1e-13 * sum(map(abs, weights)) * size
-
-    def test_the_guard_is_per_member(self, domain):
-        # a member whose q is random at every level starts from its last
-        # level where the smooth members start from the polynomial: each
-        # field is the one that member gets alone
-        g = build_grid(domain, 16, 16, 32)
-        pots = preset_stack(g, 0.4)
-        q = np.random.default_rng(3).uniform(-0.5, 1.0, pots[0].q.shape)
-        pots.append(PotentialSpec(g, q, pots[0].f))
-        data = positive_preset_data(pots[0])
-        for pot, field in zip(pots, solve_heat(g, pots, data)):
-            [alone] = solve_heat(g, [pot], data)
-            assert field.values.tobytes() == alone.values.tobytes()
-
-    def test_rough_data_takes_no_more_applications_than_the_last_level_start(
-            self, domain, monkeypatch):
-        # started from the previous level, this march took 1154 applications
-        # (4.51 per member and step); started from the polynomial everywhere,
-        # it takes 1233 (4.82)
-        applied = counted_applications(monkeypatch)
-        g = build_grid(domain, 32, 32, 64)
-        solve_heat(g, preset_stack(g, 0.4), rough_data(g))
-        assert sum(applied) <= 1154
 
     def test_shipped_preset_stack_takes_under_two_applications(self, domain, monkeypatch):
         # 811 applications (1.58 per member and step) at 64x64x128, against
@@ -520,8 +497,8 @@ class TestExtrapolatedStart:
     @pytest.mark.parametrize("rough", [False, True], ids=["preset", "rough"])
     def test_fields_scale_with_the_data_bit_for_bit(self, domain, rough):
         # the march is linear in the data, and a power of two scales every
-        # residual, bound and guard norm exactly: a guard that compared a
-        # residual with an absolute threshold would break this
+        # start, residual and bound exactly: a test of a residual against an
+        # absolute threshold would break this
         g = build_grid(domain, 16, 16, 32)
         pots = preset_stack(g, 0.4)
         data = rough_data(g) if rough else positive_preset_data(pots[0])
