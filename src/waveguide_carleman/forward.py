@@ -215,19 +215,18 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
     weights = np.zeros((grid.nt, slots))  # row k: x0 of step k + 1 = weights[k] . ring
     for j, w in enumerate(_EXTRAPOLATION_WEIGHTS[np.minimum(steps, EXTRAPOLATED_LEVELS - 1)].T):
         weights[steps, (steps - j) % slots] = w  # level k - j; 0 past level 0
-    ax, rhs, r, scratch, diag_next = (np.empty_like(ring[0]) for _ in range(5))
+    ax, rhs, deficit, diag_next = (np.empty_like(ring[0]) for _ in range(4))
+    r = np.zeros_like(ring[0])  # rhs - r is A_k x^k: A_0 u^0 - 0 at step 0
     lifts = np.zeros((P, Q))  # (l_k + l_{k+1}) S / 2, whose zeros turn a -0.0 of rhs to 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # solve names a non-finite residual
         mids = 0.5 * (np.min(corners + shift, axis=(2, 3)) + np.max(corners + shift, axis=(2, 3)))
-        diag = half_q[:, 0] * f + shift
+        diag_0 = half_q[:, 0] * f + shift
+        matvec(diag_0, ring[0], rhs)
         for k in range(grid.nt):
             x, start = ring[k % slots], ring[(k + 1) % slots]
             np.multiply(half_q[:, k + 1], f, out=diag_next)
             diag_next += shift
-            if k == 0:
-                matvec(diag, x, ax)
-            else:  # A_k x^k = rhs - r of the step just solved
-                np.subtract(rhs, r, out=ax)
+            np.subtract(rhs, r, out=ax)
             np.multiply(2.0 / dt, x, out=rhs)
             rhs -= ax
             np.add(rows[k], rows[k + 1], out=lifts[ends])
@@ -235,17 +234,14 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
             rhs += lifts
             np.einsum("j,jbpq->bpq", weights[k], ring, out=start)
             if k == 0:  # x0 = x^0, and A_1 x^0 = A_0 x^0 + (diag_1 - diag_0) x^0
-                np.subtract(diag_next, diag, out=scratch)
-                scratch *= x
-                ax += scratch
+                ax += (diag_next - diag_0) * x
             else:
                 matvec(diag_next, start, ax)
             np.subtract(rhs, ax, out=r)
-            np.subtract(mids[:, k + 1, None, None], diag_next, out=scratch)
-            solve(mids[:, k + 1], scratch, rhs, start, r, k + 1)
+            np.subtract(mids[:, k + 1, None, None], diag_next, out=deficit)
+            solve(mids[:, k + 1], deficit, rhs, start, r, k + 1)
             u[:, k + 1, 1:-1, 1:-1] = start[:, 1:-1]  # S = 1 there, and x / 1 is x
             np.divide(start[:, ends], sym[ends], out=u[:, k + 1, ends, 1:-1])
-            diag, diag_next = diag_next, diag
     return [ScalarField(grid, field) for field in u]
 
 
@@ -405,25 +401,23 @@ def _conjugate_gradients(inverse, full, s, iterations, step):
     x, r, p and q are updated in place through one scratch buffer."""
     # p = q = 0 and rz = inf make the first beta 0 and the first p z
     s.p, s.q, s.rz = np.zeros_like(s.r), np.zeros_like(s.r), np.full(len(s.r), np.inf)
-    scratch = np.empty_like(s.r)
     while (s := _settle(full, s, iterations, step)) is not None:
-        scratch = scratch[:len(s.r)]
         iterations += 1
         z = inverse(s.r, s.reciprocal)
         rz = _inner(s.r, z)
-        np.multiply(s.deficit, z, out=scratch)
-        np.subtract(s.r, scratch, out=scratch)
         beta = (rz / s.rz)[:, None, None]
         s.p *= beta
         s.p += z
+        np.multiply(s.deficit, z, out=z)  # z, fresh from inverse, is the scratch from here
+        np.subtract(s.r, z, out=z)
         s.q *= beta
-        s.q += scratch
+        s.q += z
         s.rz = rz
         alpha = (rz / _inner(s.p, s.q))[:, None, None]
-        np.multiply(alpha, s.p, out=scratch)
-        s.x += scratch
-        np.multiply(alpha, s.q, out=scratch)
-        s.r -= scratch
+        np.multiply(alpha, s.p, out=z)
+        s.x += z
+        np.multiply(alpha, s.q, out=z)
+        s.r -= z
         s.rr = _inner(s.r, s.r).tolist()
 
 
