@@ -8,35 +8,61 @@ regime is checked on synthetic fields only.
 
 Scheme: Crank-Nicolson in time with the potential treated implicitly at
 both levels, five-point Laplacian in space, Neumann caps imposed through
-second-order ghost values, Dirichlet rows eliminated.  One five-point
-operator on the unknown block serves both sides of each step; the
-boundary data enter only through an edge lift of each level.  Each
-step's system A = 1/dt + (-Lap_h + V^{k+1})/2 is solved in the variables
-D^(1/2) x, D = diag(1/2, 1, ..., 1, 1/2) along x1, in which it is
-symmetric, preconditioned by the midrange-potential system C (Concus &
-Golub 1973), which the transforms that diagonalise it solve exactly
-(Swarztrauber 1977): DCT-I along x1 for the ghost-value caps and DST-I
-along x2 for the Dirichlet walls, as dense matrix products, not
-``numpy.fft``.  Because that solve is exact, z = C^-1 r leaves the
-residual -E z, with E the potential's excess over its midrange on the
-diagonal: each member runs preconditioned Richardson while one
-application shrinks its residual at least 20-fold, and conjugate
-gradients from then on, with A z = r + E z.  Neither applies a stencil;
-the five-point operator runs once per step, its x2 couplings as shifts of
-the flattened stack.  Each step starts a member from the polynomial
-through its last six levels (Fischer 1998), and each later one reads
-A_k u^k off the converged residual of the step before.  Each residual is
-tested before it is preconditioned (Saad 2003, Alg. 9.1), so a converged
-residual takes no transform solve.
-Each level's midrange (read off q's and f's extremes) and edge lift are
-built once per solve, the transform-domain reciprocal once per step.  Solves
-that share a grid and a data set and differ only in the potential march
-as one stack, each member with its own iteration, and a member's field
-does not depend on the stack.  Non-finite samples and a step matrix that
-is not positive definite are rejected before marching.  The scheme is
+second-order ghost values, Dirichlet rows eliminated.  It is
 unconditionally stable and second order; the closed-form oracle below is
-its yardstick.  The wall measurement ``measurement(u)`` is a plain
-``(nt+1, n1+2)`` array, read on ``u``'s own grid.
+its yardstick.  On the unknown block, with the known values removed, the
+step matrix of level k is A_k = 1/dt + (-Lap_h + V^k)/2, and the step to
+level k + 1 solves
+
+    A_{k+1} u^{k+1} = 2 u^k / dt - A_k u^k + (l_k + l_{k+1}) / 2,
+
+where l_k lifts level k's known values onto the edges of the block: the
+Dirichlet neighbours (level 0 keeps the edges of u0) over dx2^2 and, on
+the caps, the ghost-value Neumann terms 2 cap / dx1.  So one five-point
+operator serves both sides of each step.
+
+Variables: A_k is not symmetric, since a ghost-value cap row couples to
+its neighbour by 2 c1 and the neighbour back by c1, but D A_k is, for
+D = diag(1/2, 1, ..., 1, 1/2) along x1.  The march holds S x, S = D^(1/2),
+in which both couplings are sqrt(2) c1 and the plain inner product is the
+D inner product of x; the interior rows of S x (S = 1) are copied into u,
+its cap rows divided.
+
+Preconditioner: C, the step matrix with its diagonal replaced by the
+diagonal's midrange (Concus & Golub 1973), is solved exactly by the
+transforms that diagonalise it (Swarztrauber 1977).  The midrange makes
+the excess E = A - C zero for a potential constant in space and
+minimizes max |E|, which bounds the contraction.  Because the solve is
+exact, z = C^-1 r leaves the residual -E z, and A z = r + E z.
+
+Iteration: each member runs preconditioned Richardson, x += z and
+r = -E z, while one application shrinks its residual at least
+1 / ``RICHARDSON_RATE``-fold, and conjugate gradients from the first one
+that does not, with q = A p updated as r + E z + beta q.  Neither applies
+a stencil.  Each residual is tested before it is preconditioned (Saad
+2003, Alg. 9.1), so a converged member takes no further transform solve.
+Each member keeps its own midrange, phase and stopping test; the
+iteration cap counts both phases.
+
+March: solves that share a grid and a data set and differ only in the
+potential march as one (B, P, Q) stack, and a member's field does not
+depend on the stack.  Each member's step to level k + 1 starts from
+
+    x0 = sum_j (-1)^j C(m, j+1) u^{k-j},  j = 0 ... m - 1,
+
+the value at level k + 1 of the polynomial through its last
+m = min(k + 1, ``EXTRAPOLATED_LEVELS``) levels (Fischer 1998), formed in
+one pass over a ring of the levels.  The five-point operator runs once
+per step, its x2 couplings as shifts of the flattened stack: on u^0
+before the march, and on x0 for A_{k+1} x0 at every step after the
+first.  Step 0 starts from x0 = u^0 and takes A_1 x0 = A_0 u^0 +
+(diag_1 - diag_0) u^0.  Every step reads A_k u^k as rhs - r: the last
+step's right side less the converged residual that the solve leaves,
+and A_0 u^0 less zero at step 0.  One pass over each potential's
+extremes gives the definiteness test and every level's diagonal
+midrange; the lifts and the march's buffers are built once per solve,
+the transform-domain reciprocal once per step.  Non-finite samples and a
+step matrix that is not positive definite are rejected before marching.
 """
 
 from __future__ import annotations
@@ -142,36 +168,12 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
                data: BoundaryData) -> list[ScalarField]:
     """March the heat equation for each potential in ``pots`` over all time
     levels, with the one data set ``data``; return one full field per
-    potential, in order.
+    potential, in order, each the same, bit for bit, at any stack size.
 
-    The grid must be bounded; an open-waveguide grid raises ValueError.
-    The potentials march together as one (B, P, Q) stack on the unknown
-    block.  The step matrix of level k is A_k = 1/dt + (-Lap_h + V^k)/2
-    with the known values removed, and each member's step solves
-
-        A_{k+1} u^{k+1} = 2 u^k / dt - A_k u^k + (l_k + l_{k+1}) / 2,
-
-    where l_k lifts level k's known values onto the edges of the block:
-    the Dirichlet neighbours stored in u[k] (level 0 keeps the edges of
-    u0) over dx2^2 and, on the caps, the ghost-value Neumann terms
-    2 cap / dx1.  The lift is shared by every member, and each level's
-    diagonal is q[k] f / 2 plus a constant.  One pass over each potential's
-    extremes (``_potential_extremes``) gives the definiteness test and every
-    level's diagonal midrange; the lifts and the march's buffers are built
-    once per solve.  The level marched is held in ``_pcg_solver``'s variables
-    and unscaled into u: its interior rows (S = 1) are copied, its cap rows
-    divided.  Each member's step to level k + 1 starts from
-
-        x0 = sum_j (-1)^j C(m, j+1) u^{k-j},  j = 0 ... m - 1,
-
-    the value at level k + 1 of the polynomial through the last
-    m = min(k + 1, ``EXTRAPOLATED_LEVELS``) levels, formed in one pass over
-    a ring of the levels.  The five-point operator runs once per step.  Step
-    0 applies it to u^0 = x0, for A_0 u^0, and takes A_1 x0 = A_0 u^0 +
-    (diag_1 - diag_0) u^0.  Every later step applies it to x0 and takes
-    A_k u^k = rhs_k - r_k, the last step's right side less the converged
-    residual that ``solve`` leaves.  Each member's field is the same, bit
-    for bit, at any stack size."""
+    Raises ValueError for no potential, for inputs on different grids, for
+    a truncated grid and, naming the member, for a step matrix that is not
+    positive definite on a marched level; ``SolverBreakdownError`` from
+    the solve."""
     pots = list(pots)
     if not pots:
         raise ValueError("solve_heat needs at least one potential")
@@ -287,8 +289,7 @@ def _separable_inverse(grid):
     4 P Q (P + Q) flops on P x Q unknowns, which beats FFTs on the square
     grids solved here.  With S folded in, the DCT-I matrix is S C S for the
     cosine matrix C, symmetric with square m1 I.  scale(c) is the reciprocal
-    transform-domain denominator, built once per step; the four products
-    share two buffers.  r may be one (P, Q) block with a scalar c, or a
+    transform-domain denominator; the four products share two buffers.  r may be one (P, Q) block with a scalar c, or a
     (B, P, Q) stack with one c per member; numpy's matmul then makes one
     GEMM per member, of the same shape at any B."""
     P, Q = grid.n1 + 2, grid.n2
@@ -329,25 +330,15 @@ _EXTRAPOLATION_WEIGHTS = np.array([[(-1) ** j * math.comb(m, j + 1)
 
 
 def _pcg_solver(grid):
-    """(matvec, solve) for the five-point step system on the unknown block,
-    on (B, P, Q) stacks of members, in the variables S x of ``_cap_scaling``.
-    The ghost-value step matrix A is not symmetric, but D A is, so S A S^-1
-    is: a cap row and its neighbour couple by sqrt(2) c1 both ways, not by
-    2 c1 and c1, and CG runs in the plain inner product, the D inner
-    product of x.  matvec(diag, p, out) applies ``diag`` plus the fixed
-    couplings of S (-Lap_h / 2) S^-1 to p (or one (P, Q) block), into
-    ``out``, C-contiguous, if given.  solve(mid, deficit, rhs, x, r, step)
-    solves each member's system, updating x in place from its residual r
-    and leaving each member's final residual in r,
-    preconditioned by C, the same matrix with the diagonal replaced by its
-    midrange ``mid``, which ``_separable_inverse`` solves exactly, its
-    reciprocal denominator built once per call.  With E = diag - mid =
-    -``deficit``, A = C + E: each member runs Richardson, x += z = C^-1 r and
-    r = -E z, until one application shrinks its residual by less than
-    ``RICHARDSON_RATE``, then ``_conjugate_gradients`` from its x and r.
-    The midrange makes E 0 for a potential constant in space and minimizes
-    max |E|, which bounds the contraction.  Each member keeps its own
-    midrange, phase and stopping test; the iteration cap counts both."""
+    """(matvec, solve) for the step system on the unknown block, on (B, P, Q)
+    stacks of members, in the variables S x of ``_cap_scaling``.
+    matvec(diag, p, out) applies ``diag`` plus the fixed couplings of
+    S (-Lap_h / 2) S^-1 to p (or one (P, Q) block), into ``out``,
+    C-contiguous, if given.  solve(mid, deficit, rhs, x, r, step) solves
+    each member's system, whose diagonal is mid - deficit, to
+    ``CG_TOLERANCE`` relative to rhs, preconditioned by the system whose
+    diagonal is the scalar ``mid``; it updates x in place from its
+    residual r and leaves each member's final residual in r."""
     scale, inverse = _separable_inverse(grid)
     c1, c2 = 0.5 / grid.dx1**2, 0.5 / grid.dx2**2
     cap = np.sqrt(2.0)
@@ -396,9 +387,7 @@ def _pcg_solver(grid):
 def _conjugate_gradients(inverse, full, s, iterations, step):
     """CG for the members of ``solve``'s stack ``s`` from their x and r, after
     ``iterations`` Richardson applications; each converged x and r go to
-    the stack ``full``.  C is exact, so A z = r + E z for the preconditioned
-    residual z, and q = A p updates as r + E z + beta q with no stencil.
-    x, r, p and q are updated in place through one scratch buffer."""
+    the stack ``full``."""
     # p = q = 0 and rz = inf make the first beta 0 and the first p z
     s.p, s.q, s.rz = np.zeros_like(s.r), np.zeros_like(s.r), np.full(len(s.r), np.inf)
     while (s := _settle(full, s, iterations, step)) is not None:
@@ -422,11 +411,10 @@ def _conjugate_gradients(inverse, full, s, iterations, step):
 
 
 def _settle(full, s, iterations, step):
-    """Test each member of the stack ``s`` before an application, on floats:
-    write the x and r of each one whose residual norm rr meets its bound into
-    the stack ``full`` that ``solve`` began, so it takes no transform solve,
-    and return the others' stack, or None.  Raises SolverBreakdownError on a
-    non-finite rr and at the cap."""
+    """Test each member of the stack ``s`` before an application: write the
+    x and r of each one whose residual norm rr meets its bound into the
+    stack ``full`` that ``solve`` began, and return the others' stack, or
+    None.  Raises SolverBreakdownError on a non-finite rr and at the cap."""
     finite = [-np.inf < rr < np.inf for rr in s.rr]
     if not all(finite):  # a NaN would pass the stopping test as converged
         raise SolverBreakdownError(f"member {s.members[finite.index(False)]}, step {step}: "
