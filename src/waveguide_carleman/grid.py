@@ -93,6 +93,10 @@ class SpaceTimeGrid:
         self.nt = int(nt)
 
         self.x1 = np.linspace(-domain.L, domain.L, self.n1 + 2)
+        # each node right of the centre the exact negative of its mirror, an odd centre 0.0
+        half = (self.n1 + 2) // 2
+        self.x1[-half:] = -self.x1[half - 1::-1]
+        self.x1[half:-half] = 0.0
         self.x2 = np.linspace(0.0, domain.h, self.n2 + 2)
         self.t = np.linspace(0.0, domain.T, self.nt + 1)
         self.dx1 = 2.0 * domain.L / (self.n1 + 1)

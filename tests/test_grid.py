@@ -59,7 +59,7 @@ class TestDomainAndGrid:
         # nearest node is interior, picks a nearest node, and lies within
         # dx1/2 of alpha up to the nodes' round-off, which stays below one
         # ulp of L
-        x1 = np.linspace(-L, L, n1 + 2)
+        x1 = build_grid(WaveguideDomain(L=L, h=1.0, T=2.0), n1, 4, 4).x1
         i = where % (n1 + 1) if isinstance(where, int) else None
         alpha = where * L if i is None else (x1[i] + x1[i + 1]) / 2.0
         assume(-L < alpha < L)
@@ -74,6 +74,31 @@ class TestDomainAndGrid:
         assert 1 <= g.alpha_index <= n1
         assert distance[g.alpha_index] == np.min(distance)
         assert distance[g.alpha_index] <= g.dx1 / 2 + np.finfo(float).eps * L
+
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.floats(1e-3, 1e6), a=st.floats(0.0, 1.0, exclude_max=True))
+    def test_axial_nodes_are_exact_mirrors(self, L, a):
+        # every node is the exact negative of its mirror, the caps are -L and
+        # L, and -alpha snaps to the mirror of alpha's node unless alpha lies
+        # midway between two nodes, where both snap to the left one
+        for n1 in range(4, 41):
+            x1 = build_grid(WaveguideDomain(L=L, h=1.0, T=2.0), n1, 4, 4).x1
+            assert np.array_equal(x1, -x1[::-1])
+            assert (x1[0], x1[-1]) == (-L, L)
+            distance = np.sort(np.abs(x1 - a * L))
+            if distance[0] == distance[1] or min(abs(x1[0] - a * L), abs(x1[-1] - a * L)) \
+                    == distance[0]:
+                continue
+            left, right = (build_grid(WaveguideDomain(L=L, h=1.0, T=2.0, alpha=sign * a * L),
+                                      n1, 4, 4) for sign in (-1.0, 1.0))
+            assert left.alpha_index == n1 + 1 - right.alpha_index
+            assert left.alpha_snapped == -right.alpha_snapped
+
+    def test_criterion_10_anchors_are_negatives(self):
+        # with linspace nodes these read -0.23076923076923073 and 0.23076923076923084
+        left, right = (build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, alpha=alpha), 12, 12, 24)
+                       for alpha in (-0.3, 0.3))
+        assert left.alpha_snapped == -right.alpha_snapped == -0.23076923076923073
 
     def test_anchor_on_a_cap_node_is_rejected(self):
         # n1 = 4 puts nodes at +-0.6 and +-1, so 0.85 snaps to the cap 1.0
