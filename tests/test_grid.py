@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from waveguide_carleman.grid import (
@@ -77,10 +77,13 @@ class TestDomainAndGrid:
 
     @settings(max_examples=60, deadline=None)
     @given(L=st.floats(1e-3, 1e6), a=st.floats(0.0, 1.0, exclude_max=True))
+    @example(L=1.0, a=0.3)
     def test_axial_nodes_are_exact_mirrors(self, L, a):
         # every node is the exact negative of its mirror, the caps are -L and
         # L, and -alpha snaps to the mirror of alpha's node unless alpha lies
-        # midway between two nodes, where both snap to the left one
+        # midway between two nodes, where both snap to the left one; with
+        # linspace nodes, criterion 10's anchors +-0.3 (n1 = 12) snapped to
+        # -0.23076923076923073 and 0.23076923076923084
         for n1 in range(4, 41):
             x1 = build_grid(WaveguideDomain(L=L, h=1.0, T=2.0), n1, 4, 4).x1
             assert np.array_equal(x1, -x1[::-1])
@@ -93,12 +96,6 @@ class TestDomainAndGrid:
                                       n1, 4, 4) for sign in (-1.0, 1.0))
             assert left.alpha_index == n1 + 1 - right.alpha_index
             assert left.alpha_snapped == -right.alpha_snapped
-
-    def test_criterion_10_anchors_are_negatives(self):
-        # with linspace nodes these read -0.23076923076923073 and 0.23076923076923084
-        left, right = (build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0, alpha=alpha), 12, 12, 24)
-                       for alpha in (-0.3, 0.3))
-        assert left.alpha_snapped == -right.alpha_snapped == -0.23076923076923073
 
     def test_anchor_on_a_cap_node_is_rejected(self):
         # n1 = 4 puts nodes at +-0.6 and +-1, so 0.85 snaps to the cap 1.0
