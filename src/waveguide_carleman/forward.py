@@ -45,8 +45,8 @@ Each member keeps its own midrange, phase and stopping test; the
 iteration cap counts both phases.
 
 March: solves that share a grid and a data set and differ only in the
-potential march as one (B, P, Q) stack, and a member's field does not
-depend on the stack.  Each member's step to level k + 1 starts from
+potential march as one (B, P, Q) stack.  Each member's step to level
+k + 1 starts from
 
     x0 = sum_j (-1)^j C(m, j+1) u^{k-j},  j = 0 ... m - 1,
 
@@ -61,8 +61,7 @@ step's right side less the converged residual that the solve leaves,
 and A_0 u^0 less zero at step 0.  One pass over each potential's
 extremes gives the definiteness test and every level's diagonal
 midrange; the lifts and the march's buffers are built once per solve,
-the transform-domain reciprocal once per step.  Non-finite samples and a
-step matrix that is not positive definite are rejected before marching.
+the transform-domain reciprocal once per step.
 """
 
 from __future__ import annotations
@@ -235,7 +234,7 @@ def solve_heat(grid: SpaceTimeGrid, pots: Sequence[PotentialSpec],
             np.add(cols[k, 1:-1], cols[k + 1, 1:-1], out=lifts[1:-1, ::Q - 1])
             rhs += lifts
             np.einsum("j,jbpq->bpq", weights[k], ring, out=start)
-            if k == 0:  # x0 = x^0, and A_1 x^0 = A_0 x^0 + (diag_1 - diag_0) x^0
+            if k == 0:  # x0 = x^0: A_1 x^0 needs no stencil
                 ax += (diag_next - diag_0) * x
             else:
                 matvec(diag_next, start, ax)
@@ -289,9 +288,10 @@ def _separable_inverse(grid):
     4 P Q (P + Q) flops on P x Q unknowns, which beats FFTs on the square
     grids solved here.  With S folded in, the DCT-I matrix is S C S for the
     cosine matrix C, symmetric with square m1 I.  scale(c) is the reciprocal
-    transform-domain denominator; the four products share two buffers.  r may be one (P, Q) block with a scalar c, or a
-    (B, P, Q) stack with one c per member; numpy's matmul then makes one
-    GEMM per member, of the same shape at any B."""
+    transform-domain denominator; the four products share two buffers.  r
+    may be one (P, Q) block with a scalar c, or a (B, P, Q) stack with one
+    c per member; numpy's matmul then makes one GEMM per member, of the
+    same shape at any B."""
     P, Q = grid.n1 + 2, grid.n2
     lam1, m1 = _spectrum(P, grid.dx1, True)
     lam2, m2 = _spectrum(Q, grid.dx2, False)
