@@ -33,7 +33,6 @@ from waveguide_carleman.cli import ScenarioConfig
 from waveguide_carleman.forward import manufacture_pair
 from waveguide_carleman.grid import ScalarField
 from waveguide_carleman.stability import perturbation_sweep
-from waveguide_carleman.transform import build_bundle, z_source
 from waveguide_carleman.synth import (
     SpaceTimeBump,
     axial_factor,
@@ -41,6 +40,7 @@ from waveguide_carleman.synth import (
     q_preset,
     random_smooth_field,
 )
+from waveguide_carleman.transform import build_bundle, z_source
 
 NO_SOLVE = 1e-13
 SOLVED = 1e-10
@@ -205,8 +205,8 @@ class TestMirrorInX2:
 
 
 def test_carleman_bump_mirrored_in_x1_with_the_anchor_negated(base):
-    # A row that reads 0/0 on both sides (ROADMAP item 12; s = 32 at the
-    # shipped config) matches nan with nan; the finite numbers are compared.
+    # The s = 32 row reads 0/0 on both sides (ROADMAP item 12), so only the
+    # finite numbers are compared.
     left, right = _config(base, alpha=-0.3), _config(base, alpha=0.3)
     fields = _bump(left.grid())
     _assert_same_numbers(_carleman(*fields, left, "bounded"),
