@@ -20,22 +20,8 @@ weight sum the interior time levels only: by the convention of
 endpoint levels, and a negative power of s*g = 0 there would give
 0 * inf = nan.  The split parts M1 and M2 are summed over every level.
 
-Each s-row is windowed: all members of a row are contracted on one
-(t, x1) box, and the decay (or, for M1 and M2, the split parts) is
-evaluated only there.  The box comes from a bound on each (t, x1) cell's
-mass, built from s-independent arrays written once per call: the x2 sums
-``w1_i sum_j w2_j stack_k(t, i, j)`` times exp(max(-2 s g(t) m(i),
-EXPONENT_FLOOR)), m the x2 minimum of the spatial weight; for M1 and M2,
-the stencils' absolute coefficient sums, the squared x2 sums of the
-weight coefficients (a squared time profile times one spatial factor's)
-and the x2 maximum of |u| times exp(-s g m).  A row's box is the
-smallest one that holds what each member keeps when trimmed against its
-mass on its own peak-bound level; the row contracts all members once on
-it and checks that every member's bound outside it is at most
-:data:`WINDOW_TOLERANCE` times its positive in-box mass; a row that fails
-runs on the whole plane, which is also the box of every unwindowed row.
-The x2 sums of a box are padded with zeros to the whole plane, so the x1
-and time sums run in the same order on every box.
+Each s-row is windowed on one (t, x1) box under a checked bound on the
+mass it drops: :class:`_WindowedRows` states how.
 """
 
 from __future__ import annotations
@@ -238,18 +224,19 @@ class _WindowedRows:
     shared by all its members, under a checked dropped-mass bound.
 
     A subclass gives three hooks: ``_envelope()``, which writes the
-    s-independent arrays of the bound; per row, ``_marginals(s)``: the sums
-    over x1 (K, T) and over t (K, X) of a bound on each member's mass in
-    each (t, x1) cell, in units of exp(top) with log scales ``top`` (K,);
-    and ``_contract(s, box)``: every member's mass on ``box``, the whole
-    (t, x1) plane giving the unwindowed row.  :meth:`masses` sizes the
-    box from each member's mass on its own peak-bound level (a lower bound
-    of its row mass), contracts, and checks that each member's bound
-    outside the box is at most :data:`WINDOW_TOLERANCE` times its positive
-    in-box mass; a row that fails runs on the whole plane.  ``box`` and
-    ``dropped`` (the logs of the bounds, evaluated in floating point) of
-    the last windowed row are kept for inspection.  Fields of fewer than
-    :data:`_WINDOW_MIN_NODES` nodes run every row on the whole plane.
+    s-independent arrays of the bound once per call; per row,
+    ``_marginals(s)``: the sums over x1 (K, T) and over t (K, X) of a bound
+    on each member's mass in each (t, x1) cell, in units of exp(top) with
+    log scales ``top`` (K,); and ``_contract(s, box)``: every member's mass
+    on ``box``, evaluated only there, the whole (t, x1) plane giving the
+    unwindowed row.  :meth:`masses` sizes the box with :func:`_trim` from
+    each member's mass on its own peak-bound level (a lower bound of its
+    row mass), contracts all members once on it, and checks that each
+    member's bound outside the box is at most :data:`WINDOW_TOLERANCE`
+    times its positive in-box mass; a row that fails runs on the whole
+    plane, as does every row of a field under :data:`_WINDOW_MIN_NODES`
+    nodes.  ``box`` and ``dropped`` (the logs of the bounds, evaluated in
+    floating point) of the last windowed row are kept for inspection.
     """
 
     def __init__(self, ws: WeightSystem, n_levels: int):
@@ -261,15 +248,12 @@ class _WindowedRows:
             self.gm = ws.g[:, None] * ws.spatial_weight.min(axis=1)
             self._envelope()
 
-    def _core(self, s: float, levels: list[int]) -> np.ndarray:
-        """Each member's mass on its level of ``levels``, over every x1."""
-        at = {t: self._contract(s, (t, t + 1) + self.plane[2:]) for t in set(levels)}
-        return np.array([at[t][k] for k, t in enumerate(levels)])
-
     def masses(self, s: float) -> list[float]:
         if self.windowed:
             pt, pi, top = self._marginals(s)
-            core = self._core(s, np.argmax(pt, axis=1).tolist())
+            levels = np.argmax(pt, axis=1).tolist()
+            at = {t: self._contract(s, (t, t + 1) + self.plane[2:]) for t in set(levels)}
+            core = np.array([at[t][k] for k, t in enumerate(levels)])
             with np.errstate(divide="ignore", over="ignore"):
                 self.box = _trim(pt, pi, np.exp(np.log(core) + _LOG_TOLERANCE - top))
                 self.dropped = np.log([_dropped(p, q, self.box) for p, q in zip(pt, pi)]) + top
@@ -308,7 +292,7 @@ class _DecayRows(_WindowedRows):
 
     def _wts(self, s: float) -> list[np.ndarray]:
         wt, sg = self.ws.grid.wt[1:-1], s * self.ws.g[1:-1]
-        return [wt if p == 0 else wt * sg**p for p in self.powers]
+        return [wt * sg**p for p in self.powers]
 
     def _marginals(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         exponent = np.maximum(self.gm[1:-1] * (-2.0 * s), EXPONENT_FLOOR)
@@ -335,8 +319,7 @@ def _square_I1_densities(z: ScalarField, stack: np.ndarray) -> None:
     """Write the s-independent integrands of :func:`weighted_norm_I1` into
     ``stack[:4]``, each derivative into its member, one temporary beside it."""
     g, v = z.grid, z.values
-    lap = derivative(v, g.dx1, 1, order=2, out=stack[0])
-    np.square(np.add(lap, derivative(v, g.dx2, 2, order=2), out=lap), out=lap)
+    np.square(laplacian(v, g, out=stack[0]), out=stack[0])
     np.square(derivative(v, g.dt, 0, out=stack[1]), out=stack[1])
     _square_gradient(g, v, stack[2])
     np.square(v, out=stack[3])
@@ -481,7 +464,7 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem, s: float) -> Conjugate
     E = np.exp(s * phi)
     Einv = np.exp(-s * phi)
     Ew = ScalarField(grid, E * w.values)
-    M_lit = (time_derivative(Ew).values - laplacian(Ew).values) * Einv
+    M_lit = (time_derivative(Ew).values - laplacian(Ew.values, grid)) * Einv
     M1, M2 = _split_parts(ws, w.values, derivative(w.values, grid.dt, 0), s,
                           (slice(None), slice(None)))
     return ConjugatedDecomposition(
@@ -633,17 +616,16 @@ def _split_parts(ws: WeightSystem, w: np.ndarray, w_t: np.ndarray, s: float,
     the transport part M2 = w_t + 2s grad phi . grad w + s Lap(phi) w of
     the conjugated operator applied to ``w``, on the time levels and x1
     nodes of ``box``.  The coefficients are ``ws``' time profiles times its
-    spatial factors: M1 = -Lap w - ((s g)^2 (S1^2 + S2^2) + s g_t
+    spatial factors: M1 = -Lap w - ((s g)^2 gradient_sq + s g_t
     spatial_weight) w and M2 = (2 (S1 w_x1 + S2 w_x2) + laplacian_factor w)
     s g + w_t, each summed in place in that order.  ``w_t`` is the time
     derivative of ``w``, which a windowed caller takes on more levels."""
     grid, (levels, nodes) = ws.grid, box
     s1, s2 = (f[nodes] for f in ws.gradient_factors)
     sg, sg_t = ((s * p[levels])[:, None, None] for p in (ws.g, ws.g_t))
-    m1 = derivative(w, grid.dx1, 1, order=2)
-    m1 += derivative(w, grid.dx2, 2, order=2)
+    m1 = laplacian(w, grid)
     np.negative(m1, out=m1)
-    m1 -= ((s1**2 + s2**2) * sg**2 + ws.spatial_weight[nodes] * sg_t) * w
+    m1 -= (ws.gradient_sq[nodes] * sg**2 + ws.spatial_weight[nodes] * sg_t) * w
     m2 = derivative(w, grid.dx1, 1)
     m2 *= s1
     m2 += derivative(w, grid.dx2, 2) * s2
@@ -700,8 +682,7 @@ class _SplitRows(_WindowedRows):
 
     def _envelope(self) -> None:
         ws, g = self.ws, self.ws.grid
-        s1, s2 = ws.gradient_factors
-        factors = (ws.spatial_weight, s1, s2, ws.laplacian_factor, s1**2 + s2**2)
+        factors = (ws.spatial_weight, *ws.gradient_factors, ws.laplacian_factor, ws.gradient_sq)
         with np.errstate(divide="ignore"):
             self.log_u = np.log(np.abs(self.u).max(axis=2))
             log_g2, log_gt2 = 2.0 * np.log(ws.g), 2.0 * np.log(np.abs(ws.g_t))

@@ -78,6 +78,7 @@ from .grid import (
     SpaceTimeGrid,
     derivative,
     integrate_values,
+    laplacian,
     one_sided_derivative,
 )
 
@@ -151,7 +152,7 @@ def compatibility_residual(data: BoundaryData, pot: PotentialSpec) -> float:
     g = data.grid
     if pot.grid is not g:
         raise ValueError("potential and data must share one grid")
-    lap_u0 = derivative(data.u0, g.dx1, 0, order=2) + derivative(data.u0, g.dx2, 1, order=2)
+    lap_u0 = laplacian(data.u0, g)
     v0 = pot.q[0][None, :] * pot.f[:, None] * data.u0
     # the forward time derivative is the negated one-sided stencil at t = 0
     return float(max(np.max(np.abs(-one_sided_derivative(b, g.dt) - lap_u0[:, j] + v0[:, j]))

@@ -231,12 +231,14 @@ def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
             ScalarField(g, derivative(f.values, g.dx2, 2)))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    """Five-point Laplacian of a full field."""
-    g = f.grid
-    out = derivative(f.values, g.dx1, 1, order=2)
-    out += derivative(f.values, g.dx2, 2, order=2)
-    return ScalarField(g, out)
+def laplacian(values: np.ndarray, grid: SpaceTimeGrid,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Five-point Laplacian of node values along their last two axes (x1,
+    x2) of ``grid``, the x1 term plus the x2 term, into ``out`` under the
+    rules of :func:`derivative`."""
+    out = derivative(values, grid.dx1, -2, order=2, out=out)
+    out += derivative(values, grid.dx2, -1, order=2)
+    return out
 
 
 def time_derivative(f: ScalarField) -> ScalarField:

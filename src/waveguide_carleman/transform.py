@@ -68,21 +68,16 @@ class TransformBundle:
 
     A1 = property(lambda self: self._drift(self.grid.dx1, 1))
     A2 = property(lambda self: self._drift(self.grid.dx2, 2))
+    B1 = property(lambda self: ScalarField(self.grid, derivative(self.A1.values, self.grid.dx1, 1)))
 
     @property
     def a_coef(self) -> ScalarField:
         return ScalarField(self.grid, _a_values(self.fu.values, self.pot))
 
-    @property
-    def B1(self) -> ScalarField:
-        g, m = self.grid, self.fu.values
-        return ScalarField(g, -2.0 * derivative(derivative(m, g.dx1, 1) / m, g.dx1, 1))
-
 
 def _a_values(m: np.ndarray, pot: PotentialSpec) -> np.ndarray:
     """a = (m_t - Lap(m)) / m + q f for the denominator m = f u~."""
-    lap = derivative(m, pot.grid.dx1, 1, order=2) + derivative(m, pot.grid.dx2, 2, order=2)
-    return (derivative(m, pot.grid.dt, 0) - lap) / m + pot.potential_values()
+    return (derivative(m, pot.grid.dt, 0) - laplacian(m, pot.grid)) / m + pot.potential_values()
 
 
 def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> TransformBundle:
@@ -148,7 +143,7 @@ def _w_operator(bundle: TransformBundle, f: ScalarField) -> np.ndarray:
     d1, d2 = gradient(f)
     return (
         time_derivative(f).values
-        - laplacian(f).values
+        - laplacian(f.values, f.grid)
         + bundle.A1.values * d1.values
         + bundle.A2.values * d2.values
         + bundle.a_coef.values * f.values

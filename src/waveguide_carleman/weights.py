@@ -154,10 +154,11 @@ class WeightSystem:
     derivative ``g_t`` and the plane ``spatial_weight``; the weight (eta in
     the bounded regime, phi in the open one) is ``g (x) spatial_weight``,
     never stored at full size.  Each closed-form derivative is a time
-    profile times a signed spatial factor: d/dt ``g_t (x)
-    spatial_weight``, the gradient ``g (x) gradient_factors``, the
-    Laplacian ``g (x) laplacian_factor``.  Raises ``ValueError`` when the
-    plane or a factor is not finite, as when ``exp(lam * psi)`` overflows."""
+    profile times a signed spatial factor: d/dt ``g_t (x) spatial_weight``,
+    the gradient ``g (x) gradient_factors`` (S1, S2; the plane
+    ``gradient_sq`` is S1^2 + S2^2), the Laplacian ``g (x)
+    laplacian_factor``.  Raises ``ValueError`` when the plane or a factor
+    is not finite, as when ``exp(lam * psi)`` overflows."""
 
     def __init__(self, params: WeightParams, grid: SpaceTimeGrid,
                  psi1_profile=None, psi2_profile=None):
@@ -201,7 +202,8 @@ class WeightSystem:
                 self.spatial_weight = exp_lam_psi
                 core = lam * exp_lam_psi
             # grad(spatial weight) = core grad(psi), Lap = core (Lap psi + lam |grad psi|^2)
-            self.gradient_factors = (core * dpsi_dx1, core * dpsi_dx2)
+            s1, s2 = self.gradient_factors = (core * dpsi_dx1, core * dpsi_dx2)
+            self.gradient_sq = s1**2 + s2**2
             self.laplacian_factor = core * (lap_psi + lam * (dpsi_dx1**2 + dpsi_dx2**2))
         if not all(np.all(np.isfinite(f)) for f in (self.spatial_weight, *self.gradient_factors,
                                                      self.laplacian_factor)):

@@ -95,7 +95,7 @@ class TestWeightedNorm:
             z = g.sample(lambda t, x1, x2: 1.0 + t * x1**3 * (1.0 - x2) + np.sin(x2 * t))
         terms = weighted_norm_I1(z, ws, s)
 
-        lap = laplacian(z).values
+        lap = laplacian(z.values, z.grid)
         zt = time_derivative(z).values
         g1, g2 = gradient(z)
         gsq = g1.values**2 + g2.values**2
@@ -249,7 +249,7 @@ def test_prefix_rows_equal_separate_integrals(regime, shape, s_values):
     g1, g2 = gradient(u)
     grad_sq = g1.values**2 + g2.values**2
     if regime == "bounded":
-        densities = [laplacian(u).values ** 2, time_derivative(u).values ** 2, grad_sq,
+        densities = [laplacian(u.values, u.grid) ** 2, time_derivative(u).values ** 2, grad_sq,
                      u.values**2]
         for row in carleman_check_bounded(u, Hu, ws, g, s_values).sweep:
             s, decay = row["s"], ws.decay(row["s"])
@@ -651,7 +651,7 @@ class TestConjugatedOperator:
         w = bump.field()
         dec = conjugated_operator(w, open_ws, s=0.0)
         assert np.max(np.abs(dec.residual.values)) == 0.0
-        np.testing.assert_array_equal(dec.M1.values, -laplacian(w).values)
+        np.testing.assert_array_equal(dec.M1.values, -laplacian(w.values, w.grid))
         np.testing.assert_array_equal(dec.M2.values, time_derivative(w).values)
 
     @pytest.mark.parametrize("s", [0.5, 3.0])
@@ -665,7 +665,7 @@ class TestConjugatedOperator:
         v, (w1, w2) = w.values, gradient(w)
         sg, sg_t = (s * ws.g)[:, None, None], (s * ws.g_t)[:, None, None]
         f1, f2 = ws.gradient_factors
-        m1 = -laplacian(w).values - ((f1**2 + f2**2) * sg**2 + ws.spatial_weight * sg_t) * v
+        m1 = -laplacian(v, w.grid) - ((f1**2 + f2**2) * sg**2 + ws.spatial_weight * sg_t) * v
         m2 = ((2.0 * (w1.values * f1 + w2.values * f2) + ws.laplacian_factor * v) * sg
               + time_derivative(w).values)
         assert dec.M1.values.tobytes() == m1.tobytes()
@@ -674,7 +674,7 @@ class TestConjugatedOperator:
         phi_t = ws.weight_time_derivative()
         p1, p2 = ws.weight_gradient()
         plap = ws.weight_laplacian()
-        full = (-laplacian(w).values - s**2 * (p1**2 + p2**2) * v - s * phi_t * v,
+        full = (-laplacian(w.values, w.grid) - s**2 * (p1**2 + p2**2) * v - s * phi_t * v,
                 time_derivative(w).values + 2.0 * s * (p1 * w1.values + p2 * w2.values)
                 + s * plap * v)
         for part, expected in zip((dec.M1, dec.M2), full):

@@ -170,10 +170,10 @@ class TestCalculus:
 
     def test_laplacian_quadratic_exact(self, grid):
         f = grid.sample(lambda t, x1, x2: x1**2 + x2**2 + 0 * t)
-        lap = laplacian(f)
-        np.testing.assert_allclose(lap.values, 4.0, rtol=0, atol=2e-11)
+        lap = laplacian(f.values, f.grid)
+        np.testing.assert_allclose(lap, 4.0, rtol=0, atol=2e-11)
         zero = grid.sample(lambda t, x1, x2: 0.0 * t * x1 * x2)
-        assert np.max(np.abs(laplacian(zero).values)) == 0.0
+        assert np.max(np.abs(laplacian(zero.values, zero.grid))) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -210,7 +210,7 @@ class TestCalculus:
             g = build_grid(domain, n, n, 4)
             f = g.sample(lambda t, x1, x2: np.sin(np.pi * x2 / g.domain.h) + 0 * t * x1)
             expected = -((np.pi / g.domain.h) ** 2) * f.values
-            errs.append(np.max(np.abs(laplacian(f).values - expected)))
+            errs.append(np.max(np.abs(laplacian(f.values, f.grid) - expected)))
             hs.append(g.dx2)
         assert fit_convergence_order(hs, errs) >= 1.9
 
@@ -426,7 +426,17 @@ def _assert_kernels_equal_references(f):
         assert got.tobytes() == _second_derivative_reference(f.values, d, axis).tobytes(), axis
     lap = (_second_derivative_reference(f.values, g.dx1, 1)
            + _second_derivative_reference(f.values, g.dx2, 2))
-    assert laplacian(f).values.tobytes() == lap.tobytes()
+    assert laplacian(f.values, g).tobytes() == lap.tobytes()
+    # one (x1, x2) plane, and a buffer given as out; an out over the input is refused
+    plane = f.values[g.nt // 2]
+    ref = (_second_derivative_reference(plane, g.dx1, 0)
+           + _second_derivative_reference(plane, g.dx2, 1))
+    assert laplacian(plane, g).tobytes() == ref.tobytes()
+    buf = np.full(g.shape, np.nan)
+    assert laplacian(f.values, g, out=buf) is buf
+    assert buf.tobytes() == lap.tobytes()
+    with pytest.raises(ValueError, match="out must be"):
+        laplacian(f.values, g, out=f.values)
     first = [np.gradient(f.values, d, axis=axis, edge_order=2)
              for axis, d in ((0, g.dt), (1, g.dx1), (2, g.dx2))]
     assert time_derivative(f).values.tobytes() == first[0].tobytes()

@@ -170,7 +170,7 @@ class TestPipelineIdentities:
         m = pair.pot.f[None, :, None] * pair.u_tilde.values
         fu = ScalarField(grid, m, FULL)
         dm1, dm2 = gradient(fu)
-        a = (time_derivative(fu).values - laplacian(fu).values) / m + pair.pot.potential_values()
+        a = (time_derivative(fu).values - laplacian(m, grid)) / m + pair.pot.potential_values()
         eager = {
             "fu": m, "A1": -2.0 * dm1.values / m, "A2": -2.0 * dm2.values / m, "a_coef": a,
             "B1": -2.0 * derivative(dm1.values / m, grid.dx1, 1),
