@@ -332,6 +332,22 @@ def _square_gradient(grid: SpaceTimeGrid, v: np.ndarray, out: np.ndarray) -> Non
     out += np.square(d2, out=d2)
 
 
+def _bounded_integrands(z: ScalarField, Pz: ScalarField) -> tuple[np.ndarray, list[int]]:
+    """The s-independent stack of :func:`carleman_check_bounded` and its
+    powers of s g: (Lap z)^2 + z_t^2 (summed in that order), |grad z|^2
+    and z^2, one per power -1, 1 and 3 of :func:`weighted_norm_I1`, then
+    Pz^2; one temporary beside the stack, z_t, taken last."""
+    g, v = z.grid, z.values
+    stack = np.empty((4,) + g.shape)
+    np.square(laplacian(v, g, out=stack[0]), out=stack[0])
+    _square_gradient(g, v, stack[1])
+    np.square(v, out=stack[2])
+    np.square(Pz.values, out=stack[3])
+    v_t = derivative(v, g.dt, 0)
+    stack[0] += np.square(v_t, out=v_t)
+    return stack, [-1, 1, 3, 0]
+
+
 def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float) -> dict[str, float]:
     """The four weighted summands controlled by the bounded-regime
     estimate: (sg)^-1 (Lap z)^2, (sg)^-1 (z_t)^2, sg |grad z|^2 and
@@ -550,19 +566,13 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     """
     _require_regime(ws, "bounded", grid, z, Pz)
 
-    def integrands():
-        # the four of weighted_norm_I1, then Pz^2
-        stack = np.empty((5,) + grid.shape)
-        _square_I1_densities(z, stack)
-        np.square(Pz.values, out=stack[4])
-        return stack, [*_I1_POWERS.values(), 0]
-
     def row(s, masses, flux):
         *terms, rhs_q = masses
         return {"s": s, "lambda": ws.params.lam, "lhs": sum(terms), "rhs_source": rhs_q,
                 "rhs_boundary": flux}
 
-    return _carleman_sweep("carleman_bounded", ws, z, "z", s_values, integrands, 1.0, row)
+    return _carleman_sweep("carleman_bounded", ws, z, "z", s_values,
+                           lambda: _bounded_integrands(z, Pz), 1.0, row)
 
 
 def carleman_check_open(u: ScalarField, Hu: ScalarField, ws: WeightSystem,

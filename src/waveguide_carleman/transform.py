@@ -47,13 +47,11 @@ from .grid import (
 
 @dataclass
 class TransformBundle:
-    """Stores w, z, B2 and b; fu, A1, A2, a_coef and B1 are formed on access."""
+    """Stores w and z; fu, A1, A2, a_coef, B1, B2 and b_coef are formed on access."""
 
     grid: SpaceTimeGrid
     w: ScalarField
     z: ScalarField
-    B2: ScalarField
-    b_coef: ScalarField
     c1_floor: float        # min of f * u~ over the space-time grid
     u_tilde: ScalarField
     pot: PotentialSpec
@@ -71,17 +69,23 @@ class TransformBundle:
     B1 = property(lambda self: ScalarField(self.grid, derivative(self.A1.values, self.grid.dx1, 1)))
 
     @property
-    def a_coef(self) -> ScalarField:
-        return ScalarField(self.grid, _a_values(self.fu.values, self.pot))
+    def a_coef(self) -> ScalarField:  # (m_t - Lap(m)) / m + q f for the denominator m
+        g, m = self.grid, self.fu.values
+        return ScalarField(g, (derivative(m, g.dt, 0) - laplacian(m, g)) / m
+                           + self.pot.potential_values())
 
+    @property
+    def B2(self) -> ScalarField:
+        g, m = self.grid, self.fu.values
+        return ScalarField(g, 2.0 * derivative(derivative(m, g.dx2, 2) / m, g.dx1, 1))
 
-def _a_values(m: np.ndarray, pot: PotentialSpec) -> np.ndarray:
-    """a = (m_t - Lap(m)) / m + q f for the denominator m = f u~."""
-    return (derivative(m, pot.grid.dt, 0) - laplacian(m, pot.grid)) / m + pot.potential_values()
+    @property
+    def b_coef(self) -> ScalarField:
+        return ScalarField(self.grid, -derivative(self.a_coef.values, self.grid.dx1, 1))
 
 
 def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> TransformBundle:
-    """Assemble w, z, B2 and b for one solution pair.
+    """Assemble w and z for one solution pair.
 
     ``pot`` must be the potential of the *q*-system (the one multiplying v
     in its equation).  Raises if the denominator f u~ is not strictly
@@ -100,10 +104,7 @@ def build_bundle(u: ScalarField, u_tilde: ScalarField, pot: PotentialSpec) -> Tr
         )
     w = ScalarField(grid, (u.values - u_tilde.values) / m)
     z = ScalarField(grid, derivative(w.values, grid.dx1, 1))
-    B2 = ScalarField(grid, 2.0 * derivative(derivative(m, grid.dx2, 2) / m, grid.dx1, 1))
-    b_coef = ScalarField(grid, -derivative(_a_values(m, pot), grid.dx1, 1))
-    return TransformBundle(grid=grid, w=w, z=z, B2=B2, b_coef=b_coef, c1_floor=c1_floor,
-                           u_tilde=u_tilde, pot=pot)
+    return TransformBundle(grid=grid, w=w, z=z, c1_floor=c1_floor, u_tilde=u_tilde, pot=pot)
 
 
 #: Width of the boundary collar excluded from check norms, as a fraction

@@ -17,14 +17,13 @@ from waveguide_carleman.carleman import (
     WINDOW_TOLERANCE,
     InequalityReport,
     WeightOverflowError,
-    _I1_POWERS,
+    _bounded_integrands,
     _DecayRows,
     _masses,
     _prefix_rows,
     _ratio,
     _split_parts,
     _SplitRows,
-    _square_I1_densities,
     _trim,
     carleman_check_bounded,
     carleman_check_open,
@@ -249,14 +248,16 @@ def test_prefix_rows_equal_separate_integrals(regime, shape, s_values):
     g1, g2 = gradient(u)
     grad_sq = g1.values**2 + g2.values**2
     if regime == "bounded":
-        densities = [laplacian(u.values, u.grid) ** 2, time_derivative(u).values ** 2, grad_sq,
-                     u.values**2]
+        # the two densities of power -1 are summed, in the check's order,
+        # before they are integrated
+        densities = [laplacian(u.values, u.grid) ** 2 + time_derivative(u).values ** 2,
+                     grad_sq, u.values**2]
         for row in carleman_check_bounded(u, Hu, ws, g, s_values).sweep:
             s, decay = row["s"], ws.decay(row["s"])
             sg = s * ws.g[1:-1]
             assert row["rhs_source"] == _interior(g, Hu.values**2, decay), s
             assert row["lhs"] == sum(_interior(g, d, decay, g.wt[1:-1] * sg**p)
-                                     for d, p in zip(densities, (-1, -1, 1, 3))), s
+                                     for d, p in zip(densities, (-1, 1, 3))), s
         return
     S = ws.spatial_weight
     for row in carleman_check_open(u, Hu, ws, g, s_values).sweep:
@@ -508,15 +509,13 @@ def _open_prefix_rows():
 
 
 def _bounded_carleman_rows():
-    # the rows of carleman_check_bounded on the bump, whose z_t^2 member
-    # vanishes at T/2: each member's lower bound must come from its own peak
+    # the rows of carleman_check_bounded on the bump, with the check's four
+    # members: each member's lower bound must come from its own peak
     g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), 64, 64, 128)
     ws = assemble_weight(WeightParams(lam=1.0, s=4.0), g)
     bump = SpaceTimeBump(g)
-    stack = np.empty((5,) + g.shape)
-    _square_I1_densities(bump.field(), stack)
-    np.square(bump.heat_residual().values, out=stack[4])
-    return g, _DecayRows(ws, stack, [*_I1_POWERS.values(), 0]), (2.0, 4.0, 8.0, 16.0, 32.0)
+    rows = _DecayRows(ws, *_bounded_integrands(bump.field(), bump.heat_residual()))
+    return g, rows, (2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 @pytest.mark.parametrize("make_rows", [_open_prefix_rows, _bounded_carleman_rows],
@@ -538,12 +537,12 @@ def test_lemma_open_row_box_shrinks_with_s(make_rows):
 
 
 def test_bounded_check_peak_memory_in_fields():
-    # the five integrands are written one at a time into one stack, each
-    # derivative straight into its member, so at most one full-size
-    # temporary is live beside it: 6.34 fields over live data on this grid
-    # (1.07 MiB a field), the rest being (t, x1) planes; the bound leaves
-    # half a field of slack.  With the Laplacian's two derivatives live
-    # beside the stack it reads 7.12
+    # the integrands are written one at a time into one stack of four
+    # members, one per power of s g and then Pz^2, each derivative straight
+    # into its member, so at most one full-size temporary is live beside
+    # it: 5.28 fields over live data on this grid (1.07 MiB a field), the
+    # rest being (t, x1) planes; the bound leaves half a field of slack.
+    # With (Lap z)^2 and z_t^2 in two members it reads 6.34
     g = build_grid(WaveguideDomain(L=1.0, h=1.0, T=2.0), 32, 32, 120)
     ws = assemble_weight(WeightParams(lam=1.0, s=4.0), g)
     bump = SpaceTimeBump(g)
@@ -557,7 +556,7 @@ def test_bounded_check_peak_memory_in_fields():
     finally:
         tracemalloc.stop()
     fields = (peak - live) / (8 * np.prod(g.shape))
-    assert fields <= 5 + 1 + 0.5, fields
+    assert fields <= 4 + 1 + 0.5, fields
 
 
 def test_open_check_peak_memory():
@@ -739,19 +738,24 @@ class TestCarlemanBounded:
         with pytest.raises(ValueError, match="vanish"):
             carleman_check_bounded(z, z, ws, grid, s_values=[2, 4, 8, 16, 32])
 
-    def test_sweep_lhs_is_the_weighted_norm(self, grid):
-        # the checker integrates its s-independent densities once; every
-        # row must still equal a fresh weighted_norm_I1 call bit for bit
-        bump = SpaceTimeBump(grid)
-        z = bump.field()
-        for lam in (1.0, 1.5):
-            ws_lam = assemble_weight(WeightParams(lam=lam, s=1.0), grid)
-            rep = carleman_check_bounded(z, bump.heat_residual(), ws_lam, grid,
-                                         s_values=[1.0, 3.0, 9.0])
-            assert len(rep.sweep) == 3
-            for row in rep.sweep:
-                assert row["lambda"] == lam
-                assert row["lhs"] == weighted_norm_I1(z, ws_lam, s=row["s"])["total"]
+    def test_sweep_lhs_is_the_weighted_norm(self, grid, domain):
+        # the checker integrates its s-independent densities once, (Lap z)^2
+        # and z_t^2 summed in one member; every row must equal a fresh
+        # weighted_norm_I1 total up to the rounding of its three trapezoid
+        # sums of nonnegative terms, on the small grid and on a windowed one
+        for g in (grid, build_grid(domain, 64, 64, 128)):
+            rtol = (g.nt + g.n1 + g.n2 + 8) * np.finfo(float).eps
+            bump = SpaceTimeBump(g)
+            z = bump.field()
+            for lam in (1.0, 1.5):
+                ws_lam = assemble_weight(WeightParams(lam=lam, s=1.0), g)
+                rep = carleman_check_bounded(z, bump.heat_residual(), ws_lam, g,
+                                             s_values=[1.0, 3.0, 9.0])
+                assert len(rep.sweep) == 3
+                for row in rep.sweep:
+                    assert row["lambda"] == lam
+                    total = weighted_norm_I1(z, ws_lam, s=row["s"])["total"]
+                    assert row["lhs"] == pytest.approx(total, rel=rtol, abs=0.0), (g.shape, lam)
 
 
 class TestCarlemanOpen:

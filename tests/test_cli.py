@@ -97,7 +97,9 @@ class TestConfigParsing:
         p.write_text("[scenario]\nname: x\n\n" + text)
         with pytest.raises(ConfigError, match=re.escape(section)):
             ScenarioConfig.parse(p)
-        assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        # forward reads no [open] value
+        command = "check-weights" if section == "[open]" else "forward"
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert section in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, key", [
@@ -449,8 +451,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_each_grid_and_weight_is_built_once(self, cfg_path, tmp_path, monkeypatch, command):
-        # parse builds the bounded and open grids and weights; the commands
-        # use them, and only forward's oracle builds its coarse grid
+        # parse builds the bounded grid, and the open grid and both weights
+        # for the three commands that read them; the commands use them, and
+        # only forward's oracle builds its coarse grid
         built = []
         for cls, kind in ((SpaceTimeGrid, "grid"), (WeightSystem, "weights")):
             def counting(self, *args, _init=cls.__init__, _kind=kind, **kwargs):
@@ -459,8 +462,10 @@ class TestCommands:
                              else (_kind, self.params.regime))
             monkeypatch.setattr(cls, "__init__", counting)
         main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        grids = [("grid", False), ("grid", True)] + [("grid", False)] * (command == "forward")
-        assert sorted(built) == sorted(grids + [("weights", "bounded"), ("weights", "open")])
+        weighted = command in ("check-weights", "verify-lemmas", "verify-carleman")
+        expected = [("grid", False)] + [("grid", False)] * (command == "forward") + [
+            ("grid", True), ("weights", "bounded"), ("weights", "open")] * weighted
+        assert sorted(built) == sorted(expected)
 
     def test_verify_carleman_runs(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -5,7 +5,8 @@ grids of acceptance criterion 10 (12x12x24, open 63x7x16, seed 3, two
 draws), with one config key changed at a time: the values of item 22's
 table as fixed cases, then a derandomized search around each default.
 Every run must end with exit 0, 1 or 2, and an exit 2 must say
-``config error:`` on stderr.  That every checker row is finite and
+``config error:`` on stderr; only the subcommands that read a refused key
+exit 2.  That every checker row is finite and
 positive on both sides waits for item 12's log-scaled rows."""
 
 import contextlib
@@ -103,6 +104,17 @@ def _bad_rows(reports: dict[str, str]) -> list[tuple[str, dict]]:
                          ids=[f"{s}.{k}={v}" for s, k, v in TABLE])
 def test_table_value_exits_cleanly(section, key, value):
     _assert_clean_exits(_runs(section, key, value))
+
+
+@pytest.mark.parametrize("section, key, value, refused", [
+    ("domain", "T", 0.5, {"stability"}),
+    ("forward", "q_amplitude", -5, {"forward", "verify-carleman", "stability"}),
+], ids=["domain.T=0.5", "forward.q_amplitude=-5"])
+def test_a_rule_refuses_only_the_subcommands_that_read_its_key(section, key, value, refused):
+    # T = 0.5 leaves no room for [stability] eps_list, and only stability
+    # reads that list; of the subcommands, only those three read [forward]
+    runs = _runs(section, key, value)
+    assert {command for command, code, _, _ in runs if code == 2} == refused, runs
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)

@@ -44,10 +44,11 @@ class TestBuildBundle:
         assert np.max(np.abs(b.A2.values)) == 0.0
         np.testing.assert_allclose(b.a_coef.values, pot.potential_values(), atol=1e-14)
 
-    def test_retains_four_fields(self, domain):
-        # only w, z, B2 and b are stored; the five fields that only the
-        # identity checks read are formed on access (a 1.07 MiB field here;
-        # slack of a tenth of a field for the small arrays)
+    def test_retains_two_fields(self, domain):
+        # only w and z are stored; the seven coefficient fields, which only
+        # the source term and the identity checks read, are formed on access
+        # (a 1.07 MiB field here; slack of a tenth of a field for the small
+        # arrays).  Storing B2 and b as well reads 4.00
         g = build_grid(domain, 32, 32, 120)
         pot = PotentialSpec(g, q_preset(g), axial_factor(g))
         u_tilde = g.sample(lambda t, x1, x2: 1.0 + 0.2 * np.sin(x1 + t) * np.cos(x2))
@@ -61,7 +62,7 @@ class TestBuildBundle:
             tracemalloc.stop()
         assert b.u_tilde is u_tilde and b.pot is pot
         fields = kept / (8 * np.prod(g.shape))
-        assert fields <= 4.1, fields
+        assert fields <= 2.1, fields
 
     def test_nonpositive_denominator_rejected(self, grid):
         pot = PotentialSpec(grid, q_preset(grid), np.ones(grid.n1 + 2))
