@@ -315,14 +315,17 @@ class _DecayRows(_WindowedRows):
 _I1_POWERS = {"laplacian": -1, "time": -1, "gradient": 1, "zero_order": 3}
 
 
-def _square_I1_densities(z: ScalarField, stack: np.ndarray) -> None:
-    """Write the s-independent integrands of :func:`weighted_norm_I1` into
-    ``stack[:4]``, each derivative into its member, one temporary beside it."""
+def _square_I1_densities(z: ScalarField) -> np.ndarray:
+    """The s-independent integrands of :func:`weighted_norm_I1`, one member
+    per key of :data:`_I1_POWERS`, each derivative written into its member,
+    one temporary beside the stack."""
     g, v = z.grid, z.values
+    stack = np.empty((4,) + g.shape)
     np.square(laplacian(v, g, out=stack[0]), out=stack[0])
     np.square(derivative(v, g.dt, 0, out=stack[1]), out=stack[1])
     _square_gradient(g, v, stack[2])
     np.square(v, out=stack[3])
+    return stack
 
 
 def _square_gradient(grid: SpaceTimeGrid, v: np.ndarray, out: np.ndarray) -> None:
@@ -334,18 +337,13 @@ def _square_gradient(grid: SpaceTimeGrid, v: np.ndarray, out: np.ndarray) -> Non
 
 def _bounded_integrands(z: ScalarField, Pz: ScalarField) -> tuple[np.ndarray, list[int]]:
     """The s-independent stack of :func:`carleman_check_bounded` and its
-    powers of s g: (Lap z)^2 + z_t^2 (summed in that order), |grad z|^2
-    and z^2, one per power -1, 1 and 3 of :func:`weighted_norm_I1`, then
-    Pz^2; one temporary beside the stack, z_t, taken last."""
-    g, v = z.grid, z.values
-    stack = np.empty((4,) + g.shape)
-    np.square(laplacian(v, g, out=stack[0]), out=stack[0])
-    _square_gradient(g, v, stack[1])
-    np.square(v, out=stack[2])
-    np.square(Pz.values, out=stack[3])
-    v_t = derivative(v, g.dt, 0)
-    stack[0] += np.square(v_t, out=v_t)
-    return stack, [-1, 1, 3, 0]
+    powers of s g: the stack of :func:`_square_I1_densities` with its two
+    members of power -1 summed into the first, (Lap z)^2 + z_t^2, and Pz^2
+    written over the second."""
+    stack = _square_I1_densities(z)
+    stack[0] += stack[1]
+    np.square(Pz.values, out=stack[1])
+    return stack, [-1, 0, 1, 3]
 
 
 def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float) -> dict[str, float]:
@@ -354,9 +352,8 @@ def weighted_norm_I1(z: ScalarField, ws: WeightSystem, s: float) -> dict[str, fl
     (sg)^3 z^2, each integrated against exp(-2 s eta)."""
     _require_regime(ws, "bounded", z.grid)
     (s_val,) = _require_s([s])
-    stack = np.empty((4,) + z.grid.shape)
-    _square_I1_densities(z, stack)
-    terms = dict(zip(_I1_POWERS, _DecayRows(ws, stack, _I1_POWERS.values()).masses(s_val)))
+    rows = _DecayRows(ws, _square_I1_densities(z), _I1_POWERS.values())
+    terms = dict(zip(_I1_POWERS, rows.masses(s_val)))
     terms["total"] = sum(terms.values())
     return terms
 
@@ -374,14 +371,16 @@ def _prefix_rows(F: ScalarField, ws: WeightSystem) -> _DecayRows:
     return _DecayRows(ws, pair, [0, 0])
 
 
-def _prefix_sweep(F: ScalarField, ws: WeightSystem, s_list: list) -> list[dict]:
-    """One row per s: the weighted mass of the squared anchored prefix
-    integral of F (``lhs``) and of F^2 itself (``rhs``)."""
+def _prefix_sweep(F: ScalarField, ws: WeightSystem, s_values, ratio: str) -> list[dict]:
+    """One row per s: the weighted masses of the squared anchored prefix
+    integral of F (``lhs``) and of F^2 (``rhs``), their ratio in column ``ratio``."""
+    s_values = _require_s(s_values)
     rows = _prefix_rows(F, ws)
     sweep = []
-    for s in s_list:
+    for s in s_values:
         lhs, rhs = rows.masses(s)
-        sweep.append({"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs": rhs})
+        sweep.append({"s": s, "lambda": ws.params.lam, "lhs": lhs, "rhs": rhs,
+                      ratio: _ratio(lhs, rhs)})
     return sweep
 
 
@@ -391,10 +390,7 @@ def lemma_bounded_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     the weighted mass of F itself, sweeping s.  The constant is expected
     to stay bounded across the sweep (s-uniform)."""
     _require_regime(ws, "bounded", grid, F)
-    sweep = _prefix_sweep(F, ws, _require_s(s_values))
-    for row in sweep:
-        row["empirical_C"] = _ratio(row["lhs"], row["rhs"])
-
+    sweep = _prefix_sweep(F, ws, s_values, "empirical_C")
     ratios = [row["empirical_C"] for row in sweep]
     s_uniform = all(r <= S_UNIFORM_FACTOR * ratios[0] for r in ratios)
     return _sweep_report("prefix_integral_bounded", ws, sweep, "empirical_C",
@@ -408,9 +404,8 @@ def lemma_open_check(F: ScalarField, ws: WeightSystem, grid: SpaceTimeGrid,
     measured as the slope of log(ratio) against log(s) over every row: nan,
     out of band, unless two or more ratios are all positive and finite."""
     _require_regime(ws, "open", grid, F)
-    sweep = _prefix_sweep(F, ws, _require_s(s_values))
+    sweep = _prefix_sweep(F, ws, s_values, "ratio")
     for row in sweep:
-        row["ratio"] = _ratio(row["lhs"], row["rhs"])
         row["ratio_times_s2"] = row["ratio"] * row["s"] * row["s"]
 
     ss, rr = (np.array([row[key] for row in sweep]) for key in ("s", "ratio"))
@@ -496,22 +491,6 @@ def conjugated_operator(w: ScalarField, ws: WeightSystem, s: float) -> Conjugate
 # ---------------------------------------------------------------------------
 
 
-def _boundary_trace_max(f: ScalarField, name: str) -> float:
-    """Largest |f| on the space boundary.  Raises ValueError above
-    10 * max(dx1, dx2)^2: both Carleman estimates need a field that
-    vanishes there."""
-    g = f.grid
-    tol = 10.0 * max(g.dx1, g.dx2) ** 2
-    v = f.values
-    trace_max = max(float(np.max(np.abs(face)))
-                    for face in (v[:, 0, :], v[:, -1, :], v[:, :, 0], v[:, :, -1]))
-    if trace_max > tol:
-        raise ValueError(
-            f"{name} does not vanish on the space boundary: max trace {trace_max} > tol {tol}"
-        )
-    return trace_max
-
-
 def _find_s0(sweep: list[dict], key: str) -> float | None:
     """Smallest swept s from which every constant is finite and grows by
     at most a factor :data:`S0_GROWTH` at each subsequent step; None when
@@ -528,15 +507,22 @@ def _find_s0(sweep: list[dict], key: str) -> float | None:
 def _carleman_sweep(name: str, ws: WeightSystem, f: ScalarField, f_name: str, s_values,
                     integrands, wall_factor, row) -> InequalityReport:
     """The s sweep of both Carleman estimates, for ``f`` vanishing on the
-    space boundary.  Once s and that trace are checked, ``integrands()``
-    returns the s-independent stack and its powers of s g (see
-    :class:`_DecayRows`); per s, ``row(s, masses, flux)`` returns the
+    space boundary: ValueError, naming ``f_name``, when the largest |f|
+    there exceeds 10 max(dx1, dx2)^2.  Once s and that trace are checked,
+    ``integrands()`` returns the s-independent stack and its powers of s g
+    (see :class:`_DecayRows`); per s, ``row(s, masses, flux)`` returns the
     row's columns, ``lhs``, ``rhs_source`` and ``rhs_boundary`` among them,
     from the stack's masses and the integral over the observed wall of
     decay * s g * ``wall_factor`` * (normal derivative of f)^2."""
     s_values = _require_s(s_values)
-    trace_max = _boundary_trace_max(f, f_name)
-    grid = f.grid
+    grid, v = f.grid, f.values
+    tol = 10.0 * max(grid.dx1, grid.dx2) ** 2
+    trace_max = max(float(np.max(np.abs(face)))
+                    for face in (v[:, 0, :], v[:, -1, :], v[:, :, 0], v[:, :, -1]))
+    if trace_max > tol:
+        raise ValueError(
+            f"{f_name} does not vanish on the space boundary: max trace {trace_max} > tol {tol}"
+        )
     wall = (slice(None), slice(None), grid.domain.obs_columns[0])
     density = wall_factor * normal_derivative(f) ** 2
     rows = _DecayRows(ws, *integrands())
@@ -567,9 +553,9 @@ def carleman_check_bounded(z: ScalarField, Pz: ScalarField, ws: WeightSystem,
     _require_regime(ws, "bounded", grid, z, Pz)
 
     def row(s, masses, flux):
-        *terms, rhs_q = masses
-        return {"s": s, "lambda": ws.params.lam, "lhs": sum(terms), "rhs_source": rhs_q,
-                "rhs_boundary": flux}
+        lap_time, rhs_q, grad, zero = masses
+        return {"s": s, "lambda": ws.params.lam, "lhs": lap_time + grad + zero,
+                "rhs_source": rhs_q, "rhs_boundary": flux}
 
     return _carleman_sweep("carleman_bounded", ws, z, "z", s_values,
                            lambda: _bounded_integrands(z, Pz), 1.0, row)

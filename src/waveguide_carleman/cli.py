@@ -11,8 +11,8 @@ Subcommands::
 Configuration is a flat key:value text file with section headers (see
 ``config_reference.txt``, regenerated into every output directory).  All
 keys have documented defaults except ``scenario.name``.  Every key is
-parsed, but a subcommand runs only the rules of the sections it reads, so
-a value refused by a rule refuses only the subcommands that read it.
+parsed, but a subcommand runs only the rules of the keys it reads, so a
+value refused by a rule refuses only the subcommands that read it.
 Identical config and seed produce byte-identical report files: no
 timestamps are written and every random draw is seeded.
 """
@@ -157,10 +157,10 @@ class ScenarioConfig:
               command: str | None = None) -> "ScenarioConfig":
         """Read ``path``, let ``overrides`` (``{(section, key): value}``, from
         the command-line flags) replace their keys, then run in order the
-        rules of the sections that the subcommand ``command`` reads (every
-        rule when it is None), building once each grid and weight system
-        that those sections give.  Every key is parsed and named in its
-        errors, whichever sections the subcommand reads."""
+        rules of the keys that the subcommand ``command`` reads (every rule
+        when it is None), building once each grid and weight system that
+        those keys give.  Every key is parsed and named in its errors,
+        whichever keys the subcommand reads."""
         raw = configparser.ConfigParser(interpolation=None)  # a "%" is literal
         raw.optionxform = str  # keys are case-sensitive
         if path is not None:
@@ -199,43 +199,47 @@ class ScenarioConfig:
                 if key not in _SPEC[section]:
                     raise ConfigError(f"unknown config key: {section}.{key}")
 
-        reads = _SPEC if command is None else _COMMANDS[command][1]
-
-        def rule(section: str, label: str, build, *args, **kwargs):
-            """:func:`_rule` when the subcommand reads ``section``; else None."""
-            return _rule(label, build, *args, **kwargs) if section in reads else None
+        def rule(commands: tuple[str, ...], label: str, build, *args, **kwargs):
+            """:func:`_rule` when ``command`` is None or one of ``commands``,
+            the subcommands that read the rule's keys; else None."""
+            return _rule(label, build, *args, **kwargs) if command in (None, *commands) else None
 
         g, o, w, st, fw = (values[k] for k in ("grid", "open", "weights", "stability", "forward"))
+        weighted = ("check-weights", "verify-lemmas", "verify-carleman")  # build both weights
         grid = _rule("[grid]/[domain] values", lambda: build_grid(
             WaveguideDomain(**values["domain"]), g["n1"], g["n2"], g["nt"]))
-        open_grid = rule("open", "[open] values", lambda: build_grid(
+        open_grid = rule(weighted, "[open] values", lambda: build_grid(
             replace(grid.domain, truncated=True), o["n1"], o["n2"], o["nt"]))
-        params = rule("weights", "[weights] values", wts.WeightParams,
+        params = rule(weighted, "[weights] values", wts.WeightParams,
                       lam=w["lambda"], delta=w["delta"], c1=w["c1"])
-        open_params = rule("open", "[open] lambda", replace, params, lam=o["lambda"], regime="open")
+        open_params = rule(weighted, "[open] lambda", replace, params, lam=o["lambda"],
+                           regime="open")
         weights = {
-            "bounded": rule("weights", "bounded weight on [grid]/[domain]/[weights]",
+            "bounded": rule(weighted, "bounded weight on [grid]/[domain]/[weights]",
                             wts.assemble_weight, params, grid),
-            "open": rule("open", "open weight on [open]/[domain]/[weights]",
+            "open": rule(weighted, "open weight on [open]/[domain]/[weights]",
                          wts.assemble_weight, open_params, open_grid),
         }
-        rule("stability", "[stability] theta_list", stab.check_sweep, grid, st["theta_list"], [])
-        rule("stability", "[stability] eps_list", stab.check_sweep, grid, [], st["eps_list"])
+        rule(("stability",), "[stability] theta_list", stab.check_sweep, grid,
+             st["theta_list"], [])
+        rule(("stability",), "[stability] eps_list", stab.check_sweep, grid, [], st["eps_list"])
         # theta 0 makes u and u~ coincide, so the pipeline field z vanishes
-        rule("carleman", "[carleman] theta", stab.check_sweep, grid,
+        rule(("verify-carleman",), "[carleman] theta", stab.check_sweep, grid,
              [values["carleman"]["theta"]], [])
-        rule("lemmas", "[lemmas] draws", _at_least, values["lemmas"]["draws"], 1)
-        rule("lemmas", "[lemmas] seed", _at_least, values["lemmas"]["seed"], 0)
-        rule("forward", "[forward] preset", _one_of, fw["preset"], ("oracle", "positive"))
+        rule(("verify-lemmas",), "[lemmas] draws", _at_least, values["lemmas"]["draws"], 1)
+        rule(("verify-lemmas",), "[lemmas] seed", _at_least, values["lemmas"]["seed"], 0)
+        rule(("forward",), "[forward] preset", _one_of, fw["preset"], ("oracle", "positive"))
         # the oracle fits its order against a coarse grid of max(n1 // 2, 4)
         # axial nodes, which at n1 = 4 is the grid itself
         if fw["preset"] == "oracle":
-            rule("forward", "[grid] n1 under the oracle preset", _at_least, g["n1"], 5)
-        rule("forward", "[forward] q_amplitude", _at_least, fw["q_amplitude"], 0)
-        rule("weights", "[weights] s_sweep", _s_sweep, w["s_sweep"])
+            rule(("forward",), "[grid] n1 under the oracle preset", _at_least, g["n1"], 5)
+        rule(("forward", "verify-carleman", "stability"), "[forward] q_amplitude", _at_least,
+             fw["q_amplitude"], 0)
+        rule(("verify-lemmas",), "[weights] s_sweep", _s_sweep, w["s_sweep"])
         # verify-carleman sweeps all but the last entry; verify-lemmas fits a slope
-        rule("open", "[open] s_sweep", _s_sweep, o["s_sweep"], least=2)
-        rule("carleman", "[carleman] s_sweep", _s_sweep, values["carleman"]["s_sweep"])
+        rule(("verify-lemmas", "verify-carleman"), "[open] s_sweep", _s_sweep, o["s_sweep"],
+             least=2)
+        rule(("verify-carleman",), "[carleman] s_sweep", _s_sweep, values["carleman"]["s_sweep"])
         return cls(values, grid, {k: ws for k, ws in weights.items() if ws is not None})
 
     def grid(self) -> SpaceTimeGrid:
@@ -390,14 +394,10 @@ def cmd_stability(cfg: ScenarioConfig, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-# subcommand -> its function and the config sections it reads besides
-# [domain] and [grid], which every subcommand reads; one that reads [open]
-# builds the open weight from [weights] too
-_COMMANDS = {"forward": (cmd_forward, ("forward",)),
-             "check-weights": (cmd_check_weights, ("weights", "open")),
-             "verify-lemmas": (cmd_verify_lemmas, ("weights", "open", "lemmas")),
-             "verify-carleman": (cmd_verify_carleman, ("weights", "open", "forward", "carleman")),
-             "stability": (cmd_stability, ("forward", "stability"))}
+# subcommand -> its function (each rule of ScenarioConfig.parse names its readers)
+_COMMANDS = {"forward": cmd_forward, "check-weights": cmd_check_weights,
+             "verify-lemmas": cmd_verify_lemmas, "verify-carleman": cmd_verify_carleman,
+             "stability": cmd_stability}
 
 # flag (its argparse dest) -> the subcommand that takes it and the config key it replaces
 _FLAGS = {"seed": ("verify-lemmas", ("lemmas", "seed")),
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --out: {exc}")
     write_reference(out)
     try:
-        return _COMMANDS[args.command][0](cfg, out)
+        return _COMMANDS[args.command](cfg, out)
     except fwd.SolverBreakdownError as exc:  # from forward's or stability's solve
         print(f"{args.command}: not solved: {exc}", file=sys.stderr)
         return 1

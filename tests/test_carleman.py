@@ -189,7 +189,7 @@ class TestLemmaBounded:
 
     @pytest.mark.parametrize("growth, uniform", [(1.9, True), (2.1, False)])
     def test_s_uniform_allows_twice_the_first_constant(self, grid, ws, growth, uniform):
-        rows = [{"s": s, "lambda": 1.0, "lhs": c, "rhs": 1.0}
+        rows = [{"s": s, "lambda": 1.0, "lhs": c, "rhs": 1.0, "empirical_C": c}
                 for s, c in ((1.0, 0.3), (2.0, 0.3 * growth), (4.0, 0.3))]
         F = ScalarField(grid, np.zeros(grid.shape), FULL)
         with mock.patch.object(carleman, "_prefix_sweep", return_value=rows):
@@ -248,16 +248,22 @@ def test_prefix_rows_equal_separate_integrals(regime, shape, s_values):
     g1, g2 = gradient(u)
     grad_sq = g1.values**2 + g2.values**2
     if regime == "bounded":
-        # the two densities of power -1 are summed, in the check's order,
-        # before they are integrated
-        densities = [laplacian(u.values, u.grid) ** 2 + time_derivative(u).values ** 2,
-                     grad_sq, u.values**2]
+        # the check sums the two densities of power -1, in weighted_norm_I1's
+        # order, before they are integrated; weighted_norm_I1 integrates
+        # each of its four densities alone
+        lap_sq, time_sq = laplacian(u.values, u.grid) ** 2, time_derivative(u).values ** 2
+        densities = [lap_sq + time_sq, grad_sq, u.values**2]
+        I1 = {"laplacian": (lap_sq, -1), "time": (time_sq, -1), "gradient": (grad_sq, 1),
+              "zero_order": (u.values**2, 3)}
         for row in carleman_check_bounded(u, Hu, ws, g, s_values).sweep:
             s, decay = row["s"], ws.decay(row["s"])
             sg = s * ws.g[1:-1]
             assert row["rhs_source"] == _interior(g, Hu.values**2, decay), s
             assert row["lhs"] == sum(_interior(g, d, decay, g.wt[1:-1] * sg**p)
                                      for d, p in zip(densities, (-1, 1, 3))), s
+            terms = weighted_norm_I1(u, ws, s)
+            for key, (d, p) in I1.items():
+                assert terms[key] == _interior(g, d, decay, g.wt[1:-1] * sg**p), (s, key)
         return
     S = ws.spatial_weight
     for row in carleman_check_open(u, Hu, ws, g, s_values).sweep:
@@ -538,8 +544,9 @@ def test_lemma_open_row_box_shrinks_with_s(make_rows):
 
 def test_bounded_check_peak_memory_in_fields():
     # the integrands are written one at a time into one stack of four
-    # members, one per power of s g and then Pz^2, each derivative straight
-    # into its member, so at most one full-size temporary is live beside
+    # members, one per power of s g, Pz^2 written over z_t^2 once that is
+    # summed into (Lap z)^2, each derivative straight into its member, so
+    # at most one full-size temporary is live beside
     # it: 5.28 fields over live data on this grid (1.07 MiB a field), the
     # rest being (t, x1) planes; the bound leaves half a field of slack.
     # With (Lap z)^2 and z_t^2 in two members it reads 6.34
@@ -604,7 +611,8 @@ class TestLemmaOpen:
         (-2.49, True), (-2.51, False), (-1.51, True), (-1.49, False),
     ])
     def test_slope_band_edges(self, open_grid, open_ws, slope, in_band):
-        rows = [{"s": s, "lambda": 0.5, "lhs": s**slope, "rhs": 1.0} for s in (4.0, 8.0, 16.0)]
+        rows = [{"s": s, "lambda": 0.5, "lhs": s**slope, "rhs": 1.0, "ratio": s**slope}
+                for s in (4.0, 8.0, 16.0)]
         F = ScalarField(open_grid, np.zeros(open_grid.shape), FULL)
         with mock.patch.object(carleman, "_prefix_sweep", return_value=rows):
             rep = lemma_open_check(F, open_ws, open_grid, [4.0, 8.0, 16.0])

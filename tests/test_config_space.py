@@ -109,10 +109,18 @@ def test_table_value_exits_cleanly(section, key, value):
 @pytest.mark.parametrize("section, key, value, refused", [
     ("domain", "T", 0.5, {"stability"}),
     ("forward", "q_amplitude", -5, {"forward", "verify-carleman", "stability"}),
-], ids=["domain.T=0.5", "forward.q_amplitude=-5"])
+    ("weights", "s_sweep", "2, 1", {"verify-lemmas"}),
+    ("open", "s_sweep", 8, {"verify-lemmas", "verify-carleman"}),
+    ("forward", "preset", "foo", {"forward"}),
+    ("grid", "n1", 4, {"forward"}),
+], ids=["domain.T=0.5", "forward.q_amplitude=-5", "weights.s_sweep=2,1", "open.s_sweep=8",
+        "forward.preset=foo", "grid.n1=4"])
 def test_a_rule_refuses_only_the_subcommands_that_read_its_key(section, key, value, refused):
-    # T = 0.5 leaves no room for [stability] eps_list, and only stability
-    # reads that list; of the subcommands, only those three read [forward]
+    # T = 0.5 leaves no room for [stability] eps_list, which only stability
+    # reads; [forward] q_amplitude is read by three subcommands, its preset
+    # (and so the oracle's n1 of at least 5) by forward alone; [weights]
+    # s_sweep by verify-lemmas alone, and [open] s_sweep by the two that
+    # sweep it, though check-weights reads the rest of both sections
     runs = _runs(section, key, value)
     assert {command for command, code, _, _ in runs if code == 2} == refused, runs
 

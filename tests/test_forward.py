@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -474,6 +475,7 @@ class TestExtrapolatedStart:
                            max_size=forward.EXTRAPOLATED_LEVELS),
            t0=st.floats(-3.0, 3.0), h=st.floats(0.01, 1.0))
     @example(m=6, coeffs=[1.0] * 6, t0=0.0, h=1.0)
+    @example(m=4, coeffs=[2.225073858507203e-309, 0, 0, 0, 0, 0], t0=0.0, h=0.03125)
     def test_weights_continue_every_polynomial_of_lower_degree(self, m, coeffs, t0, h):
         weights = forward._EXTRAPOLATION_WEIGHTS[m - 1]
         assert not weights[m:].any()
@@ -483,7 +485,12 @@ class TestExtrapolatedStart:
         newest_first = [np.polyval(c, t0 + (m - 1 - j) * h) for j in range(m)]
         got = sum(w * value for w, value in zip(weights, newest_first))
         size = max(np.polyval(np.abs(c), abs(t0) + i * h) for i in range(m + 1))
-        assert abs(got - np.polyval(c, t0 + m * h)) <= 1e-13 * sum(map(abs, weights)) * size
+        # a subnormal product rounds to a multiple of the smallest subnormal,
+        # so each weighted value may be off by one such spacing whatever the
+        # relative bound (2.5e-323 on the subnormal example above)
+        w_sum = sum(map(abs, weights))
+        bound = 1e-13 * w_sum * size + w_sum * math.ulp(0.0)
+        assert abs(got - np.polyval(c, t0 + m * h)) <= bound
 
     def test_shipped_preset_stack_takes_under_two_applications(self, domain, monkeypatch):
         # 811 applications (1.58 per member and step) at 64x64x128, against
